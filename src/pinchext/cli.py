@@ -12,9 +12,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -88,7 +86,6 @@ class AnalysisConfig:
     holo_tol: float
     n_bound: int
     probes: List[complex]
-    seed: int
     ray_angle: float
     base_dir: Path = field(default_factory=Path)
 
@@ -190,7 +187,6 @@ def parse_config(path) -> AnalysisConfig:
     n_max = _an_get("n_max", int, 10)
     holo_tol = _an_get("holo_tol", float, 1e-8)
     n_bound = _an_get("n_bound", int, 10)
-    seed = _an_get("seed", int, 0)
     probes = [0j]
     if an and "probes" in an:
         probes = [_parse_complex_pair(t) for t in an["probes"].split()]
@@ -208,7 +204,7 @@ def parse_config(path) -> AnalysisConfig:
         function_name=name, epsilon=epsilon, coeffs_path=coeffs_path,
         trunc=int(fn.get("trunc", "40")), curves=curves, grid=grid,
         depth=depth, n_max=n_max, holo_tol=holo_tol, n_bound=n_bound,
-        probes=probes, seed=seed, ray_angle=ray_angle, base_dir=path.parent)
+        probes=probes, ray_angle=ray_angle, base_dir=path.parent)
 
 
 def _build_ring(cfg: AnalysisConfig) -> RingFunction:
@@ -221,14 +217,6 @@ def _build_ring(cfg: AnalysisConfig) -> RingFunction:
             raise ConfigError(f"malformed coefficient file: {exc}") from exc
         return RingFunction.from_laurent(terms, cfg.epsilon, name="laurent")
     return gallery.gallery_ring(cfg.function_name, cfg.epsilon)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PINCHEXT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_output(text: str, out_dir: Optional[str], filename: str) -> None:
@@ -250,18 +238,9 @@ def cmd_test(cfg: AnalysisConfig, out_dir: Optional[str] = None,
     if not cfg.curves:
         raise ConfigError("no curves configured")
     ring = _build_ring(cfg)
-
-    def run(phi):
-        return extension_test(ring, phi, cfg.n_max, m=cfg.grid,
-                              holo_tolerance=cfg.holo_tol)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(run, cfg.curves))
-    else:
-        verdicts = [run(phi) for phi in cfg.curves]
-
+    verdicts = [extension_test(ring, phi, cfg.n_max, m=cfg.grid,
+                               holo_tolerance=cfg.holo_tol)
+                for phi in cfg.curves]
     records = []
     for idx, verdict in enumerate(verdicts):
         rec = verdict.as_dict()

@@ -14,13 +14,16 @@ converges geometrically.
 Numerical notes
 ---------------
 * The coefficient limits are computed by per-grid-point polynomial
-  interpolation through the curve values (all curves at once), which is
-  the finite-data version of iterating "subtract the known levels, divide
-  by phi, take the limit".  The node systems are exponentially
-  ill-conditioned, so the solves run in extended precision; function
-  values are taken from an exact bivariate Laurent form or an
-  mpmath-capable evaluator whenever available.  With a plain float
-  evaluator the ladder still runs but deep levels lose accuracy.
+  interpolation through the curve values, which is the finite-data
+  version of iterating "subtract the known levels, divide by phi, take
+  the limit".  One Newton divided-difference kernel serves every grid
+  column at once and, from the same table, the interpolants through the
+  first K-2 and K-1 curves used by the convergence check; only the
+  ``depth + 1`` lowest monomial coefficients are formed.  The node
+  systems are exponentially ill-conditioned, so for mp-capable ring
+  functions (exact bivariate Laurent form or an mpmath evaluator) the
+  kernel runs on mpmath numbers at ``dps`` digits; otherwise it runs in
+  complex doubles, and deep levels lose accuracy.
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
   detection; this is the working-precision floor of the ladder.
@@ -38,7 +41,8 @@ import numpy as np
 from .boundary import (CircleFunction, hardy_project_minus, hardy_split,
                        require_resolved, unit_circle_grid)
 from .errors import (CircleVanishingError, ConvergenceError, DomainError)
-from .rational import (RationalPart, blaschke_from_zeros, detect_rational)
+from .rational import (RationalPart, _single_linkage, blaschke_from_zeros,
+                       detect_rational)
 
 __all__ = [
     "RingFunction",
@@ -204,21 +208,10 @@ class DiscFunction:
             raise ValueError("zero curve has no isolated zeros")
         roots = np.roots(arr[::-1]) if arr.size > 1 else np.array([], dtype=complex)
         out: List[Tuple[complex, int]] = []
-        remaining = list(roots)
-        while remaining:
-            seed = remaining.pop(0)
-            cluster = [seed]
-            changed = True
-            while changed:
-                changed = False
-                for r in remaining[:]:
-                    if min(abs(r - c) for c in cluster) <= cluster_radius:
-                        cluster.append(r)
-                        remaining.remove(r)
-                        changed = True
+        for cluster in _single_linkage(roots, cluster_radius):
             center = complex(np.mean(cluster))
             if abs(center) <= radius + 1e-9:
-                out.append((center, len(cluster)))
+                out.append((center, cluster.size))
         out.sort(key=lambda t: (round(t[0].real, 6), round(t[0].imag, 6)))
         return tuple(out)
 
@@ -441,58 +434,56 @@ def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
 # coefficient ladder
 # ----------------------------------------------------------------------
 
-def _mp_nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
-                     grid: np.ndarray, dps: int):
-    """Curve nodes and function values at the grid, in working precision."""
+def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
+                  grid: np.ndarray, dps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))``.
+
+    Returns two ``(K, m)`` arrays: ``object`` arrays of ``mpc`` at ``dps``
+    digits when ``f`` is mp-capable, complex arrays otherwise.
+    """
+    if not f.mp_capable:
+        nodes = np.array([phi(grid) for phi in curves])
+        return nodes, np.array([f.eval_many(grid, t) for t in nodes])
     with mp.workdps(dps):
         lam_mp = [mp.mpc(x) for x in grid]
-        nodes, values = [], []
-        for phi in curves:
-            trow, vrow = [], []
-            for lam in lam_mp:
-                t = phi.eval_mp(lam)
-                trow.append(t)
-                vrow.append(f.eval_mp(lam, t))
-            nodes.append(trow)
-            values.append(vrow)
+        nodes = np.array([[phi.eval_mp(lam) for lam in lam_mp]
+                          for phi in curves], dtype=object)
+        values = np.array([[f.eval_mp(lam, t) for lam, t in zip(lam_mp, row)]
+                           for row in nodes], dtype=object)
     return nodes, values
 
 
-def _float_nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
-                        grid: np.ndarray):
-    nodes = [phi(grid) for phi in curves]
-    values = [f.eval_many(grid, t) for t in nodes]
-    return nodes, values
+def _interp_prefixes(nodes: np.ndarray, values: np.ndarray, n_keep: int,
+                     sizes: Sequence[int]) -> List[np.ndarray]:
+    """Taylor coefficients ``0 .. n_keep-1`` of the column interpolants.
 
-
-def _interp_coeffs_mp(nodes, values, n_keep: int, dps: int):
-    """Taylor coefficients 0..n_keep-1 of the interpolant through the nodes."""
-    k = len(nodes)
-    with mp.workdps(dps):
-        a = mp.matrix(k, k)
-        for i in range(k):
-            p = mp.mpc(1)
-            for j in range(k):
-                a[i, j] = p
-                p *= nodes[i]
-        try:
-            sol = mp.lu_solve(a, mp.matrix(values))
-        except ZeroDivisionError as exc:
-            raise ConvergenceError(
-                "degenerate curve nodes: interpolation system is singular") from exc
-        return [sol[i] for i in range(min(n_keep, k))]
-
-
-def _interp_coeffs_float(nodes, values, n_keep: int):
-    k = len(nodes)
-    t = np.asarray(nodes, dtype=complex)
-    scale = np.abs(t).max()
-    if scale == 0.0:
-        raise ConvergenceError("all curve nodes vanish at a grid point")
-    v = np.vander(t / scale, k, increasing=True)
-    sol, *_ = np.linalg.lstsq(v, np.asarray(values, dtype=complex), rcond=None)
-    sol = sol / scale ** np.arange(k)
-    return list(sol[:n_keep])
+    For each ``k`` in ``sizes``, returns an ``(n_keep, m)`` array whose
+    column ``c`` holds the low coefficients of the polynomial through the
+    first ``k`` points ``(nodes[i, c], values[i, c])``.  Works on complex
+    arrays and on ``object`` arrays of ``mpc`` (call inside
+    ``mp.workdps``).  The Newton divided-difference table is built once;
+    its entry ``i`` depends only on the first ``i + 1`` nodes, so every
+    prefix shares it.  Each interpolant is converted to monomial form by
+    Horner steps truncated to ``n_keep`` rows, which is exact because the
+    degree-``d`` coefficient never depends on higher degrees.
+    """
+    # Both stages update one row at a time, in place: whole-slice updates
+    # keep several tables of mpc temporaries alive and raise the peak memory.
+    top = max(sizes)
+    dd = values[:top].copy()
+    for j in range(1, top):
+        for i in range(top - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    out = []
+    for k in sizes:
+        c = np.zeros((n_keep,) + values.shape[1:], dtype=values.dtype)
+        c[0] = dd[k - 1]
+        for i in range(k - 2, -1, -1):
+            for d in range(n_keep - 1, 0, -1):
+                c[d] = c[d - 1] - nodes[i] * c[d]
+            c[0] = dd[i] - nodes[i] * c[0]
+        out.append(c)
+    return out
 
 
 def _clean_coefficients(g: CircleFunction, abs_floor: float) -> CircleFunction:
@@ -608,19 +599,12 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
             "the supported bound 16")
 
-    use_mp = f.mp_capable
     if dps is None:
         dps = max(40, 16 + 3 * kcurves)
-    if use_mp:
-        nodes, values = _mp_nodes_values(f, curves, grid, dps)
-    else:
-        nodes, values = _float_nodes_values(f, curves, grid)
+    nodes, values = _nodes_values(f, curves, grid, dps)
 
     # node collision guard
-    if use_mp:
-        node_arr = np.array([[complex(t) for t in row] for row in nodes])
-    else:
-        node_arr = np.asarray(nodes)
+    node_arr = nodes.astype(complex)
     for col in range(m):
         column = node_arr[:, col]
         d = np.abs(column[:, None] - column[None, :])
@@ -628,48 +612,26 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         if d.min() == 0.0:
             raise ConvergenceError("two curves coincide at a grid point")
 
-    value_scale = float(np.abs(np.array(
-        [[complex(v) for v in row] for row in values]
-        if use_mp else values)).max())
+    value_scale = float(np.abs(values.astype(complex)).max())
     abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
 
-    # -- main extraction -------------------------------------------------
+    # -- main extraction and the estimates from the first K-2, K-1 curves --
     n_keep = depth + 1
-    coeff_samples_mp: List[List] = [[] for _ in range(n_keep)]
-    for col in range(m):
-        if use_mp:
-            node_col = [nodes[k][col] for k in range(kcurves)]
-            val_col = [values[k][col] for k in range(kcurves)]
-            sol = _interp_coeffs_mp(node_col, val_col, n_keep, dps)
-        else:
-            node_col = [nodes[k][col] for k in range(kcurves)]
-            val_col = [values[k][col] for k in range(kcurves)]
-            sol = _interp_coeffs_float(node_col, val_col, n_keep)
-        for n in range(n_keep):
-            coeff_samples_mp[n].append(sol[n])
+    sub = slice(0, m, max(1, m // 64))
+    n_cmp = min(n_keep, kcurves - 2)
+    with mp.workdps(dps):
+        coeffs, = _interp_prefixes(nodes, values, n_keep, [kcurves])
+        est_prev, est_last = _interp_prefixes(
+            nodes[:, sub], values[:, sub], n_cmp, [kcurves - 2, kcurves - 1])
+    coeff_samples = coeffs.astype(complex)
 
     # -- convergence of the estimates over the curve count ---------------
     # Successive estimates from the first K-2, K-1, K curves must contract;
     # the projected remaining error (geometric extrapolation of the last
     # two differences) is held below ladder_tol times the data scale.
-    stride = max(1, m // 64)
-    sub = range(0, m, stride)
-    n_cmp = min(n_keep, kcurves - 2)
-    d_prev = 0.0
-    d_last = 0.0
-    for col in sub:
-        sols = []
-        for drop in (2, 1):
-            node_col = [nodes[k][col] for k in range(kcurves - drop)]
-            val_col = [values[k][col] for k in range(kcurves - drop)]
-            if use_mp:
-                sols.append(_interp_coeffs_mp(node_col, val_col, n_cmp, dps))
-            else:
-                sols.append(_interp_coeffs_float(node_col, val_col, n_cmp))
-        for n in range(n_cmp):
-            d_prev = max(d_prev, abs(complex(sols[1][n]) - complex(sols[0][n])))
-            d_last = max(d_last, abs(complex(coeff_samples_mp[n][col]) -
-                                     complex(sols[1][n])))
+    est_last = est_last.astype(complex)
+    d_prev = float(np.abs(est_last - est_prev.astype(complex)).max())
+    d_last = float(np.abs(coeff_samples[:n_cmp, sub] - est_last).max())
     scale = max(value_scale, 1e-300)
     plateau = d_last <= ladder_tol * scale
     if not plateau:
@@ -685,9 +647,8 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     # -- circle functions + cleanup --------------------------------------
     a_circle: List[CircleFunction] = []
     for n in range(n_keep):
-        samples = np.array([complex(c) for c in coeff_samples_mp[n]])
-        a_circle.append(_clean_coefficients(CircleFunction(samples, 1.0),
-                                            abs_floor))
+        a_circle.append(_clean_coefficients(
+            CircleFunction(coeff_samples[n], 1.0), abs_floor))
 
     # -- split into rational part + tail, check pole conformity ----------
     entries: List[LadderEntry] = []
@@ -723,22 +684,12 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     for n in range(n_keep):
         budget = min(16, max(1, n * n_total + m_total))
         for k in check_curves:
-            if use_mp:
-                with mp.workdps(dps):
-                    level_vals = []
-                    for col in range(m):
-                        acc = values[k][col]
-                        t = nodes[k][col]
-                        for j in range(n):
-                            acc -= coeff_samples_mp[j][col] * t ** j
-                        level_vals.append(acc / t ** n if n else acc)
-                    samples = np.array([complex(v) for v in level_vals])
-            else:
-                t = np.asarray(nodes[k])
-                acc = np.asarray(values[k], dtype=complex).copy()
+            with mp.workdps(dps):
+                t = nodes[k]
+                acc = values[k]
                 for j in range(n):
-                    acc -= np.array([complex(c) for c in coeff_samples_mp[j]]) * t ** j
-                samples = acc / t ** n if n else acc
+                    acc = acc - coeffs[j] * t ** j
+                samples = (acc / t ** n if n else acc).astype(complex)
             level_fn = _clean_coefficients(CircleFunction(samples, 1.0), abs_floor)
             psi = hardy_project_minus(level_fn)
             if psi.sup_norm <= max(10 * abs_floor, 1e-13 * max(value_scale, 1.0)):
@@ -766,8 +717,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     # -- bound constants ---------------------------------------------------
     c_bound = 0.0
     for n in range(n_keep):
-        sup_n = float(np.abs(np.array(
-            [complex(c) for c in coeff_samples_mp[n]])).max())
+        sup_n = float(np.abs(coeff_samples[n]).max())
         c_bound = max(c_bound, sup_n * (1.0 + eps) ** n)
     c1 = 1.0
     if zeros:
@@ -794,18 +744,21 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 # pinched domain estimation and evaluation
 # ----------------------------------------------------------------------
 
+def _off_poles(ladder: CoefficientLadder, grid: np.ndarray,
+               exclusion: float) -> np.ndarray:
+    """Grid points farther than ``exclusion`` from every zero and pole line."""
+    keep = np.ones(grid.size, dtype=bool)
+    for a, _ in ladder.zeros + ladder.pole_lines:
+        keep &= np.abs(grid - a) > exclusion
+    return grid[keep]
+
+
 def _pinch_grid(ladder: CoefficientLadder, n_angles: int = 64) -> np.ndarray:
     eps = ladder.epsilon
     pts = []
     for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0):
         pts.append(r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles))
-    grid = np.concatenate(pts)
-    keep = np.ones(grid.size, dtype=bool)
-    for a, _ in ladder.zeros:
-        keep &= np.abs(grid - a) > 1e-2
-    for b, _ in ladder.pole_lines:
-        keep &= np.abs(grid - b) > 1e-2
-    return grid[keep]
+    return _off_poles(ladder, np.concatenate(pts), 1e-2)
 
 
 def pinch_estimate(ladder: CoefficientLadder,
@@ -926,13 +879,9 @@ def verify_coefficient_bounds(ladder: CoefficientLadder, *,
     """
     eps = ladder.epsilon
     r = 1.0 - eps / 4.0
-    grid = r * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    keep = np.ones(grid.size, dtype=bool)
-    for a, _ in ladder.zeros:
-        keep &= np.abs(grid - a) > exclusion
-    for b, _ in ladder.pole_lines:
-        keep &= np.abs(grid - b) > exclusion
-    grid = grid[keep]
+    grid = _off_poles(
+        ladder, r * np.exp(2j * np.pi * np.arange(n_points) / n_points),
+        exclusion)
 
     prod_b = np.ones(grid.size)
     for b, mult in ladder.pole_lines:

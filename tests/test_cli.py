@@ -193,17 +193,6 @@ def test_byte_determinism(tmp_path):
     assert b1 == b2
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, TEST_LINES)
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    assert main(["test", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("PINCHEXT_THREADS", "4")
-    assert main(["test", "--config", cfg, "--out", str(out2)]) == 0
-    assert ((out1 / "test_report.json").read_bytes()
-            == (out2 / "test_report.json").read_bytes())
-
-
 def test_gallery_command(tmp_path, capsys):
     assert main(["gallery", "remark1", "--lam", "1,0", "--z", "0,0"]) == 0
     out = capsys.readouterr().out
@@ -270,6 +259,8 @@ curve_2 = 0,0 0.25,0
 
 [analysis]
 grid = 128
+; retired key: still accepted, no longer read
+seed = 0
 """)
     code = main(["test", "--config", cfg, "--out", str(tmp_path)])
     assert code == 0

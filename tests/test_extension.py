@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +14,7 @@ from pinchext import (BandwidthError, CoefficientLadder, ConvergenceError,
                       hardy_project_minus, pinch_estimate,
                       restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
+from pinchext.extension import _interp_prefixes
 from pinchext.gallery import remark1_ring
 
 
@@ -155,6 +157,48 @@ def test_ladder_polynomial_function():
     assert ladder.entries[3].is_zero
     for entry in ladder.entries:
         assert not entry.rational.poles
+
+
+def _separated_nodes(rng, k, min_sep=0.1):
+    while True:
+        x = np.sqrt(rng.uniform(0, 1, k)) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
+        d = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(d, np.inf)
+        if d.min() >= min_sep:
+            return x
+
+
+def _lu_coeffs(x, y):
+    """Reference: the Vandermonde system solved by mpmath LU."""
+    a = mp.matrix([[xi ** j for j in range(len(x))] for xi in x])
+    sol = mp.lu_solve(a, mp.matrix(list(y)))
+    return [sol[i] for i in range(len(x))]
+
+
+def test_interp_prefixes_matches_lu():
+    # every prefix of random well-separated nodes, several truncations:
+    # mpc path to 1e-30 and complex path to 1e-8 of the LU solution
+    rng = np.random.default_rng(4004)
+    to_mp = np.vectorize(mp.mpc, otypes=[object])
+    for kcurves in range(4, 13):
+        x = np.column_stack([_separated_nodes(rng, kcurves) for _ in range(2)])
+        y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        sizes = list(range(1, kcurves + 1))
+        with mp.workdps(50):
+            x_mp, y_mp = to_mp(x), to_mp(y)
+            refs = {(k, col): _lu_coeffs(x_mp[:k, col], y_mp[:k, col])
+                    for k in sizes for col in range(2)}
+            for n_keep in sorted({1, 2, kcurves // 2, kcurves - 1}):
+                got_mp = _interp_prefixes(x_mp, y_mp, n_keep, sizes)
+                got_c = _interp_prefixes(x, y, n_keep, sizes)
+                for (k, col), ref in refs.items():
+                    scale = max(abs(r) for r in ref)
+                    ref = (ref + [mp.mpc(0)] * n_keep)[:n_keep]
+                    c_mp = got_mp[k - 1][:, col]
+                    assert max(abs(c - r) for c, r in zip(c_mp, ref)) <= 1e-30 * scale
+                    c_c = got_c[k - 1][:, col]
+                    ref_c = np.array([complex(r) for r in ref])
+                    assert np.abs(c_c - ref_c).max() <= 1e-8 * float(scale)
 
 
 def test_ladder_exponential_coefficients(exp_ladder):
