@@ -14,6 +14,7 @@ this up to a fixed constant, which is normalized away.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -52,6 +53,29 @@ def _check_sample_count(m: int) -> None:
 def unit_circle_grid(m: int, radius: float = 1.0) -> np.ndarray:
     """Return the ``m`` uniform sample points ``r * exp(2 pi i k / m)``."""
     return radius * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def pointwise(method):
+    """Lift a method written for 1-d complex arrays to scalars and arrays.
+
+    A scalar or 0-d argument gives a Python ``complex`` or ``float``; any
+    other argument gives an array of the argument's shape.
+    """
+    @functools.wraps(method)
+    def wrapper(self, lam):
+        pts = np.asarray(lam, dtype=complex)
+        out = method(self, pts.ravel())
+        return out[0].item() if pts.ndim == 0 else out.reshape(pts.shape)
+    return wrapper
+
+
+def distance_product(pts, centers, power: int = 1) -> np.ndarray:
+    """``prod |pts - a|^(power * l)`` over the pairs ``(a, l)`` in ``centers``."""
+    pts = np.asarray(pts, dtype=complex)
+    out = np.ones(pts.shape)
+    for a, l in centers:
+        out *= np.abs(pts - a) ** (power * l)
+    return out
 
 
 class CircleFunction:
@@ -152,21 +176,18 @@ class CircleFunction:
 
     # -- evaluation ----------------------------------------------------
 
+    @pointwise
     def __call__(self, points) -> np.ndarray | complex:
         """Evaluate the Laurent interpolant ``sum c_n lambda^n``."""
-        pts = np.asarray(points, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
         m = self.size
         cplus = self._coeffs[m // 2:]
         cminus = self._coeffs[:m // 2][::-1]  # c_{-1}, c_{-2}, ...
-        plus = np.polynomial.polynomial.polyval(pts, cplus)
-        inv = np.zeros_like(pts)
-        nz = pts != 0
-        inv[nz] = 1.0 / pts[nz]
+        plus = np.polynomial.polynomial.polyval(points, cplus)
+        inv = np.zeros_like(points)
+        nz = points != 0
+        inv[nz] = 1.0 / points[nz]
         minus = np.polynomial.polynomial.polyval(inv, np.concatenate(([0], cminus)))
-        out = plus + minus
-        return complex(out[0]) if scalar else out
+        return plus + minus
 
     def resample(self, m: int) -> "CircleFunction":
         """Band-limited resampling of the interpolant on a finer grid."""

@@ -13,7 +13,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -78,7 +78,6 @@ class AnalysisConfig:
     function_name: str
     epsilon: float
     coeffs_path: Optional[Path]
-    trunc: int
     curves: List[DiscFunction]
     grid: int
     depth: int
@@ -87,7 +86,6 @@ class AnalysisConfig:
     n_bound: int
     probes: List[complex]
     ray_angle: float
-    base_dir: Path = field(default_factory=Path)
 
 
 def _parse_complex_pair(token: str) -> complex:
@@ -202,9 +200,9 @@ def parse_config(path) -> AnalysisConfig:
 
     return AnalysisConfig(
         function_name=name, epsilon=epsilon, coeffs_path=coeffs_path,
-        trunc=int(fn.get("trunc", "40")), curves=curves, grid=grid,
-        depth=depth, n_max=n_max, holo_tol=holo_tol, n_bound=n_bound,
-        probes=probes, ray_angle=ray_angle, base_dir=path.parent)
+        curves=curves, grid=grid, depth=depth, n_max=n_max,
+        holo_tol=holo_tol, n_bound=n_bound, probes=probes,
+        ray_angle=ray_angle)
 
 
 def _build_ring(cfg: AnalysisConfig) -> RingFunction:

@@ -27,6 +27,10 @@ Numerical notes
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
   detection; this is the working-precision floor of the ladder.
+* The level functions behind the Blaschke diagnostics run that recursion
+  literally on the last three curves: ``f_{0,k} = f(., phi_k)`` and
+  ``f_{n,k} = (f_{n-1,k} - A_{n-1}) / phi_k``, one subtraction and one
+  division per level in the kernel's number type.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .boundary import (CircleFunction, hardy_project_minus, hardy_split,
-                       require_resolved, unit_circle_grid)
+from .boundary import (CircleFunction, distance_product, hardy_project_minus,
+                       hardy_split, pointwise, require_resolved,
+                       unit_circle_grid)
 from .errors import (CircleVanishingError, ConvergenceError, DomainError)
 from .rational import (RationalPart, _single_linkage, blaschke_from_zeros,
                        detect_rational)
@@ -183,12 +188,9 @@ class DiscFunction:
                 f"curve has sup {self.sup_bound:.6f} on the closed unit disc; "
                 "it must map into the disc")
 
+    @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        pts = np.asarray(lam, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        out = np.polynomial.polynomial.polyval(pts, np.asarray(self.coeffs))
-        return complex(out[0]) if scalar else out
+        return np.polynomial.polynomial.polyval(lam, self.coeffs)
 
     def eval_mp(self, lam):
         total = mp.mpc(0)
@@ -258,14 +260,11 @@ class LadderEntry:
     rational: RationalPart
     tail: Tuple[complex, ...]
 
+    @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        pts = np.asarray(lam, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        out = np.polynomial.polynomial.polyval(pts, np.asarray(self.tail)) \
-            if self.tail else np.zeros_like(pts)
-        out = out + self.rational(pts)
-        return complex(out[0]) if scalar else out
+        out = np.polynomial.polynomial.polyval(lam, self.tail) \
+            if self.tail else np.zeros_like(lam)
+        return out + self.rational(lam)
 
     @property
     def is_zero(self) -> bool:
@@ -343,14 +342,9 @@ class PinchDescriptor:
     pole_lines: Tuple[complex, ...]
     c: float
 
+    @pointwise
     def domain_radius(self, lam) -> np.ndarray | float:
-        pts = np.asarray(lam, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        rad = np.full(pts.shape, self.c)
-        for a, l in self.pinches:
-            rad *= np.abs(pts - a) ** l
-        return float(rad[0]) if scalar else rad
+        return self.c * distance_product(lam, self.pinches)
 
     def contains(self, lam: complex, z: complex, margin: float = 1.0) -> bool:
         return abs(z) < margin * self.domain_radius(lam)
@@ -534,10 +528,7 @@ def _stabilized_pole_lines(verdicts, zeros):
         raise ConvergenceError(
             f"extension pole counts {degrees} did not stabilize over the "
             "last three curves")
-    raw: List[Tuple[complex, int]] = []
-    if last[-1].rational is not None:
-        for a, mult in last[-1].rational.pole_list:
-            raw.append((a, mult))
+    raw = () if last[-1].rational is None else last[-1].rational.pole_list
     pole_lines = tuple((b, mm) for b, mm in raw
                        if all(abs(b - a) > _MATCH_RADIUS for a, _ in zeros))
     return raw, pole_lines
@@ -603,17 +594,15 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         dps = max(40, 16 + 3 * kcurves)
     nodes, values = _nodes_values(f, curves, grid, dps)
 
-    # node collision guard
-    node_arr = nodes.astype(complex)
-    for col in range(m):
-        column = node_arr[:, col]
-        d = np.abs(column[:, None] - column[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() == 0.0:
-            raise ConvergenceError("two curves coincide at a grid point")
+    # node collision guard: sorting each column makes equal nodes neighbours
+    node_arr = np.sort(nodes.astype(complex), axis=0)
+    if (np.abs(np.diff(node_arr, axis=0)) == 0.0).any():
+        raise ConvergenceError("two curves coincide at a grid point")
 
     value_scale = float(np.abs(values.astype(complex)).max())
     abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
+    # below this sup norm a Hardy-minus part is taken as zero
+    noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
 
     # -- main extraction and the estimates from the first K-2, K-1 curves --
     n_keep = depth + 1
@@ -651,23 +640,27 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             CircleFunction(coeff_samples[n], 1.0), abs_floor))
 
     # -- split into rational part + tail, check pole conformity ----------
+    # level n may carry n*N + M poles; detection gets that clipped to 1..16
+    allowed = [n * n_total + m_total for n in range(n_keep)]
+    budgets = [min(16, max(1, a)) for a in allowed]
     entries: List[LadderEntry] = []
     for n in range(n_keep):
-        budget = min(16, max(1, n * n_total + m_total))
         split = hardy_split(a_circle[n])
-        if split.minus.sup_norm <= max(10 * abs_floor, 1e-13 * max(value_scale, 1.0)):
+        if split.minus.sup_norm <= noise_floor:
             rp = RationalPart(poles=())
         else:
-            verdict = detect_rational(split.minus, budget, delta_pole=eps / 2.0)
+            verdict = detect_rational(split.minus, budgets[n],
+                                      delta_pole=eps / 2.0)
             if not verdict.is_rational:
                 raise ConvergenceError(
-                    f"coefficient A_{n} is not rational with at most {budget} "
-                    f"poles (rank {verdict.rank}, gap {verdict.gap:.2e})")
+                    f"coefficient A_{n} is not rational with at most "
+                    f"{budgets[n]} poles (rank {verdict.rank}, gap "
+                    f"{verdict.gap:.2e})")
             rp = verdict.rational
-        if rp.degree > n * n_total + m_total:
+        if rp.degree > allowed[n]:
             raise ConvergenceError(
                 f"A_{n} carries {rp.degree} poles, exceeding the budget "
-                f"n*N + M = {n * n_total + m_total}")
+                f"n*N + M = {allowed[n]}")
         for pole, mult in rp.pole_list:
             if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
                 raise ConvergenceError(
@@ -680,32 +673,30 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     # -- Blaschke-corrected level functions (diagnostics) -----------------
     diagnostics: List[LevelDiagnostic] = []
-    check_curves = range(max(0, kcurves - 3), kcurves)
+    first_check = max(0, kcurves - 3)
+    level_values = values[first_check:]
     for n in range(n_keep):
-        budget = min(16, max(1, n * n_total + m_total))
-        for k in check_curves:
+        if n:
             with mp.workdps(dps):
-                t = nodes[k]
-                acc = values[k]
-                for j in range(n):
-                    acc = acc - coeffs[j] * t ** j
-                samples = (acc / t ** n if n else acc).astype(complex)
-            level_fn = _clean_coefficients(CircleFunction(samples, 1.0), abs_floor)
+                level_values = ((level_values - coeffs[n - 1])
+                                / nodes[first_check:])
+        for k, row in enumerate(level_values.astype(complex), first_check):
+            level_fn = _clean_coefficients(CircleFunction(row, 1.0), abs_floor)
             psi = hardy_project_minus(level_fn)
-            if psi.sup_norm <= max(10 * abs_floor, 1e-13 * max(value_scale, 1.0)):
+            if psi.sup_norm <= noise_floor:
                 poles: Tuple[Tuple[complex, int], ...] = ()
             else:
-                verdict = detect_rational(psi, budget, delta_pole=eps / 2.0)
+                verdict = detect_rational(psi, budgets[n], delta_pole=eps / 2.0)
                 if not verdict.is_rational:
                     raise ConvergenceError(
                         f"level function f_{n},{k} is not rational within the "
-                        f"pole budget {budget}")
+                        f"pole budget {budgets[n]}")
                 poles = verdict.rational.pole_list
             count = sum(mult for _, mult in poles)
-            if count > n * n_total + m_total:
+            if count > allowed[n]:
                 raise ConvergenceError(
                     f"pole count {count} at level {n} exceeds the budget "
-                    f"n*N + M = {n * n_total + m_total}")
+                    f"n*N + M = {allowed[n]}")
             flat = [p for p, mult in poles for _ in range(mult)]
             blaschke = blaschke_from_zeros(flat)
             corrected = level_fn * CircleFunction(blaschke(grid), 1.0)
@@ -755,9 +746,8 @@ def _off_poles(ladder: CoefficientLadder, grid: np.ndarray,
 
 def _pinch_grid(ladder: CoefficientLadder, n_angles: int = 64) -> np.ndarray:
     eps = ladder.epsilon
-    pts = []
-    for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0):
-        pts.append(r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles))
+    pts = [unit_circle_grid(n_angles, r)
+           for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0)]
     return _off_poles(ladder, np.concatenate(pts), 1e-2)
 
 
@@ -781,19 +771,10 @@ def pinch_estimate(ladder: CoefficientLadder,
     significant = [n for n, e in enumerate(ladder.entries) if not e.is_zero]
     pairs = [(significant[i], significant[i + 1])
              for i in range(len(significant) - 1)]
-    pairs = pairs[-3:]
-    if not pairs:
-        return PinchDescriptor(pinches=pinches,
-                               pole_lines=tuple(b for b, _ in ladder.pole_lines),
-                               c=1.0)
-
     grid = _pinch_grid(ladder, n_angles)
-    pinch_prod = np.ones(grid.size)
-    for a, l in pinches:
-        pinch_prod *= np.abs(grid - a) ** l
-
+    pinch_prod = distance_product(grid, pinches)
     ratios = []
-    for n1, n2 in pairs:
+    for n1, n2 in pairs[-3:]:
         v1 = np.abs(ladder.entries[n1](grid))
         v2 = np.abs(ladder.entries[n2](grid))
         guard = v1 > 1e-9 * max(v1.max(), 1e-300)
@@ -802,11 +783,7 @@ def pinch_estimate(ladder: CoefficientLadder,
         span = n2 - n1
         ratio = (v2[guard] * pinch_prod[guard] ** span / v1[guard]) ** (1.0 / span)
         ratios.append(ratio.max())
-    if not ratios:
-        return PinchDescriptor(pinches=pinches,
-                               pole_lines=tuple(b for b, _ in ladder.pole_lines),
-                               c=1.0)
-    worst = max(ratios)
+    worst = max(ratios, default=0.0)
     c = 1.0
     while c * worst > 0.5:
         c *= 0.5
@@ -844,12 +821,8 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
     for entry in ladder.entries:
         value += entry(lam) * z ** entry.n
 
-    prod_a = 1.0
-    for a, l in ladder.zeros:
-        prod_a *= abs(lam - a) ** l
-    prod_b = 1.0
-    for b, mult in ladder.pole_lines:
-        prod_b *= abs(lam - b) ** mult
+    prod_a = float(distance_product(lam, ladder.zeros))
+    prod_b = float(distance_product(lam, ladder.pole_lines))
     depth = ladder.depth
     if prod_a == 0.0:
         bound = math.inf
@@ -879,20 +852,12 @@ def verify_coefficient_bounds(ladder: CoefficientLadder, *,
     """
     eps = ladder.epsilon
     r = 1.0 - eps / 4.0
-    grid = _off_poles(
-        ladder, r * np.exp(2j * np.pi * np.arange(n_points) / n_points),
-        exclusion)
-
-    prod_b = np.ones(grid.size)
-    for b, mult in ladder.pole_lines:
-        prod_b *= np.abs(grid - b) ** mult
-
+    grid = _off_poles(ladder, unit_circle_grid(n_points, r), exclusion)
+    prod_b = distance_product(grid, ladder.pole_lines)
     violations = []
     for entry in ladder.entries:
         n = entry.n
-        prod_a = np.ones(grid.size)
-        for a, l in ladder.zeros:
-            prod_a *= np.abs(grid - a) ** (n * l)
+        prod_a = distance_product(grid, ladder.zeros, power=n)
         rhs = ladder.c_prime / (prod_a * prod_b * (1.0 + eps) ** n)
         lhs = np.abs(entry(grid))
         bad = lhs > rhs * (1.0 + slack)

@@ -251,6 +251,15 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
 
 
+def _difference_roots(a: DiscFunction, b: DiscFunction) -> np.ndarray:
+    """Roots of ``a - b`` in the closed unit disc; none if it is constant."""
+    arr = np.asarray(curve_difference(a, b).coeffs)
+    if np.abs(arr).max() == 0.0 or arr.size == 1:
+        return np.array([], dtype=complex)
+    roots = np.roots(arr[::-1])
+    return roots[np.abs(roots) <= 1.0 + 1e-9]
+
+
 def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
                            probes: Sequence[complex],
                            avoid_radius: float = 0.05) -> GeneralPositionReport:
@@ -265,15 +274,7 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 curves for a general-position check")
-    zero_sets: List[np.ndarray] = []
-    for phi in curves:
-        diff = curve_difference(phi, phi0)
-        arr = np.asarray(diff.coeffs)
-        if np.abs(arr).max() == 0.0 or arr.size == 1:
-            zero_sets.append(np.array([], dtype=complex))
-            continue
-        roots = np.roots(arr[::-1])
-        zero_sets.append(roots[np.abs(roots) <= 1.0 + 1e-9])
+    zero_sets = [_difference_roots(phi, phi0) for phi in curves]
 
     probe_results: List[ProbeResult] = []
     for probe in probes:
@@ -284,22 +285,23 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
         probe_results.append(ProbeResult(probe=probe, witness_indices=indices,
                                          ok=len(indices) >= 3))
 
-    violations: List[TripleIntersection] = []
+    # Taylor coefficients of every curve, zero-padded to one length, as the
+    # columns of ``table``: one polyval per pair evaluates every curve at
+    # that pair's roots.
     k = len(curves)
+    table = np.zeros((max(len(phi.coeffs) for phi in curves), k), dtype=complex)
+    for idx, phi in enumerate(curves):
+        table[:len(phi.coeffs), idx] = phi.coeffs
+    violations: List[TripleIntersection] = []
     for i in range(k):
         for j in range(i + 1, k):
-            dij = curve_difference(curves[i], curves[j])
-            arr = np.asarray(dij.coeffs)
-            if np.abs(arr).max() == 0.0 or arr.size == 1:
-                continue
-            roots = np.roots(arr[::-1])
-            roots = roots[np.abs(roots) <= 1.0 + 1e-9]
-            for t in range(j + 1, k):
-                for root in roots:
-                    if abs(curves[i](root) - curves[t](root)) < 1e-9:
-                        violations.append(TripleIntersection(
-                            indices=(i, j, t), lam=complex(root),
-                            z=complex(curves[i](root))))
+            roots = _difference_roots(curves[i], curves[j])
+            values = np.polynomial.polynomial.polyval(roots, table)
+            hits = np.abs(values[i] - values[j + 1:]) < 1e-9
+            for t, r in zip(*np.nonzero(hits)):
+                violations.append(TripleIntersection(
+                    indices=(i, j, j + 1 + int(t)), lam=complex(roots[r]),
+                    z=complex(values[i, r])))
     return GeneralPositionReport(probes=tuple(probe_results),
                                  triple_violations=tuple(violations))
 

@@ -290,59 +290,55 @@ def remark1_ring(epsilon: float = 0.3) -> RingFunction:
         name="remark1")
 
 
-def example1_ring(epsilon: float = 0.3, n_trunc: int = 40) -> RingFunction:
-    ex = Example1(n_trunc)
-
+def _pointwise_evaluator(point_eval):
+    """Array evaluator from a scalar one: one call per broadcast pair."""
     def evaluator(lam, z):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         lam, z = np.broadcast_arrays(lam, z)
-        return np.array([ex(l, w) for l, w in zip(lam.ravel(), z.ravel())],
+        return np.array([point_eval(l, w)
+                         for l, w in zip(lam.ravel(), z.ravel())],
                         dtype=complex).reshape(lam.shape)
+    return evaluator
 
-    return RingFunction(evaluator=evaluator, epsilon=epsilon,
+
+def example1_ring(epsilon: float = 0.3, n_trunc: int = 40) -> RingFunction:
+    ex = Example1(n_trunc)
+    return RingFunction(evaluator=_pointwise_evaluator(ex), epsilon=epsilon,
                         mp_evaluator=ex.eval_mp, name="example1")
 
 
 def example2_ring(epsilon: float = 0.3, l_trunc: int = 40) -> RingFunction:
     ex = _EXAMPLE2
-
-    def evaluator(lam, z):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        lam, z = np.broadcast_arrays(lam, z)
-        return np.array([ex(l, w, l_trunc) for l, w in
-                         zip(lam.ravel(), z.ravel())],
-                        dtype=complex).reshape(lam.shape)
-
-    return RingFunction(evaluator=evaluator, epsilon=epsilon,
-                        mp_evaluator=lambda lam, z: ex.eval_mp(lam, z, l_trunc),
-                        name="example2")
+    return RingFunction(
+        evaluator=_pointwise_evaluator(lambda lam, z: ex(lam, z, l_trunc)),
+        epsilon=epsilon,
+        mp_evaluator=lambda lam, z: ex.eval_mp(lam, z, l_trunc),
+        name="example2")
 
 
-GALLERY_NAMES = ("remark1", "example1", "example2")
+# CLI name -> (ring adapter, point evaluator taking a series depth third)
+_GALLERY = {
+    "remark1": (remark1_ring, lambda lam, z, trunc: remark1_eval(lam, z)),
+    "example1": (example1_ring, example1_eval),
+    "example2": (example2_ring, example2_eval),
+}
+GALLERY_NAMES = tuple(_GALLERY)
+
+
+def _gallery_entry(name: str):
+    if name not in _GALLERY:
+        raise ValueError(f"unknown gallery function {name!r}; "
+                         f"available: {', '.join(GALLERY_NAMES)}")
+    return _GALLERY[name]
 
 
 def gallery_ring(name: str, epsilon: float) -> RingFunction:
     """Ring-function adapter for a gallery function by CLI name."""
-    if name == "remark1":
-        return remark1_ring(epsilon)
-    if name == "example1":
-        return example1_ring(epsilon)
-    if name == "example2":
-        return example2_ring(epsilon)
-    raise ValueError(f"unknown gallery function {name!r}; "
-                     f"available: {', '.join(GALLERY_NAMES)}")
+    return _gallery_entry(name)[0](epsilon)
 
 
 def gallery_eval(name: str, lam: complex, z: complex,
                  trunc: int = 40) -> complex:
     """Point evaluation of a gallery function by CLI name."""
-    if name == "remark1":
-        return remark1_eval(lam, z)
-    if name == "example1":
-        return example1_eval(lam, z, n_trunc=trunc)
-    if name == "example2":
-        return example2_eval(lam, z, l_trunc=trunc)
-    raise ValueError(f"unknown gallery function {name!r}; "
-                     f"available: {', '.join(GALLERY_NAMES)}")
+    return _gallery_entry(name)[1](lam, z, trunc)

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .boundary import CircleFunction
+from .boundary import CircleFunction, pointwise
 from .errors import DomainError, PoleLocationError
 
 __all__ = [
@@ -64,17 +64,15 @@ class RationalPart:
         """Poles as ``(location, multiplicity)`` pairs."""
         return tuple((a, len(c)) for a, c in self.poles)
 
+    @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        pts = np.asarray(lam, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        out = np.zeros_like(pts)
+        out = np.zeros_like(lam)
         for a, coeffs in self.poles:
             m = len(coeffs)
-            d = pts - a
+            d = lam - a
             for k, c in enumerate(coeffs):
                 out += c * d ** (k - m)
-        return complex(out[0]) if scalar else out
+        return out
 
     def laurent_tail(self, length: int) -> np.ndarray:
         """Coefficients ``c_{-1} .. c_{-length}`` of the expansion at infinity."""
@@ -134,14 +132,12 @@ class BlaschkeProduct:
             if abs(z) >= 1.0:
                 raise ValueError(f"Blaschke zero {z} is not inside the unit disc")
 
+    @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        pts = np.asarray(lam, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        out = np.ones_like(pts)
+        out = np.ones_like(lam)
         for b in self.zeros:
-            out *= (pts - b) / (1.0 - np.conj(b) * pts)
-        return complex(out[0]) if scalar else out
+            out *= (lam - b) / (1.0 - np.conj(b) * lam)
+        return out
 
 
 def blaschke_from_zeros(zeros: Sequence[complex]) -> BlaschkeProduct:

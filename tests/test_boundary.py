@@ -4,18 +4,73 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
-                      analyze, circle_from_csv, circle_to_csv,
-                      effective_bandwidth, hardy_project_minus, hardy_split,
-                      hilbert_transform, sobolev_norm, unit_circle_grid,
-                      winding_number)
-from pinchext.boundary import require_resolved
+from pinchext import (BandwidthError, BlaschkeProduct, CircleFunction,
+                      CircleVanishingError, DiscFunction, LadderEntry,
+                      PinchDescriptor, RationalPart, analyze,
+                      circle_from_csv, circle_to_csv, effective_bandwidth,
+                      hardy_project_minus, hardy_split, hilbert_transform,
+                      sobolev_norm, unit_circle_grid, winding_number)
+from pinchext.boundary import distance_product, require_resolved
 
 from conftest import random_laurent_function
 
 
 def tau(m=256, radius=1.0):
     return unit_circle_grid(m, radius)
+
+
+# ---------------------------------------------------- scalar-or-array calls
+
+_RP = RationalPart(poles=((0.2j, (1.0, 0.5 - 0.5j)), (-0.3 + 0j, (2.0,))))
+POINTWISE = {
+    "circle": (lambda: CircleFunction.from_coefficients(
+        np.arange(16) * (0.1 - 0.05j), 1.0, m=64), complex),
+    "disc": (lambda: DiscFunction([0.1, 0.5j, -0.25]), complex),
+    "ladder_entry": (lambda: LadderEntry(n=2, rational=_RP,
+                                         tail=(1.0, 0.5j, -0.25)), complex),
+    "rational": (lambda: _RP, complex),
+    "blaschke": (lambda: BlaschkeProduct(zeros=(0.3j, -0.5 + 0j)), complex),
+    "domain_radius": (lambda: PinchDescriptor(
+        pinches=((0.1 + 0j, 2), (-0.4j, 1)), pole_lines=(),
+        c=0.75).domain_radius, float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_pointwise_contract(name):
+    make, kind = POINTWISE[name]
+    fn = make()
+    pts = 0.8 * np.exp(2j * np.pi * (np.arange(6) + 0.25) / 6).reshape(2, 3)
+    p = complex(pts[0, 1])
+    for scalar in (p, np.complex128(p), np.asarray(p)):
+        assert type(fn(scalar)) is kind
+        assert fn(scalar) == fn(p)
+    assert type(fn(0.5)) is kind and fn(0.5) == fn(0.5 + 0j)
+    for arg in (pts, pts.tolist(), pts.ravel()):
+        out = fn(arg)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == np.shape(arg)
+    # numpy's vector loops may round a complex division differently from
+    # the one-element path, so elements agree with scalar calls to rounding
+    out = fn(pts)
+    for idx in np.ndindex(pts.shape):
+        npt.assert_allclose(out[idx], fn(complex(pts[idx])),
+                            rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_distance_product():
+    centers = ((0.1 + 0j, 2), (-0.4j, 1), (0.5 - 0.5j, 3))
+    pts = tau(16, 0.7).reshape(4, 4)
+    for power in (0, 1, 3):
+        expected = np.ones(pts.shape)
+        for a, l in centers:
+            expected = expected * np.abs(pts - a) ** (power * l)
+        out = distance_product(pts, centers, power=power)
+        assert out.shape == pts.shape
+        npt.assert_array_equal(out, expected)
+        assert float(distance_product(complex(pts[1, 2]), centers,
+                                      power=power)) == expected[1, 2]
+    npt.assert_array_equal(distance_product(pts, ()), np.ones(pts.shape))
 
 
 # ---------------------------------------------------------------- analyze

@@ -252,6 +252,8 @@ def test_explicit_curve_parsing(tmp_path):
     cfg = write_config(tmp_path, """
 [function]
 name = remark1
+; retired key: still accepted, no longer read
+trunc = 40
 
 [curves]
 curve_1 = 0,0 0.5,0

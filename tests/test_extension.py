@@ -225,6 +225,15 @@ def test_ladder_rejects_non_extendable(exp_ring):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
 
 
+def test_ladder_rejects_coinciding_nodes(exp_ring):
+    # lam/2 and lam^2/2 (not neighbours in the list) take the same value
+    # at the grid point lam = 1
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(2, 7)]
+    curves.insert(2, DiscFunction([0, 0, 0.5]))
+    with pytest.raises(ConvergenceError, match="coincide"):
+        coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+
+
 def test_ladder_rejects_circle_vanishing_curve(exp_ring):
     from pinchext import CircleVanishingError
     # phi_k = lam (lam - 1) / (3k) vanishes at the boundary point lam = 1
@@ -235,15 +244,17 @@ def test_ladder_rejects_circle_vanishing_curve(exp_ring):
 
 
 def test_ladder_diagnostics(exp_ladder):
+    # Records run level by level over the last three of the 12 curves.
     # Blaschke-corrected level functions stay bounded by C*C1 and their
-    # Hardy-minus projections are tiny (pole cancellation)
+    # Hardy-minus projections are tiny (pole cancellation); the level
+    # function f_{n,k} of exp(z/lam) has a pole of order exactly n at 0.
+    assert [(d.level, d.curve_index) for d in exp_ladder.diagnostics] == [
+        (n, k) for n in range(exp_ladder.depth + 1) for k in (9, 10, 11)]
     bound = exp_ladder.c_bound * exp_ladder.c1_bound
     for diag in exp_ladder.diagnostics:
         assert diag.corrected_sup <= bound * (1.0 + 1e-6)
         assert diag.projection_residual < 1e-8
-        n_total = sum(l for _, l in exp_ladder.zeros)
-        m_total = sum(mult for _, mult in exp_ladder.pole_lines)
-        assert diag.pole_count <= diag.level * n_total + m_total
+        assert diag.pole_count == diag.level
 
 
 def test_ladder_consistency(exp_ring, exp_ladder):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pinchext import (ConvergenceError, DiscFunction, coefficient_ladder,
-                      general_position_check, pinch_estimate,
-                      validate_test_family, validate_test_sequence,
-                      winding_profile)
+                      curve_difference, general_position_check,
+                      pinch_estimate, validate_test_family,
+                      validate_test_sequence, winding_profile)
+from pinchext.families import TripleIntersection
 from pinchext.gallery import remark1_ring
 
 
@@ -129,6 +130,54 @@ def test_general_position_triple_violation():
     assert violation.indices == (0, 1, 2)
     assert abs(violation.lam) < 1e-9
     assert abs(violation.z) < 1e-9
+
+
+def _triples_by_scalar_loop(curves):
+    """Reference triple scan: one scalar curve evaluation per root."""
+    out = []
+    k = len(curves)
+    for i in range(k):
+        for j in range(i + 1, k):
+            arr = np.asarray(curve_difference(curves[i], curves[j]).coeffs)
+            if np.abs(arr).max() == 0.0 or arr.size == 1:
+                continue
+            roots = np.roots(arr[::-1])
+            roots = roots[np.abs(roots) <= 1.0 + 1e-9]
+            for t in range(j + 1, k):
+                for root in roots:
+                    if abs(curves[i](root) - curves[t](root)) < 1e-9:
+                        out.append(TripleIntersection(
+                            indices=(i, j, t), lam=complex(root),
+                            z=complex(curves[i](root))))
+    return tuple(out)
+
+
+def test_triple_scan_matches_scalar_loop():
+    # half the curves pass through the origin, a quarter through one more
+    # common point (p, w); degrees 1..4, a repeated curve, a constant and
+    # a near miss 1e-7 above (p, w) that the 1e-9 test must reject
+    rng = np.random.default_rng(3141)
+    p, w = 0.3 + 0.2j, 0.1 - 0.05j
+    curves = []
+    for idx in range(16):
+        deg = idx % 4 + 1
+        c = 0.15 * (rng.standard_normal(deg + 1)
+                    + 1j * rng.standard_normal(deg + 1))
+        if idx % 2 == 0:
+            c[0] = 0.0
+        elif idx % 4 == 1:
+            c[0] += w - np.polynomial.polynomial.polyval(p, c)
+        curves.append(DiscFunction(c, require_into_disc=False))
+    near = np.array([0.1, -0.2j, 0.05])
+    near[0] += w + 1e-7 - np.polynomial.polynomial.polyval(p, near)
+    curves += [curves[5], DiscFunction([w]), DiscFunction(near)]
+    expected = _triples_by_scalar_loop(curves)
+    assert any(abs(v.lam) < 1e-12 for v in expected)
+    assert any(abs(v.lam - p) < 1e-9 for v in expected)
+    assert all(v.indices[2] != len(curves) - 1 or abs(v.lam - p) > 1e-6
+               for v in expected)
+    report = general_position_check(curves, ZERO, [0.5 + 0j])
+    assert report.triple_violations == expected
 
 
 # ----------------------------------------------------------- winding profile
