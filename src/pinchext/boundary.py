@@ -58,14 +58,19 @@ def unit_circle_grid(m: int, radius: float = 1.0) -> np.ndarray:
 def pointwise(method):
     """Lift a method written for 1-d complex arrays to scalars and arrays.
 
-    A scalar or 0-d argument gives a Python ``complex`` or ``float``; any
-    other argument gives an array of the argument's shape.
+    The point arguments are broadcast together and flattened; keyword
+    arguments pass through.  Scalar or 0-d arguments give a Python
+    ``complex`` or ``float``; any others give an array of the broadcast
+    shape.
     """
     @functools.wraps(method)
-    def wrapper(self, lam):
-        pts = np.asarray(lam, dtype=complex)
-        out = method(self, pts.ravel())
-        return out[0].item() if pts.ndim == 0 else out.reshape(pts.shape)
+    def wrapper(self, *points, **kwargs):
+        pts = [np.asarray(p, dtype=complex) for p in points]
+        shape = np.broadcast(*pts).shape
+        flat = [(p if p.shape == shape else np.broadcast_to(p, shape)).ravel()
+                for p in pts]
+        out = method(self, *flat, **kwargs)
+        return out[0].item() if not shape else out.reshape(shape)
     return wrapper
 
 

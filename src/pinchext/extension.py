@@ -163,10 +163,11 @@ class DiscFunction:
     Coefficients are ascending; the trailing tail below ``1e-14`` of the
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
     sampled supremum on the unit circle, which by the maximum principle
-    bounds ``phi`` on the closed disc.
+    bounds ``phi`` on the closed disc; it is computed on first read (at
+    construction when ``require_into_disc`` is set).
     """
 
-    __slots__ = ("coeffs", "sup_bound")
+    __slots__ = ("coeffs", "_sup_bound")
 
     def __init__(self, coeffs: Sequence[complex], require_into_disc: bool = True):
         arr = np.asarray(coeffs, dtype=complex)
@@ -181,12 +182,17 @@ class DiscFunction:
         else:
             arr = arr[:1]
         self.coeffs = tuple(complex(c) for c in arr)
-        grid = unit_circle_grid(256)
-        self.sup_bound = float(np.abs(self(grid)).max())
+        self._sup_bound = None
         if require_into_disc and self.sup_bound >= 1.0 + _DISC_SLACK:
             raise ValueError(
                 f"curve has sup {self.sup_bound:.6f} on the closed unit disc; "
                 "it must map into the disc")
+
+    @property
+    def sup_bound(self) -> float:
+        if self._sup_bound is None:
+            self._sup_bound = float(np.abs(self(unit_circle_grid(256))).max())
+        return self._sup_bound
 
     @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
@@ -586,7 +592,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     raw_pole_lines, pole_lines = _stabilized_pole_lines(verdicts, zeros)
     m_total = sum(mult for _, mult in raw_pole_lines)
     if depth * n_total + m_total > 16:
-        raise ValueError(
+        raise ConvergenceError(
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
             "the supported bound 16")
 

@@ -14,6 +14,12 @@ the one-variable extensions are unbounded along the sequence.
 
 ``remark1``: ``exp(z / lambda)`` - extendable along every curve through
 the origin, not extendable along any curve missing it.
+
+The ``example1`` and ``example2`` evaluators are vectorized: ``lam`` and
+``z`` broadcast together, and one call evaluates a whole array (the ring
+adapters hand over whole restriction grids).  ``example1_eval``,
+``example2_eval`` and ``gallery_eval`` wrap the same evaluators and return
+a Python ``complex`` for scalar input.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .boundary import CircleFunction, unit_circle_grid
+from .boundary import CircleFunction, pointwise, unit_circle_grid
 from .errors import ConvergenceError
 from .extension import RingFunction
 
@@ -49,19 +55,16 @@ __all__ = [
 _LOG3 = math.log(3.0)
 
 
-def example1_term_bound(n: int, eps_d: float) -> float:
-    """Log10-free bound ``3^{-4n^3-n} (1/eps_d)^{1.5 (n^2+n)}`` on term ``n``."""
-    log_bound = -(4 * n ** 3 + n) * _LOG3 + 1.5 * (n * n + n) * math.log(1.0 / eps_d)
-    if log_bound > 700.0:
-        return math.inf
-    return math.exp(log_bound)
+def example1_term_bound(n: int, eps_d):
+    """Bound ``3^{-4n^3-n} (1/eps_d)^{1.5 (n^2+n)}`` on term ``n``.
 
-
-def _eps_for_point(lam: complex, z: complex) -> float:
-    eps = min(abs(lam), 1.0 / abs(lam), 0.33)
-    if z != 0:
-        eps = min(eps, 1.0 / (3.0 * abs(z)))
-    return eps
+    ``eps_d`` may be an array; a scalar gives a ``float``.  Bounds past
+    ``e^700`` are reported as ``inf``.
+    """
+    log_bound = (-(4 * n ** 3 + n) * _LOG3
+                 + 1.5 * (n * n + n) * np.log(1.0 / np.asarray(eps_d, dtype=float)))
+    out = np.where(log_bound > 700.0, np.inf, np.exp(np.minimum(log_bound, 700.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 class Example1:
@@ -70,38 +73,53 @@ class Example1:
     def __init__(self, n_trunc: int = 40):
         self.n_trunc = int(n_trunc)
 
-    def __call__(self, lam: complex, z: complex,
-                 n_trunc: Optional[int] = None) -> complex:
-        """Partial sum to ``n_trunc`` (default: the configured depth).
+    @pointwise
+    def __call__(self, lam, z, *, n_trunc: Optional[int] = None):
+        """Partial sums to ``n_trunc`` (default: the configured depth).
 
-        The series value at the configured depth must be certifiable at
-        the point: the normal-convergence tail bound past ``self.n_trunc``
-        has to fall below 1e-12, else :class:`ConvergenceError` is raised
-        (this bites only for astronomically small ``|lambda|``).
+        ``lam`` and ``z`` broadcast together; scalars give a ``complex``.
+        Each point sums its terms until their bound (from the point's own
+        ``eps_d``) drops below ``1e-18`` of the largest partial sum so far.
+        The value at the configured depth must be certifiable at every
+        point: the normal-convergence tail bound past ``self.n_trunc`` has
+        to fall below 1e-12, else :class:`ConvergenceError` is raised for
+        the first such point in ravel order (at depth 40 this bites only for
+        astronomically small or large ``|lambda|`` or large ``|z|``).  A
+        point whose tail bound is infinite can never be certified, so its
+        terms are not summed.  A term whose factors overflow doubles (for
+        example at ``lambda = 1e-8, z = 0.1``) raises
+        :class:`FloatingPointError`.
         """
-        lam = complex(lam)
-        z = complex(z)
-        if lam == 0:
+        if (lam == 0).any():
             raise ValueError("example 1 is undefined at lambda = 0")
         depth = self.n_trunc if n_trunc is None else int(n_trunc)
-        eps_d = _eps_for_point(lam, z)
+        a = np.abs(lam)
+        eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
+        nz = z != 0
+        eps_d[nz] = np.minimum(eps_d[nz], 1.0 / (3.0 * np.abs(z[nz])))
         tail = 2.0 * example1_term_bound(self.n_trunc + 1, eps_d)
-        total = 0j
-        scale = 1.0
+        total = np.zeros_like(lam)
+        scale = np.ones(lam.shape)
+        step = (2.0 / 3.0) * lam
+        live = np.flatnonzero(tail < np.inf)
         for n in range(1, depth + 1):
-            bound = example1_term_bound(n, eps_d)
-            if bound < 1e-18 * scale:
+            live = live[~(example1_term_bound(n, eps_d[live]) < 1e-18 * scale[live])]
+            if not live.size:
                 break
-            prod = 1.0 + 0j
-            w = 1.0 + 0j
-            for j in range(1, n + 1):
-                w *= (2.0 / 3.0) * lam
-                prod *= (z - w)
-            total += 3.0 ** (-4 * n ** 3) * prod * lam ** (-n * n) * z ** n
-            scale = max(scale, abs(total))
-        if not tail < 1e-12 * max(1.0, abs(total)):
+            c, zl = step[live], z[live]
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                w = c
+                prod = zl - w
+                for _ in range(2, n + 1):
+                    w = w * c
+                    prod = prod * (zl - w)
+                total[live] += (3.0 ** (-4 * n ** 3) * prod * lam[live] ** (-n * n)
+                                * zl ** n)
+            scale[live] = np.fmax(scale[live], np.abs(total[live]))
+        failed = np.flatnonzero(~(tail < 1e-12 * np.fmax(1.0, np.abs(total))))
+        if failed.size:
             raise ConvergenceError(
-                f"truncation error bound {tail:.3e} at series depth "
+                f"truncation error bound {tail[failed[0]]:.3e} at series depth "
                 f"{self.n_trunc} cannot certify the value at this point")
         return total
 
@@ -224,13 +242,19 @@ class Example2:
         return float(np.abs(np.polynomial.polynomial.polyval(
             self._sup_grid, self.p_coeffs(l))).max())
 
-    def __call__(self, lam: complex, z: complex, l_trunc: int = 40) -> complex:
-        lam = complex(lam)
-        if lam == 0:
+    @pointwise
+    def __call__(self, lam, z, *, l_trunc: int = 40):
+        """Partial sums to ``l_trunc``; ``lam`` and ``z`` broadcast together.
+
+        Overflow of a term raises :class:`FloatingPointError`.
+        """
+        if (lam == 0).any():
             raise ValueError("example 2 is undefined at lambda = 0")
-        total = 0j
-        for l in range(1, l_trunc + 1):
-            total += self.p_eval(l - 1, z) * lam ** (-l)
+        total = np.zeros_like(lam)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for l in range(1, l_trunc + 1):
+                total += (np.polynomial.polynomial.polyval(z, self.p_coeffs(l - 1))
+                          * lam ** (-l))
         return total
 
     def eval_mp(self, lam, z, l_trunc: int = 40):
@@ -290,28 +314,16 @@ def remark1_ring(epsilon: float = 0.3) -> RingFunction:
         name="remark1")
 
 
-def _pointwise_evaluator(point_eval):
-    """Array evaluator from a scalar one: one call per broadcast pair."""
-    def evaluator(lam, z):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        lam, z = np.broadcast_arrays(lam, z)
-        return np.array([point_eval(l, w)
-                         for l, w in zip(lam.ravel(), z.ravel())],
-                        dtype=complex).reshape(lam.shape)
-    return evaluator
-
-
 def example1_ring(epsilon: float = 0.3, n_trunc: int = 40) -> RingFunction:
     ex = Example1(n_trunc)
-    return RingFunction(evaluator=_pointwise_evaluator(ex), epsilon=epsilon,
+    return RingFunction(evaluator=ex, epsilon=epsilon,
                         mp_evaluator=ex.eval_mp, name="example1")
 
 
 def example2_ring(epsilon: float = 0.3, l_trunc: int = 40) -> RingFunction:
     ex = _EXAMPLE2
     return RingFunction(
-        evaluator=_pointwise_evaluator(lambda lam, z: ex(lam, z, l_trunc)),
+        evaluator=lambda lam, z: ex(lam, z, l_trunc=l_trunc),
         epsilon=epsilon,
         mp_evaluator=lambda lam, z: ex.eval_mp(lam, z, l_trunc),
         name="example2")

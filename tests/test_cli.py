@@ -220,6 +220,15 @@ depth = 3
     assert main(["ladder", "--config", cfg]) == 3
 
 
+def test_pole_budget_overflow_exit_code(tmp_path):
+    # curves lambda^3 / k share a zero of order 3 at 0: depth 6 needs a
+    # pole budget of 6 * 3 > 16, a numerical limit -> exit code 3
+    cfg = write_config(tmp_path, LADDER_EXP.replace("power = 1", "power = 3")
+                       .replace("depth = 4", "depth = 6")
+                       .replace("grid = 64", "grid = 256"))
+    assert main(["ladder", "--config", cfg]) == 3
+
+
 def test_csv_format_outputs(tmp_path):
     cfg = write_config(tmp_path, TEST_LINES)
     code = main(["test", "--config", cfg, "--out", str(tmp_path),

@@ -77,6 +77,19 @@ def test_curve_difference():
     npt.assert_allclose(d.coeffs, [-0.7, 0.3])
 
 
+def test_sup_bound_computed_on_first_read(monkeypatch):
+    calls = []
+    call = DiscFunction.__call__
+    monkeypatch.setattr(DiscFunction, "__call__",
+                        lambda self, lam: calls.append(1) or call(self, lam))
+    d = curve_difference(DiscFunction([0, 1.0]), DiscFunction([0.5, 0, 0.25]))
+    assert len(calls) == 2  # the two into-disc checks, not the difference
+    grid = unit_circle_grid(256)
+    expected = float(np.abs(np.polynomial.polynomial.polyval(grid, d.coeffs)).max())
+    assert d.sup_bound == expected
+    assert d.sup_bound == expected and len(calls) == 3  # cached
+
+
 # -------------------------------------------------------------- restriction
 
 def test_restrict_product_curve():
