@@ -370,7 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PoleLocationError as exc:
         print(f"analysis negative: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ConvergenceError, CircleVanishingError) as exc:
+    except (ConvergenceError, CircleVanishingError, FloatingPointError) as exc:
+        # FloatingPointError: a float overflow in an evaluator kernel
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 

@@ -22,8 +22,20 @@ Numerical notes
   ``depth + 1`` lowest monomial coefficients are formed.  The node
   systems are exponentially ill-conditioned, so for mp-capable ring
   functions (exact bivariate Laurent form or an mpmath evaluator) the
-  kernel runs on mpmath numbers at ``dps`` digits; otherwise it runs in
-  complex doubles, and deep levels lose accuracy.
+  ladder works at ``dps`` digits; otherwise everything runs in complex
+  doubles, and deep levels lose accuracy.
+* At ``dps`` digits, mpmath only evaluates the curve nodes and the
+  function values.  Each part of each value is converted to the C
+  ``decimal`` type by one correctly rounded division, and the
+  divided-difference table, the monomial conversion, the convergence
+  estimates and the level recursion below run on ``decimal`` at the
+  smallest precision whose single rounding is at least as fine as
+  mpmath's at ``dps`` (:func:`_decimal_digits`).  A complex product or
+  quotient takes a few more such roundings than mpmath's ``mpc`` (which
+  rounds each part once, with guard bits for division), so a part can
+  lose a few ulps more under cancellation; normwise the error stays a
+  few ulps.  Results return to complex doubles through
+  ``float(Decimal)``, which rounds correctly.
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
   detection; this is the working-precision floor of the ladder.
@@ -35,8 +47,10 @@ Numerical notes
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -89,7 +103,8 @@ class RingFunction:
     be supplied for transcendental functions.
     """
 
-    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator", "name")
+    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator", "name",
+                 "_laurent_mp")
 
     def __init__(self, evaluator: Callable, epsilon: float,
                  laurent: Optional[Sequence[Tuple[int, int, complex]]] = None,
@@ -104,6 +119,8 @@ class RingFunction:
         self.name = name
         if self.laurent is not None:
             self._validate_laurent()
+            # doubles convert to mpc exactly, so once per ring suffices
+            self._laurent_mp = tuple((n, l, mp.mpc(c)) for n, l, c in self.laurent)
 
     @classmethod
     def from_laurent(cls, terms: Sequence[Tuple[int, int, complex]],
@@ -151,8 +168,8 @@ class RingFunction:
             return mp.mpc(self.mp_evaluator(lam, z))
         if self.laurent is not None:
             total = mp.mpc(0)
-            for n, l, c in self.laurent:
-                total += mp.mpc(c) * lam ** l * z ** n
+            for n, l, c in self._laurent_mp:
+                total += c * lam ** l * z ** n
             return total
         raise ValueError("no extended-precision evaluation available")
 
@@ -199,9 +216,10 @@ class DiscFunction:
         return np.polynomial.polynomial.polyval(lam, self.coeffs)
 
     def eval_mp(self, lam):
-        total = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            total = total * lam + mp.mpc(c)
+        """Horner at one ``mpc`` or at an ``object`` array of them."""
+        total = 0
+        for c in reversed([mp.mpc(c) for c in self.coeffs]):
+            total = total * lam + c
         return total
 
     @property
@@ -434,49 +452,146 @@ def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
 # coefficient ladder
 # ----------------------------------------------------------------------
 
+class _DecimalArray:
+    """Complex array held as real and imaginary ``object`` arrays of ``Decimal``.
+
+    The extended-precision number type of the ladder kernel: every operation
+    is C ``decimal`` arithmetic under the current context, applied element by
+    element with numpy broadcasting.  It implements what the kernel and the
+    level recursion use of a complex ndarray.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def from_mpc(cls, z: np.ndarray) -> "_DecimalArray":
+        parts = np.array([[_mpf_to_decimal(t) for t in x._mpc_] for x in z.flat],
+                         dtype=object)
+        return cls(parts[:, 0].reshape(z.shape), parts[:, 1].reshape(z.shape))
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, key) -> "_DecimalArray":
+        return _DecimalArray(self.re[key], self.im[key])
+
+    def __setitem__(self, key, other: "_DecimalArray") -> None:
+        self.re[key] = other.re
+        self.im[key] = other.im
+
+    def copy(self) -> "_DecimalArray":
+        return _DecimalArray(self.re.copy(), self.im.copy())
+
+    def __sub__(self, other: "_DecimalArray") -> "_DecimalArray":
+        return _DecimalArray(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other) -> "_DecimalArray":
+        if not isinstance(other, _DecimalArray):  # a real number
+            return _DecimalArray(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _DecimalArray(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other: "_DecimalArray") -> "_DecimalArray":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        den = c * c + d * d
+        return _DecimalArray((a * c + b * d) / den, (b * c - a * d) / den)
+
+    def astype(self, dtype) -> np.ndarray:
+        # float(Decimal) rounds correctly; + 0.0 drops the sign of zeros,
+        # which mpmath numbers do not carry either
+        out = np.empty(self.re.shape, dtype=dtype)
+        out.real = self.re.astype(float) + 0.0
+        out.imag = self.im.astype(float) + 0.0
+        return out
+
+
+def _mpf_to_decimal(t: tuple) -> Decimal:
+    """``man * 2**exp`` as a ``Decimal``, rounded once under the context."""
+    sign, man, exp, _ = t
+    if not man or abs(exp) > 65536:
+        # zero, inf and nan; magnitudes far outside any double become the
+        # double's 0 or inf instead of a shift by more than 65536 bits
+        return Decimal(mp.libmp.to_float(t))
+    # on mpmath's gmpy backend the mantissa is an mpz, which Decimal refuses
+    man = int(man)
+    if sign:
+        man = -man
+    return Decimal(man << max(exp, 0)) / (1 << max(-exp, 0))
+
+
+def _decimal_digits(dps: int) -> int:
+    """Smallest ``Decimal`` precision ``p`` with ``10**(1-p)/2 <= 2**-prec``.
+
+    ``prec`` is mpmath's working precision in bits at ``dps`` digits, so a
+    single rounding in the ``decimal`` context is never coarser than one in
+    ``mp.workdps(dps)``.  Complex multiply and divide in
+    :class:`_DecimalArray` round every real product and sum, where mpmath
+    rounds each part once, so they are not as tight as ``mpc`` arithmetic.
+    """
+    prec = mp.libmp.dps_to_prec(dps)
+    p = 1
+    while 10 ** (p - 1) < 2 ** (prec - 1):
+        p += 1
+    return p
+
+
 def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
-                  grid: np.ndarray, dps: int) -> Tuple[np.ndarray, np.ndarray]:
+                  grid: np.ndarray, dps: int) -> Tuple:
     """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))``.
 
-    Returns two ``(K, m)`` arrays: ``object`` arrays of ``mpc`` at ``dps``
-    digits when ``f`` is mp-capable, complex arrays otherwise.
+    Returns two ``(K, m)`` arrays: complex arrays when ``f`` is not
+    mp-capable; otherwise mpmath evaluates both at ``dps`` digits and they
+    are returned as :class:`_DecimalArray` (call inside the ``decimal``
+    context of the kernel).
     """
     if not f.mp_capable:
         nodes = np.array([phi(grid) for phi in curves])
         return nodes, np.array([f.eval_many(grid, t) for t in nodes])
     with mp.workdps(dps):
-        lam_mp = [mp.mpc(x) for x in grid]
-        nodes = np.array([[phi.eval_mp(lam) for lam in lam_mp]
-                          for phi in curves], dtype=object)
+        lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
+        nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)
         values = np.array([[f.eval_mp(lam, t) for lam, t in zip(lam_mp, row)]
                            for row in nodes], dtype=object)
-    return nodes, values
+    return _DecimalArray.from_mpc(nodes), _DecimalArray.from_mpc(values)
 
 
-def _interp_prefixes(nodes: np.ndarray, values: np.ndarray, n_keep: int,
-                     sizes: Sequence[int]) -> List[np.ndarray]:
+def _divided_differences(nodes, values):
+    """Newton divided-difference table of every column, shape ``(K, m)``.
+
+    Row ``i`` depends only on the first ``i + 1`` nodes, so the table of the
+    first ``k`` curves is its first ``k`` rows, and a column subset of the
+    table is the table of that column subset.  Works on complex arrays and
+    on :class:`_DecimalArray`.
+    """
+    # one row at a time, in place: whole-slice updates keep several tables
+    # of temporaries alive and raise the peak memory
+    dd = values.copy()
+    for j in range(1, len(dd)):
+        for i in range(len(dd) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    return dd
+
+
+def _interp_prefixes(nodes, dd, n_keep: int,
+                     sizes: Sequence[int]) -> List:
     """Taylor coefficients ``0 .. n_keep-1`` of the column interpolants.
 
     For each ``k`` in ``sizes``, returns an ``(n_keep, m)`` array whose
     column ``c`` holds the low coefficients of the polynomial through the
-    first ``k`` points ``(nodes[i, c], values[i, c])``.  Works on complex
-    arrays and on ``object`` arrays of ``mpc`` (call inside
-    ``mp.workdps``).  The Newton divided-difference table is built once;
-    its entry ``i`` depends only on the first ``i + 1`` nodes, so every
-    prefix shares it.  Each interpolant is converted to monomial form by
-    Horner steps truncated to ``n_keep`` rows, which is exact because the
-    degree-``d`` coefficient never depends on higher degrees.
+    first ``k`` points ``(nodes[i, c], values[i, c])``, from the table
+    ``dd = _divided_differences(nodes, values)`` (``n_keep`` may not exceed
+    its row count).  Each Newton form is converted to monomial form by
+    Horner steps truncated to ``n_keep`` rows, one row at a time, which is
+    exact because the degree-``d`` coefficient never depends on higher
+    degrees.
     """
-    # Both stages update one row at a time, in place: whole-slice updates
-    # keep several tables of mpc temporaries alive and raise the peak memory.
-    top = max(sizes)
-    dd = values[:top].copy()
-    for j in range(1, top):
-        for i in range(top - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
     out = []
     for k in sizes:
-        c = np.zeros((n_keep,) + values.shape[1:], dtype=values.dtype)
+        c = dd[:n_keep] * 0
         c[0] = dd[k - 1]
         for i in range(k - 2, -1, -1):
             for d in range(n_keep - 1, 0, -1):
@@ -598,7 +713,9 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     if dps is None:
         dps = max(40, 16 + 3 * kcurves)
-    nodes, values = _nodes_values(f, curves, grid, dps)
+    dec_ctx = decimal.Context(prec=_decimal_digits(dps))
+    with decimal.localcontext(dec_ctx):
+        nodes, values = _nodes_values(f, curves, grid, dps)
 
     # node collision guard: sorting each column makes equal nodes neighbours
     node_arr = np.sort(nodes.astype(complex), axis=0)
@@ -614,10 +731,11 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     n_keep = depth + 1
     sub = slice(0, m, max(1, m // 64))
     n_cmp = min(n_keep, kcurves - 2)
-    with mp.workdps(dps):
-        coeffs, = _interp_prefixes(nodes, values, n_keep, [kcurves])
+    with decimal.localcontext(dec_ctx):
+        dd = _divided_differences(nodes, values)
+        coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
         est_prev, est_last = _interp_prefixes(
-            nodes[:, sub], values[:, sub], n_cmp, [kcurves - 2, kcurves - 1])
+            nodes[:, sub], dd[:, sub], n_cmp, [kcurves - 2, kcurves - 1])
     coeff_samples = coeffs.astype(complex)
 
     # -- convergence of the estimates over the curve count ---------------
@@ -683,7 +801,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     level_values = values[first_check:]
     for n in range(n_keep):
         if n:
-            with mp.workdps(dps):
+            with decimal.localcontext(dec_ctx):
                 level_values = ((level_values - coeffs[n - 1])
                                 / nodes[first_check:])
         for k, row in enumerate(level_values.astype(complex), first_check):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pinchext.cli import main
 
 
@@ -199,6 +201,15 @@ def test_gallery_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["value"] == [1.0, 0.0]
     assert main(["gallery", "unknown", "--lam", "1,0", "--z", "0,0"]) == 1
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_gallery_float_overflow_exit_code(name, capsys):
+    # at lambda = 1e-8 the double-precision series terms overflow: the
+    # evaluator raises FloatingPointError, reported as non-convergence
+    assert main(["gallery", name, "--lam", "1e-8,0", "--z", "0.1,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and "encountered" in err
 
 
 def test_ladder_nonconvergence_exit_code(tmp_path):

@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
+import decimal
 import math
+import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +17,9 @@ from pinchext import (BandwidthError, CoefficientLadder, ConvergenceError,
                       hardy_project_minus, pinch_estimate,
                       restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
-from pinchext.extension import _interp_prefixes
+from pinchext.extension import (_DecimalArray, _decimal_digits,
+                                _divided_differences, _interp_prefixes,
+                                _mpf_to_decimal)
 from pinchext.gallery import remark1_ring
 
 
@@ -188,30 +193,120 @@ def _lu_coeffs(x, y):
     return [sol[i] for i in range(len(x))]
 
 
+def _to_mpc(z: _DecimalArray, idx):
+    return mp.mpc(mp.mpf(str(z.re[idx])), mp.mpf(str(z.im[idx])))
+
+
 def test_interp_prefixes_matches_lu():
     # every prefix of random well-separated nodes, several truncations:
-    # mpc path to 1e-30 and complex path to 1e-8 of the LU solution
+    # Decimal path to 1e-30 and complex path to 1e-8 of the LU solution
     rng = np.random.default_rng(4004)
     to_mp = np.vectorize(mp.mpc, otypes=[object])
+    context = decimal.Context(prec=_decimal_digits(50))
     for kcurves in range(4, 13):
         x = np.column_stack([_separated_nodes(rng, kcurves) for _ in range(2)])
         y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         sizes = list(range(1, kcurves + 1))
-        with mp.workdps(50):
+        with mp.workdps(50), decimal.localcontext(context):
             x_mp, y_mp = to_mp(x), to_mp(y)
             refs = {(k, col): _lu_coeffs(x_mp[:k, col], y_mp[:k, col])
                     for k in sizes for col in range(2)}
+            x_dec, y_dec = _DecimalArray.from_mpc(x_mp), _DecimalArray.from_mpc(y_mp)
+            dd_dec = _divided_differences(x_dec, y_dec)
+            dd_c = _divided_differences(x, y)
             for n_keep in sorted({1, 2, kcurves // 2, kcurves - 1}):
-                got_mp = _interp_prefixes(x_mp, y_mp, n_keep, sizes)
-                got_c = _interp_prefixes(x, y, n_keep, sizes)
+                got_dec = _interp_prefixes(x_dec, dd_dec, n_keep, sizes)
+                got_c = _interp_prefixes(x, dd_c, n_keep, sizes)
                 for (k, col), ref in refs.items():
                     scale = max(abs(r) for r in ref)
                     ref = (ref + [mp.mpc(0)] * n_keep)[:n_keep]
-                    c_mp = got_mp[k - 1][:, col]
-                    assert max(abs(c - r) for c, r in zip(c_mp, ref)) <= 1e-30 * scale
+                    err = max(abs(_to_mpc(got_dec[k - 1], (d, col)) - r)
+                              for d, r in enumerate(ref))
+                    assert err <= 1e-30 * scale
                     c_c = got_c[k - 1][:, col]
                     ref_c = np.array([complex(r) for r in ref])
                     assert np.abs(c_c - ref_c).max() <= 1e-8 * float(scale)
+
+
+def test_convergence_check_reads_prefix_estimates(exp_ring):
+    # the estimates from the first K-2 and K-1 curves come from the table
+    # built for the extraction; the differences the check reports must match
+    # separate LU solves on those prefixes
+    kcurves, depth, m = 8, 2, 64
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, kcurves + 1)]
+    with pytest.raises(ConvergenceError, match="not converging") as info:
+        coefficient_ladder(exp_ring, curves, depth, 10, m=m, ladder_tol=1e-30)
+    d_prev, d_last = map(float, re.search(
+        r"differences (\S+), (\S+) project", str(info.value)).groups())
+    est = []
+    with mp.workdps(40):
+        for k in (kcurves - 2, kcurves - 1, kcurves):
+            rows = []
+            for lam in unit_circle_grid(m):
+                lam = mp.mpc(lam)
+                x = [mp.mpc(1.0 / j) * lam for j in range(1, k + 1)]
+                y = [mp.exp(t / lam) for t in x]
+                rows.append([complex(c) for c in _lu_coeffs(x, y)[:depth + 1]])
+            est.append(np.array(rows))
+    assert d_prev == pytest.approx(np.abs(est[1] - est[0]).max(), rel=1e-3)
+    assert d_last == pytest.approx(np.abs(est[2] - est[1]).max(), rel=1e-3)
+
+
+def test_decimal_digits_rule():
+    # the smallest p whose half-ulp 10**(1-p)/2 is at most mpmath's 2**-prec
+    for dps in range(15, 201):
+        prec = mp.libmp.dps_to_prec(dps)
+        p = _decimal_digits(dps)
+        assert Fraction(10) ** (1 - p) / 2 <= Fraction(2) ** -prec
+        assert Fraction(10) ** (2 - p) / 2 > Fraction(2) ** -prec
+    assert _decimal_digits(52) == 54
+
+
+def test_decimal_array_conversion():
+    # each mpc part rounds once to the context; float() rounds back correctly
+    rng = np.random.default_rng(4005)
+    z = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40) \
+        + 1j * rng.standard_normal(40)
+    context = decimal.Context(prec=_decimal_digits(50))
+    with mp.workdps(50), decimal.localcontext(context):
+        z_mp = np.array([mp.mpc(v) / 3 for v in z] + [mp.mpc(0), mp.mpc(-0.0, 2)],
+                        dtype=object)
+        z_dec = _DecimalArray.from_mpc(z_mp)
+    half_ulp = Fraction(10) ** (1 - context.prec) / 2
+    for idx, v in enumerate(z_mp):
+        for got, part in ((z_dec.re[idx], v.real), (z_dec.im[idx], v.imag)):
+            sign, man, exp, _ = part._mpf_
+            exact = (-1) ** sign * man * Fraction(2) ** exp
+            assert abs(Fraction(got) - exact) <= half_ulp * abs(exact)
+    as_c = z_dec.astype(complex)
+    assert as_c.tolist() == [complex(v) for v in z_mp]
+    # Decimal zeros carry a sign, mpmath zeros do not: doubles get +0.0
+    with decimal.localcontext(context):
+        neg = (z_dec * -1).astype(complex)[-2:]
+    assert [math.copysign(1.0, c.real) for c in neg] == [1.0, 1.0]
+
+
+class _IntLike:
+    """An integer that is not an ``int``, as gmpy2's ``mpz`` is not."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __int__(self) -> int:
+        return self.value
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
+
+def test_mpf_to_decimal_accepts_int_like_mantissa():
+    # mpmath's gmpy backend keeps mantissas as mpz, not int
+    context = decimal.Context(prec=_decimal_digits(50))
+    with mp.workdps(50), decimal.localcontext(context):
+        for v in (mp.mpf(1) / 3, -mp.mpf(2) ** 80 / 7, mp.mpf(5)):
+            sign, man, exp, bc = v._mpf_
+            wrapped = (sign, _IntLike(man), exp, bc)
+            assert _mpf_to_decimal(wrapped) == _mpf_to_decimal(v._mpf_)
 
 
 def test_ladder_exponential_coefficients(exp_ladder):
