@@ -41,6 +41,8 @@ __all__ = [
 
 _MIN_SAMPLES = 16
 _MAX_WINDING_GRID = 2 ** 16
+_ZERO_TOLERANCE = 1e-9
+_BANDWIDTH_REL_TOL = 1e-12
 
 
 def _check_sample_count(m: int) -> None:
@@ -286,7 +288,7 @@ def sobolev_norm(g: CircleFunction) -> float:
     return float(np.sqrt(np.sum((1.0 + n * n) * np.abs(g.coeffs) ** 2)))
 
 
-def winding_number(g: CircleFunction, zero_tolerance: float = 1e-9) -> int:
+def winding_number(g: CircleFunction) -> int:
     """Winding number of ``g`` around zero along its circle.
 
     The net change of ``arg(g)`` is accumulated over the sample grid; the
@@ -296,17 +298,17 @@ def winding_number(g: CircleFunction, zero_tolerance: float = 1e-9) -> int:
     Raises
     ------
     CircleVanishingError
-        if ``min |g|`` over the samples falls below ``zero_tolerance``.
+        if ``min |g|`` over the samples falls below 1e-9.
     ConvergenceError
         if the refinement does not settle by grid size ``2**16``.
     """
     m = g.size
     while True:
         h = g if m == g.size else g.resample(m)
-        if h.min_modulus <= zero_tolerance:
+        if h.min_modulus <= _ZERO_TOLERANCE:
             raise CircleVanishingError(
                 f"function modulus {h.min_modulus:.3e} below tolerance "
-                f"{zero_tolerance:.1e} on the circle; winding undefined")
+                f"{_ZERO_TOLERANCE:.1e} on the circle; winding undefined")
         s = h.samples
         increments = np.angle(np.roll(s, -1) / s)
         if np.abs(increments).max() < 0.5 * np.pi:
@@ -322,21 +324,21 @@ def winding_number(g: CircleFunction, zero_tolerance: float = 1e-9) -> int:
         m *= 2
 
 
-def effective_bandwidth(g: CircleFunction, rel_tol: float = 1e-12) -> int:
-    """Largest ``|n|`` carrying a coefficient above ``rel_tol * max |c|``."""
+def effective_bandwidth(g: CircleFunction) -> int:
+    """Largest ``|n|`` carrying a coefficient above ``1e-12 * max |c|``."""
     mags = np.abs(g.coeffs)
     top = mags.max()
     if top == 0.0:
         return 0
-    sig = mags > rel_tol * top
+    sig = mags > _BANDWIDTH_REL_TOL * top
     if not sig.any():
         return 0
     return int(np.abs(g.modes[sig]).max())
 
 
-def require_resolved(g: CircleFunction, rel_tol: float = 1e-12) -> None:
+def require_resolved(g: CircleFunction) -> None:
     """Aliasing guard: require grid ``M >= 4 B`` for bandwidth ``B``."""
-    b = effective_bandwidth(g, rel_tol)
+    b = effective_bandwidth(g)
     if 4 * b > g.size:
         raise BandwidthError(
             f"effective bandwidth {b} needs a grid of at least {4 * b} "

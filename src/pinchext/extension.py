@@ -60,8 +60,8 @@ from .boundary import (CircleFunction, distance_product, hardy_project_minus,
                        hardy_split, pointwise, require_resolved,
                        unit_circle_grid)
 from .errors import (CircleVanishingError, ConvergenceError, DomainError)
-from .rational import (RationalPart, _single_linkage, blaschke_from_zeros,
-                       detect_rational)
+from .rational import (_CLUSTER_RADIUS, RationalPart, _single_linkage,
+                       blaschke_from_zeros, detect_rational)
 
 __all__ = [
     "RingFunction",
@@ -85,6 +85,9 @@ _DISC_SLACK = 1e-9
 _CLEAN_REL_FLOOR = 1e-7
 _CLEAN_ABS_FLOOR = 1e-12
 _MATCH_RADIUS = 0.05
+_POLE_LINE_EXCLUSION = 1e-2
+_PROBE_ANGLES = 64
+_BOUND_SLACK = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -226,15 +229,14 @@ class DiscFunction:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def roots_in_disc(self, radius: float,
-                      cluster_radius: float = 1e-4) -> Tuple[Tuple[complex, int], ...]:
+    def roots_in_disc(self, radius: float) -> Tuple[Tuple[complex, int], ...]:
         """Zeros inside ``|lambda| <= radius`` as ``(location, multiplicity)``."""
         arr = np.asarray(self.coeffs)
         if np.abs(arr).max() == 0.0:
             raise ValueError("zero curve has no isolated zeros")
         roots = np.roots(arr[::-1]) if arr.size > 1 else np.array([], dtype=complex)
         out: List[Tuple[complex, int]] = []
-        for cluster in _single_linkage(roots, cluster_radius):
+        for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
             center = complex(np.mean(cluster))
             if abs(center) <= radius + 1e-9:
                 out.append((center, cluster.size))
@@ -422,8 +424,8 @@ def restrict_along_curve(f: RingFunction, phi: DiscFunction,
 
 
 def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
-                   m: int = 256, holo_tolerance: float = 1e-8,
-                   **detect_kwargs) -> ExtensionVerdict:
+                   m: int = 256,
+                   holo_tolerance: float = 1e-8) -> ExtensionVerdict:
     """Test whether the restriction along ``phi`` extends into the disc.
 
     Returns a ``holomorphic`` verdict when the Hardy-minus residual of the
@@ -438,8 +440,7 @@ def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
     if residual < holo_tolerance:
         return ExtensionVerdict(kind="holomorphic", residual=residual,
                                 n_max=n_max)
-    detect_kwargs.setdefault("delta_pole", f.epsilon / 2.0)
-    verdict = detect_rational(psi, n_max, **detect_kwargs)
+    verdict = detect_rational(psi, n_max, delta_pole=f.epsilon / 2.0)
     if verdict.is_rational:
         return ExtensionVerdict(kind="meromorphic", residual=residual,
                                 n_max=n_max, rational=verdict.rational,
@@ -658,8 +659,7 @@ def _stabilized_pole_lines(verdicts, zeros):
 def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                        depth: int, n_max: int, *, m: int = 256,
                        ladder_tol: float = 1e-7,
-                       subtract_plus: bool = False,
-                       dps: Optional[int] = None) -> CoefficientLadder:
+                       subtract_plus: bool = False) -> CoefficientLadder:
     """Reconstruct ``A_0 .. A_depth`` from restrictions along ``curves``.
 
     The curves must form (a finite stretch of) a test sequence shrinking
@@ -670,6 +670,8 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     With ``subtract_plus`` the bidisc-holomorphic component of ``f`` is
     removed first (exact Laurent form required, see :func:`minus_part`).
+    Mp-capable functions are worked at ``max(40, 16 + 3K)`` digits for
+    ``K`` curves.
 
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
@@ -711,8 +713,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
             "the supported bound 16")
 
-    if dps is None:
-        dps = max(40, 16 + 3 * kcurves)
+    dps = max(40, 16 + 3 * kcurves)
     dec_ctx = decimal.Context(prec=_decimal_digits(dps))
     with decimal.localcontext(dec_ctx):
         nodes, values = _nodes_values(f, curves, grid, dps)
@@ -859,30 +860,22 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 # pinched domain estimation and evaluation
 # ----------------------------------------------------------------------
 
-def _off_poles(ladder: CoefficientLadder, grid: np.ndarray,
-               exclusion: float) -> np.ndarray:
-    """Grid points farther than ``exclusion`` from every zero and pole line."""
+def _off_poles(ladder: CoefficientLadder, grid: np.ndarray) -> np.ndarray:
+    """Grid points farther than 1e-2 from every zero and pole line."""
     keep = np.ones(grid.size, dtype=bool)
     for a, _ in ladder.zeros + ladder.pole_lines:
-        keep &= np.abs(grid - a) > exclusion
+        keep &= np.abs(grid - a) > _POLE_LINE_EXCLUSION
     return grid[keep]
 
 
-def _pinch_grid(ladder: CoefficientLadder, n_angles: int = 64) -> np.ndarray:
-    eps = ladder.epsilon
-    pts = [unit_circle_grid(n_angles, r)
-           for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0)]
-    return _off_poles(ladder, np.concatenate(pts), 1e-2)
-
-
-def pinch_estimate(ladder: CoefficientLadder,
-                   n_angles: int = 64) -> PinchDescriptor:
+def pinch_estimate(ladder: CoefficientLadder) -> PinchDescriptor:
     """Estimate the pinched domain carried by a coefficient ladder.
 
     Pinches are the stabilized curve zeros that actually appear as poles
     of some reconstructed coefficient; the constant ``c`` is found by a
     halving search so that consecutive significant ladder terms contract
-    by at least 1/2 on the test grid.
+    by at least 1/2 on the test grid (64 points on each of the circles
+    ``|lam| = 1 - eps/4`` and ``|lam| = (1 - eps)/2``).
     """
     if len(ladder.entries) < 3:
         raise ValueError("pinch estimation needs ladder depth >= 2")
@@ -895,7 +888,10 @@ def pinch_estimate(ladder: CoefficientLadder,
     significant = [n for n, e in enumerate(ladder.entries) if not e.is_zero]
     pairs = [(significant[i], significant[i + 1])
              for i in range(len(significant) - 1)]
-    grid = _pinch_grid(ladder, n_angles)
+    eps = ladder.epsilon
+    grid = _off_poles(ladder, np.concatenate(
+        [unit_circle_grid(_PROBE_ANGLES, r)
+         for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0)]))
     pinch_prod = distance_product(grid, pinches)
     ratios = []
     for n1, n2 in pairs[-3:]:
@@ -923,14 +919,13 @@ def pinch_estimate(ladder: CoefficientLadder,
 def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
                        lam: complex, z: complex, *,
                        tol: Optional[float] = None,
-                       margin: float = 0.9,
-                       pole_line_exclusion: float = 1e-2) -> ExtensionValue:
+                       margin: float = 0.9) -> ExtensionValue:
     """Evaluate ``sum A_n(lam) z^n`` inside the pinched domain.
 
     The point must satisfy ``|z| < margin * c * prod |lam - a_j|^{l_j}``
-    and stay off the pole lines.  The attached bound dominates the tail
-    beyond ``depth`` via the coefficient estimates; when ``tol`` is given
-    a bound above it raises :class:`ConvergenceError`.
+    and stay more than 1e-2 off the pole lines.  The attached bound
+    dominates the tail beyond ``depth`` via the coefficient estimates; when
+    ``tol`` is given a bound above it raises :class:`ConvergenceError`.
     """
     lam = complex(lam)
     z = complex(z)
@@ -938,7 +933,7 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
         raise DomainError(
             f"({lam}, {z}) is outside the pinched domain with margin {margin}")
     for b in descriptor.pole_lines:
-        if abs(lam - b) <= pole_line_exclusion:
+        if abs(lam - b) <= _POLE_LINE_EXCLUSION:
             raise DomainError(f"lambda = {lam} lies on the pole line at {b}")
 
     value = 0j
@@ -964,19 +959,17 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
     return ExtensionValue(complex(value), float(bound))
 
 
-def verify_coefficient_bounds(ladder: CoefficientLadder, *,
-                              n_points: int = 64, slack: float = 1e-6,
-                              exclusion: float = 1e-2) -> Tuple:
+def verify_coefficient_bounds(ladder: CoefficientLadder) -> Tuple:
     """Check the coefficient growth estimate on a probe circle.
 
     Evaluates ``|A_n(lam)| <= C' / (prod |lam-a_j|^{n l_j} prod |lam-b_i|
-    (1+eps)^n)`` at ``n_points`` points on ``|lam| = 1 - eps/4`` outside
-    ``exclusion``-neighborhoods of the poles.  Returns the (ideally empty)
-    tuple of violations ``(n, lam, lhs, rhs)``.
+    (1+eps)^n)``, with relative slack 1e-6, at 64 points on
+    ``|lam| = 1 - eps/4`` outside 1e-2-neighborhoods of the poles.  Returns
+    the (ideally empty) tuple of violations ``(n, lam, lhs, rhs)``.
     """
     eps = ladder.epsilon
     r = 1.0 - eps / 4.0
-    grid = _off_poles(ladder, unit_circle_grid(n_points, r), exclusion)
+    grid = _off_poles(ladder, unit_circle_grid(_PROBE_ANGLES, r))
     prod_b = distance_product(grid, ladder.pole_lines)
     violations = []
     for entry in ladder.entries:
@@ -984,7 +977,7 @@ def verify_coefficient_bounds(ladder: CoefficientLadder, *,
         prod_a = distance_product(grid, ladder.zeros, power=n)
         rhs = ladder.c_prime / (prod_a * prod_b * (1.0 + eps) ** n)
         lhs = np.abs(entry(grid))
-        bad = lhs > rhs * (1.0 + slack)
+        bad = lhs > rhs * (1.0 + _BOUND_SLACK)
         for idx in np.nonzero(bad)[0]:
             violations.append((n, complex(grid[idx]),
                                float(lhs[idx]), float(rhs[idx])))

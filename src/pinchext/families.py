@@ -48,6 +48,7 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
     return tuple(probes)
 
 _CIRCLE_DISTANCE_TOL = 1e-6
+_N_RADII = 32
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,7 @@ def _zero_free_radius(diffs: Sequence[DiscFunction], radii: np.ndarray
 
 
 def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
-                         epsilon: float, m: int = 256,
-                         n_radii: int = 32) -> TestFamilyReport:
+                         epsilon: float, m: int = 256) -> TestFamilyReport:
     """Pairwise test-family check on radii scanned in ``(1-eps/2, 1+eps/2)``.
 
     For each pair a radius is sought at which the difference is zero-free
@@ -234,7 +234,7 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
         for t in range(s + 1, len(curves)):
             diff = curve_difference(curves[s], curves[t])
             witness = None
-            for steps in (n_radii, 2 * n_radii):
+            for steps in (_N_RADII, 2 * _N_RADII):
                 radii = np.linspace(lo, hi, steps + 2)[1:-1]
                 r = _zero_free_radius([diff], radii)
                 if r is not None:
@@ -271,6 +271,9 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     triples are scanned for common intersection points (three graphs
     agreeing at one ``lambda``).  The two notions are reported separately
     and are not claimed equivalent.
+
+    Raises ``ValueError`` when two curves coincide: they meet everywhere,
+    so the scan has no intersection points to report for them.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 curves for a general-position check")
@@ -295,6 +298,8 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     violations: List[TripleIntersection] = []
     for i in range(k):
         for j in range(i + 1, k):
+            if curves[i].coeffs == curves[j].coeffs:
+                raise ValueError(f"curves {i} and {j} coincide")
             roots = _difference_roots(curves[i], curves[j])
             values = np.polynomial.polynomial.polyval(roots, table)
             hits = np.abs(values[i] - values[j + 1:]) < 1e-9
@@ -308,22 +313,21 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
 
 def winding_profile(family: Callable[[float], DiscFunction],
                     alphas: Sequence[float], alpha0: float,
-                    radius_range: Tuple[float, float] = (0.875, 1.125),
-                    n_radii: int = 32, m: int = 256) -> WindingProfileReport:
+                    m: int = 256) -> WindingProfileReport:
     """Windings of ``phi_alpha - phi_{alpha0}`` at a common witnessed radius.
 
-    The radius scan (32 steps, one refinement to 64) looks for one radius
-    at which every difference on the grid is zero-free; for a genuine
-    one-parameter analytic family the winding is then constant in alpha.
+    The radius scan over ``(0.875, 1.125)`` (32 steps, one refinement to
+    64) looks for one radius at which every difference on the grid is
+    zero-free; for a genuine one-parameter analytic family the winding is
+    then constant in alpha.
     """
     if any(a == alpha0 for a in alphas):
         raise ValueError("alpha grid must exclude alpha0 itself")
     base = family(alpha0)
     diffs = [curve_difference(family(a), base) for a in alphas]
-    lo, hi = radius_range
     radius = None
-    for steps in (n_radii, 2 * n_radii):
-        radii = np.linspace(lo, hi, steps + 2)[1:-1]
+    for steps in (_N_RADII, 2 * _N_RADII):
+        radii = np.linspace(0.875, 1.125, steps + 2)[1:-1]
         radius = _zero_free_radius(diffs, radii)
         if radius is not None:
             break

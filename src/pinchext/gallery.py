@@ -123,14 +123,13 @@ class Example1:
                 f"{self.n_trunc} cannot certify the value at this point")
         return total
 
-    def eval_mp(self, lam, z, n_trunc: Optional[int] = None):
+    def eval_mp(self, lam, z):
         lam = mp.mpc(lam)
         z = mp.mpc(z)
         if lam == 0:
             raise ValueError("example 1 is undefined at lambda = 0")
-        depth = self.n_trunc if n_trunc is None else int(n_trunc)
         total = mp.mpc(0)
-        for n in range(1, depth + 1):
+        for n in range(1, self.n_trunc + 1):
             prod = mp.mpc(1)
             w = mp.mpc(1)
             for j in range(1, n + 1):
@@ -204,21 +203,17 @@ class Example2:
     """Series ``sum_{l>=1} P_{l-1}(z) lam^{-l}`` with interpolated ``P_l``.
 
     ``P_l`` is the monic polynomial with zeros ``z_0 .. z_l`` rescaled so
-    that its sampled supremum on ``|z| = 1`` equals ``1/l!``; the default
-    zero sequence is ``z_k = 1/(k+2)``.  The pairing of ``P_{l-1}`` with
-    ``lam^{-l}`` makes the restriction to ``z = z_k`` rational with a pole
-    of order exactly ``k`` at the origin.
+    that its supremum on ``|z| = 1``, sampled at 256 points, equals
+    ``1/l!``; the zero sequence is ``z_k = 1/(k+2)``.  The pairing of
+    ``P_{l-1}`` with ``lam^{-l}`` makes the restriction to ``z = z_k``
+    rational with a pole of order exactly ``k`` at the origin.
     """
 
-    def __init__(self, z_values: Optional[Sequence[float]] = None,
-                 sup_points: int = 256):
-        self._z = None if z_values is None else [complex(v) for v in z_values]
-        self._sup_grid = unit_circle_grid(sup_points)
+    def __init__(self):
+        self._sup_grid = unit_circle_grid(256)
         self._p_cache: Dict[int, np.ndarray] = {}
 
     def z(self, k: int) -> complex:
-        if self._z is not None:
-            return self._z[k]
         return complex(1.0 / (k + 2))
 
     def p_coeffs(self, l: int) -> np.ndarray:
@@ -257,13 +252,14 @@ class Example2:
                           * lam ** (-l))
         return total
 
-    def eval_mp(self, lam, z, l_trunc: int = 40):
+    def eval_mp(self, lam, z):
+        """Partial sum to depth 40 in mpmath arithmetic."""
         lam = mp.mpc(lam)
         z = mp.mpc(z)
         if lam == 0:
             raise ValueError("example 2 is undefined at lambda = 0")
         total = mp.mpc(0)
-        for l in range(1, l_trunc + 1):
+        for l in range(1, 41):
             coeffs = self.p_coeffs(l - 1)
             p = mp.mpc(0)
             for ck in reversed(coeffs):
@@ -314,19 +310,14 @@ def remark1_ring(epsilon: float = 0.3) -> RingFunction:
         name="remark1")
 
 
-def example1_ring(epsilon: float = 0.3, n_trunc: int = 40) -> RingFunction:
-    ex = Example1(n_trunc)
-    return RingFunction(evaluator=ex, epsilon=epsilon,
-                        mp_evaluator=ex.eval_mp, name="example1")
+def example1_ring(epsilon: float = 0.3) -> RingFunction:
+    return RingFunction(evaluator=_EXAMPLE1, epsilon=epsilon,
+                        mp_evaluator=_EXAMPLE1.eval_mp, name="example1")
 
 
-def example2_ring(epsilon: float = 0.3, l_trunc: int = 40) -> RingFunction:
-    ex = _EXAMPLE2
-    return RingFunction(
-        evaluator=lambda lam, z: ex(lam, z, l_trunc=l_trunc),
-        epsilon=epsilon,
-        mp_evaluator=lambda lam, z: ex.eval_mp(lam, z, l_trunc),
-        name="example2")
+def example2_ring(epsilon: float = 0.3) -> RingFunction:
+    return RingFunction(evaluator=_EXAMPLE2, epsilon=epsilon,
+                        mp_evaluator=_EXAMPLE2.eval_mp, name="example2")
 
 
 # CLI name -> (ring adapter, point evaluator taking a series depth third)

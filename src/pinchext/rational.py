@@ -3,19 +3,19 @@
 A one-sided coefficient sequence comes from a rational function with ``r``
 poles in the disc exactly when its Hankel matrix has rank ``r``
 (Kronecker's criterion).  With sampled data the rank is replaced by a
-singular-value surrogate: relative singular values above ``rank_tol``
-count toward the rank, everything below ``noise_rel`` counts as noise,
-and a verdict of "rational" additionally requires a clean spectral gap
-between the two groups.  Gradually decaying spectra - the signature of an
-essential singularity - are rejected, and the observed gap is reported so
-borderline verdicts can be audited.
+singular-value surrogate with fixed thresholds: relative singular values
+above 1e-8 count toward the rank, everything below 1e-13 counts as
+noise, and a verdict of "rational" additionally requires a spectral gap
+of at least 1e4 between the two groups.  Gradually decaying spectra -
+the signature of an essential singularity - are rejected, and the
+observed gap is reported so borderline verdicts can be audited.
 
 Poles are recovered from the shifted Hankel pencil restricted to the
 numeric-rank subspace.  Nearby candidates are merged into multiple poles
-(single-linkage clustering, coarsened until the principal-part
-least-squares fit matches the coefficient data), because an ``m``-fold
-pole scatters into a cluster of ``m`` simple candidates of radius roughly
-``eps**(1/m)`` in floating point.
+(single-linkage clustering from radius 1e-4, coarsened until the
+principal-part least-squares fit matches the coefficient data), because
+an ``m``-fold pole scatters into a cluster of ``m`` simple candidates of
+radius roughly ``eps**(1/m)`` in floating point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import CircleFunction, pointwise
 from .errors import DomainError, PoleLocationError
@@ -42,6 +41,11 @@ __all__ = [
 ]
 
 MAX_POLE_BOUND = 16
+_RANK_TOL = 1e-8
+_NOISE_REL = 1e-13
+_GAP_MIN = 1e4
+_CLUSTER_RADIUS = 1e-4
+_POLE_EXCLUSION_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,13 +181,12 @@ class RationalityVerdict:
         }
 
 
-def evaluate_rational(rp: RationalPart, lam: complex,
-                      pole_exclusion_radius: float = 1e-6) -> complex:
-    """Evaluate a rational part, refusing points too close to a pole."""
+def evaluate_rational(rp: RationalPart, lam: complex) -> complex:
+    """Evaluate a rational part, refusing points within 1e-6 of a pole."""
     for a, _ in rp.poles:
-        if abs(lam - a) <= pole_exclusion_radius:
+        if abs(lam - a) <= _POLE_EXCLUSION_RADIUS:
             raise DomainError(
-                f"evaluation point {lam} within {pole_exclusion_radius:.1e} "
+                f"evaluation point {lam} within {_POLE_EXCLUSION_RADIUS:.1e} "
                 f"of the pole {a}")
     return complex(rp(lam))
 
@@ -252,13 +255,13 @@ def _fit_principal(poles: Sequence[Tuple[complex, int]],
     return RationalPart(poles=tuple(parts)), float(residual)
 
 
-def _trim_multiplicities(rp: RationalPart, rel_tol: float = 1e-10) -> RationalPart:
+def _trim_multiplicities(rp: RationalPart) -> RationalPart:
     """Drop negligible top-order principal coefficients (lower multiplicity)."""
     poles = []
     for a, coeffs in rp.poles:
         cs = list(coeffs)
         top = max((abs(c) for c in cs), default=0.0)
-        while cs and abs(cs[0]) <= rel_tol * top:
+        while cs and abs(cs[0]) <= 1e-10 * top:
             cs.pop(0)
         if cs:
             poles.append((a, tuple(cs)))
@@ -278,14 +281,11 @@ def _check_pole_locations(rp: RationalPart, delta_pole: float) -> None:
 
 
 def detect_rational(psi: CircleFunction, n_max: int, *,
-                    rank_tol: float = 1e-8,
-                    noise_rel: float = 1e-13,
-                    gap_min: float = 1e4,
-                    cluster_radius: float = 1e-4,
                     tail_rel: float = 1e-11,
                     delta_pole: float = 0.0) -> RationalityVerdict:
     """Decide whether ``psi`` (Hardy-minus) is rational with at most
-    ``n_max`` poles in the disc, and recover the poles if so.
+    ``n_max`` poles in the disc, and recover the poles if so.  The rank,
+    noise and gap thresholds are the fixed ones of the module docstring.
 
     Parameters
     ----------
@@ -293,13 +293,6 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
         Boundary function on the unit circle with negative modes only.
     n_max:
         Pole budget, at most 16 (Hankel conditioning degrades beyond).
-    rank_tol, noise_rel, gap_min:
-        Relative singular values above ``rank_tol`` count as rank; a
-        rational verdict requires the next singular value to fall below
-        ``noise_rel`` with ratio at least ``gap_min`` across the cut.
-    cluster_radius:
-        Base radius for merging pole candidates; coarsened automatically
-        while the principal-part fit does not reproduce the coefficients.
     tail_rel:
         Relative floor for the terminating-sequence fast path (pole at
         the origin only).  Data synthesized from exact coefficients can
@@ -347,7 +340,7 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
     tail_mag = float(np.abs(h[m_star:]).max()) if m_star < length else math.inf
     term_gap = math.inf if tail_mag == 0.0 else \
         float(np.abs(h[m_star - 1]) / tail_mag)
-    if m_star <= length - 4 and term_gap >= gap_min:
+    if m_star <= length - 4 and term_gap >= _GAP_MIN:
         if m_star > n_max:
             return RationalityVerdict(kind="not-rational", n_max=n_max,
                                       rank=m_star, gap=term_gap)
@@ -358,18 +351,18 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
                                   rank=m_star, gap=term_gap, rational=rp,
                                   fit_residual=tail_mag / top)
 
-    hankel0 = scipy.linalg.hankel(h[:s_dim], h[s_dim - 1:2 * s_dim - 1])
-    hankel1 = scipy.linalg.hankel(h[1:s_dim + 1], h[s_dim:2 * s_dim])
+    idx = np.add.outer(np.arange(s_dim), np.arange(s_dim))
+    hankel0, hankel1 = h[idx], h[idx + 1]
     u, sigma, vh = np.linalg.svd(hankel0)
     rel = sigma / sigma[0]
-    rank = int(np.sum(rel > rank_tol))
+    rank = int(np.sum(rel > _RANK_TOL))
     if 0 < rank < s_dim:
         svd_gap = float(sigma[rank - 1] / sigma[rank]) \
             if sigma[rank] > 0.0 else math.inf
     else:
         svd_gap = math.inf if rank == 0 else 1.0
-    svd_clean = (rank < s_dim and rel[rank] <= noise_rel
-                 and svd_gap >= gap_min)
+    svd_clean = (rank < s_dim and rel[rank] <= _NOISE_REL
+                 and svd_gap >= _GAP_MIN)
 
     if not svd_clean or rank > n_max:
         return RationalityVerdict(kind="not-rational", n_max=n_max,
@@ -389,8 +382,8 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
     # orders of magnitude in residual.
     best: Tuple[RationalPart, float] | None = None
     seen = set()
-    for radius in (cluster_radius, 10 * cluster_radius, 100 * cluster_radius,
-                   500 * cluster_radius):
+    for radius in (_CLUSTER_RADIUS, 10 * _CLUSTER_RADIUS,
+                   100 * _CLUSTER_RADIUS, 500 * _CLUSTER_RADIUS):
         clusters = _single_linkage(candidates, radius)
         signature = tuple(sorted(c.size for c in clusters))
         if signature in seen:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pinchext
 from pinchext.cli import main
 
 
@@ -182,6 +187,31 @@ def test_cmd_validate_lines(tmp_path):
     probes = report["general_position"]["probes"]
     assert probes[0]["ok"] is False   # all zeros at the origin probe
     assert probes[1]["ok"] is True
+
+
+def test_cmd_validate_coincident_curves_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[function]
+name = remark1
+
+[curves]
+curve_1 = -0.1,0 0.7,0
+curve_2 = 0,0 0.5,0
+curve_3 = 0,0 0.5,0
+""")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "curves 1 and 2 coincide" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing scipy.linalg would cost about half of the CLI start-up
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pinchext.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pinchext.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_byte_determinism(tmp_path):

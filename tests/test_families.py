@@ -132,6 +132,19 @@ def test_general_position_triple_violation():
     assert abs(violation.z) < 1e-9
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+def test_general_position_rejects_coincident_curves(order):
+    # identical curves meet everywhere, so no list of intersection points
+    # describes them; the pair is named whatever the order of the input
+    curves = [DiscFunction([0, 0.5]), DiscFunction([0, 0.5]),
+              DiscFunction([-0.1, 0.7])]
+    curves = [curves[i] for i in order]
+    pair = sorted(order.index(i) for i in (0, 1))
+    with pytest.raises(ValueError,
+                       match=f"curves {pair[0]} and {pair[1]} coincide"):
+        general_position_check(curves, ZERO, [0.5 + 0j])
+
+
 def _triples_by_scalar_loop(curves):
     """Reference triple scan: one scalar curve evaluation per root."""
     out = []
@@ -154,8 +167,8 @@ def _triples_by_scalar_loop(curves):
 
 def test_triple_scan_matches_scalar_loop():
     # half the curves pass through the origin, a quarter through one more
-    # common point (p, w); degrees 1..4, a repeated curve, a constant and
-    # a near miss 1e-7 above (p, w) that the 1e-9 test must reject
+    # common point (p, w); degrees 1..4, a constant and a near miss 1e-7
+    # above (p, w) that the 1e-9 test must reject
     rng = np.random.default_rng(3141)
     p, w = 0.3 + 0.2j, 0.1 - 0.05j
     curves = []
@@ -170,7 +183,7 @@ def test_triple_scan_matches_scalar_loop():
         curves.append(DiscFunction(c, require_into_disc=False))
     near = np.array([0.1, -0.2j, 0.05])
     near[0] += w + 1e-7 - np.polynomial.polynomial.polyval(p, near)
-    curves += [curves[5], DiscFunction([w]), DiscFunction(near)]
+    curves += [DiscFunction([w]), DiscFunction(near)]
     expected = _triples_by_scalar_loop(curves)
     assert any(abs(v.lam) < 1e-12 for v in expected)
     assert any(abs(v.lam - p) < 1e-9 for v in expected)
