@@ -99,9 +99,12 @@ def _parse_complex_pair(token: str) -> complex:
 def _parse_indices(spec: str) -> range:
     lo, _, hi = spec.partition(":")
     try:
-        return range(int(lo), int(hi) + 1)
+        indices = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise ConfigError(f"cannot parse index range {spec!r}") from exc
+    if indices.start < 1:
+        raise ConfigError(f"curve indices must start at 1, got {spec!r}")
+    return indices
 
 
 def _build_curves(section: configparser.SectionProxy) -> List[DiscFunction]:
@@ -111,20 +114,14 @@ def _build_curves(section: configparser.SectionProxy) -> List[DiscFunction]:
         indices = _parse_indices(section.get("indices", "1:8"))
         scale = complex(section.getfloat("scale", 1.0))
         power = section.getint("power", 1)
-        if generator == "scaled_monomial":
-            for k in indices:
-                coeffs = [0j] * power + [scale / k]
-                curves.append(DiscFunction(coeffs))
-        elif generator == "geometric_power":
-            for k in indices:
-                coeffs = [0j] * k + [scale ** k]
-                curves.append(DiscFunction(coeffs))
-        elif generator == "horizontal":
-            for k in indices:
-                curves.append(DiscFunction([scale / k]))
-        else:
+        if power < 0:
+            raise ConfigError(f"power must be at least 0, got {power}")
+        make = {"scaled_monomial": lambda k: [0j] * power + [scale / k],
+                "geometric_power": lambda k: [0j] * k + [scale ** k],
+                "horizontal": lambda k: [scale / k]}
+        if generator not in make:
             raise ConfigError(f"unknown curve generator {generator!r}")
-        return curves
+        return [DiscFunction(make[generator](k)) for k in indices]
     keys = sorted((k for k in section.keys() if k.startswith("curve")),
                   key=lambda s: (len(s), s))
     for key in keys:
@@ -338,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name != "ladder":
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     g = sub.add_parser("gallery")
     g.add_argument("name")
     g.add_argument("--lam", required=True,
@@ -350,20 +348,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error (argparse's 2)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "gallery":
             return cmd_gallery(args.name, _parse_complex_pair(args.lam),
                                _parse_complex_pair(args.z), args.trunc,
                                args.out)
         cfg = parse_config(args.config)
-        if args.command == "test":
-            return cmd_test(cfg, args.out, args.format)
         if args.command == "ladder":
             return cmd_ladder(cfg, args.out)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.out, args.format)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = cmd_test if args.command == "test" else cmd_validate
+        return command(cfg, args.out, args.format)
     except (ConfigError, BandwidthError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -229,12 +229,16 @@ class DiscFunction:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def roots(self) -> Optional[np.ndarray]:
+        """All zeros, repeated by multiplicity; ``None`` for the zero curve."""
+        arr = np.asarray(self.coeffs)
+        return np.roots(arr[::-1]) if arr.any() else None
+
     def roots_in_disc(self, radius: float) -> Tuple[Tuple[complex, int], ...]:
         """Zeros inside ``|lambda| <= radius`` as ``(location, multiplicity)``."""
-        arr = np.asarray(self.coeffs)
-        if np.abs(arr).max() == 0.0:
+        roots = self.roots()
+        if roots is None:
             raise ValueError("zero curve has no isolated zeros")
-        roots = np.roots(arr[::-1]) if arr.size > 1 else np.array([], dtype=complex)
         out: List[Tuple[complex, int]] = []
         for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
             center = complex(np.mean(cluster))

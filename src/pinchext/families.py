@@ -49,6 +49,7 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
 
 _CIRCLE_DISTANCE_TOL = 1e-6
 _N_RADII = 32
+_AVOID_RADIUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,9 @@ class ProbeResult:
 
 @dataclass(frozen=True)
 class TripleIntersection:
-    indices: Tuple[int, int, int]
+    """A point ``(lam, z)`` that three or more curves pass through."""
+
+    indices: Tuple[int, ...]
     lam: complex
     z: complex
 
@@ -193,29 +196,19 @@ def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
                               first_failure=first_failure, n_bound=n_bound)
 
 
-def _zero_free_radius(diffs: Sequence[DiscFunction], radii: np.ndarray
-                      ) -> Optional[float]:
+def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
+                      radii: np.ndarray) -> Optional[float]:
     """First scanned radius at which every difference is zero-free.
 
-    A difference counts as vanishing at radius ``r`` when any of its roots
-    lies within 1e-6 of the circle ``|lambda| = r`` (conservative).
+    ``zero_sets`` holds each difference's ``roots()``; one counts as
+    vanishing at radius ``r`` when any of its roots lies within 1e-6 of
+    the circle ``|lambda| = r`` (conservative).
     """
-    root_moduli = []
-    for diff in diffs:
-        arr = np.asarray(diff.coeffs)
-        if np.abs(arr).max() == 0.0:
-            return None  # identically zero difference never witnesses
-        roots = np.roots(arr[::-1]) if arr.size > 1 else np.array([])
-        root_moduli.append(np.abs(roots))
-    for r in radii:
-        ok = True
-        for moduli in root_moduli:
-            if moduli.size and np.min(np.abs(moduli - r)) <= _CIRCLE_DISTANCE_TOL:
-                ok = False
-                break
-        if ok:
-            return float(r)
-    return None
+    if any(zs is None for zs in zero_sets):
+        return None  # identically zero difference never witnesses
+    moduli = np.abs(np.concatenate([*zero_sets, []]))
+    free = (np.abs(moduli[:, None] - radii) > _CIRCLE_DISTANCE_TOL).all(0)
+    return float(radii[np.argmax(free)]) if free.any() else None
 
 
 def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
@@ -233,10 +226,11 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     for s in range(len(curves)):
         for t in range(s + 1, len(curves)):
             diff = curve_difference(curves[s], curves[t])
+            zeros = diff.roots()
             witness = None
             for steps in (_N_RADII, 2 * _N_RADII):
                 radii = np.linspace(lo, hi, steps + 2)[1:-1]
-                r = _zero_free_radius([diff], radii)
+                r = _zero_free_radius([zeros], radii)
                 if r is not None:
                     w = winding_number(_difference_circle(diff, r, m))
                     if w <= n_bound:
@@ -251,46 +245,45 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
 
 
-def _difference_roots(a: DiscFunction, b: DiscFunction) -> np.ndarray:
-    """Roots of ``a - b`` in the closed unit disc; none if it is constant."""
-    arr = np.asarray(curve_difference(a, b).coeffs)
-    if np.abs(arr).max() == 0.0 or arr.size == 1:
-        return np.array([], dtype=complex)
-    roots = np.roots(arr[::-1])
-    return roots[np.abs(roots) <= 1.0 + 1e-9]
+def _disc_zeros(a: DiscFunction, b: DiscFunction) -> Optional[np.ndarray]:
+    """Zeros of ``a - b`` in the closed unit disc; ``None`` when ``a == b``."""
+    roots = curve_difference(a, b).roots()
+    return None if roots is None else roots[np.abs(roots) <= 1.0 + 1e-9]
 
 
 def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
-                           probes: Sequence[complex],
-                           avoid_radius: float = 0.05) -> GeneralPositionReport:
+                           probes: Sequence[complex]) -> GeneralPositionReport:
     """Check the two general-position conditions for a curve collection.
 
     Per probe point: list the curves whose zero sets (of ``phi_k - phi_0``
-    in the closed unit disc) stay ``avoid_radius`` away from the probe; at
-    least three such curves are required.  Independently, all curve
-    triples are scanned for common intersection points (three graphs
-    agreeing at one ``lambda``).  The two notions are reported separately
-    and are not claimed equivalent.
+    in the closed unit disc) stay more than 0.05 from the probe; at least
+    three such curves are required.  A curve equal to ``phi_0`` is never
+    listed: its difference vanishes everywhere.  Independently, each pair's
+    intersection points are scanned for further curves through them; each
+    point that three or more curves pass through is reported once, with
+    all of those curves.  The two notions are reported separately and are
+    not claimed equivalent.
 
     Raises ``ValueError`` when two curves coincide: they meet everywhere,
     so the scan has no intersection points to report for them.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 curves for a general-position check")
-    zero_sets = [_difference_roots(phi, phi0) for phi in curves]
+    zero_sets = [_disc_zeros(phi, phi0) for phi in curves]
 
     probe_results: List[ProbeResult] = []
     for probe in probes:
         probe = complex(probe)
         indices = tuple(
             idx for idx, zs in enumerate(zero_sets)
-            if zs.size == 0 or np.min(np.abs(zs - probe)) > avoid_radius)
+            if zs is not None and np.all(np.abs(zs - probe) > _AVOID_RADIUS))
         probe_results.append(ProbeResult(probe=probe, witness_indices=indices,
                                          ok=len(indices) >= 3))
 
     # Taylor coefficients of every curve, zero-padded to one length, as the
     # columns of ``table``: one polyval per pair evaluates every curve at
-    # that pair's roots.
+    # that pair's roots.  Only the two lowest curves through a point report
+    # it, so it gives one record per root of their difference.
     k = len(curves)
     table = np.zeros((max(len(phi.coeffs) for phi in curves), k), dtype=complex)
     for idx, phi in enumerate(curves):
@@ -298,15 +291,17 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     violations: List[TripleIntersection] = []
     for i in range(k):
         for j in range(i + 1, k):
-            if curves[i].coeffs == curves[j].coeffs:
+            roots = _disc_zeros(curves[i], curves[j])
+            if roots is None:
                 raise ValueError(f"curves {i} and {j} coincide")
-            roots = _difference_roots(curves[i], curves[j])
             values = np.polynomial.polynomial.polyval(roots, table)
-            hits = np.abs(values[i] - values[j + 1:]) < 1e-9
-            for t, r in zip(*np.nonzero(hits)):
+            hits = np.abs(values[i] - values) < 1e-9
+            hits[[i, j]] = True
+            lowest = hits[:j].sum(axis=0) == 1
+            for r in np.nonzero(lowest & (hits.sum(axis=0) >= 3))[0]:
                 violations.append(TripleIntersection(
-                    indices=(i, j, j + 1 + int(t)), lam=complex(roots[r]),
-                    z=complex(values[i, r])))
+                    indices=tuple(int(t) for t in np.nonzero(hits[:, r])[0]),
+                    lam=complex(roots[r]), z=complex(values[i, r])))
     return GeneralPositionReport(probes=tuple(probe_results),
                                  triple_violations=tuple(violations))
 
@@ -325,10 +320,11 @@ def winding_profile(family: Callable[[float], DiscFunction],
         raise ValueError("alpha grid must exclude alpha0 itself")
     base = family(alpha0)
     diffs = [curve_difference(family(a), base) for a in alphas]
+    zero_sets = [d.roots() for d in diffs]
     radius = None
     for steps in (_N_RADII, 2 * _N_RADII):
         radii = np.linspace(0.875, 1.125, steps + 2)[1:-1]
-        radius = _zero_free_radius(diffs, radii)
+        radius = _zero_free_radius(zero_sets, radii)
         if radius is not None:
             break
     if radius is None:

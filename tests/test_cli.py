@@ -112,6 +112,40 @@ def test_missing_config_is_usage_error(tmp_path):
     assert main(["test", "--config", str(tmp_path / "absent.ini")]) == 1
 
 
+def test_argparse_usage_error_exits_1(capsys):
+    # argparse's own exit status 2 would read as "analysis negative"
+    assert main(["test"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: pinchext" in capsys.readouterr().out
+
+
+def test_ladder_has_no_format_option(tmp_path):
+    # the ladder writes JSON and a CSV profile whatever --format says, so
+    # the option is not offered
+    cfg = write_config(tmp_path, LADDER_EXP)
+    assert main(["ladder", "--config", cfg, "--format", "csv"]) == 1
+
+
+@pytest.mark.parametrize("generator", ["scaled_monomial", "horizontal"])
+def test_generator_index_below_1_is_config_error(tmp_path, capsys, generator):
+    # index 0 would divide the scale by zero
+    cfg = write_config(tmp_path, TEST_LINES.replace(
+        "scaled_monomial", generator).replace("indices = 1:5", "indices = 0:3"))
+    assert main(["test", "--config", cfg]) == 1
+    assert "error: curve indices must start at 1" in capsys.readouterr().err
+
+
+def test_generator_negative_power_is_config_error(tmp_path, capsys):
+    # [0j] * -1 is empty: the curves would silently be constants
+    cfg = write_config(tmp_path, TEST_LINES.replace("power = 1", "power = -1"))
+    assert main(["test", "--config", cfg]) == 1
+    assert "error: power must be at least 0" in capsys.readouterr().err
+
+
 def test_depth_cap(tmp_path):
     cfg = write_config(tmp_path, LADDER_EXP.replace("depth = 4", "depth = 30"))
     assert main(["ladder", "--config", cfg]) == 1

@@ -76,6 +76,18 @@ def test_disc_function_roots():
     assert target.roots_in_disc(0.9) == ((0j, 2),)
 
 
+def test_disc_function_all_roots():
+    # every zero, repeated by multiplicity; none for a nonzero constant;
+    # None marks the zero curve, which vanishes everywhere
+    phi = DiscFunction([0, -0.5 / 3, 1.0 / 3], require_into_disc=False)
+    assert sorted(np.round(phi.roots().real, 8)) == [0.0, 0.5]
+    assert DiscFunction([0, 0, 0.5]).roots().size == 2
+    assert DiscFunction([0.3]).roots().size == 0
+    assert DiscFunction([0j]).roots() is None
+    with pytest.raises(ValueError, match="zero curve"):
+        DiscFunction([0j]).roots_in_disc(0.9)
+
+
 def test_curve_difference():
     d = curve_difference(DiscFunction([0, 1.0]),
                          DiscFunction([0.7, 0.7], require_into_disc=False))

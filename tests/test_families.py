@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +103,15 @@ def test_family_cubic_pair():
     assert abs(pair.radius - 1.0) > 1e-6
 
 
+def test_family_identical_curves_have_no_witness():
+    # their difference vanishes everywhere, so no radius is zero-free
+    report = validate_test_family([DiscFunction([0.3]), DiscFunction([0.3])],
+                                  10, 0.3)
+    (pair,) = report.pairs
+    assert not pair.ok
+    assert pair.radius is None and pair.winding is None
+
+
 def test_family_needs_two_curves():
     with pytest.raises(ValueError):
         validate_test_family([DiscFunction([0.3])], 10, 0.3)
@@ -116,6 +127,16 @@ def test_general_position_lines():
     assert len(report.probes[1].witness_indices) == 5
 
 
+def test_general_position_curve_equal_to_phi0_is_no_witness():
+    # curve 0 - phi0 vanishes everywhere, so it avoids no probe
+    curves = [DiscFunction([0j]), DiscFunction([0, 0.5]), DiscFunction([0.3]),
+              DiscFunction([0.2])]
+    report = general_position_check(curves, ZERO, [0j])
+    assert report.probes[0].witness_indices == (2, 3)
+    assert not report.probes[0].ok
+    assert not report.all_probes_ok
+
+
 def test_general_position_horizontal():
     curves = [DiscFunction([1.0 / k]) for k in range(1, 6)]
     report = general_position_check(curves, ZERO, [0j, -0.3 + 0.2j])
@@ -128,6 +149,17 @@ def test_general_position_triple_violation():
     assert len(report.triple_violations) == 1
     violation = report.triple_violations[0]
     assert violation.indices == (0, 1, 2)
+    assert abs(violation.lam) < 1e-9
+    assert abs(violation.z) < 1e-9
+
+
+def test_general_position_one_record_per_point():
+    # five lines through the origin meet at one point: one record with all
+    # five curves, not C(5, 3) = 10 triples
+    curves = [scaled_line(k) for k in range(1, 6)]
+    report = general_position_check(curves, ZERO, [0.5 + 0j])
+    (violation,) = report.triple_violations
+    assert violation.indices == (0, 1, 2, 3, 4)
     assert abs(violation.lam) < 1e-9
     assert abs(violation.z) < 1e-9
 
@@ -190,7 +222,14 @@ def test_triple_scan_matches_scalar_loop():
     assert all(v.indices[2] != len(curves) - 1 or abs(v.lam - p) > 1e-6
                for v in expected)
     report = general_position_check(curves, ZERO, [0.5 + 0j])
-    assert report.triple_violations == expected
+    # each record names every curve through its point; its triples are
+    # exactly the reference scan's
+    groups = report.triple_violations
+    assert all(len(g.indices) >= 3 and list(g.indices) == sorted(g.indices)
+               for g in groups)
+    expanded = Counter(t for g in groups
+                       for t in itertools.combinations(g.indices, 3))
+    assert expanded == Counter(v.indices for v in expected)
 
 
 # ----------------------------------------------------------- winding profile
