@@ -27,6 +27,7 @@ from .extension import (DiscFunction, RingFunction, coefficient_ladder,
                         verify_coefficient_bounds)
 from .families import (general_position_check, probes_from_csv,
                        validate_test_sequence)
+from .rational import MAX_POLE_BOUND
 
 __all__ = ["AnalysisConfig", "parse_config", "main",
            "cmd_test", "cmd_ladder", "cmd_validate", "cmd_gallery"]
@@ -180,6 +181,8 @@ def parse_config(path) -> AnalysisConfig:
     if depth > 24:
         raise ConfigError(f"depth must be at most 24, got {depth}")
     n_max = _an_get("n_max", int, 10)
+    if not 1 <= n_max <= MAX_POLE_BOUND:
+        raise ConfigError(f"n_max must be in 1..{MAX_POLE_BOUND}, got {n_max}")
     holo_tol = _an_get("holo_tol", float, 1e-8)
     n_bound = _an_get("n_bound", int, 10)
     probes = [0j]
@@ -295,8 +298,7 @@ def cmd_validate(cfg: AnalysisConfig, out_dir: Optional[str] = None,
     if not cfg.curves:
         raise ConfigError("no curves configured")
     phi0 = DiscFunction([0j])
-    seq_report = validate_test_sequence(cfg.curves, phi0, cfg.n_bound,
-                                        m=cfg.grid)
+    seq_report = validate_test_sequence(cfg.curves, phi0, cfg.n_bound)
     gp_report = general_position_check(cfg.curves, phi0, cfg.probes)
     report = {"command": "validate",
               "test_sequence": seq_report.as_dict(),

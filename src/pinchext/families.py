@@ -6,6 +6,9 @@ circle with uniformly bounded winding numbers.  Families are tested
 pairwise on a scanned range of radii; general position asks that the
 zeros of the differences avoid a probe point for a sub-collection of
 curves (equivalently, that no three curves pass through one point).
+Curves are polynomials: by the argument principle the winding of a
+difference along ``|lambda| = r`` is the number of its ``roots()`` inside,
+and it is zero-free there when no root lies within 1e-6 of the circle.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import CircleFunction, winding_number
-from .errors import BandwidthError, CircleVanishingError, ConvergenceError
+# unused here; bench/selftest.py checks that its tracer wraps this alias
+from .boundary import winding_number  # noqa: F401
+from .errors import ConvergenceError
 from .extension import DiscFunction, curve_difference
 
 __all__ = [
@@ -50,6 +54,8 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
 _CIRCLE_DISTANCE_TOL = 1e-6
 _N_RADII = 32
 _AVOID_RADIUS = 0.05
+_VANISHING = ("curve difference vanishes identically or has a zero within "
+              f"{_CIRCLE_DISTANCE_TOL:g} of the unit circle; winding undefined")
 
 
 @dataclass(frozen=True)
@@ -150,52 +156,6 @@ class WindingProfileReport:
                 "radius": self.radius, "constant": self.constant}
 
 
-def _difference_circle(diff: DiscFunction, radius: float,
-                       m: int = 256) -> CircleFunction:
-    # built from the exact Taylor coefficients: no sampling alias, but the
-    # grid must still resolve the polynomial
-    if 4 * diff.degree > m:
-        raise BandwidthError(
-            f"curve difference of degree {diff.degree} needs a grid of at "
-            f"least {4 * diff.degree} points, got {m}")
-    centered = np.zeros(m, dtype=complex)
-    centered[m // 2:m // 2 + len(diff.coeffs)] = diff.coeffs
-    return CircleFunction.from_coefficients(centered, radius)
-
-
-def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
-                           n_bound: int, m: int = 256) -> TestSequenceReport:
-    """Winding numbers of ``phi_k - phi_0`` on the unit circle, per curve.
-
-    Vanishing on the circle is reported as a per-curve failure rather
-    than aborting the whole run; the sequence is a test sequence when all
-    windings are defined and the maximum does not exceed ``n_bound``.
-    """
-    if len(curves) < 3:
-        raise ValueError("need at least 3 curves for a sequence check")
-    windings: List[Optional[int]] = []
-    failures: List[Tuple[int, str]] = []
-    for idx, phi in enumerate(curves):
-        diff = curve_difference(phi, phi0)
-        try:
-            w = winding_number(_difference_circle(diff, 1.0, m))
-            windings.append(w)
-        except (CircleVanishingError, ConvergenceError) as exc:
-            windings.append(None)
-            failures.append((idx, str(exc)))
-    defined = [w for w in windings if w is not None]
-    bound = max(defined) if defined else None
-    is_test = not failures and bound is not None and bound <= n_bound
-    first_failure = None
-    if failures:
-        first_failure = failures[0][0]
-    elif bound is not None and bound > n_bound:
-        first_failure = windings.index(bound)
-    return TestSequenceReport(windings=tuple(windings), failures=tuple(failures),
-                              bound=bound, is_test=is_test,
-                              first_failure=first_failure, n_bound=n_bound)
-
-
 def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
                       radii: np.ndarray) -> Optional[float]:
     """First scanned radius at which every difference is zero-free.
@@ -211,13 +171,53 @@ def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
     return float(radii[np.argmax(free)]) if free.any() else None
 
 
+def _winding(zeros: np.ndarray, radius: float) -> int:
+    """Winding of a difference along ``|lambda| = radius``: its zeros inside."""
+    return int((np.abs(zeros) < radius).sum())
+
+
+def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
+                           n_bound: int) -> TestSequenceReport:
+    """Winding numbers of ``phi_k - phi_0`` on the unit circle, per curve.
+
+    Each winding is the number of zeros in the open disc.  A difference
+    that is not zero-free on the circle is reported as a per-curve failure
+    rather than aborting the whole run; the sequence is a test sequence
+    when all windings are defined and the maximum does not exceed
+    ``n_bound``.
+    """
+    if len(curves) < 3:
+        raise ValueError("need at least 3 curves for a sequence check")
+    windings: List[Optional[int]] = []
+    failures: List[Tuple[int, str]] = []
+    for idx, phi in enumerate(curves):
+        zeros = curve_difference(phi, phi0).roots()
+        if _zero_free_radius([zeros], np.ones(1)) is None:
+            windings.append(None)
+            failures.append((idx, _VANISHING))
+        else:
+            windings.append(_winding(zeros, 1.0))
+    defined = [w for w in windings if w is not None]
+    bound = max(defined) if defined else None
+    is_test = not failures and bound is not None and bound <= n_bound
+    first_failure = None
+    if failures:
+        first_failure = failures[0][0]
+    elif bound is not None and bound > n_bound:
+        first_failure = windings.index(bound)
+    return TestSequenceReport(windings=tuple(windings), failures=tuple(failures),
+                              bound=bound, is_test=is_test,
+                              first_failure=first_failure, n_bound=n_bound)
+
+
 def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
-                         epsilon: float, m: int = 256) -> TestFamilyReport:
+                         epsilon: float) -> TestFamilyReport:
     """Pairwise test-family check on radii scanned in ``(1-eps/2, 1+eps/2)``.
 
     For each pair a radius is sought at which the difference is zero-free
-    with winding number at most ``n_bound``; the scan refines once (to
-    twice the resolution) before reporting a pair as failed.
+    with winding number (zeros inside that circle) at most ``n_bound``; the
+    scan refines once (to twice the resolution) before reporting a pair as
+    failed.
     """
     if len(curves) < 2:
         raise ValueError("need at least 2 curves for a family check")
@@ -225,23 +225,16 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     pairs: List[PairWitness] = []
     for s in range(len(curves)):
         for t in range(s + 1, len(curves)):
-            diff = curve_difference(curves[s], curves[t])
-            zeros = diff.roots()
-            witness = None
+            zeros = curve_difference(curves[s], curves[t]).roots()
+            radius = winding = None
             for steps in (_N_RADII, 2 * _N_RADII):
                 radii = np.linspace(lo, hi, steps + 2)[1:-1]
                 r = _zero_free_radius([zeros], radii)
-                if r is not None:
-                    w = winding_number(_difference_circle(diff, r, m))
-                    if w <= n_bound:
-                        witness = (r, w)
-                        break
-            if witness is None:
-                pairs.append(PairWitness(s=s, t=t, radius=None, winding=None,
-                                         ok=False))
-            else:
-                pairs.append(PairWitness(s=s, t=t, radius=witness[0],
-                                         winding=witness[1], ok=True))
+                if r is not None and _winding(zeros, r) <= n_bound:
+                    radius, winding = r, _winding(zeros, r)
+                    break
+            pairs.append(PairWitness(s=s, t=t, radius=radius, winding=winding,
+                                     ok=radius is not None))
     return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
 
 
@@ -307,20 +300,20 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
 
 
 def winding_profile(family: Callable[[float], DiscFunction],
-                    alphas: Sequence[float], alpha0: float,
-                    m: int = 256) -> WindingProfileReport:
+                    alphas: Sequence[float],
+                    alpha0: float) -> WindingProfileReport:
     """Windings of ``phi_alpha - phi_{alpha0}`` at a common witnessed radius.
 
     The radius scan over ``(0.875, 1.125)`` (32 steps, one refinement to
     64) looks for one radius at which every difference on the grid is
-    zero-free; for a genuine one-parameter analytic family the winding is
-    then constant in alpha.
+    zero-free; each winding is then the number of zeros inside that
+    circle, and for a genuine one-parameter analytic family it is constant
+    in alpha.
     """
     if any(a == alpha0 for a in alphas):
         raise ValueError("alpha grid must exclude alpha0 itself")
     base = family(alpha0)
-    diffs = [curve_difference(family(a), base) for a in alphas]
-    zero_sets = [d.roots() for d in diffs]
+    zero_sets = [curve_difference(family(a), base).roots() for a in alphas]
     radius = None
     for steps in (_N_RADII, 2 * _N_RADII):
         radii = np.linspace(0.875, 1.125, steps + 2)[1:-1]
@@ -330,9 +323,8 @@ def winding_profile(family: Callable[[float], DiscFunction],
     if radius is None:
         raise ConvergenceError(
             "no common zero-free radius found for the family differences")
-    windings = tuple(
-        (float(a), winding_number(_difference_circle(d, radius, m)))
-        for a, d in zip(alphas, diffs))
+    windings = tuple((float(a), _winding(zs, radius))
+                     for a, zs in zip(alphas, zero_sets))
     values = {w for _, w in windings}
     return WindingProfileReport(windings=windings, radius=radius,
                                 constant=len(values) == 1)

@@ -146,6 +146,17 @@ def test_generator_negative_power_is_config_error(tmp_path, capsys):
     assert "error: power must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", [0, 17])
+def test_n_max_out_of_range_is_config_error(tmp_path, capsys, n_max):
+    # every restriction here is holomorphic, so detect_rational, which
+    # checks the same range, is never reached
+    cfg = write_config(tmp_path, TEST_LINES.replace("n_max = 10",
+                                                    f"n_max = {n_max}"))
+    assert main(["test", "--config", cfg]) == 1
+    assert (f"error: n_max must be in 1..16, got {n_max}"
+            in capsys.readouterr().err)
+
+
 def test_depth_cap(tmp_path):
     cfg = write_config(tmp_path, LADDER_EXP.replace("depth = 4", "depth = 30"))
     assert main(["ladder", "--config", cfg]) == 1

@@ -18,6 +18,8 @@ def scaled_line(k):
 
 
 ZERO = DiscFunction([0j])
+VANISHING = ("curve difference vanishes identically or has a zero within "
+             "1e-06 of the unit circle; winding undefined")
 
 
 # ------------------------------------------------------------ test sequence
@@ -61,8 +63,25 @@ def test_sequence_vanishing_curve_is_per_curve_failure():
     report = validate_test_sequence(curves, ZERO, 10)
     assert report.windings[1] is None
     assert not report.is_test
-    assert report.failures[0][0] == 1
+    assert report.failures == ((1, VANISHING),)
     assert report.first_failure == 1
+
+
+def test_sequence_zero_free_difference_with_tiny_values():
+    # 5e-10 has no zeros, so its winding is 0, although its samples fall
+    # below the 1e-9 floor of a sampled winding
+    curves = [scaled_line(2), DiscFunction([5e-10]), scaled_line(4)]
+    report = validate_test_sequence(curves, ZERO, 10)
+    assert report.windings == (1, 0, 1)
+    assert report.failures == ()
+    assert report.is_test
+
+
+def test_sequence_identical_curve_is_per_curve_failure():
+    report = validate_test_sequence([scaled_line(1), ZERO, scaled_line(3)],
+                                    ZERO, 10)
+    assert report.windings == (1, None, 1)
+    assert report.failures == ((1, VANISHING),)
 
 
 def test_sequence_translation_invariance():
@@ -110,6 +129,15 @@ def test_family_identical_curves_have_no_witness():
     (pair,) = report.pairs
     assert not pair.ok
     assert pair.radius is None and pair.winding is None
+
+
+def test_family_zero_free_difference_with_tiny_values():
+    # the constant difference 1e-10 is zero-free at every radius
+    report = validate_test_family(
+        [DiscFunction([0.3]), DiscFunction([0.3 + 1e-10])], 10, 0.3)
+    (pair,) = report.pairs
+    assert pair.ok
+    assert pair.winding == 0
 
 
 def test_family_needs_two_curves():
@@ -252,6 +280,13 @@ def test_profile_shifted_zero():
                              [0.1, 0.2, 0.3], 0.0)
     assert report.constant
     assert all(w == 1 for _, w in report.windings)
+
+
+def test_profile_zero_free_differences_with_tiny_values():
+    report = winding_profile(lambda a: DiscFunction([0.3 + a]),
+                             [1e-10, 2e-10], 0.0)
+    assert report.constant
+    assert tuple(w for _, w in report.windings) == (0, 0)
 
 
 def test_profile_rejects_alpha0_on_grid():
