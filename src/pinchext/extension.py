@@ -195,12 +195,7 @@ class DiscFunction:
             arr = np.atleast_1d(np.asarray(arr, dtype=complex))
             if arr.size == 0:
                 arr = np.zeros(1, dtype=complex)
-        top = np.abs(arr).max()
-        if top > 0:
-            keep = np.nonzero(np.abs(arr) >= 1e-14 * top)[0]
-            arr = arr[:keep[-1] + 1]
-        else:
-            arr = arr[:1]
+        arr = arr[:_kept_lengths(arr[None])[0]]
         self.coeffs = tuple(complex(c) for c in arr)
         self._sup_bound = None
         if require_into_disc and self.sup_bound >= 1.0 + _DISC_SLACK:
@@ -230,9 +225,12 @@ class DiscFunction:
         return len(self.coeffs) - 1
 
     def roots(self) -> Optional[np.ndarray]:
-        """All zeros, repeated by multiplicity; ``None`` for the zero curve."""
-        arr = np.asarray(self.coeffs)
-        return np.roots(arr[::-1]) if arr.any() else None
+        """All zeros, repeated by multiplicity; ``None`` for the zero curve.
+
+        The one-row case of :func:`_roots_of_rows`, which gives what
+        ``np.roots`` gives for the coefficients.
+        """
+        return _roots_of_rows(np.asarray(self.coeffs)[None])[0]
 
     def roots_in_disc(self, radius: float) -> Tuple[Tuple[complex, int], ...]:
         """Zeros inside ``|lambda| <= radius`` as ``(location, multiplicity)``."""
@@ -249,6 +247,53 @@ class DiscFunction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiscFunction(degree={self.degree}, sup={self.sup_bound:.4f})"
+
+
+def _kept_lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of each row of ascending coefficients after the tail trim.
+
+    Trailing coefficients below 1e-14 of the row's largest magnitude are
+    dropped; a row with no positive magnitude keeps its first entry.
+    """
+    mags = np.abs(rows)
+    top = mags.max(axis=1)
+    kept = mags >= 1e-14 * top[:, None]
+    return np.where(top > 0, rows.shape[1] - np.argmax(kept[:, ::-1], axis=1), 1)
+
+
+def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
+    """Zeros of each row of ascending coefficients; ``None`` for a zero row.
+
+    Row by row this is ``np.roots`` of the row after ``DiscFunction``'s tail
+    trim, with the same bits: rows are grouped by their lowest and highest
+    nonzero kept coefficient, each group's companion matrices (first row
+    ``-p[1:] / p[0]`` of the descending coefficients, ones below the
+    diagonal) go to one stacked ``np.linalg.eigvals`` call, and one zero
+    root is appended per stripped low coefficient.  A constant times
+    ``lambda**m`` gives ``m`` zeros as a float array, as ``np.roots`` does.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    width = rows.shape[1]
+    live = (rows != 0) & (np.arange(width) < _kept_lengths(rows)[:, None])
+    found = live.any(axis=1)
+    low = np.argmax(live, axis=1)
+    high = width - 1 - np.argmax(live[:, ::-1], axis=1)
+    out: List[Optional[np.ndarray]] = [None] * len(rows)
+    for lo, hi in set(zip(low[found].tolist(), high[found].tolist())):
+        members = np.nonzero(found & (low == lo) & (high == hi))[0]
+        p = rows[members, lo:hi + 1][:, ::-1]
+        n = hi - lo
+        if n:
+            companion = np.zeros((members.size, n, n), dtype=complex)
+            companion[:, 0] = -p[:, 1:] / p[:, :1]
+            companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots = np.linalg.eigvals(companion)
+        else:
+            roots = np.empty((members.size, 0))
+        roots = np.hstack([roots, np.zeros((members.size, lo), roots.dtype)])
+        for m, r in zip(members, roots):
+            out[m] = r
+    return out
 
 
 def curve_difference(a: DiscFunction, b: DiscFunction) -> DiscFunction:

@@ -9,6 +9,10 @@ curves (equivalently, that no three curves pass through one point).
 Curves are polynomials: by the argument principle the winding of a
 difference along ``|lambda| = r`` is the number of its ``roots()`` inside,
 and it is zero-free there when no root lies within 1e-6 of the circle.
+Each check stacks the coefficients of all its differences as rows and
+finds every zero set with one ``_roots_of_rows`` call: one stacked
+companion-matrix eigenvalue call per group of rows of equal lowest and
+highest nonzero degree, with the zeros ``roots()`` gives row by row.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 # unused here; bench/selftest.py checks that its tracer wraps this alias
 from .boundary import winding_number  # noqa: F401
 from .errors import ConvergenceError
-from .extension import DiscFunction, curve_difference
+from .extension import DiscFunction, _roots_of_rows
 
 __all__ = [
     "TestSequenceReport",
@@ -171,6 +175,39 @@ def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
     return float(radii[np.argmax(free)]) if free.any() else None
 
 
+def _coefficient_table(curves: Sequence[DiscFunction]) -> np.ndarray:
+    """Taylor coefficients of the curves, zero-padded, one curve a column."""
+    table = np.zeros((max(len(phi.coeffs) for phi in curves), len(curves)),
+                     dtype=complex)
+    for idx, phi in enumerate(curves):
+        table[:len(phi.coeffs), idx] = phi.coeffs
+    return table
+
+
+def _difference_zeros(table: np.ndarray, first, second
+                      ) -> List[Optional[np.ndarray]]:
+    """``roots()`` of each difference of columns ``first - second``.
+
+    ``(0 + a) - b`` on the zero-padded columns repeats the arithmetic of
+    ``curve_difference``, signed zeros included, and one
+    ``_roots_of_rows`` call finds the zeros of every difference.
+    """
+    return _roots_of_rows(((0 + table[:, first]) - table[:, second]).T)
+
+
+def _zeros_against(curves: Sequence[DiscFunction],
+                   base: DiscFunction) -> List[Optional[np.ndarray]]:
+    """``roots()`` of ``phi - base`` for each curve ``phi``."""
+    k = len(curves)
+    return _difference_zeros(_coefficient_table([*curves, base]),
+                             np.arange(k), [k])
+
+
+def _in_disc(zeros: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The zeros in the closed unit disc (to 1e-9); ``None`` stays ``None``."""
+    return None if zeros is None else zeros[np.abs(zeros) <= 1.0 + 1e-9]
+
+
 def _winding(zeros: np.ndarray, radius: float) -> int:
     """Winding of a difference along ``|lambda| = radius``: its zeros inside."""
     return int((np.abs(zeros) < radius).sum())
@@ -190,8 +227,7 @@ def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
         raise ValueError("need at least 3 curves for a sequence check")
     windings: List[Optional[int]] = []
     failures: List[Tuple[int, str]] = []
-    for idx, phi in enumerate(curves):
-        zeros = curve_difference(phi, phi0).roots()
+    for idx, zeros in enumerate(_zeros_against(curves, phi0)):
         if _zero_free_radius([zeros], np.ones(1)) is None:
             windings.append(None)
             failures.append((idx, _VANISHING))
@@ -222,26 +258,20 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     if len(curves) < 2:
         raise ValueError("need at least 2 curves for a family check")
     lo, hi = 1.0 - epsilon / 2.0, 1.0 + epsilon / 2.0
+    first, second = np.triu_indices(len(curves), 1)
+    pair_zeros = _difference_zeros(_coefficient_table(curves), first, second)
     pairs: List[PairWitness] = []
-    for s in range(len(curves)):
-        for t in range(s + 1, len(curves)):
-            zeros = curve_difference(curves[s], curves[t]).roots()
-            radius = winding = None
-            for steps in (_N_RADII, 2 * _N_RADII):
-                radii = np.linspace(lo, hi, steps + 2)[1:-1]
-                r = _zero_free_radius([zeros], radii)
-                if r is not None and _winding(zeros, r) <= n_bound:
-                    radius, winding = r, _winding(zeros, r)
-                    break
-            pairs.append(PairWitness(s=s, t=t, radius=radius, winding=winding,
-                                     ok=radius is not None))
+    for s, t, zeros in zip(first.tolist(), second.tolist(), pair_zeros):
+        radius = winding = None
+        for steps in (_N_RADII, 2 * _N_RADII):
+            radii = np.linspace(lo, hi, steps + 2)[1:-1]
+            r = _zero_free_radius([zeros], radii)
+            if r is not None and _winding(zeros, r) <= n_bound:
+                radius, winding = r, _winding(zeros, r)
+                break
+        pairs.append(PairWitness(s=s, t=t, radius=radius, winding=winding,
+                                 ok=radius is not None))
     return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
-
-
-def _disc_zeros(a: DiscFunction, b: DiscFunction) -> Optional[np.ndarray]:
-    """Zeros of ``a - b`` in the closed unit disc; ``None`` when ``a == b``."""
-    roots = curve_difference(a, b).roots()
-    return None if roots is None else roots[np.abs(roots) <= 1.0 + 1e-9]
 
 
 def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
@@ -257,12 +287,18 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     all of those curves.  The two notions are reported separately and are
     not claimed equivalent.
 
+    The zeros of all pair differences come from one ``_roots_of_rows``
+    call, and one polyval per curve ``i`` evaluates every curve at the
+    disc zeros of all pairs ``(i, j > i)``; the records are those of a
+    per-pair scan.
+
     Raises ``ValueError`` when two curves coincide: they meet everywhere,
-    so the scan has no intersection points to report for them.
+    so the scan has no intersection points to report for them.  The
+    first such pair in ``(i, j)`` order is named.
     """
     if len(curves) < 3:
         raise ValueError("need at least 3 curves for a general-position check")
-    zero_sets = [_disc_zeros(phi, phi0) for phi in curves]
+    zero_sets = [_in_disc(zs) for zs in _zeros_against(curves, phi0)]
 
     probe_results: List[ProbeResult] = []
     for probe in probes:
@@ -273,28 +309,35 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
         probe_results.append(ProbeResult(probe=probe, witness_indices=indices,
                                          ok=len(indices) >= 3))
 
-    # Taylor coefficients of every curve, zero-padded to one length, as the
-    # columns of ``table``: one polyval per pair evaluates every curve at
-    # that pair's roots.  Only the two lowest curves through a point report
-    # it, so it gives one record per root of their difference.
+    # The Taylor coefficients of every curve are the columns of ``table``:
+    # one polyval per curve i evaluates every curve at the disc roots of
+    # all its pairs (i, j > i).  Only the two lowest curves through a
+    # point report it, so it gives one record per root of their difference.
     k = len(curves)
-    table = np.zeros((max(len(phi.coeffs) for phi in curves), k), dtype=complex)
-    for idx, phi in enumerate(curves):
-        table[:len(phi.coeffs), idx] = phi.coeffs
+    table = _coefficient_table(curves)
+    first, second = np.triu_indices(k, 1)
+    pair_zeros = _difference_zeros(table, first, second)
+    for i, j, zeros in zip(first.tolist(), second.tolist(), pair_zeros):
+        if zeros is None:
+            raise ValueError(f"curves {i} and {j} coincide")
+    pair_zeros = [_in_disc(zs) for zs in pair_zeros]
+    below = np.arange(k)[:, None]
     violations: List[TripleIntersection] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            roots = _disc_zeros(curves[i], curves[j])
-            if roots is None:
-                raise ValueError(f"curves {i} and {j} coincide")
-            values = np.polynomial.polynomial.polyval(roots, table)
-            hits = np.abs(values[i] - values) < 1e-9
-            hits[[i, j]] = True
-            lowest = hits[:j].sum(axis=0) == 1
-            for r in np.nonzero(lowest & (hits.sum(axis=0) >= 3))[0]:
-                violations.append(TripleIntersection(
-                    indices=tuple(int(t) for t in np.nonzero(hits[:, r])[0]),
-                    lam=complex(roots[r]), z=complex(values[i, r])))
+    for i in range(k - 1):
+        # the pairs (i, j > i) are k - 1 - i consecutive entries
+        start = i * k - i * (i + 1) // 2
+        zero_sets_i = pair_zeros[start:start + k - 1 - i]
+        roots = np.concatenate(zero_sets_i)
+        owner = np.repeat(np.arange(i + 1, k), [zs.size for zs in zero_sets_i])
+        values = np.polynomial.polynomial.polyval(roots, table)
+        hits = np.abs(values[i] - values) < 1e-9
+        hits[i] = True
+        hits[owner, np.arange(roots.size)] = True
+        lowest = (hits & (below < owner)).sum(axis=0) == 1
+        for r in np.nonzero(lowest & (hits.sum(axis=0) >= 3))[0]:
+            violations.append(TripleIntersection(
+                indices=tuple(int(t) for t in np.nonzero(hits[:, r])[0]),
+                lam=complex(roots[r]), z=complex(values[i, r])))
     return GeneralPositionReport(probes=tuple(probe_results),
                                  triple_violations=tuple(violations))
 
@@ -313,7 +356,7 @@ def winding_profile(family: Callable[[float], DiscFunction],
     if any(a == alpha0 for a in alphas):
         raise ValueError("alpha grid must exclude alpha0 itself")
     base = family(alpha0)
-    zero_sets = [curve_difference(family(a), base).roots() for a in alphas]
+    zero_sets = _zeros_against([family(a) for a in alphas], base)
     radius = None
     for steps in (_N_RADII, 2 * _N_RADII):
         radii = np.linspace(0.875, 1.125, steps + 2)[1:-1]

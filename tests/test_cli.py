@@ -260,14 +260,24 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_byte_determinism(tmp_path):
-    cfg = write_config(tmp_path, TEST_LINES)
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["test", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["test", "--config", cfg, "--out", str(out2)]) == 0
-    b1 = (out1 / "test_report.json").read_bytes()
-    b2 = (out2 / "test_report.json").read_bytes()
-    assert b1 == b2
+    # every report file of a command has the same bytes on a second run;
+    # the validate config's six lines all meet at the origin, so its
+    # report carries a triple-intersection record
+    runs = [(TEST_LINES, ["test"], ["test_report.json"]),
+            (VALIDATE_LINES, ["validate"], ["validate_report.json"]),
+            (VALIDATE_LINES, ["validate", "--format", "csv"],
+             ["validate_report.json", "validate_report.csv"]),
+            (LADDER_EXP, ["ladder"],
+             ["ladder_report.json", "ladder_profiles.csv"])]
+    for idx, (body, command, files) in enumerate(runs):
+        cfg = write_config(tmp_path, body, name=f"run{idx}.ini")
+        outs = [tmp_path / f"{idx}{copy}" for copy in "ab"]
+        for out in outs:
+            assert main([*command, "--config", cfg, "--out", str(out)]) == 0
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    report = read_json(tmp_path / "1a", "validate_report.json")
+    assert report["general_position"]["triple_violations"]
 
 
 def test_gallery_command(tmp_path, capsys):

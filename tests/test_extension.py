@@ -390,6 +390,20 @@ def test_ladder_consistency(exp_ring, exp_ladder):
     assert np.abs(series - direct).max() <= tail_bound
 
 
+def test_truncation_bound_holds_on_held_out_curves(exp_ring):
+    # the ladder sees phi_k = lambda/k for k <= 12 only; on the curves
+    # lambda/13, lambda/20 and lambda/40, where exp(z/lambda) is known,
+    # the series must stay within its reported truncation bound
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 13)]
+    ladder = coefficient_ladder(exp_ring, curves, 6, 10)
+    desc = pinch_estimate(ladder)
+    for lam in 0.85 * unit_circle_grid(16):
+        for k in (13, 20, 40):
+            z = lam / k
+            out = evaluate_extension(ladder, desc, lam, z)
+            assert abs(out.value - np.exp(z / lam)) <= out.bound
+
+
 # ------------------------------------------------------------------- pinch
 
 def test_pinch_exponential(exp_ladder):

@@ -9,7 +9,8 @@ from pinchext import (ConvergenceError, DiscFunction, coefficient_ladder,
                       curve_difference, general_position_check,
                       pinch_estimate, validate_test_family,
                       validate_test_sequence, winding_profile)
-from pinchext.families import TripleIntersection
+from pinchext.families import (GeneralPositionReport, ProbeResult,
+                               TripleIntersection)
 from pinchext.gallery import remark1_ring
 
 
@@ -205,6 +206,71 @@ def test_general_position_rejects_coincident_curves(order):
         general_position_check(curves, ZERO, [0.5 + 0j])
 
 
+def test_general_position_names_first_coinciding_pair():
+    a, b = DiscFunction([0, 0.5]), DiscFunction([-0.1, 0.7])
+    with pytest.raises(ValueError, match="curves 0 and 2 coincide"):
+        general_position_check([a, b, a, b], ZERO, [0.5 + 0j])
+
+
+def _records_by_pair_loop(curves, phi0, probes):
+    """Reference general-position scan: one ``np.roots`` and one
+    ``polyval`` per curve pair, on ``curve_difference``."""
+    def disc_zeros(a, b):
+        arr = np.asarray(curve_difference(a, b).coeffs)
+        if not arr.any():
+            return None
+        roots = np.roots(arr[::-1])
+        return roots[np.abs(roots) <= 1.0 + 1e-9]
+
+    zero_sets = [disc_zeros(phi, phi0) for phi in curves]
+    probe_results = []
+    for probe in probes:
+        indices = tuple(idx for idx, zs in enumerate(zero_sets)
+                        if zs is not None and np.all(np.abs(zs - probe) > 0.05))
+        probe_results.append(ProbeResult(probe=complex(probe),
+                                         witness_indices=indices,
+                                         ok=len(indices) >= 3))
+    k = len(curves)
+    table = np.zeros((max(len(phi.coeffs) for phi in curves), k), dtype=complex)
+    for idx, phi in enumerate(curves):
+        table[:len(phi.coeffs), idx] = phi.coeffs
+    violations = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            roots = disc_zeros(curves[i], curves[j])
+            if roots is None:
+                raise ValueError(f"curves {i} and {j} coincide")
+            values = np.polynomial.polynomial.polyval(roots, table)
+            hits = np.abs(values[i] - values) < 1e-9
+            hits[[i, j]] = True
+            lowest = hits[:j].sum(axis=0) == 1
+            for r in np.nonzero(lowest & (hits.sum(axis=0) >= 3))[0]:
+                violations.append(TripleIntersection(
+                    indices=tuple(int(t) for t in np.nonzero(hits[:, r])[0]),
+                    lam=complex(roots[r]), z=complex(values[i, r])))
+    return GeneralPositionReport(probes=tuple(probe_results),
+                                 triple_violations=tuple(violations))
+
+
+def test_general_position_matches_pair_loop_on_mixed_degrees():
+    # sixty curves of degrees 1..6 in turn, half through the origin: the
+    # batched scan reports exactly what the per-pair loop reports
+    rng = np.random.default_rng(2718)
+    curves = []
+    for idx in range(60):
+        deg = idx % 6 + 1
+        c = (0.9 / (deg + 1)) * (rng.standard_normal(deg + 1)
+                                 + 1j * rng.standard_normal(deg + 1))
+        if (idx // 6) % 2 == 0:
+            c[0] = 0.0
+        curves.append(DiscFunction(c, require_into_disc=False))
+    probes = [0j, 0.4 - 0.3j, -0.6 + 0.1j]
+    report = general_position_check(curves, ZERO, probes)
+    assert report.triple_violations
+    assert report.as_dict() == _records_by_pair_loop(curves, ZERO,
+                                                     probes).as_dict()
+
+
 def _triples_by_scalar_loop(curves):
     """Reference triple scan: one scalar curve evaluation per root."""
     out = []
@@ -258,6 +324,8 @@ def test_triple_scan_matches_scalar_loop():
     expanded = Counter(t for g in groups
                        for t in itertools.combinations(g.indices, 3))
     assert expanded == Counter(v.indices for v in expected)
+    assert report.as_dict() == _records_by_pair_loop(curves, ZERO,
+                                                     [0.5 + 0j]).as_dict()
 
 
 # ----------------------------------------------------------- winding profile

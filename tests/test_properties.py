@@ -4,12 +4,13 @@ Runs are derandomized, so every run draws the same examples.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pinchext import (CircleFunction, DiscFunction, hardy_project_minus,
                       hilbert_transform, validate_test_family,
                       validate_test_sequence, winding_number)
+from pinchext.extension import _roots_of_rows
 
 
 @st.composite
@@ -70,3 +71,60 @@ def test_root_count_winding_matches_sampled_winding(coeffs):
     (pair,) = validate_test_family([diff, zero], 10, 0.3).pairs
     if np.abs(moduli - pair.radius).min() >= 1e-3:
         assert pair.winding == sampled_winding(coeffs, pair.radius)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Rows of ascending coefficients of degree 0 to 8, zero-padded to 9.
+
+    Some rows start with exact zeros (roots at 0), end in a coefficient
+    just below 1e-14 of the largest (trimmed) or just above it (kept), or
+    are all zero.  Kept parts are normal floats: dividing by a subnormal
+    leading coefficient overflows the companion row, and ``np.roots``
+    itself then raises.
+    """
+    rows = np.zeros((draw(st.integers(1, 8)), 9), dtype=complex)
+    for row in rows:
+        size = draw(st.integers(1, 9))
+        parts = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                         min_size=size, max_size=size)
+        row[:size] = np.array(draw(parts)) + 1j * np.array(draw(parts))
+        kind = draw(st.sampled_from(["plain", "zero low", "tiny top",
+                                     "small top", "zero"]))
+        if kind == "zero low":
+            row[:draw(st.integers(0, size - 1))] = 0.0
+        elif kind in ("tiny top", "small top"):
+            scale = (st.floats(0.0, 0.99e-14) if kind == "tiny top"
+                     else st.floats(1.01e-14, 1e-12))
+            row[size - 1] = (draw(scale)
+                             * np.abs(row[:size - 1]).max(initial=0.0))
+        elif kind == "zero":
+            row[:] = 0.0
+    return rows
+
+
+def trimmed_np_roots(row):
+    """``np.roots`` of the row after the 1e-14 relative tail trim."""
+    top = np.abs(row).max()
+    if top == 0:
+        return None
+    keep = np.nonzero(np.abs(row) >= 1e-14 * top)[0]
+    return np.roots(row[:keep[-1] + 1][::-1])
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(coefficient_rows())
+@example(np.array([[0, 0, 0.5, -0.25j, 1.0, 0],        # two roots at 0
+                   [1.0, 0.3, 0.2j, 1e-16, 0, 0],      # trimmed top
+                   [0.7j, 0, 0, 0, 0, 0],              # constant
+                   [0, 0, 0, 0, 0, 0],                 # zero row
+                   [0, 0, 0, 0.4, 0, 0]], dtype=complex))  # 0.4 lambda^3
+def test_roots_of_rows_match_np_roots(rows):
+    # the batched finder gives, row by row, np.roots of the trimmed row
+    for row, found in zip(rows, _roots_of_rows(rows)):
+        expected = trimmed_np_roots(row)
+        if expected is None:
+            assert found is None
+        else:
+            assert found.dtype == expected.dtype
+            assert np.array_equal(found, expected)
