@@ -7,6 +7,12 @@ Hardy projection, the Hilbert transform and the Sobolev norm act on the
 coefficients as plain Fourier multipliers, which keeps the operator
 identities exact to rounding.
 
+Building a :class:`CircleFunction` costs about one FFT: the float modes
+``n`` and the roots of unity are tables cached per grid size, the
+``fftshift`` is a swap of array halves, and at radius 1 the mode weight
+``r**n`` is the scalar 1.0.  A radius whose weights ``r**n`` would leave
+the normal float range on the grid is rejected with ``ValueError``.
+
 Normalization note: the Sobolev norm implemented here is
 ``sqrt(sum (1 + n^2) |c_n|^2)``.  The circle-integral scalar product equals
 this up to a fixed constant, which is normalized away.
@@ -43,6 +49,7 @@ _MIN_SAMPLES = 16
 _MAX_WINDING_GRID = 2 ** 16
 _ZERO_TOLERANCE = 1e-9
 _BANDWIDTH_REL_TOL = 1e-12
+_LOG_TINY = -math.log(np.finfo(float).tiny)  # about 708.4
 
 
 def _check_sample_count(m: int) -> None:
@@ -52,9 +59,53 @@ def _check_sample_count(m: int) -> None:
         raise ValueError(f"sample count must be a power of two, got {m}")
 
 
+@functools.lru_cache(maxsize=None)
+def _modes(m: int) -> np.ndarray:
+    """Read-only float modes ``-m/2 .. m/2 - 1``, one table per grid size."""
+    modes = np.arange(-m // 2, m // 2).astype(float)
+    modes.setflags(write=False)
+    return modes
+
+
+def _mode_weights(m: int, radius) -> np.ndarray | float:
+    """``radius ** n`` on the modes of an ``m``-point grid; 1.0 at radius 1.
+
+    Raises ``ValueError`` before any power is taken when a weight would
+    leave the normal float range, ``(m/2) |ln radius| > -ln(tiny)``.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if radius == 1.0:
+        return 1.0
+    if not m / 2 * abs(math.log(radius)) <= _LOG_TINY:
+        raise ValueError(
+            f"radius {radius!r} on a grid of m = {m} points needs weights "
+            f"radius**n up to |n| = {m // 2} beyond the float range "
+            f"(need (m/2)|ln radius| <= {_LOG_TINY:.1f})")
+    return radius ** _modes(m)
+
+
+def _half_swap(a: np.ndarray) -> np.ndarray:
+    """Swap the two halves of an even-length array (``fftshift``)."""
+    h = a.size // 2
+    return np.concatenate((a[h:], a[:h]))
+
+
+@functools.lru_cache(maxsize=64)
+def _roots_of_unity(m: int) -> np.ndarray:
+    """Read-only ``exp(2 pi i k / m)``, ``k = 0 .. m - 1``."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots.setflags(write=False)
+    return roots
+
+
 def unit_circle_grid(m: int, radius: float = 1.0) -> np.ndarray:
-    """Return the ``m`` uniform sample points ``r * exp(2 pi i k / m)``."""
-    return radius * np.exp(2j * np.pi * np.arange(m) / m)
+    """Return the ``m`` uniform sample points ``r * exp(2 pi i k / m)``.
+
+    The roots of unity are computed once per ``m`` and cached; each call
+    returns a new writable array.
+    """
+    return radius * _roots_of_unity(m)
 
 
 def pointwise(method):
@@ -90,31 +141,32 @@ class CircleFunction:
 
     The samples determine Laurent coefficients ``c_n`` for
     ``n in [-M/2, M/2)`` via the FFT, rescaled so that ``c_n`` is the
-    coefficient of ``lambda^n`` on the sampling circle.
+    coefficient of ``lambda^n`` on the sampling circle.  The rescaling
+    weights ``radius**n`` come from a mode table cached per ``M`` (the
+    scalar 1.0 at radius 1); the constructors raise ``ValueError`` when
+    ``(M/2) |ln radius|`` exceeds ``-ln`` of the smallest normal float
+    (about 708.4), where a weight would overflow or go subnormal.  The
+    constructor keeps a read-only copy of the caller's samples.
     """
 
     __slots__ = ("_radius", "_samples", "_coeffs")
 
-    def __init__(self, samples: Sequence[complex], radius: float = 1.0, *,
-                 _coeffs: np.ndarray | None = None):
-        samples = np.asarray(samples, dtype=complex)
+    def __init__(self, samples: Sequence[complex], radius: float = 1.0):
+        samples = np.array(samples, dtype=complex)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        _check_sample_count(samples.size)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
         m = samples.size
-        if _coeffs is None:
-            chat = np.fft.fft(samples) / m
-            modes = np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
-            coeffs = np.fft.fftshift(chat) / (radius ** modes.astype(float))
-        else:
-            coeffs = np.asarray(_coeffs, dtype=complex).copy()
+        _check_sample_count(m)
+        weight = _mode_weights(m, radius)
+        chat = np.fft.fft(samples) / m
+        self._set(samples, _half_swap(chat) / weight, radius)
+
+    def _set(self, samples: np.ndarray, coeffs: np.ndarray, radius) -> None:
         self._radius = float(radius)
-        self._samples = samples.copy()
+        self._samples = samples
         self._coeffs = coeffs
-        self._samples.setflags(write=False)
-        self._coeffs.setflags(write=False)
+        samples.setflags(write=False)
+        coeffs.setflags(write=False)
 
     # -- constructors -------------------------------------------------
 
@@ -137,10 +189,11 @@ class CircleFunction:
             raise ValueError("centered coefficient array must have even length")
         lo = size // 2 - half
         full[lo:lo + coeffs.size] = coeffs
-        modes = np.arange(-size // 2, size // 2)
-        chat = np.fft.ifftshift(full * radius ** modes.astype(float))
-        samples = np.fft.ifft(chat) * size
-        return cls(samples, radius, _coeffs=full)
+        weight = _mode_weights(size, radius)
+        samples = np.fft.ifft(_half_swap(full * weight)) * size
+        g = cls.__new__(cls)
+        g._set(samples, full, radius)
+        return g
 
     # -- basic accessors ----------------------------------------------
 

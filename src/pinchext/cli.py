@@ -127,7 +127,10 @@ def _build_curves(section: configparser.SectionProxy) -> List[DiscFunction]:
                   key=lambda s: (len(s), s))
     for key in keys:
         tokens = section.get(key).split()
-        curves.append(DiscFunction([_parse_complex_pair(t) for t in tokens]))
+        try:
+            curves.append(DiscFunction([_parse_complex_pair(t) for t in tokens]))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     return curves
 
 

@@ -88,6 +88,7 @@ _MATCH_RADIUS = 0.05
 _POLE_LINE_EXCLUSION = 1e-2
 _PROBE_ANGLES = 64
 _BOUND_SLACK = 1e-6
+_TINY = float(np.finfo(float).tiny)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +185,10 @@ class DiscFunction:
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
     sampled supremum on the unit circle, which by the maximum principle
     bounds ``phi`` on the closed disc; it is computed on first read (at
-    construction when ``require_into_disc`` is set).
+    construction when ``require_into_disc`` is set).  A highest kept
+    coefficient below the smallest normal float, with a nonzero one below
+    it, raises ``ValueError``: the zeros of such a curve are not
+    computable in floating point.
     """
 
     __slots__ = ("coeffs", "_sup_bound")
@@ -196,6 +200,8 @@ class DiscFunction:
             if arr.size == 0:
                 arr = np.zeros(1, dtype=complex)
         arr = arr[:_kept_lengths(arr[None])[0]]
+        if 0 < abs(arr[-1]) < _TINY and arr[:-1].any():
+            raise ValueError(_subnormal_top_message(arr.size - 1, arr[-1]))
         self.coeffs = tuple(complex(c) for c in arr)
         self._sup_bound = None
         if require_into_disc and self.sup_bound >= 1.0 + _DISC_SLACK:
@@ -261,6 +267,12 @@ def _kept_lengths(rows: np.ndarray) -> np.ndarray:
     return np.where(top > 0, rows.shape[1] - np.argmax(kept[:, ::-1], axis=1), 1)
 
 
+def _subnormal_top_message(index: int, value: complex) -> str:
+    return (f"highest kept coefficient c_{index} = {complex(value)!r} is "
+            f"below the smallest normal float {_TINY:.4e}; its zeros are not "
+            "computable in floating point")
+
+
 def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
     """Zeros of each row of ascending coefficients; ``None`` for a zero row.
 
@@ -271,6 +283,10 @@ def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
     diagonal) go to one stacked ``np.linalg.eigvals`` call, and one zero
     root is appended per stripped low coefficient.  A constant times
     ``lambda**m`` gives ``m`` zeros as a float array, as ``np.roots`` does.
+
+    Raises ``ValueError`` naming the row when a row with a companion
+    matrix has a subnormal highest kept coefficient: dividing by it
+    overflows.
     """
     rows = np.asarray(rows, dtype=complex)
     width = rows.shape[1]
@@ -278,6 +294,12 @@ def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
     found = live.any(axis=1)
     low = np.argmax(live, axis=1)
     high = width - 1 - np.argmax(live[:, ::-1], axis=1)
+    tops = rows[np.arange(len(rows)), high]
+    subnormal = np.nonzero(found & (high > low) & (np.abs(tops) < _TINY))[0]
+    if subnormal.size:
+        i = int(subnormal[0])
+        raise ValueError(
+            f"row {i}: {_subnormal_top_message(int(high[i]), tops[i])}")
     out: List[Optional[np.ndarray]] = [None] * len(rows)
     for lo, hi in set(zip(low[found].tolist(), high[found].tolist())):
         members = np.nonzero(found & (low == lo) & (high == hi))[0]

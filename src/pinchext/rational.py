@@ -322,7 +322,7 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
         raise ValueError(
             f"grid size {m} resolves only {length} coefficients; "
             f"need {2 * s_dim} for pole bound {n_max}")
-    h = np.array([psi.coeff(-(k + 1)) for k in range(length)], dtype=complex)
+    h = psi.coeffs[m // 2 - length:m // 2][::-1].copy()  # c_{-1}, c_{-2}, ...
     top = float(np.abs(h).max())
     if top == 0.0:
         return RationalityVerdict(kind="rational", n_max=n_max, rank=0,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -117,6 +118,25 @@ def test_radius_scaling():
     # samples of lam^2 on radius 2: c_2 must still be 1
     g = analyze((2.0 * tau(64)) ** 2, 2.0)
     assert abs(g.coeff(2) - 1.0) < 1e-13
+
+
+def test_radius_overflowing_weights_rejected():
+    # (m/2)|ln r| = 2048 ln 2 > 708.4: r**n overflows or goes subnormal on
+    # the modes, so both constructors refuse before taking any power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: analyze((2.0 * tau(4096)) ** 2, 2.0),
+                     lambda: CircleFunction(np.ones(4096), 0.5),
+                     lambda: CircleFunction.from_coefficients(
+                         np.ones(16), 2.0, m=4096)):
+            with pytest.raises(ValueError, match=r"radius .*m = 4096"):
+                make()
+        # just inside the range every weight is a normal float
+        r = math.exp(700.0 / 2048)
+        g = CircleFunction.from_coefficients(np.ones(4096), r)
+        assert np.isfinite(g.samples).all()
+        # radius 1 is never affected
+        assert CircleFunction(np.ones(2 ** 16)).coeff(0) == 1.0
 
 
 # ------------------------------------------------------------- projection
@@ -276,6 +296,14 @@ def test_csv_round_trip(tmp_path, rng):
     back = circle_from_csv(path)
     assert back.radius == g.radius
     npt.assert_array_equal(back.samples, g.samples)
+
+
+def test_unit_circle_grid_is_a_fresh_array():
+    # the roots of unity are cached, but callers get their own copy
+    a = unit_circle_grid(64)
+    a[0] = 5.0
+    assert unit_circle_grid(64)[0] == 1.0
+    assert unit_circle_grid(64, 0.5).flags.writeable
 
 
 def test_csv_missing_radius(tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,25 @@ curve_3 = 0,0 0.5,0
 """)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "curves 1 and 2 coincide" in capsys.readouterr().err
+
+
+def test_subnormal_curve_coefficient_is_config_error(tmp_path, capsys):
+    # the zeros of curve_2 are not computable in floating point; the
+    # config is refused naming the curve, before any warning
+    cfg = write_config(tmp_path, """
+[function]
+name = remark1
+
+[curves]
+curve_1 = -0.1,0 0.7,0
+curve_2 = 0,3.4e-308 0,2.2e-311
+curve_3 = 0,0 0.5,0
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid curve: curve_2: highest kept coefficient" in err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,7 +20,7 @@ from pinchext import (BandwidthError, CoefficientLadder, ConvergenceError,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
-                                _mpf_to_decimal)
+                                _mpf_to_decimal, _roots_of_rows)
 from pinchext.gallery import remark1_ring
 
 
@@ -66,6 +67,22 @@ def test_disc_function_into_disc_check():
     with pytest.raises(ValueError):
         DiscFunction([0.9, 0.9])
     DiscFunction([0, 1.0])  # lam itself: closed-disc boundary is allowed
+
+
+def test_subnormal_top_coefficient_rejected():
+    # -p[1:] / p[0] would overflow the companion matrix; the error names
+    # the row and the coefficient instead, with no warning
+    rows = np.array([[0.5, 0.25], [3.4e-308j, 2.2e-311j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"row 1: .*c_1 = 2\.2e-311j"):
+            _roots_of_rows(rows)
+        with pytest.raises(ValueError, match=r"c_1 = 2\.2e-311j .*normal"):
+            DiscFunction([3.4e-308j, 2.2e-311j])
+    # no division for a constant or a monomial: their zeros are exact
+    assert DiscFunction([1e-320]).roots().size == 0
+    assert DiscFunction([0, 0, 1e-320]).roots().size == 2
+    assert _roots_of_rows(np.array([[3e-308 - 2.9e-308]]))[0].size == 0
 
 
 def test_disc_function_roots():

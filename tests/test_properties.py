@@ -3,13 +3,19 @@
 Runs are derandomized, so every run draws the same examples.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pinchext import (CircleFunction, DiscFunction, hardy_project_minus,
-                      hilbert_transform, validate_test_family,
-                      validate_test_sequence, winding_number)
+from pinchext import (CircleFunction, DiscFunction, circle_from_csv,
+                      circle_to_csv, hardy_project_minus, hardy_split,
+                      hilbert_transform, unit_circle_grid,
+                      validate_test_family, validate_test_sequence,
+                      winding_number)
 from pinchext.extension import _roots_of_rows
 
 
@@ -128,3 +134,90 @@ def test_roots_of_rows_match_np_roots(rows):
         else:
             assert found.dtype == expected.dtype
             assert np.array_equal(found, expected)
+
+
+def reference_circle(samples, radius):
+    """``(samples, coeffs)`` of ``CircleFunction(samples, radius)`` by the
+    formulas it had before its mode tables were cached."""
+    m = samples.size
+    chat = np.fft.fft(samples) / m
+    modes = np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
+    return samples, np.fft.fftshift(chat) / (radius ** modes.astype(float))
+
+
+def reference_from_coefficients(full, radius):
+    """``(samples, coeffs)`` of ``from_coefficients`` for a full-grid
+    coefficient array, by the same earlier formulas."""
+    size = full.size
+    modes = np.arange(-size // 2, size // 2)
+    chat = np.fft.ifftshift(full * radius ** modes.astype(float))
+    return np.fft.ifft(chat) * size, full
+
+
+def same_bytes(got, expected):
+    """Equal bits, signed zeros included."""
+    expected = np.asarray(expected)
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and np.array_equal(got.view(np.uint8), expected.view(np.uint8)))
+
+
+@st.composite
+def signed_zero_samples(draw, sizes):
+    """Complex samples of a drawn size with some parts set to +0.0 or -0.0."""
+    m = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    for part in (samples.real, samples.imag):
+        hit = rng.random(m) < share
+        part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return samples
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(signed_zero_samples([2 ** k for k in range(4, 13)]),
+       st.sampled_from([1.0, 0.5, 0.875, 1.125]))
+def test_circle_function_bits_match_reference(samples, radius):
+    # the cached tables and half swaps change no bit of either constructor,
+    # of the Hardy split or of the sample grid
+    m = samples.size
+    assert same_bytes(unit_circle_grid(m, radius),
+                      radius * np.exp(2j * np.pi * np.arange(m) / m))
+    if m / 2 * abs(np.log(radius)) > 708.4:   # 0.5 on 2048 and 4096 points
+        with pytest.raises(ValueError, match="radius"):
+            CircleFunction(samples, radius)
+        return
+    g = CircleFunction(samples, radius)
+    for got, expected in zip((g.samples, g.coeffs),
+                             reference_circle(samples, radius)):
+        assert same_bytes(got, expected)
+    padded = np.zeros(m, dtype=complex)
+    padded[m // 4:3 * m // 4] = samples[:m // 2]
+    for coeffs, size, full in ((samples, None, samples),
+                               (samples[:m // 2], m, padded)):
+        h = CircleFunction.from_coefficients(coeffs, radius, m=size)
+        for got, expected in zip((h.samples, h.coeffs),
+                                 reference_from_coefficients(full, radius)):
+            assert same_bytes(got, expected)
+    if radius == 1.0:
+        split = hardy_split(g)
+        for part, keep in ((split.plus, slice(m // 2, None)),
+                           (split.minus, slice(None, m // 2))):
+            full = np.zeros(m, dtype=complex)
+            full[keep] = g.coeffs[keep]
+            for got, expected in zip((part.samples, part.coeffs),
+                                     reference_from_coefficients(full, 1.0)):
+                assert same_bytes(got, expected)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(signed_zero_samples([16, 64, 256, 1024]), st.floats(0.5, 2.0))
+def test_csv_round_trip_keeps_bits(samples, radius):
+    g = CircleFunction(samples, radius)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "circle.csv"
+        circle_to_csv(g, path)
+        back = circle_from_csv(path)
+    assert back.radius == g.radius
+    assert same_bytes(back.samples, g.samples)
+    assert same_bytes(back.coeffs, g.coeffs)
