@@ -86,9 +86,25 @@ def _mode_weights(m: int, radius) -> np.ndarray | float:
 
 
 def _half_swap(a: np.ndarray) -> np.ndarray:
-    """Swap the two halves of an even-length array (``fftshift``)."""
-    h = a.size // 2
-    return np.concatenate((a[h:], a[:h]))
+    """Swap the two halves of the even-length last axis (``fftshift``).
+
+    One row is one circle function; a stack of rows is swapped row by row.
+    """
+    h = a.shape[-1] // 2
+    return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
+
+
+def _coeffs_from_samples(samples: np.ndarray, radius) -> np.ndarray:
+    """Centered Laurent coefficients of the samples on the last axis."""
+    m = samples.shape[-1]
+    weight = _mode_weights(m, radius)
+    return _half_swap(np.fft.fft(samples) / m) / weight
+
+
+def _samples_from_coeffs(coeffs: np.ndarray, radius) -> np.ndarray:
+    """Samples of the centered Laurent coefficients on the last axis."""
+    m = coeffs.shape[-1]
+    return np.fft.ifft(_half_swap(coeffs * _mode_weights(m, radius))) * m
 
 
 @functools.lru_cache(maxsize=64)
@@ -155,11 +171,8 @@ class CircleFunction:
         samples = np.array(samples, dtype=complex)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        m = samples.size
-        _check_sample_count(m)
-        weight = _mode_weights(m, radius)
-        chat = np.fft.fft(samples) / m
-        self._set(samples, _half_swap(chat) / weight, radius)
+        _check_sample_count(samples.size)
+        self._set(samples, _coeffs_from_samples(samples, radius), radius)
 
     def _set(self, samples: np.ndarray, coeffs: np.ndarray, radius) -> None:
         self._radius = float(radius)
@@ -189,10 +202,15 @@ class CircleFunction:
             raise ValueError("centered coefficient array must have even length")
         lo = size // 2 - half
         full[lo:lo + coeffs.size] = coeffs
-        weight = _mode_weights(size, radius)
-        samples = np.fft.ifft(_half_swap(full * weight)) * size
+        return cls._from_parts(_samples_from_coeffs(full, radius), full,
+                               radius)
+
+    @classmethod
+    def _from_parts(cls, samples: np.ndarray, coeffs: np.ndarray,
+                    radius) -> "CircleFunction":
+        """Wrap matching samples and coefficients without a transform."""
         g = cls.__new__(cls)
-        g._set(samples, full, radius)
+        g._set(samples, coeffs, radius)
         return g
 
     # -- basic accessors ----------------------------------------------

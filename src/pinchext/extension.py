@@ -38,11 +38,17 @@ Numerical notes
   ``float(Decimal)``, which rounds correctly.
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
-  detection; this is the working-precision floor of the ladder.
+  detection; this is the working-precision floor of the ladder.  The
+  rows of the ``A_n`` and of each level are cleaned and projected as one
+  stack: one FFT and one inverse FFT of the Hardy-minus parts, with
+  row-by-row bits.
 * The level functions behind the Blaschke diagnostics run that recursion
   literally on the last three curves: ``f_{0,k} = f(., phi_k)`` and
   ``f_{n,k} = (f_{n-1,k} - A_{n-1}) / phi_k``, one subtraction and one
-  division per level in the kernel's number type.
+  division per level in the kernel's number type.  The ladder keeps each
+  cleaned level function and its poles; the Blaschke-corrected
+  ``f_{n,k} * B`` behind :class:`LevelDiagnostic` is computed when it is
+  read.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .boundary import (CircleFunction, distance_product, hardy_project_minus,
-                       hardy_split, pointwise, require_resolved,
+from .boundary import (CircleFunction, _coeffs_from_samples,
+                       _samples_from_coeffs, distance_product,
+                       hardy_project_minus, pointwise, require_resolved,
                        unit_circle_grid)
 from .errors import (CircleVanishingError, ConvergenceError, DomainError)
 from .rational import (_CLUSTER_RADIUS, RationalPart, _single_linkage,
@@ -273,7 +280,9 @@ def _subnormal_top_message(index: int, value: complex) -> str:
             "computable in floating point")
 
 
-def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
+def _roots_of_rows(rows: np.ndarray,
+                   name: Callable[[int], str] = "row {}".format
+                   ) -> List[Optional[np.ndarray]]:
     """Zeros of each row of ascending coefficients; ``None`` for a zero row.
 
     Row by row this is ``np.roots`` of the row after ``DiscFunction``'s tail
@@ -284,9 +293,9 @@ def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
     root is appended per stripped low coefficient.  A constant times
     ``lambda**m`` gives ``m`` zeros as a float array, as ``np.roots`` does.
 
-    Raises ``ValueError`` naming the row when a row with a companion
-    matrix has a subnormal highest kept coefficient: dividing by it
-    overflows.
+    Raises ``ValueError`` naming the row (``name(i)``, by default
+    ``row i``) when a row with a companion matrix has a subnormal highest
+    kept coefficient: dividing by it overflows.
     """
     rows = np.asarray(rows, dtype=complex)
     width = rows.shape[1]
@@ -299,7 +308,7 @@ def _roots_of_rows(rows: np.ndarray) -> List[Optional[np.ndarray]]:
     if subnormal.size:
         i = int(subnormal[0])
         raise ValueError(
-            f"row {i}: {_subnormal_top_message(int(high[i]), tops[i])}")
+            f"{name(i)}: {_subnormal_top_message(int(high[i]), tops[i])}")
     out: List[Optional[np.ndarray]] = [None] * len(rows)
     for lo, hi in set(zip(low[found].tolist(), high[found].tolist())):
         members = np.nonzero(found & (low == lo) & (high == hi))[0]
@@ -377,13 +386,41 @@ class LadderEntry:
 
 @dataclass(frozen=True)
 class LevelDiagnostic:
-    """Blaschke-correction bookkeeping for one level/curve pair."""
+    """Blaschke-correction bookkeeping for one level/curve pair.
+
+    Holds the level function ``f_{n,k}`` as its cleaned centered Laurent
+    coefficients on the unit circle (read-only) and the poles found in
+    its Hardy-minus part.  The corrected function ``f_{n,k} * B``, with
+    ``B`` the Blaschke product vanishing at those poles, is computed when
+    ``corrected_sup`` or ``projection_residual`` is read; nothing is
+    cached, so every read does one Blaschke correction.
+    """
 
     level: int
     curve_index: int
-    pole_count: int
-    corrected_sup: float
-    projection_residual: float
+    level_coeffs: np.ndarray = field(repr=False, compare=False)
+    poles: Tuple[Tuple[complex, int], ...] = ()
+
+    @property
+    def pole_count(self) -> int:
+        return sum(mult for _, mult in self.poles)
+
+    def _corrected(self) -> CircleFunction:
+        level_fn = CircleFunction.from_coefficients(self.level_coeffs, 1.0)
+        blaschke = blaschke_from_zeros(
+            [p for p, mult in self.poles for _ in range(mult)])
+        return level_fn * CircleFunction(
+            blaschke(unit_circle_grid(level_fn.size)), 1.0)
+
+    @property
+    def corrected_sup(self) -> float:
+        """Sup norm of ``f_{n,k} * B`` on the unit circle."""
+        return self._corrected().sup_norm
+
+    @property
+    def projection_residual(self) -> float:
+        """Sup norm of the Hardy-minus part of ``f_{n,k} * B``."""
+        return hardy_project_minus(self._corrected()).sup_norm
 
 
 @dataclass(frozen=True)
@@ -673,13 +710,29 @@ def _interp_prefixes(nodes, dd, n_keep: int,
     return out
 
 
-def _clean_coefficients(g: CircleFunction, abs_floor: float) -> CircleFunction:
-    coeffs = g.coeffs.copy()
+def _clean_and_project(rows: np.ndarray, abs_floor: float
+                       ) -> Tuple[np.ndarray, List[CircleFunction]]:
+    """Clean each row's Laurent coefficients and take its Hardy-minus part.
+
+    ``rows`` is a ``(k, m)`` stack of samples on the unit circle.  Returns
+    the read-only ``(k, m)`` cleaned centered coefficients and, per row,
+    the Hardy-minus part of the cleaned function.  A coefficient is zeroed
+    below ``max(1e-7 * max |c|, abs_floor)`` of its row.  Row by row this
+    is ``CircleFunction(row)``, that floor and ``hardy_project_minus``,
+    with the same bits, at one stacked FFT and one stacked inverse FFT.
+    """
+    coeffs = _coeffs_from_samples(rows, 1.0)
     mags = np.abs(coeffs)
-    top = mags.max()
-    floor = max(_CLEAN_REL_FLOOR * top, abs_floor)
-    coeffs[mags < floor] = 0.0
-    return CircleFunction.from_coefficients(coeffs, g.radius)
+    rel = _CLEAN_REL_FLOOR * mags.max(axis=1)
+    # Python's max(rel, abs_floor), NaN cases included
+    floor = np.where(abs_floor > rel, abs_floor, rel)
+    coeffs[mags < floor[:, None]] = 0.0
+    coeffs.setflags(write=False)
+    minus = coeffs.copy()
+    minus[:, rows.shape[1] // 2:] = 0
+    samples = _samples_from_coeffs(minus, 1.0)
+    return coeffs, [CircleFunction._from_parts(s, c, 1.0)
+                    for s, c in zip(samples, minus)]
 
 
 def _match_allowance(pole: complex, mult: int, level: int,
@@ -829,23 +882,17 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                 f"error of {projected:.3e} against the tolerance "
                 f"{ladder_tol:.1e} x scale {scale:.3e}")
 
-    # -- circle functions + cleanup --------------------------------------
-    a_circle: List[CircleFunction] = []
-    for n in range(n_keep):
-        a_circle.append(_clean_coefficients(
-            CircleFunction(coeff_samples[n], 1.0), abs_floor))
-
-    # -- split into rational part + tail, check pole conformity ----------
+    # -- cleaned coefficients, split into rational part + tail ------------
     # level n may carry n*N + M poles; detection gets that clipped to 1..16
+    a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
     allowed = [n * n_total + m_total for n in range(n_keep)]
     budgets = [min(16, max(1, a)) for a in allowed]
     entries: List[LadderEntry] = []
     for n in range(n_keep):
-        split = hardy_split(a_circle[n])
-        if split.minus.sup_norm <= noise_floor:
+        if a_minus[n].sup_norm <= noise_floor:
             rp = RationalPart(poles=())
         else:
-            verdict = detect_rational(split.minus, budgets[n],
+            verdict = detect_rational(a_minus[n], budgets[n],
                                       delta_pole=eps / 2.0)
             if not verdict.is_rational:
                 raise ConvergenceError(
@@ -862,12 +909,12 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                 raise ConvergenceError(
                     f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
                     "poles must accumulate at curve zeros or extension poles")
-        tail_coeffs = split.plus.coeffs[split.plus.size // 2:]
+        tail_coeffs = a_coeffs[n, m // 2:]
         nz = np.nonzero(tail_coeffs)[0]
         tail = tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1]) if nz.size else ()
         entries.append(LadderEntry(n=n, rational=rp, tail=tail))
 
-    # -- Blaschke-corrected level functions (diagnostics) -----------------
+    # -- level functions and their poles (diagnostics) --------------------
     diagnostics: List[LevelDiagnostic] = []
     first_check = max(0, kcurves - 3)
     level_values = values[first_check:]
@@ -876,9 +923,10 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             with decimal.localcontext(dec_ctx):
                 level_values = ((level_values - coeffs[n - 1])
                                 / nodes[first_check:])
-        for k, row in enumerate(level_values.astype(complex), first_check):
-            level_fn = _clean_coefficients(CircleFunction(row, 1.0), abs_floor)
-            psi = hardy_project_minus(level_fn)
+        level_coeffs, level_minus = _clean_and_project(
+            level_values.astype(complex), abs_floor)
+        for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
+                                       first_check):
             if psi.sup_norm <= noise_floor:
                 poles: Tuple[Tuple[complex, int], ...] = ()
             else:
@@ -888,18 +936,13 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                         f"level function f_{n},{k} is not rational within the "
                         f"pole budget {budgets[n]}")
                 poles = verdict.rational.pole_list
-            count = sum(mult for _, mult in poles)
-            if count > allowed[n]:
+            diag = LevelDiagnostic(level=n, curve_index=k, level_coeffs=row,
+                                   poles=poles)
+            if diag.pole_count > allowed[n]:
                 raise ConvergenceError(
-                    f"pole count {count} at level {n} exceeds the budget "
-                    f"n*N + M = {allowed[n]}")
-            flat = [p for p, mult in poles for _ in range(mult)]
-            blaschke = blaschke_from_zeros(flat)
-            corrected = level_fn * CircleFunction(blaschke(grid), 1.0)
-            diagnostics.append(LevelDiagnostic(
-                level=n, curve_index=k, pole_count=count,
-                corrected_sup=corrected.sup_norm,
-                projection_residual=hardy_project_minus(corrected).sup_norm))
+                    f"pole count {diag.pole_count} at level {n} exceeds the "
+                    f"budget n*N + M = {allowed[n]}")
+            diagnostics.append(diag)
 
     # -- bound constants ---------------------------------------------------
     c_bound = 0.0

@@ -184,15 +184,21 @@ def _coefficient_table(curves: Sequence[DiscFunction]) -> np.ndarray:
     return table
 
 
-def _difference_zeros(table: np.ndarray, first, second
+def _difference_zeros(table: np.ndarray, first, second,
+                      name: Optional[Callable[[int], str]] = None
                       ) -> List[Optional[np.ndarray]]:
     """``roots()`` of each difference of columns ``first - second``.
 
     ``(0 + a) - b`` on the zero-padded columns repeats the arithmetic of
     ``curve_difference``, signed zeros included, and one
-    ``_roots_of_rows`` call finds the zeros of every difference.
+    ``_roots_of_rows`` call finds the zeros of every difference.  A
+    difference whose zeros are not computable raises ``ValueError`` named
+    by ``name(i)``, by default ``curves first[i] and second[i]``.
     """
-    return _roots_of_rows(((0 + table[:, first]) - table[:, second]).T)
+    if name is None:
+        def name(i):
+            return f"curves {first[i]} and {second[i]}"
+    return _roots_of_rows(((0 + table[:, first]) - table[:, second]).T, name)
 
 
 def _zeros_against(curves: Sequence[DiscFunction],
@@ -200,7 +206,7 @@ def _zeros_against(curves: Sequence[DiscFunction],
     """``roots()`` of ``phi - base`` for each curve ``phi``."""
     k = len(curves)
     return _difference_zeros(_coefficient_table([*curves, base]),
-                             np.arange(k), [k])
+                             np.arange(k), [k], "curve {} and phi_0".format)
 
 
 def _in_disc(zeros: Optional[np.ndarray]) -> Optional[np.ndarray]:

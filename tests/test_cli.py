@@ -268,6 +268,26 @@ curve_3 = 0,0 0.5,0
     assert "error: invalid curve: curve_2: highest kept coefficient" in err
 
 
+def test_curve_difference_error_names_the_curves(tmp_path, capsys):
+    # each curve is valid, but curve_1 - curve_2 has the subnormal top
+    # coefficient 1e-309 above a nonzero constant
+    cfg = write_config(tmp_path, """
+[function]
+name = remark1
+
+[curves]
+curve_1 = 1e-300,0 3e-308,0
+curve_2 = 0,0 2.9e-308,0
+curve_3 = 0,0 0.5,0
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert ("error: curves 0 and 1: highest kept coefficient "
+            "c_1 = (1e-309+0j)") in err
+
+
 def test_cli_import_does_not_load_scipy():
     # importing scipy.linalg would cost about half of the CLI start-up
     env = dict(os.environ,

@@ -11,11 +11,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pinchext import (BandwidthError, CoefficientLadder, ConvergenceError,
-                      DiscFunction, DomainError, LadderEntry, PinchDescriptor,
-                      RationalPart, RingFunction, coefficient_ladder,
-                      curve_difference, evaluate_extension, extension_test,
-                      hardy_project_minus, pinch_estimate,
+from pinchext import (BandwidthError, CircleFunction, CoefficientLadder,
+                      ConvergenceError, DiscFunction, DomainError, LadderEntry,
+                      PinchDescriptor, RationalPart, RingFunction,
+                      blaschke_from_zeros, coefficient_ladder,
+                      curve_difference, evaluate_extension, extension,
+                      extension_test, hardy_project_minus, pinch_estimate,
                       restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
@@ -380,7 +381,7 @@ def test_ladder_rejects_circle_vanishing_curve(exp_ring):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
 
 
-def test_ladder_diagnostics(exp_ladder):
+def test_ladder_diagnostics(exp_ring, exp_ladder):
     # Records run level by level over the last three of the 12 curves.
     # Blaschke-corrected level functions stay bounded by C*C1 and their
     # Hardy-minus projections are tiny (pole cancellation); the level
@@ -388,10 +389,49 @@ def test_ladder_diagnostics(exp_ladder):
     assert [(d.level, d.curve_index) for d in exp_ladder.diagnostics] == [
         (n, k) for n in range(exp_ladder.depth + 1) for k in (9, 10, 11)]
     bound = exp_ladder.c_bound * exp_ladder.c1_bound
+    grid = unit_circle_grid(64)
     for diag in exp_ladder.diagnostics:
         assert diag.corrected_sup <= bound * (1.0 + 1e-6)
         assert diag.projection_residual < 1e-8
         assert diag.pole_count == diag.level
+        assert diag.poles == (((0j, diag.level),) if diag.level else ())
+        # the stored level function is f_{n,k} = (f_{n-1,k} - A_{n-1}) /
+        # phi_k, rebuilt from the curve and the entries; the ladder's own
+        # recursion runs on the raw interpolants at extended precision, so
+        # they agree to rounding amplified by |1/phi_k|^n
+        n, k = diag.level, diag.curve_index + 1
+        phi = grid / k
+        rebuilt = exp_ring.eval_many(grid, phi)
+        for entry in exp_ladder.entries[:n]:
+            rebuilt = (rebuilt - entry(grid)) / phi
+        level_fn = CircleFunction.from_coefficients(diag.level_coeffs, 1.0)
+        assert np.abs(level_fn.samples - rebuilt).max() <= 1e-14 * k ** n
+        # the eager correction of the level function by the Blaschke
+        # product of its poles gives the same floats, bit for bit
+        blaschke = blaschke_from_zeros(
+            [p for p, mult in diag.poles for _ in range(mult)])
+        corrected = level_fn * CircleFunction(blaschke(grid), 1.0)
+        assert diag.corrected_sup == corrected.sup_norm
+        assert (diag.projection_residual
+                == hardy_project_minus(corrected).sup_norm)
+
+
+def test_ladder_computes_blaschke_correction_on_read(monkeypatch, exp_ring):
+    # building a ladder forms no Blaschke product; each read of a
+    # corrected quantity forms one
+    calls = []
+    original = extension.blaschke_from_zeros
+    monkeypatch.setattr(extension, "blaschke_from_zeros",
+                        lambda zeros: calls.append(1) or original(zeros))
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 11)]
+    ladder = coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+    assert len(calls) == 0
+    diag = ladder.diagnostics[-1]
+    first = diag.corrected_sup
+    assert len(calls) == 1
+    assert diag.corrected_sup == first and len(calls) == 2
+    diag.projection_residual
+    assert len(calls) == 3
 
 
 def test_ladder_consistency(exp_ring, exp_ladder):

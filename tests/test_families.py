@@ -212,6 +212,17 @@ def test_general_position_names_first_coinciding_pair():
         general_position_check([a, b, a, b], ZERO, [0.5 + 0j])
 
 
+def test_uncomputable_differences_name_their_curves():
+    # every curve is valid, but some differences have a subnormal top
+    # coefficient above a nonzero constant; the error names the curves
+    tiny = [DiscFunction([1e-300, 3e-308]), DiscFunction([0, 2.9e-308]),
+            DiscFunction([0, 0.5])]
+    with pytest.raises(ValueError, match=r"^curves 0 and 1: highest kept"):
+        validate_test_family(tiny, 2, 0.3)
+    with pytest.raises(ValueError, match=r"^curve 1 and phi_0: highest kept"):
+        validate_test_sequence([DiscFunction([0, 0.1])] + tiny[1:], tiny[0], 2)
+
+
 def _records_by_pair_loop(curves, phi0, probes):
     """Reference general-position scan: one ``np.roots`` and one
     ``polyval`` per curve pair, on ``curve_difference``."""

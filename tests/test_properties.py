@@ -16,7 +16,7 @@ from pinchext import (CircleFunction, DiscFunction, circle_from_csv,
                       hilbert_transform, unit_circle_grid,
                       validate_test_family, validate_test_sequence,
                       winding_number)
-from pinchext.extension import _roots_of_rows
+from pinchext.extension import _clean_and_project, _roots_of_rows
 
 
 @st.composite
@@ -208,6 +208,55 @@ def test_circle_function_bits_match_reference(samples, radius):
             for got, expected in zip((part.samples, part.coeffs),
                                      reference_from_coefficients(full, 1.0)):
                 assert same_bytes(got, expected)
+
+
+@st.composite
+def sample_stacks(draw):
+    """A ``(k, m)`` stack of circle samples: k in 1..12, m in 16..4096, with
+    signed zeros and some rows zero, scaled to tiny magnitudes or set to
+    a constant ``-0.0 +- 1j``."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([2 ** e for e in range(4, 13)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    for part in (rows.real, rows.imag):
+        hit = rng.random((k, m)) < share
+        part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    kinds = draw(st.lists(st.sampled_from(
+        [1.0, 0.0, 1e-9, 1e-300, 1e-310, "constant"]), min_size=k, max_size=k))
+    for row, kind in zip(rows, kinds):
+        if kind == "constant":
+            # a kept coefficient c_0 with a signed-zero real part
+            row[:] = complex(-0.0, rng.choice([-1.0, 1.0]))
+        else:
+            row *= kind
+    return rows
+
+
+def reference_clean_and_project(row, abs_floor):
+    """Cleaned coefficients and Hardy-minus part of one row, one circle
+    function at a time as the ladder built them before stacking."""
+    coeffs = CircleFunction(row, 1.0).coeffs.copy()
+    mags = np.abs(coeffs)
+    coeffs[mags < max(1e-7 * mags.max(), abs_floor)] = 0.0
+    cleaned = CircleFunction.from_coefficients(coeffs, 1.0)
+    return cleaned.coeffs, hardy_project_minus(cleaned)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(sample_stacks(), st.sampled_from([1e-312, 1e-300, 1e-12, 1e-3]))
+def test_clean_and_project_bits_match_per_row(rows, abs_floor):
+    # numpy does not promise that a stacked FFT gives each row the bits of
+    # its own FFT; the ladder's stacked cleaning relies on it
+    coeffs, minus = _clean_and_project(rows, abs_floor)
+    assert coeffs.shape == rows.shape and len(minus) == len(rows)
+    for row, got_coeffs, got_minus in zip(rows, coeffs, minus):
+        ref_coeffs, ref_minus = reference_clean_and_project(row, abs_floor)
+        assert same_bytes(got_coeffs, ref_coeffs)
+        assert same_bytes(got_minus.samples, ref_minus.samples)
+        assert same_bytes(got_minus.coeffs, ref_minus.coeffs)
+        assert got_minus.radius == 1.0
 
 
 @settings(derandomize=True, deadline=None, database=None)
