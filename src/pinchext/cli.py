@@ -239,9 +239,13 @@ def cmd_test(cfg: AnalysisConfig, out_dir: Optional[str] = None,
     if not cfg.curves:
         raise ConfigError("no curves configured")
     ring = _build_ring(cfg)
-    verdicts = [extension_test(ring, phi, cfg.n_max, m=cfg.grid,
-                               holo_tolerance=cfg.holo_tol)
-                for phi in cfg.curves]
+    verdicts = []
+    for idx, phi in enumerate(cfg.curves):
+        try:
+            verdicts.append(extension_test(ring, phi, cfg.n_max, m=cfg.grid,
+                                           holo_tolerance=cfg.holo_tol))
+        except (BandwidthError, DomainError) as exc:
+            raise type(exc)(f"curve {idx}: {exc}") from exc
     records = []
     for idx, verdict in enumerate(verdicts):
         rec = verdict.as_dict()

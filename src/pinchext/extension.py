@@ -36,6 +36,13 @@ Numerical notes
   lose a few ulps more under cancellation; normwise the error stays a
   few ulps.  Results return to complex doubles through
   ``float(Decimal)``, which rounds correctly.
+* Each curve is sampled once.  The ladder's extension tests, its check
+  that no curve vanishes on the circle and, for rings without extended
+  precision, the interpolation read the same ``(K, m)`` nodes
+  ``phi_k(lam)`` and float values ``f(lam, phi_k(lam))``.  The K tests run
+  as one stack (one FFT of the values and one inverse FFT of the
+  Hardy-minus parts, with row-by-row bits); their guards and verdicts are
+  taken row by row in curve order.
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
   detection; this is the working-precision floor of the ladder.  The
@@ -62,11 +69,13 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .boundary import (CircleFunction, _coeffs_from_samples,
-                       _samples_from_coeffs, distance_product,
+from .boundary import (CircleFunction, _check_sample_count,
+                       _coeffs_from_samples, _samples_from_coeffs,
+                       distance_product,
                        hardy_project_minus, pointwise, require_resolved,
                        unit_circle_grid)
-from .errors import (CircleVanishingError, ConvergenceError, DomainError)
+from .errors import (BandwidthError, CircleVanishingError,
+                     ConvergenceError, DomainError)
 from .rational import (_CLUSTER_RADIUS, RationalPart, _single_linkage,
                        blaschke_from_zeros, detect_rational)
 
@@ -89,6 +98,7 @@ __all__ = [
 ]
 
 _DISC_SLACK = 1e-9
+_HOLO_TOLERANCE = 1e-8
 _CLEAN_REL_FLOOR = 1e-7
 _CLEAN_ABS_FLOOR = 1e-12
 _MATCH_RADIUS = 0.05
@@ -192,9 +202,10 @@ class DiscFunction:
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
     sampled supremum on the unit circle, which by the maximum principle
     bounds ``phi`` on the closed disc; it is computed on first read (at
-    construction when ``require_into_disc`` is set).  A highest kept
-    coefficient below the smallest normal float, with a nonzero one below
-    it, raises ``ValueError``: the zeros of such a curve are not
+    construction when ``require_into_disc`` is set).  A coefficient that
+    is not finite raises ``ValueError``, whatever ``require_into_disc`` is;
+    so does a highest kept coefficient below the smallest normal float,
+    with a nonzero one below it: the zeros of such a curve are not
     computable in floating point.
     """
 
@@ -206,6 +217,10 @@ class DiscFunction:
             arr = np.atleast_1d(np.asarray(arr, dtype=complex))
             if arr.size == 0:
                 arr = np.zeros(1, dtype=complex)
+        bad = np.nonzero(~np.isfinite(arr))[0]
+        if bad.size:
+            raise ValueError(f"coefficient c_{bad[0]} = {complex(arr[bad[0]])!r} "
+                             "is not finite")
         arr = arr[:_kept_lengths(arr[None])[0]]
         if 0 < abs(arr[-1]) < _TINY and arr[:-1].any():
             raise ValueError(_subnormal_top_message(arr.size - 1, arr[-1]))
@@ -518,43 +533,109 @@ def minus_part(f: RingFunction) -> RingFunction:
     return RingFunction.from_laurent(terms, f.epsilon, name=f.name)
 
 
+def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
+                   prefix: Callable[[int], str] = "".format) -> Tuple:
+    """Sample the curves once: nodes ``phi_k(lam)`` and values ``f(lam, .)``.
+
+    Returns ``(nodes, values, leaves)``: two ``(j, m)`` complex arrays on
+    the ``m``-point unit-circle grid, one row per curve before the first
+    curve that leaves the z-range of the ring, and for that curve the
+    :class:`DomainError` to raise once the earlier rows are checked
+    (``None`` when every curve stays inside).  Each curve and ``f`` are
+    called once per row.  A grid size that is not a power of two of at
+    least 16 raises ``ValueError`` when there is a row to sample.  The
+    text of that :class:`DomainError`, and of one the evaluator raises on
+    row ``k``, starts with ``prefix(k)``.
+    """
+    grid = unit_circle_grid(m)
+    nodes = np.empty((len(curves), m), dtype=complex)
+    leaves = None
+    for j, phi in enumerate(curves):
+        nodes[j] = phi(grid)
+        zmax = float(np.abs(nodes[j]).max())
+        if zmax >= 1.0 + _DISC_SLACK:
+            leaves = DomainError(
+                f"{prefix(j)}curve leaves the z-range of the ring "
+                f"(sup {zmax:.6f} on |lam|=1)")
+            nodes = nodes[:j]
+            break
+    if len(nodes):
+        _check_sample_count(m)
+    values = np.empty_like(nodes)
+    for k, z in enumerate(nodes):
+        try:
+            values[k] = f.eval_many(grid, z)
+        except DomainError as exc:
+            raise type(exc)(f"{prefix(k)}{exc}") from exc
+    return nodes, values, leaves
+
+
+def _minus_parts(coeffs: np.ndarray) -> List[CircleFunction]:
+    """Hardy-minus part of each row of centered coefficients on the unit
+    circle, at one stacked inverse FFT."""
+    minus = coeffs.copy()
+    minus[:, coeffs.shape[1] // 2:] = 0
+    samples = _samples_from_coeffs(minus, 1.0)
+    return [CircleFunction._from_parts(s, c, 1.0)
+            for s, c in zip(samples, minus)]
+
+
+def _test_rows(values: np.ndarray, n_max: int, holo_tolerance: float,
+               epsilon: float, prefix: Callable[[int], str] = "".format):
+    """Yield the extension verdict of each row of restriction samples.
+
+    ``values`` is a ``(K, m)`` stack of samples on the unit circle.  All
+    rows go through one FFT and their Hardy-minus parts through one
+    inverse FFT, with row-by-row bits; the aliasing guard
+    (:func:`require_resolved`, its message prefixed with ``prefix(k)``)
+    and the verdict then run row by row as the rows are consumed, so an
+    error of row ``k`` comes after the verdicts of the rows before it.
+    """
+    coeffs = _coeffs_from_samples(values, 1.0)
+    minus = _minus_parts(coeffs)
+    for k, psi in enumerate(minus):
+        try:
+            require_resolved(CircleFunction._from_parts(values[k], coeffs[k],
+                                                        1.0))
+        except BandwidthError as exc:
+            raise BandwidthError(f"{prefix(k)}{exc}") from None
+        residual = psi.sup_norm
+        if residual < holo_tolerance:
+            yield ExtensionVerdict(kind="holomorphic", residual=residual,
+                                   n_max=n_max)
+            continue
+        verdict = detect_rational(psi, n_max, delta_pole=epsilon / 2.0)
+        kind = "meromorphic" if verdict.is_rational else "not-extendable"
+        yield ExtensionVerdict(kind=kind, residual=residual, n_max=n_max,
+                               rational=verdict.rational, rank=verdict.rank,
+                               gap=verdict.gap)
+
+
 def restrict_along_curve(f: RingFunction, phi: DiscFunction,
                          m: int = 256) -> CircleFunction:
     """Sample ``lambda -> f(lambda, phi(lambda))`` on the unit circle."""
-    grid = unit_circle_grid(m)
-    z = phi(grid)
-    zmax = float(np.abs(z).max())
-    if zmax >= 1.0 + _DISC_SLACK:
-        raise DomainError(
-            f"curve leaves the z-range of the ring (sup {zmax:.6f} on |lam|=1)")
-    values = f.eval_many(grid, z)
-    return CircleFunction(values, 1.0)
+    _, values, leaves = _sample_curves(f, [phi], m)
+    if leaves is not None:
+        raise leaves
+    return CircleFunction(values[0], 1.0)
 
 
 def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
                    m: int = 256,
-                   holo_tolerance: float = 1e-8) -> ExtensionVerdict:
+                   holo_tolerance: float = _HOLO_TOLERANCE) -> ExtensionVerdict:
     """Test whether the restriction along ``phi`` extends into the disc.
 
     Returns a ``holomorphic`` verdict when the Hardy-minus residual of the
     restriction is below ``holo_tolerance``; otherwise runs rational
     detection on the residual and reports ``meromorphic`` (with the
-    recovered principal parts) or ``not-extendable``.
+    recovered principal parts) or ``not-extendable``.  This is the
+    one-curve case of the ladder's stacked tests.
     """
-    g = restrict_along_curve(f, phi, m)
-    require_resolved(g)
-    psi = hardy_project_minus(g)
-    residual = psi.sup_norm
-    if residual < holo_tolerance:
-        return ExtensionVerdict(kind="holomorphic", residual=residual,
-                                n_max=n_max)
-    verdict = detect_rational(psi, n_max, delta_pole=f.epsilon / 2.0)
-    if verdict.is_rational:
-        return ExtensionVerdict(kind="meromorphic", residual=residual,
-                                n_max=n_max, rational=verdict.rational,
-                                rank=verdict.rank, gap=verdict.gap)
-    return ExtensionVerdict(kind="not-extendable", residual=residual,
-                            n_max=n_max, rank=verdict.rank, gap=verdict.gap)
+    _, values, leaves = _sample_curves(f, [phi], m)
+    if leaves is not None:
+        raise leaves
+    verdict, = _test_rows(values, n_max, holo_tolerance, f.epsilon)
+    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -650,16 +731,13 @@ def _decimal_digits(dps: int) -> int:
 
 def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
                   grid: np.ndarray, dps: int) -> Tuple:
-    """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))``.
+    """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
+    mp-capable ``f``.
 
-    Returns two ``(K, m)`` arrays: complex arrays when ``f`` is not
-    mp-capable; otherwise mpmath evaluates both at ``dps`` digits and they
-    are returned as :class:`_DecimalArray` (call inside the ``decimal``
-    context of the kernel).
+    mpmath evaluates both at ``dps`` digits; they are returned as two
+    ``(K, m)`` :class:`_DecimalArray` (call inside the ``decimal`` context
+    of the kernel).
     """
-    if not f.mp_capable:
-        nodes = np.array([phi(grid) for phi in curves])
-        return nodes, np.array([f.eval_many(grid, t) for t in nodes])
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
         nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)
@@ -728,11 +806,7 @@ def _clean_and_project(rows: np.ndarray, abs_floor: float
     floor = np.where(abs_floor > rel, abs_floor, rel)
     coeffs[mags < floor[:, None]] = 0.0
     coeffs.setflags(write=False)
-    minus = coeffs.copy()
-    minus[:, rows.shape[1] // 2:] = 0
-    samples = _samples_from_coeffs(minus, 1.0)
-    return coeffs, [CircleFunction._from_parts(s, c, 1.0)
-                    for s, c in zip(samples, minus)]
+    return coeffs, _minus_parts(coeffs)
 
 
 def _match_allowance(pole: complex, mult: int, level: int,
@@ -797,6 +871,15 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     Mp-capable functions are worked at ``max(40, 16 + 3K)`` digits for
     ``K`` curves.
 
+    Each curve is sampled once on the ``m``-point grid, and the ``K``
+    extension tests run as one stack on those samples; the float path
+    interpolates through them as well.  Curves are checked in order, each
+    for its z-range (:class:`DomainError`), its grid resolution
+    (:class:`BandwidthError`), extendability and vanishing on the unit
+    circle.  A :class:`DomainError` or :class:`BandwidthError` raised while
+    sampling or testing curve ``k``, the evaluator's own included, starts
+    with ``curve k: `` (zero-based), as in ``pinchext test``.
+
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
     coefficient estimates, pole budgets exceeded).
@@ -812,17 +895,23 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     eps = f.epsilon
 
     grid = unit_circle_grid(m)
+    # each curve is sampled once; its extension test, the vanishing check
+    # and (on the float path) the interpolation all read these rows
+    name = "curve {}: ".format
+    float_nodes, float_values, leaves = _sample_curves(f, curves, m, name)
     verdicts = []
-    for idx, phi in enumerate(curves):
-        verdict = extension_test(f, phi, n_max, m=m)
+    for idx, verdict in enumerate(_test_rows(float_values, n_max,
+                                             _HOLO_TOLERANCE, eps, name)):
         if verdict.kind == "not-extendable":
             raise ConvergenceError(
                 f"curve {idx} is not extendable with at most {n_max} poles; "
                 "not a valid test-sequence scenario")
         verdicts.append(verdict)
-        if float(np.abs(phi(grid)).min()) <= 1e-9:
+        if float(np.abs(float_nodes[idx]).min()) <= 1e-9:
             raise CircleVanishingError(
                 f"curve {idx} vanishes on the unit circle")
+    if leaves is not None:
+        raise leaves
     if curves[-1].sup_bound > curves[0].sup_bound + 1e-12:
         raise ConvergenceError(
             "curves do not shrink toward the zero curve "
@@ -840,7 +929,10 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     dps = max(40, 16 + 3 * kcurves)
     dec_ctx = decimal.Context(prec=_decimal_digits(dps))
     with decimal.localcontext(dec_ctx):
-        nodes, values = _nodes_values(f, curves, grid, dps)
+        # without extended precision the ladder interpolates through the
+        # float samples its extension tests read
+        nodes, values = ((float_nodes, float_values) if not f.mp_capable
+                         else _nodes_values(f, curves, grid, dps))
 
     # node collision guard: sorting each column makes equal nodes neighbours
     node_arr = np.sort(nodes.astype(complex), axis=0)

@@ -5,9 +5,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pinchext
+from pinchext import DomainError, RingFunction, cli
 from pinchext.cli import main
 
 
@@ -266,6 +268,77 @@ curve_3 = 0,0 0.5,0
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "error: invalid curve: curve_2: highest kept coefficient" in err
+
+
+@pytest.mark.parametrize("command", ["test", "ladder"])
+def test_restriction_errors_name_the_curve(tmp_path, capsys, command):
+    # curve_2 is either 0.9 lam^23, which needs more than 64 points, or a
+    # curve peaking at 1 + 1e-7 between the 256 points of the into-disc
+    # check, which leaves the z-range on the 1024-point grid
+    high = " ".join(["0,0"] * 23) + " 0.9,0"
+    peaked = " ".join(["0.50000005,0"] + ["0,0"] * 127 + ["0,0.50000005"])
+    for curve, grid, message in (
+            (high, 64, "curve 1: effective bandwidth"),
+            (peaked, 1024, "curve 1: curve leaves the z-range")):
+        cfg = write_config(tmp_path, f"""
+[function]
+name = remark1
+
+[curves]
+curve_1 = 0,0 0.5,0
+curve_2 = {curve}
+curve_3 = 0,0 0.25,0
+
+[analysis]
+grid = {grid}
+depth = 1
+""")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "ladder"])
+def test_evaluator_domain_error_names_the_curve(tmp_path, capsys,
+                                                monkeypatch, command):
+    # a ring whose evaluator refuses z beyond 0.4 fails on curve_2 alike
+    # in both commands
+    def evaluator(lam, z):
+        if np.abs(z).max() > 0.4:
+            raise DomainError("z outside the evaluator's range")
+        return np.exp(z / lam)
+
+    monkeypatch.setattr(cli, "_build_ring",
+                        lambda cfg: RingFunction(evaluator, 0.3))
+    cfg = write_config(tmp_path, """
+[function]
+name = remark1
+
+[curves]
+curve_1 = 0,0 0.1,0
+curve_2 = 0,0 0.5,0
+curve_3 = 0,0 0.05,0
+
+[analysis]
+grid = 64
+depth = 1
+""")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("error: curve 1: z outside the evaluator's range"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ring", ["remark1", "example1"])
+def test_non_finite_curve_coefficient_is_config_error(tmp_path, capsys, ring):
+    cfg = write_config(tmp_path, f"""
+[function]
+name = {ring}
+
+[curves]
+curve_1 = nan,0 0.5,0
+""")
+    assert main(["test", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("error: invalid curve: curve_1: coefficient c_0 = (nan+0j) "
+            "is not finite") in capsys.readouterr().err
 
 
 def test_curve_difference_error_names_the_curves(tmp_path, capsys):

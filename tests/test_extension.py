@@ -70,6 +70,16 @@ def test_disc_function_into_disc_check():
     DiscFunction([0, 1.0])  # lam itself: closed-disc boundary is allowed
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan),
+                                 complex(-math.inf, 0)])
+def test_disc_function_rejects_non_finite_coefficients(bad):
+    for into_disc in (True, False):
+        with pytest.raises(ValueError, match=r"^coefficient c_0 = .* is not finite"):
+            DiscFunction([bad, 0.5], require_into_disc=into_disc)
+    with pytest.raises(ValueError, match=r"^coefficient c_2 = "):
+        DiscFunction([0, 0.5, bad, 1e-20], require_into_disc=False)
+
+
 def test_subnormal_top_coefficient_rejected():
     # -p[1:] / p[0] would overflow the companion matrix; the error names
     # the row and the coefficient instead, with no warning
@@ -379,6 +389,80 @@ def test_ladder_rejects_circle_vanishing_curve(exp_ring):
               for k in range(1, 7)]
     with pytest.raises(CircleVanishingError):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+
+
+def test_ladder_checks_curves_in_order(exp_ring):
+    # curve 0 is not extendable and curve 3 leaves the z-range: the curve-0
+    # verdict still comes first, and only the rows before curve 3 are
+    # evaluated
+    calls = []
+    ring = RingFunction(lambda lam, z: calls.append(1) or np.exp(z / lam),
+                        0.3)
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 7)]
+    curves[0] = DiscFunction([0.2])
+    curves[3] = DiscFunction([0, 1.5], require_into_disc=False)
+    with pytest.raises(ConvergenceError, match="^curve 0 is not extendable"):
+        coefficient_ladder(ring, curves, 3, 10, m=64)
+    assert len(calls) == 3
+    # the restriction errors name their curve
+    curves[0] = DiscFunction([0, 1.0])
+    with pytest.raises(DomainError,
+                       match=r"^curve 3: curve leaves the z-range .*1\.5"):
+        coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+    curves[2] = DiscFunction([0] * 23 + [0.9])
+    with pytest.raises(BandwidthError, match=r"^curve 2: effective bandwidth"):
+        coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+
+
+@pytest.mark.parametrize("m, message", [
+    (8, "need at least 16 samples, got 8"),
+    (100, "sample count must be a power of two, got 100")])
+def test_restriction_checks_grid_size(exp_ring, m, message):
+    phi = DiscFunction([0, 0.5])
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 7)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        restrict_along_curve(exp_ring, phi, m)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extension_test(exp_ring, phi, 10, m=m)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        coefficient_ladder(exp_ring, curves, 3, 10, m=m)
+
+
+def test_evaluator_domain_error_names_the_curve():
+    # the evaluator refuses z-values beyond 0.4: curve 2 (z up to 0.5)
+    # is the first one it rejects
+    def evaluator(lam, z):
+        if np.abs(z).max() > 0.4:
+            raise DomainError("z outside the evaluator's range")
+        return np.exp(z / lam)
+
+    ring = RingFunction(evaluator, 0.3)
+    curves = [DiscFunction([0, 0.1 / k]) for k in range(1, 7)]
+    curves[2] = DiscFunction([0, 0.5])
+    with pytest.raises(DomainError,
+                       match="^curve 2: z outside the evaluator's range$"):
+        coefficient_ladder(ring, curves, 3, 10, m=64)
+    with pytest.raises(DomainError, match="^z outside the evaluator's range$"):
+        extension_test(ring, curves[2], 10, m=64)
+
+
+def test_float_ladder_samples_each_curve_once(monkeypatch):
+    # the extension tests, the vanishing check and the interpolation read
+    # one sampling of each curve: K evaluator calls and K curve calls
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 11)]
+    calls = {"ring": 0, "curve": 0}
+    ring = RingFunction(
+        lambda lam, z: calls.update(ring=calls["ring"] + 1) or np.exp(z / lam),
+        0.3)
+    original = DiscFunction.__call__
+
+    def counted(self, lam):
+        calls["curve"] += 1
+        return original(self, lam)
+
+    monkeypatch.setattr(DiscFunction, "__call__", counted)
+    coefficient_ladder(ring, curves, 3, 10, m=64, ladder_tol=1e-5)
+    assert calls == {"ring": 10, "curve": 10}
 
 
 def test_ladder_diagnostics(exp_ring, exp_ladder):

@@ -11,12 +11,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pinchext import (CircleFunction, DiscFunction, circle_from_csv,
-                      circle_to_csv, hardy_project_minus, hardy_split,
+from conftest import random_rational_part
+from pinchext import (CircleFunction, DiscFunction, DomainError,
+                      ExtensionVerdict, PinchextError, RationalPart,
+                      RingFunction, circle_from_csv, circle_to_csv,
+                      detect_rational, hardy_project_minus, hardy_split,
                       hilbert_transform, unit_circle_grid,
                       validate_test_family, validate_test_sequence,
                       winding_number)
-from pinchext.extension import _clean_and_project, _roots_of_rows
+from pinchext.boundary import require_resolved
+from pinchext.extension import (_clean_and_project, _roots_of_rows,
+                                _sample_curves, _test_rows)
 
 
 @st.composite
@@ -270,3 +275,118 @@ def test_csv_round_trip_keeps_bits(samples, radius):
     assert back.radius == g.radius
     assert same_bytes(back.samples, g.samples)
     assert same_bytes(back.coeffs, g.coeffs)
+
+
+@st.composite
+def curve_stacks(draw):
+    """A ring ``exp(z^2/lam) + z/(lam - a)`` and 1..12 curves on m = 16..1024
+    points.  A curve through the origin that vanishes at ``a`` restricts
+    to a holomorphic function; through the origin only, to one with a
+    pole at ``a``; off the origin, to an essential singularity at 0.  A
+    few curves leave the z-range of the ring."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(0.1, 0.45) * np.exp(2j * np.pi * rng.uniform())
+    ring = RingFunction(lambda lam, z: np.exp(z * z / lam) + z / (lam - a),
+                        0.3)
+    kinds = draw(st.lists(st.sampled_from(
+        3 * ["holomorphic", "meromorphic", "not-extendable"] + ["leaves"]),
+        min_size=1, max_size=12))
+    curves = []
+    for kind in kinds:
+        c = rng.uniform(0.05, 0.5) * np.exp(2j * np.pi * rng.uniform())
+        coeffs = {"holomorphic": [0, -a * c, c],
+                  "meromorphic": [0, c, c * rng.uniform(-0.5, 0.5)],
+                  "not-extendable": [c, c * rng.uniform(-0.5, 0.5)],
+                  "leaves": [0, 1.2 * c / abs(c)]}[kind]
+        curves.append(DiscFunction(coeffs, require_into_disc=False))
+    # most grids resolve the pole at a; 16..64 points mostly raise
+    m = draw(st.sampled_from([16, 32, 64] + 2 * [128, 256, 512, 1024]))
+    return ring, curves, m, draw(st.integers(1, 10))
+
+
+def reference_extension_test(f, phi, n_max, m, holo_tolerance=1e-8):
+    """``extension_test`` as written before the ladder stacked its tests:
+    one restriction, circle function and Hardy projection per curve."""
+    grid = unit_circle_grid(m)
+    z = phi(grid)
+    zmax = float(np.abs(z).max())
+    if zmax >= 1.0 + 1e-9:
+        raise DomainError(
+            f"curve leaves the z-range of the ring (sup {zmax:.6f} on |lam|=1)")
+    g = CircleFunction(f.eval_many(grid, z), 1.0)
+    require_resolved(g)
+    psi = hardy_project_minus(g)
+    residual = psi.sup_norm
+    if residual < holo_tolerance:
+        return ExtensionVerdict(kind="holomorphic", residual=residual,
+                                n_max=n_max)
+    verdict = detect_rational(psi, n_max, delta_pole=f.epsilon / 2.0)
+    if verdict.is_rational:
+        return ExtensionVerdict(kind="meromorphic", residual=residual,
+                                n_max=n_max, rational=verdict.rational,
+                                rank=verdict.rank, gap=verdict.gap)
+    return ExtensionVerdict(kind="not-extendable", residual=residual,
+                            n_max=n_max, rank=verdict.rank, gap=verdict.gap)
+
+
+def complex_bits(c):
+    return c.real.hex(), c.imag.hex()
+
+
+def rational_bits(rp):
+    return None if rp is None else [
+        (complex_bits(a), [complex_bits(c) for c in coeffs])
+        for a, coeffs in rp.poles]
+
+
+def verdict_bits(v):
+    return (v.kind, v.residual.hex(), v.n_max, v.rank, float(v.gap).hex(),
+            rational_bits(v.rational))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(curve_stacks())
+def test_stacked_extension_tests_match_per_curve(stack):
+    # the ladder samples its curves once and tests them as one stack; the
+    # verdicts, and the first error, must be those of one curve at a time
+    ring, curves, m, n_max = stack
+    expected = []
+    for phi in curves:
+        try:
+            expected.append(verdict_bits(
+                reference_extension_test(ring, phi, n_max, m)))
+        except (PinchextError, ValueError) as exc:
+            expected.append((type(exc), str(exc)))
+            break
+    nodes, values, leaves = _sample_curves(ring, curves, m)
+    grid = unit_circle_grid(m)
+    for phi, row_nodes, row_values in zip(curves, nodes, values):
+        assert same_bytes(row_nodes, phi(grid))
+        assert same_bytes(row_values, ring.eval_many(grid, phi(grid)))
+    got = []
+    try:
+        for verdict in _test_rows(values, n_max, 1e-8, ring.epsilon):
+            got.append(verdict_bits(verdict))
+        if leaves is not None:
+            raise leaves
+    except (PinchextError, ValueError) as exc:
+        got.append((type(exc), str(exc)))
+    assert got == expected
+
+
+finite_complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.lists(st.tuples(finite_complex,
+                       st.lists(finite_complex, min_size=1, max_size=4)
+                       .map(tuple)), max_size=5)
+    .map(lambda poles: RationalPart(poles=tuple(poles))),
+    st.integers(0, 2 ** 32 - 1)
+    .map(lambda seed: random_rational_part(np.random.default_rng(seed)))))
+def test_rational_part_json_round_trip_keeps_bits(rp):
+    # signed zeros, subnormals and the largest floats included
+    back = RationalPart.from_json(rp.to_json())
+    assert rational_bits(back) == rational_bits(rp)
