@@ -12,6 +12,7 @@ Building a :class:`CircleFunction` costs about one FFT: the float modes
 ``fftshift`` is a swap of array halves, and at radius 1 the mode weight
 ``r**n`` is the scalar 1.0.  A radius whose weights ``r**n`` would leave
 the normal float range on the grid is rejected with ``ValueError``.
+Every Hardy-minus projection is the one stacked truncation ``_minus_parts``.
 
 Normalization note: the Sobolev norm implemented here is
 ``sqrt(sum (1 + n^2) |c_n|^2)``.  The circle-integral scalar product equals
@@ -316,32 +317,35 @@ def analyze(samples: Sequence[complex], radius: float = 1.0) -> CircleFunction:
     return CircleFunction(samples, radius)
 
 
-def _project(g: CircleFunction, keep_negative: bool) -> CircleFunction:
-    m = g.size
-    coeffs = g.coeffs.copy()
-    if keep_negative:
-        coeffs[m // 2:] = 0
-    else:
-        coeffs[:m // 2] = 0
-    return CircleFunction.from_coefficients(coeffs, g.radius)
+def _minus_parts(coeffs: np.ndarray, radius) -> List[CircleFunction]:
+    """Hardy-minus part of each row of centered coefficients on the circle
+    of ``radius``, at one stacked inverse FFT, with row-by-row bits."""
+    minus = coeffs.copy()
+    minus[:, coeffs.shape[1] // 2:] = 0
+    samples = _samples_from_coeffs(minus, radius)
+    return [CircleFunction._from_parts(s, c, radius)
+            for s, c in zip(samples, minus)]
 
 
 def hardy_project_minus(g: CircleFunction) -> CircleFunction:
     """Projection ``P`` onto the Hardy-minus space (modes ``n < 0``).
 
     ``P(g)`` vanishes exactly when ``g`` extends holomorphically to the
-    unit disc; the implementation is plain mode truncation.
+    unit disc; it is the one-row case of the stacked mode truncation.
     """
     if abs(g.radius - 1.0) > 1e-12:
         raise ValueError("Hardy projection is defined on the unit circle")
-    return _project(g, keep_negative=True)
+    minus, = _minus_parts(g.coeffs[None], g.radius)
+    return minus
 
 
 def hardy_split(g: CircleFunction) -> HardySplit:
     """Split ``g`` into its Hardy-plus and Hardy-minus parts."""
     minus = hardy_project_minus(g)
-    plus = _project(g, keep_negative=False)
-    return HardySplit(plus=plus, minus=minus)
+    plus = g.coeffs.copy()
+    plus[:g.size // 2] = 0
+    return HardySplit(plus=CircleFunction.from_coefficients(plus, g.radius),
+                      minus=minus)
 
 
 def hilbert_transform(g: CircleFunction) -> CircleFunction:

@@ -48,7 +48,10 @@ Numerical notes
   detection; this is the working-precision floor of the ladder.  The
   rows of the ``A_n`` and of each level are cleaned and projected as one
   stack: one FFT and one inverse FFT of the Hardy-minus parts, with
-  row-by-row bits.
+  row-by-row bits, and one budgeted rational split serves every ``A_n``
+  and level function.  The ladder's stages are module-level functions
+  (see :func:`coefficient_ladder`), and every Hardy-minus part is the one
+  mode truncation in ``boundary``.
 * The level functions behind the Blaschke diagnostics run that recursion
   literally on the last three curves: ``f_{0,k} = f(., phi_k)`` and
   ``f_{n,k} = (f_{n-1,k} - A_{n-1}) / phi_k``, one subtraction and one
@@ -70,8 +73,7 @@ import mpmath as mp
 import numpy as np
 
 from .boundary import (CircleFunction, _check_sample_count,
-                       _coeffs_from_samples, _samples_from_coeffs,
-                       distance_product,
+                       _coeffs_from_samples, _minus_parts, distance_product,
                        hardy_project_minus, pointwise, require_resolved,
                        unit_circle_grid)
 from .errors import (BandwidthError, CircleVanishingError,
@@ -200,13 +202,14 @@ class DiscFunction:
 
     Coefficients are ascending; the trailing tail below ``1e-14`` of the
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
-    sampled supremum on the unit circle, which by the maximum principle
-    bounds ``phi`` on the closed disc; it is computed on first read (at
-    construction when ``require_into_disc`` is set).  A coefficient that
-    is not finite raises ``ValueError``, whatever ``require_into_disc`` is;
-    so does a highest kept coefficient below the smallest normal float,
-    with a nonzero one below it: the zeros of such a curve are not
-    computable in floating point.
+    largest modulus on ``N = max(256, 2**ceil(log2(8 (d + 1))))`` points of
+    the unit circle for degree ``d``; the sup on the closed disc (maximum
+    principle) is at most ``sec(pi d / 2N) <= 1.02`` times it.  It is
+    computed on first read (at construction when ``require_into_disc`` is
+    set).  A coefficient that is not finite raises ``ValueError``, whatever
+    ``require_into_disc`` is; so does a highest kept coefficient below the
+    smallest normal float, with a nonzero one below it: the zeros of such a
+    curve are not computable in floating point.
     """
 
     __slots__ = ("coeffs", "_sup_bound")
@@ -234,7 +237,8 @@ class DiscFunction:
     @property
     def sup_bound(self) -> float:
         if self._sup_bound is None:
-            self._sup_bound = float(np.abs(self(unit_circle_grid(256))).max())
+            n = max(256, 1 << (8 * len(self.coeffs) - 1).bit_length())
+            self._sup_bound = float(np.abs(self(unit_circle_grid(n))).max())
         return self._sup_bound
 
     @pointwise
@@ -570,16 +574,6 @@ def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
     return nodes, values, leaves
 
 
-def _minus_parts(coeffs: np.ndarray) -> List[CircleFunction]:
-    """Hardy-minus part of each row of centered coefficients on the unit
-    circle, at one stacked inverse FFT."""
-    minus = coeffs.copy()
-    minus[:, coeffs.shape[1] // 2:] = 0
-    samples = _samples_from_coeffs(minus, 1.0)
-    return [CircleFunction._from_parts(s, c, 1.0)
-            for s, c in zip(samples, minus)]
-
-
 def _test_rows(values: np.ndarray, n_max: int, holo_tolerance: float,
                epsilon: float, prefix: Callable[[int], str] = "".format):
     """Yield the extension verdict of each row of restriction samples.
@@ -592,7 +586,7 @@ def _test_rows(values: np.ndarray, n_max: int, holo_tolerance: float,
     error of row ``k`` comes after the verdicts of the rows before it.
     """
     coeffs = _coeffs_from_samples(values, 1.0)
-    minus = _minus_parts(coeffs)
+    minus = _minus_parts(coeffs, 1.0)
     for k, psi in enumerate(minus):
         try:
             require_resolved(CircleFunction._from_parts(values[k], coeffs[k],
@@ -806,7 +800,7 @@ def _clean_and_project(rows: np.ndarray, abs_floor: float
     floor = np.where(abs_floor > rel, abs_floor, rel)
     coeffs[mags < floor[:, None]] = 0.0
     coeffs.setflags(write=False)
-    return coeffs, _minus_parts(coeffs)
+    return coeffs, _minus_parts(coeffs, 1.0)
 
 
 def _match_allowance(pole: complex, mult: int, level: int,
@@ -854,6 +848,36 @@ def _stabilized_pole_lines(verdicts, zeros):
     return raw, pole_lines
 
 
+def _check_convergence(est_prev, est_last, est_all, value_scale: float,
+                       ladder_tol: float) -> None:
+    """Raise :class:`ConvergenceError` unless the estimates from the first
+    K-2, K-1 and K curves contract and the projected remaining error
+    (geometric extrapolation of the last two differences) stays below
+    ``ladder_tol`` times the data scale."""
+    d_prev = float(np.abs(est_last - est_prev).max())
+    d_last = float(np.abs(est_all - est_last).max())
+    scale = max(value_scale, 1e-300)
+    if d_last <= ladder_tol * scale:
+        return
+    ratio = d_last / d_prev if d_prev > 0 else math.inf
+    projected = d_last * ratio / (1.0 - ratio) if ratio < 0.9 else math.inf
+    if projected > ladder_tol * scale:
+        raise ConvergenceError(
+            f"coefficient estimates are not converging: successive "
+            f"differences {d_prev:.3e}, {d_last:.3e} project a remaining "
+            f"error of {projected:.3e} against the tolerance "
+            f"{ladder_tol:.1e} x scale {scale:.3e}")
+
+
+def _circle_max(centers, grid: np.ndarray) -> float:
+    """``max prod |1 - conj(a) lam|^l`` over the grid and the pairs
+    ``(a, l)`` in ``centers``; 1.0 without centers."""
+    prod = np.ones(grid.size)
+    for a, l in centers:
+        prod *= np.abs(1.0 - np.conj(a) * grid) ** l
+    return float(prod.max())
+
+
 def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                        depth: int, n_max: int, *, m: int = 256,
                        ladder_tol: float = 1e-7,
@@ -879,6 +903,10 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     circle.  A :class:`DomainError` or :class:`BandwidthError` raised while
     sampling or testing curve ``k``, the evaluator's own included, starts
     with ``curve k: `` (zero-based), as in ``pinchext test``.
+
+    Its stages are module-level functions, from :func:`_sample_curves` to
+    :func:`_check_convergence` and :func:`_circle_max`; one budgeted split
+    through :func:`detect_rational` serves every ``A_n`` and level function.
 
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
@@ -925,134 +953,101 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         raise ConvergenceError(
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
             "the supported bound 16")
+    n_keep = depth + 1
+    # level n may carry n*N + M poles; detection gets that clipped to 1..16
+    allowed = [n * n_total + m_total for n in range(n_keep)]
+    budgets = [min(16, max(1, a)) for a in allowed]
+
+    def split(psi: CircleFunction, n: int, not_rational: str, too_many: str,
+              k: Optional[int] = None) -> RationalPart:
+        """Rational part of ``psi`` within level ``n``'s budget, zero below
+        ``noise_floor``; texts take ``n k budget allowed rank gap degree``."""
+        fields = dict(n=n, k=k, budget=budgets[n], allowed=allowed[n])
+        if psi.sup_norm <= noise_floor:
+            rp = RationalPart(poles=())
+        else:
+            verdict = detect_rational(psi, budgets[n], delta_pole=eps / 2.0)
+            if not verdict.is_rational:
+                raise ConvergenceError(not_rational.format(
+                    rank=verdict.rank, gap=verdict.gap, **fields))
+            rp = verdict.rational
+        if rp.degree > allowed[n]:
+            raise ConvergenceError(too_many.format(degree=rp.degree, **fields))
+        return rp
 
     dps = max(40, 16 + 3 * kcurves)
-    dec_ctx = decimal.Context(prec=_decimal_digits(dps))
-    with decimal.localcontext(dec_ctx):
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
         nodes, values = ((float_nodes, float_values) if not f.mp_capable
                          else _nodes_values(f, curves, grid, dps))
 
-    # node collision guard: sorting each column makes equal nodes neighbours
-    node_arr = np.sort(nodes.astype(complex), axis=0)
-    if (np.abs(np.diff(node_arr, axis=0)) == 0.0).any():
-        raise ConvergenceError("two curves coincide at a grid point")
+        # node collision guard: equal nodes are neighbours in a sorted column
+        node_arr = np.sort(nodes.astype(complex), axis=0)
+        if (np.abs(np.diff(node_arr, axis=0)) == 0.0).any():
+            raise ConvergenceError("two curves coincide at a grid point")
 
-    value_scale = float(np.abs(values.astype(complex)).max())
-    abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
-    # below this sup norm a Hardy-minus part is taken as zero
-    noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
+        value_scale = float(np.abs(values.astype(complex)).max())
+        abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
+        # below this sup norm a Hardy-minus part is taken as zero
+        noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
 
-    # -- main extraction and the estimates from the first K-2, K-1 curves --
-    n_keep = depth + 1
-    sub = slice(0, m, max(1, m // 64))
-    n_cmp = min(n_keep, kcurves - 2)
-    with decimal.localcontext(dec_ctx):
+        # extraction, and the estimates from the first K-2, K-1 curves
+        sub = slice(0, m, max(1, m // 64))
+        n_cmp = min(n_keep, kcurves - 2)
         dd = _divided_differences(nodes, values)
         coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
         est_prev, est_last = _interp_prefixes(
             nodes[:, sub], dd[:, sub], n_cmp, [kcurves - 2, kcurves - 1])
-    coeff_samples = coeffs.astype(complex)
+        coeff_samples = coeffs.astype(complex)
+        _check_convergence(est_prev.astype(complex), est_last.astype(complex),
+                           coeff_samples[:n_cmp, sub], value_scale, ladder_tol)
 
-    # -- convergence of the estimates over the curve count ---------------
-    # Successive estimates from the first K-2, K-1, K curves must contract;
-    # the projected remaining error (geometric extrapolation of the last
-    # two differences) is held below ladder_tol times the data scale.
-    est_last = est_last.astype(complex)
-    d_prev = float(np.abs(est_last - est_prev.astype(complex)).max())
-    d_last = float(np.abs(coeff_samples[:n_cmp, sub] - est_last).max())
-    scale = max(value_scale, 1e-300)
-    plateau = d_last <= ladder_tol * scale
-    if not plateau:
-        ratio = d_last / d_prev if d_prev > 0 else math.inf
-        projected = d_last * ratio / (1.0 - ratio) if ratio < 0.9 else math.inf
-        if projected > ladder_tol * scale:
-            raise ConvergenceError(
-                f"coefficient estimates are not converging: successive "
-                f"differences {d_prev:.3e}, {d_last:.3e} project a remaining "
-                f"error of {projected:.3e} against the tolerance "
-                f"{ladder_tol:.1e} x scale {scale:.3e}")
-
-    # -- cleaned coefficients, split into rational part + tail ------------
-    # level n may carry n*N + M poles; detection gets that clipped to 1..16
-    a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
-    allowed = [n * n_total + m_total for n in range(n_keep)]
-    budgets = [min(16, max(1, a)) for a in allowed]
-    entries: List[LadderEntry] = []
-    for n in range(n_keep):
-        if a_minus[n].sup_norm <= noise_floor:
-            rp = RationalPart(poles=())
-        else:
-            verdict = detect_rational(a_minus[n], budgets[n],
-                                      delta_pole=eps / 2.0)
-            if not verdict.is_rational:
-                raise ConvergenceError(
-                    f"coefficient A_{n} is not rational with at most "
-                    f"{budgets[n]} poles (rank {verdict.rank}, gap "
-                    f"{verdict.gap:.2e})")
-            rp = verdict.rational
-        if rp.degree > allowed[n]:
-            raise ConvergenceError(
-                f"A_{n} carries {rp.degree} poles, exceeding the budget "
-                f"n*N + M = {allowed[n]}")
-        for pole, mult in rp.pole_list:
-            if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
-                raise ConvergenceError(
-                    f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
-                    "poles must accumulate at curve zeros or extension poles")
-        tail_coeffs = a_coeffs[n, m // 2:]
-        nz = np.nonzero(tail_coeffs)[0]
-        tail = tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1]) if nz.size else ()
-        entries.append(LadderEntry(n=n, rational=rp, tail=tail))
-
-    # -- level functions and their poles (diagnostics) --------------------
-    diagnostics: List[LevelDiagnostic] = []
-    first_check = max(0, kcurves - 3)
-    level_values = values[first_check:]
-    for n in range(n_keep):
-        if n:
-            with decimal.localcontext(dec_ctx):
-                level_values = ((level_values - coeffs[n - 1])
-                                / nodes[first_check:])
-        level_coeffs, level_minus = _clean_and_project(
-            level_values.astype(complex), abs_floor)
-        for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
-                                       first_check):
-            if psi.sup_norm <= noise_floor:
-                poles: Tuple[Tuple[complex, int], ...] = ()
-            else:
-                verdict = detect_rational(psi, budgets[n], delta_pole=eps / 2.0)
-                if not verdict.is_rational:
+        # cleaned coefficients, split into rational part + tail
+        a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
+        entries: List[LadderEntry] = []
+        for n in range(n_keep):
+            rp = split(a_minus[n], n,
+                       "coefficient A_{n} is not rational with at most "
+                       "{budget} poles (rank {rank}, gap {gap:.2e})",
+                       "A_{n} carries {degree} poles, exceeding the budget "
+                       "n*N + M = {allowed}")
+            for pole, mult in rp.pole_list:
+                if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
                     raise ConvergenceError(
-                        f"level function f_{n},{k} is not rational within the "
-                        f"pole budget {budgets[n]}")
-                poles = verdict.rational.pole_list
-            diag = LevelDiagnostic(level=n, curve_index=k, level_coeffs=row,
-                                   poles=poles)
-            if diag.pole_count > allowed[n]:
-                raise ConvergenceError(
-                    f"pole count {diag.pole_count} at level {n} exceeds the "
-                    f"budget n*N + M = {allowed[n]}")
-            diagnostics.append(diag)
+                        f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
+                        "poles must accumulate at curve zeros or extension poles")
+            tail_coeffs = a_coeffs[n, m // 2:]
+            nz = np.nonzero(tail_coeffs)[0]
+            tail = (tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1])
+                    if nz.size else ())
+            entries.append(LadderEntry(n=n, rational=rp, tail=tail))
 
-    # -- bound constants ---------------------------------------------------
+        # level functions f_{n,k} of the last three curves and their poles
+        diagnostics: List[LevelDiagnostic] = []
+        level_values = values[-3:]
+        for n in range(n_keep):
+            if n:
+                level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
+            level_coeffs, level_minus = _clean_and_project(
+                level_values.astype(complex), abs_floor)
+            for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
+                                           kcurves - 3):
+                rp = split(psi, n,
+                           "level function f_{n},{k} is not rational within "
+                           "the pole budget {budget}",
+                           "pole count {degree} at level {n} exceeds the "
+                           "budget n*N + M = {allowed}", k=k)
+                diagnostics.append(LevelDiagnostic(
+                    level=n, curve_index=k, level_coeffs=row,
+                    poles=rp.pole_list))
+
     c_bound = 0.0
     for n in range(n_keep):
         sup_n = float(np.abs(coeff_samples[n]).max())
         c_bound = max(c_bound, sup_n * (1.0 + eps) ** n)
-    c1 = 1.0
-    if zeros:
-        prod = np.ones(m)
-        for a, l in zeros:
-            prod *= np.abs(1.0 - np.conj(a) * grid) ** l
-        c1 = float(prod.max())
-    c2 = 1.0
-    if pole_lines:
-        prod = np.ones(m)
-        for b, mult in pole_lines:
-            prod *= np.abs(1.0 - np.conj(b) * grid) ** mult
-        c2 = float(prod.max())
+    c1 = _circle_max(zeros, grid)
+    c2 = _circle_max(pole_lines, grid)
     c_prime = c_bound * c2 * max(1.0, c1) ** depth
 
     return CoefficientLadder(

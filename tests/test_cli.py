@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,14 +274,19 @@ curve_3 = 0,0 0.5,0
 
 @pytest.mark.parametrize("command", ["test", "ladder"])
 def test_restriction_errors_name_the_curve(tmp_path, capsys, command):
-    # curve_2 is either 0.9 lam^23, which needs more than 64 points, or a
-    # curve peaking at 1 + 1e-7 between the 256 points of the into-disc
-    # check, which leaves the z-range on the 1024-point grid
+    # curve_2 is either 0.9 lam^23, which needs more than 64 points, or
+    # c (1 + e^{-i pi/256} lam^31) with 2|c| = 1 + 1e-6: the 256 points of
+    # the into-disc check sample at most 0.99998, and the 1024-point grid
+    # sees it leave the z-range
     high = " ".join(["0,0"] * 23) + " 0.9,0"
-    peaked = " ".join(["0.50000005,0"] + ["0,0"] * 127 + ["0,0.50000005"])
+    c0 = (1 + 1e-6) / 2
+    c31 = c0 * cmath.exp(-1j * math.pi / 256)
+    peaked = " ".join([f"{c0!r},0"] + ["0,0"] * 30
+                      + [f"{c31.real!r},{c31.imag!r}"])
     for curve, grid, message in (
             (high, 64, "curve 1: effective bandwidth"),
-            (peaked, 1024, "curve 1: curve leaves the z-range")):
+            (peaked, 1024, "curve 1: curve leaves the z-range of the ring "
+                           "(sup 1.000001")):
         cfg = write_config(tmp_path, f"""
 [function]
 name = remark1
@@ -295,6 +302,25 @@ depth = 1
 """)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_curve_leaving_disc_between_grid_points_is_config_error(tmp_path,
+                                                                capsys):
+    # degree 128 with sup 1 + 1e-7 at lam^128 = 1, which 256 circle points
+    # miss (they sample 0.7071); the into-disc check samples 2048 points
+    peaked = " ".join(["0.50000005,0"] + ["0,0"] * 127 + ["0,0.50000005"])
+    cfg = write_config(tmp_path, f"""
+[function]
+name = remark1
+
+[curves]
+curve_1 = 0,0 0.5,0
+curve_2 = {peaked}
+curve_3 = 0,0 0.25,0
+""")
+    assert main(["test", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("error: invalid curve: curve_2: curve has sup 1.000000"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["test", "ladder"])

@@ -11,11 +11,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pinchext import (BandwidthError, CircleFunction, CoefficientLadder,
-                      ConvergenceError, DiscFunction, DomainError, LadderEntry,
-                      PinchDescriptor, RationalPart, RingFunction,
-                      blaschke_from_zeros, coefficient_ladder,
-                      curve_difference, evaluate_extension, extension,
+from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
+                      CoefficientLadder, ConvergenceError, DiscFunction,
+                      DomainError, LadderEntry, PinchDescriptor,
+                      RationalPart, RingFunction, blaschke_from_zeros,
+                      coefficient_ladder, curve_difference,
+                      evaluate_extension, extension,
                       extension_test, hardy_project_minus, pinch_estimate,
                       restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
@@ -133,6 +134,23 @@ def test_sup_bound_computed_on_first_read(monkeypatch):
     expected = float(np.abs(np.polynomial.polynomial.polyval(grid, d.coeffs)).max())
     assert d.sup_bound == expected
     assert d.sup_bound == expected and len(calls) == 3  # cached
+
+
+def test_sup_bound_grid_grows_with_degree(monkeypatch):
+    # N = max(256, 2**ceil(log2(8 (d + 1)))) points: 256 up to degree 31
+    sizes = []
+    grid = extension.unit_circle_grid
+    monkeypatch.setattr(extension, "unit_circle_grid",
+                        lambda m: sizes.append(m) or grid(m))
+    for degree in (0, 31, 32, 128):
+        DiscFunction([0] * degree + [0.5])
+    assert sizes == [256, 256, 512, 2048]
+    # degree 128 with sup 1 + 1e-7 at lam^128 = 1, which 256 points miss
+    peaked = [0.50000005] + [0] * 127 + [0.50000005j]
+    with pytest.raises(ValueError, match=r"^curve has sup 1\.000000 "):
+        DiscFunction(peaked)
+    assert (DiscFunction(peaked, require_into_disc=False).sup_bound
+            >= 1.0 + 1e-7)
 
 
 # -------------------------------------------------------------- restriction
@@ -412,6 +430,123 @@ def test_ladder_checks_curves_in_order(exp_ring):
     curves[2] = DiscFunction([0] * 23 + [0.9])
     with pytest.raises(BandwidthError, match=r"^curve 2: effective bandwidth"):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+
+
+def _lam_over(ks, *head):
+    """Curves ``sum head[j] lam**j + lam**len(head) / k`` for k in ``ks``."""
+    return [DiscFunction(list(head) + [1.0 / k]) for k in ks]
+
+
+@pytest.mark.parametrize("case, error, text", [
+    ("shrink", ConvergenceError,
+     "curves do not shrink toward the zero curve (pre-normalize via the "
+     "coordinate change z -> z - phi_0)"),
+    ("zero-counts", ConvergenceError,
+     "curve zero counts [1, 1, 2] did not stabilize over the last three "
+     "curves; not a valid test-sequence scenario"),
+    ("zero-drift", ConvergenceError,
+     "curve zero near (0.5+0j) drifts by more than 0.1 across the last "
+     "three curves"),
+    ("pole-counts", ConvergenceError,
+     "extension pole counts [0, 0, 1] did not stabilize over the last "
+     "three curves"),
+    ("budget", ConvergenceError,
+     "pole budget depth*N + M = 18 exceeds the supported bound 16"),
+    ("vanishing", CircleVanishingError, "curve 0 vanishes on the unit circle"),
+    ("coincide", ConvergenceError, "two curves coincide at a grid point"),
+])
+def test_ladder_sequence_error_texts(exp_ring, case, error, text):
+    ring, depth = exp_ring, 3
+    if case == "shrink":        # phi_k = k lam / 6 grows
+        curves = [DiscFunction([0, k / 6]) for k in range(1, 7)]
+    elif case == "zero-counts":  # the last curve gains a zero at 0.5
+        curves = (_lam_over(range(1, 6), 0)
+                  + [DiscFunction([0, -0.5 / 12, 1 / 12])])
+    elif case == "zero-drift":  # its zero 0.5 moves to 0.2
+        curves = (_lam_over(range(1, 4), 0)
+                  + [DiscFunction([0, -0.5 / (2 * k), 1 / (2 * k)])
+                     for k in (4, 5)]
+                  + [DiscFunction([0, -0.2 / 12, 1 / 12])])
+    elif case == "pole-counts":  # z / lam along (lam - 0.05) / 6 has a pole
+        ring = RingFunction.from_laurent([(1, -1, 1.0)], 0.3)
+        curves = _lam_over(range(1, 6), 0) + [DiscFunction([-0.05 / 6, 1 / 6])]
+    elif case == "budget":      # N = 2 at depth 9
+        curves, depth = _lam_over(range(1, 12), 0, 0), 9
+    elif case == "vanishing":   # lam (lam - 1) / 3k is zero at lam = 1
+        curves = [DiscFunction([0, -1.0 / (3 * k), 1.0 / (3 * k)])
+                  for k in range(1, 7)]
+    else:                       # lam/2 and lam^2/2 agree at lam = 1
+        curves = _lam_over(range(2, 7), 0)
+        curves.insert(2, DiscFunction([0, 0, 0.5]))
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        coefficient_ladder(ring, curves, depth, 10, m=64)
+
+
+def _failing_detector(monkeypatch, failures):
+    """Patch the ladder's ``detect_rational``: call ``i`` (from 0) returns
+    ``failures[i]`` applied to the true verdict, the others the true one.
+
+    On the criterion-5 ladder (12 curves, depth 6) the extension tests and
+    level 0 are holomorphic, so calls 0..5 split A_1..A_6 and calls 6..23
+    the level functions f_{n,k}, n = 1..6, k = 9, 10, 11.
+    """
+    calls = []
+    original = extension.detect_rational
+
+    def detect(psi, n_max, **kwargs):
+        verdict = original(psi, n_max, **kwargs)
+        calls.append(n_max)
+        fail = failures.get(len(calls) - 1)
+        return verdict if fail is None else fail(verdict)
+
+    monkeypatch.setattr(extension, "detect_rational", detect)
+    return calls
+
+
+def _not_rational(verdict):
+    return dataclasses.replace(verdict, kind="not-rational", rank=7, gap=2.5,
+                               rational=None)
+
+
+def _with_poles(*poles):
+    return lambda verdict: dataclasses.replace(
+        verdict, rational=RationalPart(poles=poles))
+
+
+@pytest.mark.parametrize("failures, text", [
+    ({0: _not_rational},
+     "coefficient A_1 is not rational with at most 1 poles (rank 7, gap "
+     "2.50e+00)"),
+    ({1: _with_poles((0j, (1.0, 1.0, 1.0)))},
+     "A_2 carries 3 poles, exceeding the budget n*N + M = 2"),
+    ({0: _with_poles((0.5 + 0j, (1.0,)))},
+     "A_1 has an unexpected pole at (0.5+0j) (mult 1); poles must "
+     "accumulate at curve zeros or extension poles"),
+    ({6: _not_rational},
+     "level function f_1,9 is not rational within the pole budget 1"),
+    ({7: _with_poles((0j, (1.0, 1.0)))},
+     "pole count 2 at level 1 exceeds the budget n*N + M = 1"),
+    # every A_n is checked before any level function
+    ({5: _not_rational, 6: _not_rational},
+     "coefficient A_6 is not rational with at most 6 poles (rank 7, gap "
+     "2.50e+00)"),
+])
+def test_ladder_split_error_texts(monkeypatch, exp_ring, failures, text):
+    calls = _failing_detector(monkeypatch, failures)
+    curves = _lam_over(range(1, 13), 0)
+    with pytest.raises(ConvergenceError, match=f"^{re.escape(text)}$"):
+        coefficient_ladder(exp_ring, curves, 6, 10, m=64)
+    # the first failing call raises
+    assert len(calls) == min(failures) + 1
+
+
+def test_ladder_split_call_order(monkeypatch, exp_ring):
+    # the premise of the cases above: the budgets of A_1..A_6, then those
+    # of three level functions per level
+    calls = _failing_detector(monkeypatch, {})
+    coefficient_ladder(exp_ring, _lam_over(range(1, 13), 0), 6, 10, m=64)
+    assert calls == [1, 2, 3, 4, 5, 6] + [n for n in range(1, 7)
+                                          for _ in range(3)]
 
 
 @pytest.mark.parametrize("m, message", [

@@ -239,6 +239,35 @@ def sample_stacks(draw):
     return rows
 
 
+def reference_project(g, keep_negative):
+    """One Hardy part of ``g`` as ``boundary`` took it before the stacked
+    projection: zero the other half of the modes and rebuild."""
+    m = g.size
+    coeffs = g.coeffs.copy()
+    if keep_negative:
+        coeffs[m // 2:] = 0
+    else:
+        coeffs[:m // 2] = 0
+    return CircleFunction.from_coefficients(coeffs, g.radius)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(band_limited(), st.sampled_from([1.0, 1.0 + 5e-13]))
+def test_hardy_projection_bits_match_reference(g, radius):
+    # the one-row case of the stacked projection changes no bit of either
+    # Hardy part, on the unit circle or within its 1e-12 tolerance
+    g = CircleFunction.from_coefficients(g.coeffs, radius)
+    split = hardy_split(g)
+    for got, keep_negative in ((hardy_project_minus(g), True),
+                               (split.minus, True), (split.plus, False)):
+        expected = reference_project(g, keep_negative)
+        assert got.radius == expected.radius
+        for part, ref in ((got.samples, expected.samples),
+                          (got.coeffs, expected.coeffs)):
+            assert ([x.hex() for x in part.view(float)]
+                    == [x.hex() for x in ref.view(float)])
+
+
 def reference_clean_and_project(row, abs_floor):
     """Cleaned coefficients and Hardy-minus part of one row, one circle
     function at a time as the ladder built them before stacking."""
@@ -246,7 +275,7 @@ def reference_clean_and_project(row, abs_floor):
     mags = np.abs(coeffs)
     coeffs[mags < max(1e-7 * mags.max(), abs_floor)] = 0.0
     cleaned = CircleFunction.from_coefficients(coeffs, 1.0)
-    return cleaned.coeffs, hardy_project_minus(cleaned)
+    return cleaned.coeffs, reference_project(cleaned, keep_negative=True)
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -315,7 +344,7 @@ def reference_extension_test(f, phi, n_max, m, holo_tolerance=1e-8):
             f"curve leaves the z-range of the ring (sup {zmax:.6f} on |lam|=1)")
     g = CircleFunction(f.eval_many(grid, z), 1.0)
     require_resolved(g)
-    psi = hardy_project_minus(g)
+    psi = reference_project(g, keep_negative=True)
     residual = psi.sup_norm
     if residual < holo_tolerance:
         return ExtensionVerdict(kind="holomorphic", residual=residual,
