@@ -6,7 +6,7 @@ two-variable extension coefficient by coefficient, and characterizes the
 pinched domain on which the reconstruction converges.
 """
 
-from .boundary import (CircleFunction, HardySplit, analyze, circle_from_csv,
+from .boundary import (CircleFunction, HardySplit, circle_from_csv,
                        circle_to_csv, effective_bandwidth, hardy_project_minus,
                        hardy_split, hilbert_transform, sobolev_norm,
                        unit_circle_grid, winding_number)
@@ -31,7 +31,7 @@ from .rational import (BlaschkeProduct, RationalPart, RationalityVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "analyze", "hardy_project_minus", "hardy_split", "hilbert_transform",
+    "hardy_project_minus", "hardy_split", "hilbert_transform",
     "sobolev_norm", "winding_number", "effective_bandwidth",
     "circle_to_csv", "circle_from_csv", "unit_circle_grid",
     "CircleFunction", "HardySplit",

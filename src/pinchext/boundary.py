@@ -33,7 +33,6 @@ from .errors import BandwidthError, CircleVanishingError, ConvergenceError
 __all__ = [
     "CircleFunction",
     "HardySplit",
-    "analyze",
     "hardy_project_minus",
     "hardy_split",
     "hilbert_transform",
@@ -310,11 +309,6 @@ class HardySplit:
 
     plus: CircleFunction
     minus: CircleFunction
-
-
-def analyze(samples: Sequence[complex], radius: float = 1.0) -> CircleFunction:
-    """Build a :class:`CircleFunction` from uniform circle samples."""
-    return CircleFunction(samples, radius)
 
 
 def _minus_parts(coeffs: np.ndarray, radius) -> List[CircleFunction]:

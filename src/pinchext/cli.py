@@ -195,7 +195,10 @@ def parse_config(path) -> AnalysisConfig:
         probe_path = (path.parent / an["probes_file"]).resolve()
         if not probe_path.exists():
             raise ConfigError(f"probe file {probe_path} does not exist")
-        probes = list(probes_from_csv(probe_path))
+        try:
+            probes = list(probes_from_csv(probe_path))
+        except ValueError as exc:
+            raise ConfigError(f"probe file {probe_path}: {exc}") from exc
 
     ray_angle = 0.0
     if "output" in parser and "ray_angle" in parser["output"]:
@@ -216,7 +219,7 @@ def _build_ring(cfg: AnalysisConfig) -> RingFunction:
                      for t in data["terms"]]
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"malformed coefficient file: {exc}") from exc
-        return RingFunction.from_laurent(terms, cfg.epsilon, name="laurent")
+        return RingFunction.from_laurent(terms, cfg.epsilon)
     return gallery.gallery_ring(cfg.function_name, cfg.epsilon)
 
 

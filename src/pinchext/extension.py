@@ -64,6 +64,7 @@ Numerical notes
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -114,6 +115,14 @@ _TINY = float(np.finfo(float).tiny)
 # domain types
 # ----------------------------------------------------------------------
 
+def _laurent_sum(terms, lam, z, total=0):
+    """``total + sum a * lam**l * z**n`` over the terms ``(n, l, a)``,
+    added in order; on complex arrays or on mpmath numbers."""
+    for n, l, c in terms:
+        total = total + c * lam ** l * z ** n
+    return total
+
+
 class RingFunction:
     """Function holomorphic on the ring ``A_{1-eps,1+eps} x Delta``.
 
@@ -121,17 +130,16 @@ class RingFunction:
     over numpy arrays).  An exact bivariate Laurent-polynomial form may be
     attached as ``laurent`` terms ``(n, l, a_nl)`` meaning
     ``a_nl * lambda**l * z**n``; when present it is cross-checked against
-    the evaluator at random ring points and it enables extended-precision
-    evaluation.  A separate ``mp_evaluator`` over ``mpmath`` numbers can
-    be supplied for transcendental functions.
+    the evaluator at random ring points and, without an ``mp_evaluator``
+    (over ``mpmath`` numbers, for transcendental functions), summed in
+    ``mpmath`` as the default one for extended-precision evaluation.
     """
 
-    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator", "name",
-                 "_laurent_mp")
+    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator")
 
     def __init__(self, evaluator: Callable, epsilon: float,
                  laurent: Optional[Sequence[Tuple[int, int, complex]]] = None,
-                 mp_evaluator: Optional[Callable] = None, name: str = ""):
+                 mp_evaluator: Optional[Callable] = None):
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
         self.evaluator = evaluator
@@ -139,15 +147,16 @@ class RingFunction:
         self.laurent = None if laurent is None else tuple(
             (int(n), int(l), complex(c)) for n, l, c in laurent)
         self.mp_evaluator = mp_evaluator
-        self.name = name
         if self.laurent is not None:
             self._validate_laurent()
-            # doubles convert to mpc exactly, so once per ring suffices
-            self._laurent_mp = tuple((n, l, mp.mpc(c)) for n, l, c in self.laurent)
+            if mp_evaluator is None:
+                # doubles convert to mpc exactly, so once per ring suffices
+                self.mp_evaluator = functools.partial(_laurent_sum, tuple(
+                    (n, l, mp.mpc(c)) for n, l, c in self.laurent))
 
     @classmethod
     def from_laurent(cls, terms: Sequence[Tuple[int, int, complex]],
-                     epsilon: float, name: str = "") -> "RingFunction":
+                     epsilon: float) -> "RingFunction":
         """Build from exact terms ``a_nl * lambda**l * z**n`` (``n >= 0``)."""
         terms = tuple((int(n), int(l), complex(c)) for n, l, c in terms)
         for n, _, _ in terms:
@@ -157,12 +166,10 @@ class RingFunction:
         def evaluator(lam, z):
             lam = np.asarray(lam, dtype=complex)
             z = np.asarray(z, dtype=complex)
-            out = np.zeros(np.broadcast(lam, z).shape, dtype=complex)
-            for nn, ll, cc in terms:
-                out = out + cc * lam ** ll * z ** nn
-            return out
+            return _laurent_sum(terms, lam, z, np.zeros(
+                np.broadcast(lam, z).shape, dtype=complex))
 
-        return cls(evaluator, epsilon, laurent=terms, name=name)
+        return cls(evaluator, epsilon, laurent=terms)
 
     def _validate_laurent(self) -> None:
         rng = np.random.default_rng(20240201)
@@ -170,9 +177,7 @@ class RingFunction:
         lam = r * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
         z = 0.95 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
         direct = self.eval_many(lam, z)
-        exact = np.zeros_like(lam, dtype=complex)
-        for n, l, c in self.laurent:
-            exact += c * lam ** l * z ** n
+        exact = _laurent_sum(self.laurent, lam, z, np.zeros_like(lam))
         scale = np.maximum(1.0, np.abs(exact))
         if np.max(np.abs(direct - exact) / scale) > 1e-12:
             raise ValueError("evaluator disagrees with the exact Laurent form")
@@ -183,18 +188,13 @@ class RingFunction:
 
     @property
     def mp_capable(self) -> bool:
-        return self.mp_evaluator is not None or self.laurent is not None
+        return self.mp_evaluator is not None
 
     def eval_mp(self, lam, z):
         """Evaluate at mpmath arguments (requires mp capability)."""
-        if self.mp_evaluator is not None:
-            return mp.mpc(self.mp_evaluator(lam, z))
-        if self.laurent is not None:
-            total = mp.mpc(0)
-            for n, l, c in self._laurent_mp:
-                total += c * lam ** l * z ** n
-            return total
-        raise ValueError("no extended-precision evaluation available")
+        if self.mp_evaluator is None:
+            raise ValueError("no extended-precision evaluation available")
+        return mp.mpc(self.mp_evaluator(lam, z))
 
 
 class DiscFunction:
@@ -204,22 +204,21 @@ class DiscFunction:
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
     largest modulus on ``N = max(256, 2**ceil(log2(8 (d + 1))))`` points of
     the unit circle for degree ``d``; the sup on the closed disc (maximum
-    principle) is at most ``sec(pi d / 2N) <= 1.02`` times it.  It is
-    computed on first read (at construction when ``require_into_disc`` is
-    set).  A coefficient that is not finite raises ``ValueError``, whatever
-    ``require_into_disc`` is; so does a highest kept coefficient below the
-    smallest normal float, with a nonzero one below it: the zeros of such a
-    curve are not computable in floating point.
+    principle) is at most ``sec(pi d / 2N) <= 1.02`` times it.  With
+    ``require_into_disc`` a curve is refused (``ValueError``) unless that
+    bound or ``sum |c_k|`` stays below ``1 + 1e-9``.  A coefficient that
+    is not finite raises ``ValueError``, whatever ``require_into_disc``
+    is; so does a highest kept coefficient below the smallest normal
+    float, with a nonzero one below it: the zeros of such a curve are not
+    computable in floating point.
     """
 
-    __slots__ = ("coeffs", "_sup_bound")
+    __slots__ = ("coeffs", "sup_bound")
 
     def __init__(self, coeffs: Sequence[complex], require_into_disc: bool = True):
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            arr = np.atleast_1d(np.asarray(arr, dtype=complex))
-            if arr.size == 0:
-                arr = np.zeros(1, dtype=complex)
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        if arr.size == 0:
+            arr = np.zeros(1, dtype=complex)
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
             raise ValueError(f"coefficient c_{bad[0]} = {complex(arr[bad[0]])!r} "
@@ -228,18 +227,20 @@ class DiscFunction:
         if 0 < abs(arr[-1]) < _TINY and arr[:-1].any():
             raise ValueError(_subnormal_top_message(arr.size - 1, arr[-1]))
         self.coeffs = tuple(complex(c) for c in arr)
-        self._sup_bound = None
+        n = max(256, 1 << (8 * arr.size - 1).bit_length())
+        self.sup_bound = float(np.abs(self(unit_circle_grid(n))).max())
         if require_into_disc and self.sup_bound >= 1.0 + _DISC_SLACK:
             raise ValueError(
                 f"curve has sup {self.sup_bound:.6f} on the closed unit disc; "
                 "it must map into the disc")
-
-    @property
-    def sup_bound(self) -> float:
-        if self._sup_bound is None:
-            n = max(256, 1 << (8 * len(self.coeffs) - 1).bit_length())
-            self._sup_bound = float(np.abs(self(unit_circle_grid(n))).max())
-        return self._sup_bound
+        # the samples may miss the sup; sum |c_k| may still bound it by 1
+        bound = self.sup_bound / math.cos(math.pi * self.degree / (2 * n))
+        if (require_into_disc
+                and min(bound, np.abs(arr).sum()) >= 1.0 + _DISC_SLACK):
+            raise ValueError(
+                f"curve has sampled sup {self.sup_bound:.6f} on {n} circle "
+                f"points, which bounds its sup on the closed unit disc only "
+                f"by {bound:.6f}; it must map into the disc")
 
     @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
@@ -461,16 +462,11 @@ class CoefficientLadder:
     c1_bound: float
     c2_bound: float
     c_prime: float
-    value_scale: float
-    grid_size: int
     diagnostics: Tuple[LevelDiagnostic, ...] = field(default=(), repr=False)
 
     @property
     def depth(self) -> int:
         return len(self.entries) - 1
-
-    def coefficient(self, n: int) -> LadderEntry:
-        return self.entries[n]
 
     def as_dict(self) -> dict:
         return {
@@ -534,7 +530,7 @@ def minus_part(f: RingFunction) -> RingFunction:
             "subtracting the plus part requires an exact Laurent form; "
             "a black-box evaluator cannot be split")
     terms = tuple(t for t in f.laurent if t[1] < 0)
-    return RingFunction.from_laurent(terms, f.epsilon, name=f.name)
+    return RingFunction.from_laurent(terms, f.epsilon)
 
 
 def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
@@ -880,8 +876,7 @@ def _circle_max(centers, grid: np.ndarray) -> float:
 
 def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                        depth: int, n_max: int, *, m: int = 256,
-                       ladder_tol: float = 1e-7,
-                       subtract_plus: bool = False) -> CoefficientLadder:
+                       ladder_tol: float = 1e-7) -> CoefficientLadder:
     """Reconstruct ``A_0 .. A_depth`` from restrictions along ``curves``.
 
     The curves must form (a finite stretch of) a test sequence shrinking
@@ -890,10 +885,9 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     zeros inside ``|lambda| < 1 - eps/2`` must stabilize.  At least
     ``depth + 2`` curves are required; accuracy improves with more.
 
-    With ``subtract_plus`` the bidisc-holomorphic component of ``f`` is
-    removed first (exact Laurent form required, see :func:`minus_part`).
-    Mp-capable functions are worked at ``max(40, 16 + 3K)`` digits for
-    ``K`` curves.
+    To drop the bidisc-holomorphic component of ``f`` first, pass
+    :func:`minus_part` of it.  Mp-capable functions are worked at
+    ``max(40, 16 + 3K)`` digits for ``K`` curves.
 
     Each curve is sampled once on the ``m``-point grid, and the ``K``
     extension tests run as one stack on those samples; the float path
@@ -918,8 +912,6 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     if kcurves < depth + 2:
         raise ValueError(
             f"need at least depth + 2 = {depth + 2} curves, got {kcurves}")
-    if subtract_plus:
-        f = minus_part(f)
     eps = f.epsilon
 
     grid = unit_circle_grid(m)
@@ -1053,8 +1045,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     return CoefficientLadder(
         entries=tuple(entries), zeros=zeros, pole_lines=pole_lines,
         epsilon=eps, c_bound=c_bound, c1_bound=c1, c2_bound=c2,
-        c_prime=c_prime, value_scale=value_scale, grid_size=m,
-        diagnostics=tuple(diagnostics))
+        c_prime=c_prime, diagnostics=tuple(diagnostics))
 
 
 # ----------------------------------------------------------------------

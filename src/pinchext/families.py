@@ -44,15 +44,20 @@ __all__ = [
 
 
 def probes_from_csv(path) -> Tuple[complex, ...]:
-    """Read probe points from ``re,im`` rows (header and # lines skipped)."""
+    """Read probe points from ``re,im`` rows (header and # lines skipped);
+    a row that is not a number pair raises ``ValueError`` naming its line."""
     probes: List[complex] = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("re"):
                 continue
             re_s, _, im_s = line.partition(",")
-            probes.append(complex(float(re_s), float(im_s or "0")))
+            try:
+                probes.append(complex(float(re_s), float(im_s or "0")))
+            except ValueError as exc:
+                raise ValueError(
+                    f"line {lineno}: cannot parse probe row {line!r}") from exc
     return tuple(probes)
 
 _CIRCLE_DISTANCE_TOL = 1e-6

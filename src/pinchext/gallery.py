@@ -15,11 +15,11 @@ the one-variable extensions are unbounded along the sequence.
 ``remark1``: ``exp(z / lambda)`` - extendable along every curve through
 the origin, not extendable along any curve missing it.
 
-The ``example1`` and ``example2`` evaluators are vectorized: ``lam`` and
-``z`` broadcast together, and one call evaluates a whole array (the ring
-adapters hand over whole restriction grids).  ``example1_eval``,
-``example2_eval`` and ``gallery_eval`` wrap the same evaluators and return
-a Python ``complex`` for scalar input.
+The evaluators are vectorized: ``lam`` and ``z`` broadcast together, one
+call evaluates a whole array (the ring adapters hand over whole
+restriction grids), and scalars give a Python ``complex``.
+``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
+``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
 """
 
 from __future__ import annotations
@@ -293,31 +293,29 @@ def example2_restriction(k: int, m: int = 256) -> CircleFunction:
     return _EXAMPLE2.restriction(k, m)
 
 
-def remark1_eval(lam: complex, z: complex) -> complex:
-    """``exp(z / lambda)``."""
-    lam = complex(lam)
-    if lam == 0:
+def remark1_eval(lam, z):
+    """``exp(z / lambda)``; ``lam`` and ``z`` broadcast together, scalars
+    give a ``complex``, and ``lambda = 0`` raises ``ValueError``."""
+    lam = np.asarray(lam, dtype=complex)
+    if (lam == 0).any():
         raise ValueError("exp(z/lambda) is undefined at lambda = 0")
-    return complex(np.exp(complex(z) / lam))
+    out = np.exp(np.asarray(z, dtype=complex) / lam)
+    return complex(out) if out.ndim == 0 else out
 
 
 def remark1_ring(epsilon: float = 0.3) -> RingFunction:
-    return RingFunction(
-        evaluator=lambda lam, z: np.exp(np.asarray(z, dtype=complex) /
-                                        np.asarray(lam, dtype=complex)),
-        epsilon=epsilon,
-        mp_evaluator=lambda lam, z: mp.exp(z / lam),
-        name="remark1")
+    return RingFunction(evaluator=remark1_eval, epsilon=epsilon,
+                        mp_evaluator=lambda lam, z: mp.exp(z / lam))
 
 
 def example1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE1, epsilon=epsilon,
-                        mp_evaluator=_EXAMPLE1.eval_mp, name="example1")
+                        mp_evaluator=_EXAMPLE1.eval_mp)
 
 
 def example2_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE2, epsilon=epsilon,
-                        mp_evaluator=_EXAMPLE2.eval_mp, name="example2")
+                        mp_evaluator=_EXAMPLE2.eval_mp)
 
 
 # CLI name -> (ring adapter, point evaluator taking a series depth third)

@@ -7,10 +7,10 @@ import pytest
 
 from pinchext import (BandwidthError, BlaschkeProduct, CircleFunction,
                       CircleVanishingError, DiscFunction, LadderEntry,
-                      PinchDescriptor, RationalPart, analyze,
-                      circle_from_csv, circle_to_csv, effective_bandwidth,
-                      hardy_project_minus, hardy_split, hilbert_transform,
-                      sobolev_norm, unit_circle_grid, winding_number)
+                      PinchDescriptor, RationalPart, circle_from_csv,
+                      circle_to_csv, effective_bandwidth, hardy_project_minus,
+                      hardy_split, hilbert_transform, sobolev_norm,
+                      unit_circle_grid, winding_number)
 from pinchext.boundary import distance_product, require_resolved
 
 from conftest import random_laurent_function
@@ -74,35 +74,35 @@ def test_distance_product():
     npt.assert_array_equal(distance_product(pts, ()), np.ones(pts.shape))
 
 
-# ---------------------------------------------------------------- analyze
+# ----------------------------------------------------------- construction
 
 def test_analyze_monomial():
-    g = analyze(tau(64) ** 2, 1.0)
+    g = CircleFunction(tau(64) ** 2, 1.0)
     assert abs(g.coeff(2) - 1.0) < 1e-13
     others = [abs(g.coeff(n)) for n in range(-32, 32) if n != 2]
     assert max(others) < 1e-14
 
 
 def test_analyze_constant():
-    g = analyze(np.full(64, 5.0 + 0j), 1.0)
+    g = CircleFunction(np.full(64, 5.0 + 0j), 1.0)
     assert abs(g.coeff(0) - 5.0) < 1e-13
 
 
 def test_analyze_geometric_pole():
     # 1/(lam - a) = sum_{k>=1} a^{k-1} lam^{-k} for |a| < |lam|
     a = 0.3
-    g = analyze(1.0 / (tau() - a), 1.0)
+    g = CircleFunction(1.0 / (tau() - a), 1.0)
     for k in range(1, 9):
         assert abs(g.coeff(-k) - a ** (k - 1)) < 1e-12
 
 
 def test_analyze_rejects_bad_counts():
     with pytest.raises(ValueError):
-        analyze(np.ones(48), 1.0)
+        CircleFunction(np.ones(48), 1.0)
     with pytest.raises(ValueError):
-        analyze(np.ones(8), 1.0)
+        CircleFunction(np.ones(8), 1.0)
     with pytest.raises(ValueError):
-        analyze(np.ones(16), -1.0)
+        CircleFunction(np.ones(16), -1.0)
 
 
 def test_round_trip(rng):
@@ -116,7 +116,7 @@ def test_round_trip(rng):
 
 def test_radius_scaling():
     # samples of lam^2 on radius 2: c_2 must still be 1
-    g = analyze((2.0 * tau(64)) ** 2, 2.0)
+    g = CircleFunction((2.0 * tau(64)) ** 2, 2.0)
     assert abs(g.coeff(2) - 1.0) < 1e-13
 
 
@@ -125,7 +125,7 @@ def test_radius_overflowing_weights_rejected():
     # the modes, so both constructors refuse before taking any power
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for make in (lambda: analyze((2.0 * tau(4096)) ** 2, 2.0),
+        for make in (lambda: CircleFunction((2.0 * tau(4096)) ** 2, 2.0),
                      lambda: CircleFunction(np.ones(4096), 0.5),
                      lambda: CircleFunction.from_coefficients(
                          np.ones(16), 2.0, m=4096)):
@@ -142,25 +142,25 @@ def test_radius_overflowing_weights_rejected():
 # ------------------------------------------------------------- projection
 
 def test_projection_kills_plus_modes():
-    g = analyze((2 + 1j) * tau() ** 3, 1.0)
+    g = CircleFunction((2 + 1j) * tau() ** 3, 1.0)
     assert hardy_project_minus(g).sup_norm < 1e-13
 
 
 def test_projection_identity_on_minus():
-    g = analyze(tau() ** -2, 1.0)
+    g = CircleFunction(tau() ** -2, 1.0)
     p = hardy_project_minus(g)
     npt.assert_allclose(p.samples, g.samples, atol=1e-13)
 
 
 def test_projection_linearity():
     t = tau()
-    g = analyze(3 * t + 4 / t + 5, 1.0)
+    g = CircleFunction(3 * t + 4 / t + 5, 1.0)
     p = hardy_project_minus(g)
     npt.assert_allclose(p.samples, 4 / t, atol=1e-12)
 
 
 def test_projection_requires_unit_radius():
-    g = analyze(tau(64, 2.0), 2.0)
+    g = CircleFunction(tau(64, 2.0), 2.0)
     with pytest.raises(ValueError):
         hardy_project_minus(g)
 
@@ -177,18 +177,18 @@ def test_split_reconstructs_exactly(rng):
 # -------------------------------------------------------- hilbert transform
 
 def test_hilbert_identity_on_plus():
-    g = analyze(tau() ** 2, 1.0)
+    g = CircleFunction(tau() ** 2, 1.0)
     npt.assert_allclose(hilbert_transform(g).samples, g.samples, atol=1e-13)
 
 
 def test_hilbert_negation_on_minus():
-    g = analyze(tau() ** -3, 1.0)
+    g = CircleFunction(tau() ** -3, 1.0)
     npt.assert_allclose(hilbert_transform(g).samples, -g.samples, atol=1e-13)
 
 
 def test_hilbert_involution():
     t = tau()
-    g = analyze(t + 1 / t, 1.0)
+    g = CircleFunction(t + 1 / t, 1.0)
     ss = hilbert_transform(hilbert_transform(g))
     npt.assert_allclose(ss.samples, g.samples, atol=1e-13)
 
@@ -209,44 +209,44 @@ def test_operator_identities_random(rng):
 def test_projection_vanishes_on_polynomials(rng):
     for _ in range(10):
         coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        g = analyze(np.polynomial.polynomial.polyval(tau(), coeffs), 1.0)
+        g = CircleFunction(np.polynomial.polynomial.polyval(tau(), coeffs), 1.0)
         assert hardy_project_minus(g).sup_norm < 1e-10
 
 
 # ------------------------------------------------------------ sobolev norm
 
 def test_sobolev_examples():
-    assert abs(sobolev_norm(analyze(np.ones(64), 1.0)) - 1.0) < 1e-12
-    assert abs(sobolev_norm(analyze(tau(64), 1.0)) - math.sqrt(2)) < 1e-12
-    assert sobolev_norm(analyze(np.zeros(64), 1.0)) == 0.0
+    assert abs(sobolev_norm(CircleFunction(np.ones(64), 1.0)) - 1.0) < 1e-12
+    assert abs(sobolev_norm(CircleFunction(tau(64), 1.0)) - math.sqrt(2)) < 1e-12
+    assert sobolev_norm(CircleFunction(np.zeros(64), 1.0)) == 0.0
 
 
 # ---------------------------------------------------------- winding number
 
 def test_winding_monomial():
-    assert winding_number(analyze(tau() ** 5, 1.0)) == 5
+    assert winding_number(CircleFunction(tau() ** 5, 1.0)) == 5
 
 
 def test_winding_constant():
-    assert winding_number(analyze(np.ones(64), 1.0)) == 0
+    assert winding_number(CircleFunction(np.ones(64), 1.0)) == 0
 
 
 def test_winding_contracting_monomials():
     # witness for unbounded winding along (2/3 lam)^k
     for k in range(1, 13):
-        g = analyze(((2.0 / 3.0) * tau()) ** k, 1.0)
+        g = CircleFunction(((2.0 / 3.0) * tau()) ** k, 1.0)
         assert winding_number(g) == k
 
 
 def test_winding_vanishing_rejected():
-    g = analyze(tau(64) - 1.0, 1.0)  # zero at the sample lam = 1
+    g = CircleFunction(tau(64) - 1.0, 1.0)  # zero at the sample lam = 1
     with pytest.raises(CircleVanishingError):
         winding_number(g)
 
 
 def test_winding_refinement():
     # bandwidth 100 on a 256 grid: increments exceed pi/2 until refinement
-    g = analyze(tau(256) ** 100, 1.0)
+    g = CircleFunction(tau(256) ** 100, 1.0)
     assert winding_number(g) == 100
 
 
@@ -265,9 +265,9 @@ def test_winding_additivity(rng):
         hn = rng.integers(0, 4)
         for _ in range(hn):
             h = h * (t - 0.4 * np.exp(2j * np.pi * rng.uniform()))
-        wg = winding_number(analyze(g, 1.0))
-        wh = winding_number(analyze(h, 1.0))
-        wgh = winding_number(analyze(g * h, 1.0))
+        wg = winding_number(CircleFunction(g, 1.0))
+        wh = winding_number(CircleFunction(h, 1.0))
+        wgh = winding_number(CircleFunction(g * h, 1.0))
         assert wg == roots_in
         assert wh == hn
         assert wgh == wg + wh
@@ -276,10 +276,10 @@ def test_winding_additivity(rng):
 # -------------------------------------------------------------- bandwidth
 
 def test_effective_bandwidth():
-    g = analyze(tau() ** 10 + 1e-15 * tau() ** 90, 1.0)
+    g = CircleFunction(tau() ** 10 + 1e-15 * tau() ** 90, 1.0)
     assert effective_bandwidth(g) == 10
     require_resolved(g)
-    h = analyze(tau() ** 90, 1.0)
+    h = CircleFunction(tau() ** 90, 1.0)
     with pytest.raises(BandwidthError):
         require_resolved(h)
 

@@ -276,8 +276,9 @@ curve_3 = 0,0 0.5,0
 def test_restriction_errors_name_the_curve(tmp_path, capsys, command):
     # curve_2 is either 0.9 lam^23, which needs more than 64 points, or
     # c (1 + e^{-i pi/256} lam^31) with 2|c| = 1 + 1e-6: the 256 points of
-    # the into-disc check sample at most 0.99998, and the 1024-point grid
-    # sees it leave the z-range
+    # the into-disc check sample at most 0.99998, but that times
+    # sec(31 pi / 512) cannot bound the sup by 1, so parsing refuses it
+    # before any grid sees it leave the z-range
     high = " ".join(["0,0"] * 23) + " 0.9,0"
     c0 = (1 + 1e-6) / 2
     c31 = c0 * cmath.exp(-1j * math.pi / 256)
@@ -285,8 +286,8 @@ def test_restriction_errors_name_the_curve(tmp_path, capsys, command):
                       + [f"{c31.real!r},{c31.imag!r}"])
     for curve, grid, message in (
             (high, 64, "curve 1: effective bandwidth"),
-            (peaked, 1024, "curve 1: curve leaves the z-range of the ring "
-                           "(sup 1.000001")):
+            (peaked, 1024, "invalid curve: curve_2: curve has sampled sup "
+                           "0.999982 on 256 circle points")):
         cfg = write_config(tmp_path, f"""
 [function]
 name = remark1
@@ -490,6 +491,18 @@ def test_probe_csv_file(tmp_path):
     report = read_json(tmp_path, "validate_report.json")
     probes = report["general_position"]["probes"]
     assert [p["probe"] for p in probes] == [[0.0, 0.0], [0.5, 0.0]]
+
+
+def test_malformed_probe_row_is_config_error(tmp_path, capsys):
+    # a bad row fails like a bad inline probe: exit 1, naming file and line
+    probe_file = tmp_path / "probes.csv"
+    probe_file.write_text("re,im\n0,0\n0.1,x\n")
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace(
+        "probes = 0,0 0.5,0", "probes_file = probes.csv"))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: probe file {probe_file.resolve()}: line 3: cannot parse "
+            "probe row '0.1,x'") in err
 
 
 def test_explicit_curve_parsing(tmp_path):

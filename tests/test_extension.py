@@ -17,8 +17,8 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       RationalPart, RingFunction, blaschke_from_zeros,
                       coefficient_ladder, curve_difference,
                       evaluate_extension, extension,
-                      extension_test, hardy_project_minus, pinch_estimate,
-                      restrict_along_curve, unit_circle_grid,
+                      extension_test, hardy_project_minus, minus_part,
+                      pinch_estimate, restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
@@ -50,6 +50,26 @@ def test_ring_function_from_laurent_evaluates():
     assert abs(f.eval_many(np.array([2j]), np.array([0.5]))[0]
                - 0.5 / (2j) ** 2) < 1e-14
     assert f.mp_capable
+
+
+def test_laurent_mp_path_matches_float_kernel(rng):
+    # the Laurent form is the default mp evaluator; at dps 40 it agrees
+    # with the float evaluator at ring points
+    terms = [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)]
+    f = RingFunction.from_laurent(terms, 0.3)
+    lam = (1 + 0.25 * rng.uniform(-1, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    z = 0.9 * rng.uniform(0, 1, 4) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    with mp.workdps(40):
+        got = [f.eval_mp(mp.mpc(l), mp.mpc(w)) for l, w in zip(lam, z)]
+        assert all(isinstance(v, mp.mpc) for v in got)
+    npt.assert_allclose(np.array(got, dtype=complex), f.eval_many(lam, z),
+                        rtol=1e-13, atol=0)
+    # an explicit mp evaluator takes precedence over the Laurent form
+    g = RingFunction(f.evaluator, 0.3, laurent=terms,
+                     mp_evaluator=lambda lam, z: mp.mpc(7))
+    assert g.eval_mp(mp.mpc(1), mp.mpc(0)) == 7
+    with pytest.raises(ValueError, match="no extended-precision"):
+        RingFunction(f.evaluator, 0.3).eval_mp(mp.mpc(1), mp.mpc(0))
 
 
 def test_ring_function_epsilon_range():
@@ -123,17 +143,14 @@ def test_curve_difference():
     npt.assert_allclose(d.coeffs, [-0.7, 0.3])
 
 
-def test_sup_bound_computed_on_first_read(monkeypatch):
-    calls = []
-    call = DiscFunction.__call__
-    monkeypatch.setattr(DiscFunction, "__call__",
-                        lambda self, lam: calls.append(1) or call(self, lam))
+def test_sup_bound_set_at_construction(monkeypatch):
+    # every curve samples its sup once, into-disc check or not; reading
+    # it later evaluates nothing
     d = curve_difference(DiscFunction([0, 1.0]), DiscFunction([0.5, 0, 0.25]))
-    assert len(calls) == 2  # the two into-disc checks, not the difference
+    monkeypatch.setattr(DiscFunction, "__call__", None)
     grid = unit_circle_grid(256)
     expected = float(np.abs(np.polynomial.polynomial.polyval(grid, d.coeffs)).max())
     assert d.sup_bound == expected
-    assert d.sup_bound == expected and len(calls) == 3  # cached
 
 
 def test_sup_bound_grid_grows_with_degree(monkeypatch):
@@ -151,6 +168,23 @@ def test_sup_bound_grid_grows_with_degree(monkeypatch):
         DiscFunction(peaked)
     assert (DiscFunction(peaked, require_into_disc=False).sup_bound
             >= 1.0 + 1e-7)
+
+
+def test_into_disc_check_covers_the_sampling_miss():
+    # c (1 + e^{-i pi/256} lam^31) with 2|c| = 1 + 1e-6 has sup 1 + 1e-6,
+    # but its 256 samples peak at 0.99998: neither sum |c_k| nor the
+    # sampled sup times sec(31 pi / 512) bounds it by 1
+    c0 = (1 + 1e-6) / 2
+    peaked = [c0] + [0] * 30 + [c0 * cmath.exp(-1j * math.pi / 256)]
+    assert DiscFunction(peaked, require_into_disc=False).sup_bound < 1.0
+    with pytest.raises(ValueError, match=r"^curve has sampled sup 0\.999982 "
+                       r"on 256 circle points, .* only by 1\.018349; "):
+        DiscFunction(peaked)
+    # sum |c_k| = 1 still admits the extremal curves of sup exactly 1
+    DiscFunction([0.5] + [0] * 30 + [0.5 * cmath.exp(-1j * math.pi / 256)])
+    DiscFunction([0, 1.0])
+    # and the sampled sup admits 0.44 (1 + lam - lam^2): sup 0.98, sum 1.32
+    assert DiscFunction([0.44, 0.44, -0.44]).sup_bound < 0.99
 
 
 # -------------------------------------------------------------- restriction
@@ -711,8 +745,7 @@ def _synthetic_ladder(depth=4):
     return CoefficientLadder(
         entries=tuple(entries), zeros=((0j, 2),),
         pole_lines=(((0.4 + 0j), 1),), epsilon=0.3, c_bound=2.0,
-        c1_bound=1.0, c2_bound=1.4, c_prime=50.0, value_scale=1.0,
-        grid_size=64)
+        c1_bound=1.0, c2_bound=1.4, c_prime=50.0)
 
 
 def test_pinch_synthetic_with_pole_line():
@@ -801,8 +834,7 @@ def test_bounds_zero_ladder():
                     for n in range(4))
     ladder = CoefficientLadder(
         entries=entries, zeros=(), pole_lines=(), epsilon=0.3, c_bound=0.0,
-        c1_bound=1.0, c2_bound=1.0, c_prime=0.0, value_scale=0.0,
-        grid_size=64)
+        c1_bound=1.0, c2_bound=1.0, c_prime=0.0)
     assert verify_coefficient_bounds(ladder) == ()
 
 
@@ -810,7 +842,7 @@ def test_subtract_plus_normalization():
     # f = lam z^2 + z/lam: dropping the bidisc-holomorphic part leaves z/lam
     f = RingFunction.from_laurent([(2, 1, 1.0), (1, -1, 1.0)], 0.3)
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 7)]
-    ladder = coefficient_ladder(f, curves, 3, 10, m=64, subtract_plus=True)
+    ladder = coefficient_ladder(minus_part(f), curves, 3, 10, m=64)
     grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
     npt.assert_allclose(ladder.entries[1](grid), 1.0 / grid, rtol=1e-10)
     assert ladder.entries[2].is_zero
@@ -819,7 +851,6 @@ def test_subtract_plus_normalization():
 
 
 def test_subtract_plus_requires_exact_form():
-    from pinchext import minus_part
     f = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
     with pytest.raises(ValueError):
         minus_part(f)

@@ -363,6 +363,38 @@ def test_remark1_values():
         remark1_eval(0.0, 0.1)
 
 
+def test_remark1_eval_is_the_ring_kernel(rng):
+    # one float path: the ring's evaluator gives remark1_eval's bits,
+    # arrays broadcast, scalars give a complex, and lambda = 0 raises
+    ring = remark1_ring(0.3)
+    lam, z = _ring_points(rng, 200)
+    values = remark1_eval(lam, z)
+    assert values.tobytes() == ring.eval_many(lam, z).tobytes()
+    assert values.tobytes() == ring.evaluator(lam, z).tobytes()
+    grid = remark1_eval(lam[:3, None], z[None, :4])
+    assert grid.shape == (3, 4)
+    for i, j in ((0, 0), (2, 1), (1, 3)):
+        value = remark1_eval(lam[i], z[j])
+        assert type(value) is complex and value == grid[i, j]
+    for evaluate in (remark1_eval, ring.evaluator, ring.eval_many):
+        with pytest.raises(ValueError, match="undefined at lambda = 0"):
+            evaluate(np.array([0.5, 0.0]), np.array([0.1, 0.1]))
+    with pytest.raises(ValueError, match="undefined at lambda = 0"):
+        remark1_eval(0j, 0.1)
+
+
+@pytest.mark.parametrize("make", [remark1_ring, example1_ring, example2_ring])
+def test_ring_mp_evaluator_matches_float_kernel(make):
+    # a few points only: example 1's mp series costs about 25 ms a point
+    ring = make(0.3)
+    lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.2 + 0.0j])
+    z = np.array([0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45 + 0.0j])
+    with mp.workdps(40):
+        got = np.array([complex(ring.eval_mp(mp.mpc(l), mp.mpc(w)))
+                        for l, w in zip(lam, z)])
+    np.testing.assert_allclose(got, ring.eval_many(lam, z), rtol=1e-13, atol=0)
+
+
 def test_remark1_constant_along_scaled_lines():
     ring = remark1_ring(0.3)
     for k in (1, 3, 7):

@@ -419,3 +419,36 @@ def test_rational_part_json_round_trip_keeps_bits(rp):
     # signed zeros, subnormals and the largest floats included
     back = RationalPart.from_json(rp.to_json())
     assert rational_bits(back) == rational_bits(rp)
+
+
+@st.composite
+def near_unit_curves(draw):
+    """Curves of degree 1..200 scaled to a 4096-point sup in 0.97..1.03:
+    random coefficients, or the extremal form 1 + e^{i alpha} lam^d, whose
+    peaks fall between the into-disc check's sample points."""
+    degree = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        coeffs = np.zeros(degree + 1, dtype=complex)
+        coeffs[0] = 1.0
+        coeffs[-1] = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        coeffs = (rng.standard_normal(degree + 1)
+                  + 1j * rng.standard_normal(degree + 1))
+    sup = np.abs(np.polynomial.polynomial.polyval(unit_circle_grid(4096),
+                                                  coeffs)).max()
+    return coeffs * (draw(st.floats(0.97, 1.03)) / sup)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(near_unit_curves())
+def test_accepted_curves_map_into_the_disc(coeffs):
+    # the into-disc check may refuse a curve of sup just below 1, but every
+    # curve it accepts stays in the closed disc on a dense circle grid
+    try:
+        DiscFunction(coeffs)
+    except ValueError:
+        return
+    dense = np.abs(np.polynomial.polynomial.polyval(unit_circle_grid(2 ** 15),
+                                                    coeffs)).max()
+    assert dense < 1.0 + 1e-9
