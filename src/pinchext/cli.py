@@ -22,11 +22,11 @@ import numpy as np
 from . import gallery
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      ConvergenceError, DomainError, PoleLocationError)
-from .extension import (DiscFunction, RingFunction, coefficient_ladder,
-                        extension_test, pinch_estimate,
+from .extension import (_HOLO_TOLERANCE, DiscFunction, RingFunction,
+                        coefficient_ladder, extension_test, pinch_estimate,
                         verify_coefficient_bounds)
-from .families import (general_position_check, probes_from_csv,
-                       validate_test_sequence)
+from .families import (_complex_pair, general_position_check,
+                       probes_from_csv, validate_test_sequence)
 from .rational import MAX_POLE_BOUND
 
 __all__ = ["AnalysisConfig", "parse_config", "main",
@@ -83,16 +83,14 @@ class AnalysisConfig:
     grid: int
     depth: int
     n_max: int
-    holo_tol: float
     n_bound: int
     probes: List[complex]
     ray_angle: float
 
 
 def _parse_complex_pair(token: str) -> complex:
-    re_s, _, im_s = token.partition(",")
     try:
-        return complex(float(re_s), float(im_s or "0"))
+        return _complex_pair(token)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex pair {token!r}") from exc
 
@@ -143,6 +141,7 @@ def parse_config(path) -> AnalysisConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    parser.read_dict({"analysis": {}, "output": {}})
     if "function" not in parser:
         raise ConfigError("missing [function] section")
     fn = parser["function"]
@@ -170,28 +169,26 @@ def parse_config(path) -> AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid curve: {exc}") from exc
 
-    an = parser["analysis"] if "analysis" in parser else {}
-
-    def _an_get(key, caster, default):
-        if not an or key not in an:
-            return default
-        return caster(an[key])
-
-    grid = _an_get("grid", int, 256)
+    an = parser["analysis"]
+    grid = an.getint("grid", 256)
     if grid < 16 or grid & (grid - 1):
         raise ConfigError(f"grid must be a power of two >= 16, got {grid}")
-    depth = _an_get("depth", int, 6)
+    depth = an.getint("depth", 6)
     if depth > 24:
         raise ConfigError(f"depth must be at most 24, got {depth}")
-    n_max = _an_get("n_max", int, 10)
+    n_max = an.getint("n_max", 10)
     if not 1 <= n_max <= MAX_POLE_BOUND:
         raise ConfigError(f"n_max must be in 1..{MAX_POLE_BOUND}, got {n_max}")
-    holo_tol = _an_get("holo_tol", float, 1e-8)
-    n_bound = _an_get("n_bound", int, 10)
-    probes = [0j]
-    if an and "probes" in an:
-        probes = [_parse_complex_pair(t) for t in an["probes"].split()]
-    if an and "probes_file" in an:
+    # test and ladder share one fixed holomorphy threshold; a config that
+    # asks for another would silently get different verdicts
+    holo_tol = an.getfloat("holo_tol", _HOLO_TOLERANCE)
+    if holo_tol != _HOLO_TOLERANCE:
+        raise ConfigError("holo_tol is not configurable: test and ladder use "
+                          f"the fixed holomorphy threshold {_HOLO_TOLERANCE:g}"
+                          f", got {holo_tol:g}")
+    n_bound = an.getint("n_bound", 10)
+    probes = [_parse_complex_pair(t) for t in an.get("probes", "0,0").split()]
+    if "probes_file" in an:
         probe_path = (path.parent / an["probes_file"]).resolve()
         if not probe_path.exists():
             raise ConfigError(f"probe file {probe_path} does not exist")
@@ -200,24 +197,23 @@ def parse_config(path) -> AnalysisConfig:
         except ValueError as exc:
             raise ConfigError(f"probe file {probe_path}: {exc}") from exc
 
-    ray_angle = 0.0
-    if "output" in parser and "ray_angle" in parser["output"]:
-        ray_angle = float(parser["output"]["ray_angle"])
+    ray_angle = parser["output"].getfloat("ray_angle", 0.0)
+    if not curves:
+        raise ConfigError("no curves configured")
 
     return AnalysisConfig(
         function_name=name, epsilon=epsilon, coeffs_path=coeffs_path,
         curves=curves, grid=grid, depth=depth, n_max=n_max,
-        holo_tol=holo_tol, n_bound=n_bound, probes=probes,
-        ray_angle=ray_angle)
+        n_bound=n_bound, probes=probes, ray_angle=ray_angle)
 
 
 def _build_ring(cfg: AnalysisConfig) -> RingFunction:
     if cfg.function_name == "laurent":
         try:
             data = json.loads(cfg.coeffs_path.read_text())
-            terms = [(t["n"], t["l"], complex(t["c"][0], t["c"][1]))
+            terms = [(int(t["n"]), int(t["l"]), complex(t["c"][0], t["c"][1]))
                      for t in data["terms"]]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed coefficient file: {exc}") from exc
         return RingFunction.from_laurent(terms, cfg.epsilon)
     return gallery.gallery_ring(cfg.function_name, cfg.epsilon)
@@ -239,14 +235,11 @@ def _write_output(text: str, out_dir: Optional[str], filename: str) -> None:
 
 def cmd_test(cfg: AnalysisConfig, out_dir: Optional[str] = None,
              fmt: str = "json") -> int:
-    if not cfg.curves:
-        raise ConfigError("no curves configured")
     ring = _build_ring(cfg)
     verdicts = []
     for idx, phi in enumerate(cfg.curves):
         try:
-            verdicts.append(extension_test(ring, phi, cfg.n_max, m=cfg.grid,
-                                           holo_tolerance=cfg.holo_tol))
+            verdicts.append(extension_test(ring, phi, cfg.n_max, m=cfg.grid))
         except (BandwidthError, DomainError) as exc:
             raise type(exc)(f"curve {idx}: {exc}") from exc
     records = []
@@ -281,8 +274,6 @@ def _profile_csv(ladder, ray_angle: float) -> str:
 
 
 def cmd_ladder(cfg: AnalysisConfig, out_dir: Optional[str] = None) -> int:
-    if not cfg.curves:
-        raise ConfigError("no curves configured")
     ring = _build_ring(cfg)
     ladder = coefficient_ladder(ring, cfg.curves, cfg.depth, cfg.n_max,
                                 m=cfg.grid)
@@ -305,8 +296,6 @@ def cmd_ladder(cfg: AnalysisConfig, out_dir: Optional[str] = None) -> int:
 
 def cmd_validate(cfg: AnalysisConfig, out_dir: Optional[str] = None,
                  fmt: str = "json") -> int:
-    if not cfg.curves:
-        raise ConfigError("no curves configured")
     phi0 = DiscFunction([0j])
     seq_report = validate_test_sequence(cfg.curves, phi0, cfg.n_bound)
     gp_report = general_position_check(cfg.curves, phi0, cfg.probes)

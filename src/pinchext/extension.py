@@ -570,8 +570,8 @@ def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
     return nodes, values, leaves
 
 
-def _test_rows(values: np.ndarray, n_max: int, holo_tolerance: float,
-               epsilon: float, prefix: Callable[[int], str] = "".format):
+def _test_rows(values: np.ndarray, n_max: int, epsilon: float,
+               prefix: Callable[[int], str] = "".format):
     """Yield the extension verdict of each row of restriction samples.
 
     ``values`` is a ``(K, m)`` stack of samples on the unit circle.  All
@@ -590,7 +590,7 @@ def _test_rows(values: np.ndarray, n_max: int, holo_tolerance: float,
         except BandwidthError as exc:
             raise BandwidthError(f"{prefix(k)}{exc}") from None
         residual = psi.sup_norm
-        if residual < holo_tolerance:
+        if residual < _HOLO_TOLERANCE:
             yield ExtensionVerdict(kind="holomorphic", residual=residual,
                                    n_max=n_max)
             continue
@@ -611,20 +611,20 @@ def restrict_along_curve(f: RingFunction, phi: DiscFunction,
 
 
 def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
-                   m: int = 256,
-                   holo_tolerance: float = _HOLO_TOLERANCE) -> ExtensionVerdict:
+                   m: int = 256) -> ExtensionVerdict:
     """Test whether the restriction along ``phi`` extends into the disc.
 
     Returns a ``holomorphic`` verdict when the Hardy-minus residual of the
-    restriction is below ``holo_tolerance``; otherwise runs rational
-    detection on the residual and reports ``meromorphic`` (with the
-    recovered principal parts) or ``not-extendable``.  This is the
-    one-curve case of the ladder's stacked tests.
+    restriction is below the fixed threshold 1e-8, the ladder's too;
+    otherwise runs rational detection on the residual and reports
+    ``meromorphic`` (with the recovered principal parts) or
+    ``not-extendable``.  This is the one-curve case of the ladder's
+    stacked tests.
     """
     _, values, leaves = _sample_curves(f, [phi], m)
     if leaves is not None:
         raise leaves
-    verdict, = _test_rows(values, n_max, holo_tolerance, f.epsilon)
+    verdict, = _test_rows(values, n_max, f.epsilon)
     return verdict
 
 
@@ -920,8 +920,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     name = "curve {}: ".format
     float_nodes, float_values, leaves = _sample_curves(f, curves, m, name)
     verdicts = []
-    for idx, verdict in enumerate(_test_rows(float_values, n_max,
-                                             _HOLO_TOLERANCE, eps, name)):
+    for idx, verdict in enumerate(_test_rows(float_values, n_max, eps, name)):
         if verdict.kind == "not-extendable":
             raise ConvergenceError(
                 f"curve {idx} is not extendable with at most {n_max} poles; "

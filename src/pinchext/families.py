@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+def _complex_pair(text: str) -> complex:
+    """``re,im`` (``im`` optional) as a complex, or float()'s ValueError."""
+    re_s, _, im_s = text.partition(",")
+    return complex(float(re_s), float(im_s or "0"))
+
+
 def probes_from_csv(path) -> Tuple[complex, ...]:
     """Read probe points from ``re,im`` rows (header and # lines skipped);
     a row that is not a number pair raises ``ValueError`` naming its line."""
@@ -52,9 +58,8 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
             line = raw.strip()
             if not line or line.startswith("#") or line.startswith("re"):
                 continue
-            re_s, _, im_s = line.partition(",")
             try:
-                probes.append(complex(float(re_s), float(im_s or "0")))
+                probes.append(_complex_pair(line))
             except ValueError as exc:
                 raise ValueError(
                     f"line {lineno}: cannot parse probe row {line!r}") from exc

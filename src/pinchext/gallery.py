@@ -295,11 +295,13 @@ def example2_restriction(k: int, m: int = 256) -> CircleFunction:
 
 def remark1_eval(lam, z):
     """``exp(z / lambda)``; ``lam`` and ``z`` broadcast together, scalars
-    give a ``complex``, and ``lambda = 0`` raises ``ValueError``."""
+    give a ``complex``, ``lambda = 0`` raises ``ValueError`` and a double
+    overflow :class:`FloatingPointError`."""
     lam = np.asarray(lam, dtype=complex)
     if (lam == 0).any():
         raise ValueError("exp(z/lambda) is undefined at lambda = 0")
-    out = np.exp(np.asarray(z, dtype=complex) / lam)
+    with np.errstate(over="raise", invalid="raise"):
+        out = np.exp(np.asarray(z, dtype=complex) / lam)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -80,14 +80,10 @@ class RationalPart:
 
     def laurent_tail(self, length: int) -> np.ndarray:
         """Coefficients ``c_{-1} .. c_{-length}`` of the expansion at infinity."""
-        out = np.zeros(length, dtype=complex)
-        for a, coeffs in self.poles:
-            m = len(coeffs)
-            for k, c in enumerate(coeffs):
-                p = m - k
-                for n in range(p, length + 1):
-                    out[n - 1] += c * math.comb(n - 1, p - 1) * a ** (n - p)
-        return out
+        if not self.poles:
+            return np.zeros(length, dtype=complex)
+        coeffs = np.array([c for _, cs in self.poles for c in cs], dtype=complex)
+        return _principal_design(self.pole_list, length) @ coeffs
 
     # -- JSON interchange ------------------------------------------------
 

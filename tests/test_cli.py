@@ -167,9 +167,49 @@ def test_depth_cap(tmp_path):
     assert main(["ladder", "--config", cfg]) == 1
 
 
-def test_no_curves_is_config_error(tmp_path):
+def test_no_curves_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[function]\nname = remark1\n")
+    for command in ("test", "ladder", "validate"):
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: no curves configured\n"
+
+
+def test_config_defaults_without_analysis_or_output(tmp_path):
+    cfg = cli.parse_config(write_config(tmp_path, HORIZONTAL.replace(
+        "[analysis]\ngrid = 128\n", "")))
+    assert (cfg.grid, cfg.depth, cfg.n_max, cfg.n_bound) == (256, 6, 10, 10)
+    assert cfg.probes == [0j] and cfg.ray_angle == 0.0
+
+
+def test_default_section_supplies_analysis_keys(tmp_path):
+    # configparser's [DEFAULT] reaches [analysis] even where the config
+    # has no such section
+    cfg = cli.parse_config(write_config(tmp_path, "[DEFAULT]\ngrid = 128\n"
+                                        + HORIZONTAL.replace(
+                                            "[analysis]\ngrid = 128\n", "")))
+    assert cfg.grid == 128
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid = abc", "invalid literal for int() with base 10: 'abc'"),
+    ("n_bound = x", "invalid literal for int() with base 10: 'x'"),
+    ("[output]\nray_angle = x", "could not convert string to float: 'x'"),
+])
+def test_malformed_number_is_config_error(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, HORIZONTAL.replace("grid = 128", line))
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_holo_tol_is_fixed(tmp_path, capsys):
+    # test and ladder share the threshold 1e-8; only that value is accepted
+    cfg = write_config(tmp_path, HORIZONTAL + "holo_tol = 1e-8\n")
+    assert cli.parse_config(cfg).grid == 128
+    cfg = write_config(tmp_path, HORIZONTAL + "holo_tol = 1e-6\n")
     assert main(["test", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: holo_tol is not configurable: test and ladder use the fixed "
+        "holomorphy threshold 1e-08, got 1e-06\n")
 
 
 def test_bad_epsilon(tmp_path):
@@ -217,6 +257,18 @@ depth = 3
     report = read_json(tmp_path, "ladder_report.json")
     assert report["pinch"]["pinches"] == []
     assert report["pinch"]["c"] == 1.0
+
+
+@pytest.mark.parametrize("term", [{"n": 2, "l": 1, "c": [1.0]},
+                                  {"n": None, "l": 1, "c": [1, 0]}])
+def test_malformed_laurent_term_is_config_error(tmp_path, capsys, term):
+    coeffs = tmp_path / "poly.json"
+    coeffs.write_text(json.dumps({"terms": [term]}))
+    cfg = write_config(tmp_path, HORIZONTAL.replace(
+        "name = remark1", f"name = laurent\ncoeffs = {coeffs.name}"))
+    assert main(["test", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: malformed coefficient file: ")
 
 
 def test_cmd_validate_geometric_not_test(tmp_path):
@@ -428,10 +480,11 @@ def test_gallery_command(tmp_path, capsys):
     assert main(["gallery", "unknown", "--lam", "1,0", "--z", "0,0"]) == 1
 
 
-@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("name", ["example1", "example2", "remark1"])
 def test_gallery_float_overflow_exit_code(name, capsys):
-    # at lambda = 1e-8 the double-precision series terms overflow: the
-    # evaluator raises FloatingPointError, reported as non-convergence
+    # at lambda = 1e-8 doubles overflow (the series terms of examples 1
+    # and 2, exp(z/lambda) of remark 1): the evaluator raises
+    # FloatingPointError, reported as non-convergence
     assert main(["gallery", name, "--lam", "1e-8,0", "--z", "0.1,0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("non-convergence: ") and "encountered" in err

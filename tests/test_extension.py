@@ -236,6 +236,13 @@ def test_extension_test_meromorphic():
     assert abs(coeffs[0] - 1.0) < 1e-8
 
 
+def test_extension_test_has_no_tolerance_keyword(exp_ring):
+    # the holomorphy threshold is fixed at 1e-8, shared with the ladder
+    with pytest.raises(TypeError):
+        extension_test(exp_ring, DiscFunction([0, 0.2]), 10,
+                       holo_tolerance=1e-8)
+
+
 def test_extension_test_bandwidth_guard():
     f = RingFunction.from_laurent([(1, 40, 1.0)], 0.3)
     with pytest.raises(BandwidthError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -361,6 +362,14 @@ def test_remark1_values():
     assert abs(remark1_eval(0.5, 0.1) - cmath.exp(0.2)) < 1e-15
     with pytest.raises(ValueError):
         remark1_eval(0.0, 0.1)
+
+
+def test_remark1_overflow_raises():
+    # exp(900) overflows a double: an error, not a warning and inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            remark1_eval(1e-3, 0.9)
 
 
 def test_remark1_eval_is_the_ring_kernel(rng):

@@ -394,7 +394,7 @@ def test_stacked_extension_tests_match_per_curve(stack):
         assert same_bytes(row_values, ring.eval_many(grid, phi(grid)))
     got = []
     try:
-        for verdict in _test_rows(values, n_max, 1e-8, ring.epsilon):
+        for verdict in _test_rows(values, n_max, ring.epsilon):
             got.append(verdict_bits(verdict))
         if leaves is not None:
             raise leaves

@@ -196,6 +196,35 @@ def test_laurent_tail_matches_values(rng):
                         atol=1e-9 * max(1.0, np.abs(rp(grid)).max()))
 
 
+def reference_laurent_tail(rp, length):
+    """``laurent_tail`` as first written: one term at a time."""
+    out = np.zeros(length, dtype=complex)
+    for a, coeffs in rp.poles:
+        m = len(coeffs)
+        for k, c in enumerate(coeffs):
+            p = m - k
+            for n in range(p, length + 1):
+                out[n - 1] += c * math.comb(n - 1, p - 1) * a ** (n - p)
+    return out
+
+
+def test_laurent_tail_matches_reference(rng):
+    # the design-matrix product sums in another order: last bits only
+    assert not RationalPart(poles=()).laurent_tail(5).any()
+    for _ in range(100):
+        poles = tuple(
+            (rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform()),
+             tuple(complex(*rng.standard_normal(2))
+                   for _ in range(rng.integers(1, 4))))
+            for _ in range(rng.integers(1, 4)))
+        rp = RationalPart(poles=poles)
+        length = int(rng.integers(8, 129))
+        got, want = rp.laurent_tail(length), reference_laurent_tail(rp, length)
+        assert got.shape == (length,)
+        npt.assert_allclose(got, want, rtol=0,
+                            atol=1e-13 * np.abs(want).max())
+
+
 # ------------------------------------------------------------------- JSON
 
 def test_json_round_trip(rng):
