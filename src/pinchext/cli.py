@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,6 +196,10 @@ def parse_config(path) -> AnalysisConfig:
             probes = list(probes_from_csv(probe_path))
         except ValueError as exc:
             raise ConfigError(f"probe file {probe_path}: {exc}") from exc
+    if not probes:
+        # validate would report all_probes_ok over no probe at all
+        raise ConfigError("no probe points: give at least one re,im pair, "
+                          "or leave probes out for the default 0,0")
 
     ray_angle = parser["output"].getfloat("ray_angle", 0.0)
     if not curves:
@@ -207,12 +211,29 @@ def parse_config(path) -> AnalysisConfig:
         n_bound=n_bound, probes=probes, ray_angle=ray_angle)
 
 
+def _laurent_term(idx: int, term) -> Tuple[int, int, complex]:
+    """``(n, l, c)`` of a coefficient-file term: the degrees must be
+    integral and ``c`` exactly ``[re, im]``."""
+    degrees = []
+    for key in ("n", "l"):
+        d = term[key]
+        if isinstance(d, float) and d.is_integer():
+            d = int(d)
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"term {idx}: degree {key} = {term[key]!r} "
+                             "is not an integer")
+        degrees.append(d)
+    c = term["c"]
+    if not isinstance(c, list) or len(c) != 2:
+        raise ValueError(f"term {idx}: c = {c!r} is not a pair [re, im]")
+    return degrees[0], degrees[1], complex(c[0], c[1])
+
+
 def _build_ring(cfg: AnalysisConfig) -> RingFunction:
     if cfg.function_name == "laurent":
         try:
             data = json.loads(cfg.coeffs_path.read_text())
-            terms = [(int(t["n"]), int(t["l"]), complex(t["c"][0], t["c"][1]))
-                     for t in data["terms"]]
+            terms = [_laurent_term(idx, t) for idx, t in enumerate(data["terms"])]
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed coefficient file: {exc}") from exc
         return RingFunction.from_laurent(terms, cfg.epsilon)

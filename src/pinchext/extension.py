@@ -36,6 +36,9 @@ Numerical notes
   lose a few ulps more under cancellation; normwise the error stays a
   few ulps.  Results return to complex doubles through
   ``float(Decimal)``, which rounds correctly.
+  mpmath is imported only inside the functions that work at ``dps``
+  digits, so a ladder or extension test without extended precision never
+  loads it.
 * Each curve is sampled once.  The ladder's extension tests, its check
   that no curve vanishes on the circle and, for rings without extended
   precision, the interpolation read the same ``(K, m)`` nodes
@@ -70,7 +73,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .boundary import (CircleFunction, _check_sample_count,
@@ -150,6 +152,7 @@ class RingFunction:
         if self.laurent is not None:
             self._validate_laurent()
             if mp_evaluator is None:
+                import mpmath as mp
                 # doubles convert to mpc exactly, so once per ring suffices
                 self.mp_evaluator = functools.partial(_laurent_sum, tuple(
                     (n, l, mp.mpc(c)) for n, l, c in self.laurent))
@@ -194,6 +197,7 @@ class RingFunction:
         """Evaluate at mpmath arguments (requires mp capability)."""
         if self.mp_evaluator is None:
             raise ValueError("no extended-precision evaluation available")
+        import mpmath as mp
         return mp.mpc(self.mp_evaluator(lam, z))
 
 
@@ -248,6 +252,7 @@ class DiscFunction:
 
     def eval_mp(self, lam):
         """Horner at one ``mpc`` or at an ``object`` array of them."""
+        import mpmath as mp
         total = 0
         for c in reversed([mp.mpc(c) for c in self.coeffs]):
             total = total * lam + c
@@ -695,6 +700,7 @@ def _mpf_to_decimal(t: tuple) -> Decimal:
     if not man or abs(exp) > 65536:
         # zero, inf and nan; magnitudes far outside any double become the
         # double's 0 or inf instead of a shift by more than 65536 bits
+        import mpmath as mp
         return Decimal(mp.libmp.to_float(t))
     # on mpmath's gmpy backend the mantissa is an mpz, which Decimal refuses
     man = int(man)
@@ -706,13 +712,15 @@ def _mpf_to_decimal(t: tuple) -> Decimal:
 def _decimal_digits(dps: int) -> int:
     """Smallest ``Decimal`` precision ``p`` with ``10**(1-p)/2 <= 2**-prec``.
 
-    ``prec`` is mpmath's working precision in bits at ``dps`` digits, so a
-    single rounding in the ``decimal`` context is never coarser than one in
-    ``mp.workdps(dps)``.  Complex multiply and divide in
-    :class:`_DecimalArray` round every real product and sum, where mpmath
-    rounds each part once, so they are not as tight as ``mpc`` arithmetic.
+    ``prec`` is mpmath's working precision in bits at ``dps`` digits
+    (``mpmath.libmp.dps_to_prec``, computed here by its formula so that the
+    float path does not import mpmath), so a single rounding in the
+    ``decimal`` context is never coarser than one in ``mp.workdps(dps)``.
+    Complex multiply and divide in :class:`_DecimalArray` round every real
+    product and sum, where mpmath rounds each part once, so they are not
+    as tight as ``mpc`` arithmetic.
     """
-    prec = mp.libmp.dps_to_prec(dps)
+    prec = max(1, round((dps + 1) * 3.3219280948873626))
     p = 1
     while 10 ** (p - 1) < 2 ** (prec - 1):
         p += 1
@@ -728,6 +736,7 @@ def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
     ``(K, m)`` :class:`_DecimalArray` (call inside the ``decimal`` context
     of the kernel).
     """
+    import mpmath as mp
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
         nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)

@@ -20,6 +20,9 @@ call evaluates a whole array (the ring adapters hand over whole
 restriction grids), and scalars give a Python ``complex``.
 ``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
+mpmath is imported only by the extended-precision evaluators (``eval_mp``
+and the remark-1 ring's ``mp_evaluator``) and by
+:func:`example1_growth_probe`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .boundary import CircleFunction, pointwise, unit_circle_grid
@@ -124,6 +126,7 @@ class Example1:
         return total
 
     def eval_mp(self, lam, z):
+        import mpmath as mp
         lam = mp.mpc(lam)
         z = mp.mpc(z)
         if lam == 0:
@@ -155,6 +158,7 @@ class GrowthSample:
     ratios: Tuple[object, ...]  # value * lam^p for p = 1..6
 
     def as_dict(self) -> dict:
+        import mpmath as mp
         return {"m": self.m, "lam": self.lam, "value": mp.nstr(self.value, 17),
                 "ratios": [mp.nstr(r, 17) for r in self.ratios]}
 
@@ -181,6 +185,7 @@ def example1_growth_probe(n0: int, c: float,
     while (2.0 / 3.0) ** n1 >= c / 2.0:
         n1 += 1
 
+    import mpmath as mp
     samples: List[GrowthSample] = []
     with mp.workdps(40):
         for m in m_range:
@@ -254,6 +259,7 @@ class Example2:
 
     def eval_mp(self, lam, z):
         """Partial sum to depth 40 in mpmath arithmetic."""
+        import mpmath as mp
         lam = mp.mpc(lam)
         z = mp.mpc(z)
         if lam == 0:
@@ -305,9 +311,15 @@ def remark1_eval(lam, z):
     return complex(out) if out.ndim == 0 else out
 
 
+def _remark1_eval_mp(lam, z):
+    """``exp(z / lambda)`` at mpmath arguments."""
+    import mpmath as mp
+    return mp.exp(z / lam)
+
+
 def remark1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=remark1_eval, epsilon=epsilon,
-                        mp_evaluator=lambda lam, z: mp.exp(z / lam))
+                        mp_evaluator=_remark1_eval_mp)
 
 
 def example1_ring(epsilon: float = 0.3) -> RingFunction:

@@ -271,6 +271,36 @@ def test_malformed_laurent_term_is_config_error(tmp_path, capsys, term):
         "error: malformed coefficient file: ")
 
 
+LOOSE_TERM = {"n": 1.5, "l": 1, "c": [1, 0, 7]}
+
+
+@pytest.mark.parametrize("term, message", [
+    # int() would truncate 1.5, and the third entry of c would be ignored
+    (LOOSE_TERM, "term 0: degree n = 1.5 is not an integer"),
+    (dict(LOOSE_TERM, n=1), "term 0: c = [1, 0, 7] is not a pair [re, im]")])
+def test_loose_laurent_term_is_config_error(tmp_path, capsys, term, message):
+    coeffs = tmp_path / "poly.json"
+    coeffs.write_text(json.dumps({"terms": [term]}))
+    cfg = write_config(tmp_path, HORIZONTAL.replace(
+        "name = remark1", f"name = laurent\ncoeffs = {coeffs.name}"))
+    assert main(["test", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed coefficient file: {message}\n")
+
+
+def test_integral_float_laurent_degree_is_accepted():
+    term = {"n": 1.0, "l": -1.0, "c": [0.5, 2]}
+    assert cli._laurent_term(0, term) == (1, -1, 0.5 + 2j)
+
+
+def test_empty_probes_is_config_error(tmp_path, capsys):
+    # zero probes would make validate report all_probes_ok over nothing
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace(
+        "probes = 0,0 0.5,0", "probes ="))
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: no probe points: ")
+
+
 def test_cmd_validate_geometric_not_test(tmp_path):
     cfg = write_config(tmp_path, VALIDATE_GEOMETRIC)
     code = main(["validate", "--config", cfg, "--out", str(tmp_path)])
@@ -449,6 +479,37 @@ def test_cli_import_does_not_load_scipy():
          "import sys, pinchext.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+_FLOAT_ONLY_RUN = """
+import contextlib, io, sys
+import numpy as np
+from pinchext.cli import main, parse_config
+from pinchext.extension import DiscFunction, RingFunction, coefficient_ladder
+cfg = sys.argv[1]
+parse_config(cfg)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["test", "--config", cfg]),
+             main(["validate", "--config", cfg]),
+             main(["gallery", "example1", "--lam", "0.9,0.1", "--z", "0.2,0"])]
+ring = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
+coefficient_ladder(ring, [DiscFunction([0, 1.0 / k]) for k in range(1, 9)],
+                   2, 10, m=64, ladder_tol=1e-5)
+print(codes, "mpmath" in sys.modules)
+"""
+
+
+def test_float_only_commands_do_not_load_mpmath(tmp_path):
+    # only the extended-precision path needs mpmath; a fresh interpreter
+    # is used because this one has imported it already
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace(
+        "name = remark1", "name = example1").replace(
+        "[analysis]", "[analysis]\ngrid = 64"))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pinchext.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", _FLOAT_ONLY_RUN, cfg],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[0, 0, 0] False"
 
 
 def test_byte_determinism(tmp_path):

@@ -352,8 +352,10 @@ def test_convergence_check_reads_prefix_estimates(exp_ring):
 
 
 def test_decimal_digits_rule():
-    # the smallest p whose half-ulp 10**(1-p)/2 is at most mpmath's 2**-prec
-    for dps in range(15, 201):
+    # the smallest p whose half-ulp 10**(1-p)/2 is at most mpmath's 2**-prec;
+    # _decimal_digits computes prec by dps_to_prec's formula without mpmath,
+    # so every dps the ladder may use pins the two together
+    for dps in range(1, 301):
         prec = mp.libmp.dps_to_prec(dps)
         p = _decimal_digits(dps)
         assert Fraction(10) ** (1 - p) / 2 <= Fraction(2) ** -prec
