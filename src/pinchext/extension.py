@@ -24,17 +24,23 @@ Numerical notes
   functions (exact bivariate Laurent form or an mpmath evaluator) the
   ladder works at ``dps`` digits; otherwise everything runs in complex
   doubles, and deep levels lose accuracy.
-* At ``dps`` digits, mpmath only evaluates the curve nodes and the
-  function values.  Each part of each value is converted to the C
-  ``decimal`` type by one correctly rounded division, and the
-  divided-difference table, the monomial conversion, the convergence
-  estimates and the level recursion below run on ``decimal`` at the
-  smallest precision whose single rounding is at least as fine as
-  mpmath's at ``dps`` (:func:`_decimal_digits`).  A complex product or
-  quotient takes a few more such roundings than mpmath's ``mpc`` (which
-  rounds each part once, with guard bits for division), so a part can
-  lose a few ulps more under cancellation; normwise the error stays a
-  few ulps.  Results return to complex doubles through
+* At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
+  pass per curve over the grid) and the function values, one grid column
+  at a time (:func:`_mp_column`).  An ``mp_evaluator`` may carry a private
+  column form ``_mp_column(lam, zs)``; remark 1's computes ``1/lam`` once
+  per column, so its values differ from ``exp(z / lam)`` by about 1e-52
+  relative.  Otherwise, and always for a wrapper (a callable with
+  ``__wrapped__``), the evaluator is called once per node; each value is
+  computed on its own, so the column order changes no bit.  Each part of
+  each value is converted to the C ``decimal`` type by one correctly
+  rounded division, and the divided-difference table, the monomial
+  conversion, the convergence estimates and the level recursion below run
+  on ``decimal`` at the smallest precision whose single rounding is at
+  least as fine as mpmath's at ``dps`` (:func:`_decimal_digits`).  A
+  complex product or quotient takes a few more such roundings than
+  mpmath's ``mpc`` (which rounds each part once, with guard bits for
+  division), so a part can lose a few ulps more under cancellation;
+  normwise the error stays a few ulps.  Results return to complex doubles through
   ``float(Decimal)``, which rounds correctly.
   mpmath is imported only inside the functions that work at ``dps``
   digits, so a ladder or extension test without extended precision never
@@ -251,10 +257,18 @@ class DiscFunction:
         return np.polynomial.polynomial.polyval(lam, self.coeffs)
 
     def eval_mp(self, lam):
-        """Horner at one ``mpc`` or at an ``object`` array of them."""
+        """Horner at one ``mpc`` or at an ``object`` array of them.
+
+        The same bits as Horner from 0, whose first step ``0 * lam + c``
+        is exact.  ``lam`` stays the left operand of the first product: an
+        ``mpc`` times an ``object`` array is much slower than the reverse.
+        """
         import mpmath as mp
-        total = 0
-        for c in reversed([mp.mpc(c) for c in self.coeffs]):
+        *low, top = [mp.mpc(c) for c in self.coeffs]
+        if not low:
+            return 0 * lam + top
+        total = lam * top + low[-1]
+        for c in reversed(low[:-1]):
             total = total * lam + c
         return total
 
@@ -653,7 +667,10 @@ class _DecimalArray:
         self.im = im
 
     @classmethod
-    def from_mpc(cls, z: np.ndarray) -> "_DecimalArray":
+    def from_mpc(cls, z) -> "_DecimalArray":
+        """Each part of each ``mpc`` (an ``object`` array or a list of
+        them) rounded once to the context by :func:`_mpf_to_decimal`."""
+        z = np.asarray(z, dtype=object)
         parts = np.array([[_mpf_to_decimal(t) for t in x._mpc_] for x in z.flat],
                          dtype=object)
         return cls(parts[:, 0].reshape(z.shape), parts[:, 1].reshape(z.shape))
@@ -706,7 +723,14 @@ def _mpf_to_decimal(t: tuple) -> Decimal:
     man = int(man)
     if sign:
         man = -man
-    return Decimal(man << max(exp, 0)) / (1 << max(-exp, 0))
+    return Decimal(man << max(exp, 0)) / _decimal_pow2(max(-exp, 0))
+
+
+@functools.lru_cache(maxsize=256)
+def _decimal_pow2(k: int) -> Decimal:
+    """``2**k`` as an exact ``Decimal``: the same divisor as the ``int``,
+    converted once instead of on every division."""
+    return Decimal(1 << k)
 
 
 def _decimal_digits(dps: int) -> int:
@@ -732,17 +756,38 @@ def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
     """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
     mp-capable ``f``.
 
-    mpmath evaluates both at ``dps`` digits; they are returned as two
-    ``(K, m)`` :class:`_DecimalArray` (call inside the ``decimal`` context
-    of the kernel).
+    mpmath evaluates both at ``dps`` digits: the nodes by one Horner pass
+    per curve over the whole grid, the values one grid column at a time
+    (one ``lam`` and its ``K`` nodes per call of :func:`_mp_column`), each
+    column converted to ``Decimal`` parts as it is produced.  They are
+    returned as two ``(K, m)`` :class:`_DecimalArray` (call inside the
+    ``decimal`` context of the kernel).
     """
     import mpmath as mp
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
         nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)
-        values = np.array([[f.eval_mp(lam, t) for lam, t in zip(lam_mp, row)]
-                           for row in nodes], dtype=object)
-    return _DecimalArray.from_mpc(nodes), _DecimalArray.from_mpc(values)
+        values = _DecimalArray(*np.empty((2,) + nodes.shape, dtype=object))
+        for j, lam in enumerate(lam_mp):
+            values[:, j] = _DecimalArray.from_mpc(_mp_column(f, lam, nodes[:, j]))
+    return _DecimalArray.from_mpc(nodes), values
+
+
+def _mp_column(f: RingFunction, lam, zs) -> list:
+    """``f(lam, z)`` as ``mpc`` for each node ``z`` of one grid column.
+
+    The ring's ``mp_evaluator`` may carry a private ``_mp_column(lam, zs)``
+    that evaluates a whole column at once (remark 1 computes ``1/lam`` once
+    per column); otherwise the evaluator, read at call time, is called once
+    per node through :meth:`RingFunction.eval_mp`.  A wrapper (a callable
+    with ``__wrapped__``) is always called per node: ``functools.wraps``
+    copies the column form of the function it wraps, which would skip the
+    wrapper.
+    """
+    column = getattr(f.mp_evaluator, "_mp_column", None)
+    if column is not None and not hasattr(f.mp_evaluator, "__wrapped__"):
+        return column(lam, zs)
+    return [f.eval_mp(lam, z) for z in zs]
 
 
 def _divided_differences(nodes, values):

@@ -21,7 +21,7 @@ restriction grids), and scalars give a Python ``complex``.
 ``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
 mpmath is imported only by the extended-precision evaluators (``eval_mp``
-and the remark-1 ring's ``mp_evaluator``) and by
+and the remark-1 ring's ``mp_evaluator`` and its column form) and by
 :func:`example1_growth_probe`.
 """
 
@@ -311,10 +311,21 @@ def remark1_eval(lam, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def _remark1_eval_mp(lam, z):
-    """``exp(z / lambda)`` at mpmath arguments."""
+def _remark1_column_mp(lam, zs):
+    """``exp(z / lambda)`` for each ``z`` of ``zs`` at one ``lambda``, as
+    ``exp(z * (1 / lambda))``: one ``mpc`` division per column."""
     import mpmath as mp
-    return mp.exp(z / lam)
+    inv = 1 / lam
+    return [mp.exp(z * inv) for z in zs]
+
+
+def _remark1_eval_mp(lam, z):
+    """``exp(z / lambda)`` at mpmath arguments; the one-node column."""
+    return _remark1_column_mp(lam, (z,))[0]
+
+
+# the ladder evaluates a whole column of curve nodes per grid point
+_remark1_eval_mp._mp_column = _remark1_column_mp
 
 
 def remark1_ring(epsilon: float = 0.3) -> RingFunction:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import decimal
+import functools
 import math
 import re
 import warnings
@@ -22,8 +23,8 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
-                                _mpf_to_decimal, _roots_of_rows)
-from pinchext.gallery import remark1_ring
+                                _mp_column, _mpf_to_decimal, _roots_of_rows)
+from pinchext.gallery import remark1_eval, remark1_ring
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,12 @@ def test_laurent_mp_path_matches_float_kernel(rng):
     g = RingFunction(f.evaluator, 0.3, laurent=terms,
                      mp_evaluator=lambda lam, z: mp.mpc(7))
     assert g.eval_mp(mp.mpc(1), mp.mpc(0)) == 7
+    # mpf, int and complex results are converted to mpc
+    for result in (mp.mpf(7) / 3, 7, 7 - 0.5j):
+        got = RingFunction(f.evaluator, 0.3, mp_evaluator=lambda lam, z: result
+                           ).eval_mp(mp.mpc(1), mp.mpc(0))
+        assert type(got) is mp.mpc
+        assert got._mpc_ == mp.mpc(result)._mpc_
     with pytest.raises(ValueError, match="no extended-precision"):
         RingFunction(f.evaluator, 0.3).eval_mp(mp.mpc(1), mp.mpc(0))
 
@@ -83,6 +90,36 @@ def test_disc_function_trims_tail():
     phi = DiscFunction([0.5, 0, 0, 1e-20])
     assert phi.degree == 0
     assert phi.coeffs == (0.5 + 0j,)
+
+
+def _horner_from_zero(coeffs, lam):
+    total = 0
+    for c in reversed([mp.mpc(c) for c in coeffs]):
+        total = total * lam + c
+    return total
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_disc_eval_mp_matches_horner_from_zero(degree):
+    # Horner that starts at lam * c_top has the bits of the textbook form,
+    # at one mpc and at an object array of them, zero coefficients included;
+    # a constant curve still gives one value per grid point
+    rng = np.random.default_rng(4100 + degree)
+    coeffs = 0.2 * (rng.standard_normal(degree + 1)
+                    + 1j * rng.standard_normal(degree + 1))
+    coeffs[0] = 0.0
+    coeffs[degree // 2] = 0.0
+    coeffs[degree] = 0.3 - 0.1j
+    phi = DiscFunction(coeffs, require_into_disc=False)
+    assert phi.degree == degree
+    with mp.workdps(52):
+        lam = np.array([mp.mpc(x) for x in unit_circle_grid(16) * 0.97],
+                       dtype=object)
+        got = phi.eval_mp(lam)
+        assert got.shape == lam.shape
+        for x, y in zip(got, lam):
+            assert x._mpc_ == _horner_from_zero(phi.coeffs, y)._mpc_
+            assert phi.eval_mp(y)._mpc_ == x._mpc_
 
 
 def test_disc_function_into_disc_check():
@@ -379,6 +416,15 @@ def test_decimal_array_conversion():
             sign, man, exp, _ = part._mpf_
             exact = (-1) ** sign * man * Fraction(2) ** exp
             assert abs(Fraction(got) - exact) <= half_ulp * abs(exact)
+    # the cached exact divisor 2**k rounds as the division by the int does
+    with decimal.localcontext(context):
+        for exp in range(-400, 65):
+            for sign in (0, 1):
+                man = int(rng.integers(1, 2 ** 62)) << 120 | 1
+                got = _mpf_to_decimal((sign, man, exp, man.bit_length()))
+                man = -man if sign else man
+                assert got == (decimal.Decimal(man << max(exp, 0))
+                               / (1 << max(-exp, 0)))
     as_c = z_dec.astype(complex)
     assert as_c.tolist() == [complex(v) for v in z_mp]
     # Decimal zeros carry a sign, mpmath zeros do not: doubles get +0.0
@@ -408,6 +454,65 @@ def test_mpf_to_decimal_accepts_int_like_mantissa():
             sign, man, exp, bc = v._mpf_
             wrapped = (sign, _IntLike(man), exp, bc)
             assert _mpf_to_decimal(wrapped) == _mpf_to_decimal(v._mpf_)
+
+
+def test_mp_column_forms():
+    # remark 1 evaluates a column as exp(z * (1/lam)); its pointwise
+    # evaluator is the one-node case, within 1e-50 of exp(z / lam)
+    ring = remark1_ring(0.3)
+    with mp.workdps(52):
+        lam = mp.mpc(0.6, 0.8)
+        zs = [mp.mpc(0.3, -0.2), mp.mpc(-0.1, 0.05), mp.mpc(0.45)]
+        column = _mp_column(ring, lam, zs)
+        assert [v._mpc_ for v in column] == [ring.eval_mp(lam, z)._mpc_
+                                             for z in zs]
+        for v, z in zip(column, zs):
+            assert abs(v - mp.exp(z / lam)) <= 1e-50 * abs(v)
+        # the default column form calls the evaluator the ring holds now,
+        # converting each result to mpc
+        plain = RingFunction(remark1_eval, 0.3,
+                             mp_evaluator=lambda lam, z: mp.exp(z / lam))
+        plain.mp_evaluator = lambda lam, z: z * 2
+        column = _mp_column(plain, lam, [mp.mpc(1, 1), 3])
+        assert all(type(v) is mp.mpc for v in column)
+        assert column == [mp.mpc(2, 2), mp.mpc(6)]
+        # functools.wraps copies the column form onto a wrapper; the wrapper
+        # is still called, once per node
+        calls = []
+
+        @functools.wraps(ring.mp_evaluator)
+        def doubled(lam, z, inner=ring.mp_evaluator):
+            calls.append(z)
+            return 2 * inner(lam, z)
+
+        assert hasattr(doubled, "_mp_column")
+        ring.mp_evaluator = doubled
+        assert _mp_column(ring, lam, zs) == [2 * v for v in
+                                             _mp_column(remark1_ring(0.3),
+                                                        lam, zs)]
+        assert calls == zs
+
+
+def test_remark1_ladder_matches_pointwise_exp():
+    # on rotated lines every part of every value is O(1), and the ladder
+    # keeps each bit of a ring whose pointwise evaluator is exp(z / lam)
+    plain = RingFunction(remark1_eval, 0.3,
+                         mp_evaluator=lambda lam, z: mp.exp(z / lam))
+    rotated = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
+    # on real lines some results are exactly zero in exact arithmetic, and
+    # the two quotients' difference of about 1e-52 shows in them
+    real = [DiscFunction([0, 1.0 / k]) for k in range(1, 13)]
+    for curves, exact in ((rotated, True), (real, False)):
+        got = coefficient_ladder(remark1_ring(0.3), curves, 6, 10, m=64)
+        ref = coefficient_ladder(plain, curves, 6, 10, m=64)
+        assert got.c_prime == ref.c_prime
+        assert len(got.diagnostics) == len(ref.diagnostics) == 21
+        for x, y in zip(got.diagnostics, ref.diagnostics):
+            assert x.poles == y.poles
+            err = np.abs(x.level_coeffs - y.level_coeffs).max()
+            assert err <= (0 if exact else 1e-50 * np.abs(y.level_coeffs).max())
+        if exact:
+            assert got.as_dict() == ref.as_dict()
 
 
 def test_ladder_exponential_coefficients(exp_ladder):
