@@ -68,6 +68,8 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
 _CIRCLE_DISTANCE_TOL = 1e-6
 _N_RADII = 32
 _AVOID_RADIUS = 0.05
+# zeros up to this modulus count as in the closed unit disc
+_DISC_EDGE = 1.0 + 1e-9
 _VANISHING = ("curve difference vanishes identically or has a zero within "
               f"{_CIRCLE_DISTANCE_TOL:g} of the unit circle; winding undefined")
 
@@ -221,7 +223,7 @@ def _zeros_against(curves: Sequence[DiscFunction],
 
 def _in_disc(zeros: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """The zeros in the closed unit disc (to 1e-9); ``None`` stays ``None``."""
-    return None if zeros is None else zeros[np.abs(zeros) <= 1.0 + 1e-9]
+    return None if zeros is None else zeros[np.abs(zeros) <= _DISC_EDGE]
 
 
 def _winding(zeros: np.ndarray, radius: float) -> int:
@@ -304,9 +306,10 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     not claimed equivalent.
 
     The zeros of all pair differences come from one ``_roots_of_rows``
-    call, and one polyval per curve ``i`` evaluates every curve at the
-    disc zeros of all pairs ``(i, j > i)``; the records are those of a
-    per-pair scan.
+    call and are filtered to the closed disc by one mask; one polyval per
+    curve ``i`` evaluates every curve at the disc zeros of all pairs
+    ``(i, j > i)``, a contiguous slice of them.  The records are those of
+    a per-pair scan.
 
     Raises ``ValueError`` when two curves coincide: they meet everywhere,
     so the scan has no intersection points to report for them.  The
@@ -336,15 +339,18 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     for i, j, zeros in zip(first.tolist(), second.tolist(), pair_zeros):
         if zeros is None:
             raise ValueError(f"curves {i} and {j} coincide")
-    pair_zeros = [_in_disc(zs) for zs in pair_zeros]
+    # One mask keeps the disc zeros of all pairs, in pair order.  The pairs
+    # (i, j > i) are consecutive, so curve i's zeros are one slice.
+    counts = [zs.size for zs in pair_zeros]
+    zeros = np.concatenate(pair_zeros)
+    inside = np.abs(zeros) <= _DISC_EDGE
+    zeros, owners = zeros[inside], np.repeat(second, counts)[inside]
+    cuts = np.searchsorted(np.repeat(first, counts)[inside], np.arange(k))
     below = np.arange(k)[:, None]
     violations: List[TripleIntersection] = []
     for i in range(k - 1):
-        # the pairs (i, j > i) are k - 1 - i consecutive entries
-        start = i * k - i * (i + 1) // 2
-        zero_sets_i = pair_zeros[start:start + k - 1 - i]
-        roots = np.concatenate(zero_sets_i)
-        owner = np.repeat(np.arange(i + 1, k), [zs.size for zs in zero_sets_i])
+        roots = zeros[cuts[i]:cuts[i + 1]]
+        owner = owners[cuts[i]:cuts[i + 1]]
         values = np.polynomial.polynomial.polyval(roots, table)
         hits = np.abs(values[i] - values) < 1e-9
         hits[i] = True

@@ -57,15 +57,24 @@ __all__ = [
 _LOG3 = math.log(3.0)
 
 
+def _term_log_bound(n: int, log_inv_eps):
+    """``log`` of :func:`example1_term_bound` from ``log(1 / eps_d)``."""
+    return -(4 * n ** 3 + n) * _LOG3 + 1.5 * (n * n + n) * log_inv_eps
+
+
+def _term_bound(n: int, log_inv_eps) -> np.ndarray:
+    """:func:`example1_term_bound` from ``log(1 / eps_d)``, as an array."""
+    log_bound = _term_log_bound(n, log_inv_eps)
+    return np.where(log_bound > 700.0, np.inf, np.exp(np.minimum(log_bound, 700.0)))
+
+
 def example1_term_bound(n: int, eps_d):
     """Bound ``3^{-4n^3-n} (1/eps_d)^{1.5 (n^2+n)}`` on term ``n``.
 
     ``eps_d`` may be an array; a scalar gives a ``float``.  Bounds past
     ``e^700`` are reported as ``inf``.
     """
-    log_bound = (-(4 * n ** 3 + n) * _LOG3
-                 + 1.5 * (n * n + n) * np.log(1.0 / np.asarray(eps_d, dtype=float)))
-    out = np.where(log_bound > 700.0, np.inf, np.exp(np.minimum(log_bound, 700.0)))
+    out = _term_bound(n, np.log(1.0 / np.asarray(eps_d, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,13 +108,14 @@ class Example1:
         eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
         nz = z != 0
         eps_d[nz] = np.minimum(eps_d[nz], 1.0 / (3.0 * np.abs(z[nz])))
-        tail = 2.0 * example1_term_bound(self.n_trunc + 1, eps_d)
+        log_inv_eps = np.log(1.0 / eps_d)
+        tail = 2.0 * _term_bound(self.n_trunc + 1, log_inv_eps)
         total = np.zeros_like(lam)
         scale = np.ones(lam.shape)
         step = (2.0 / 3.0) * lam
         live = np.flatnonzero(tail < np.inf)
         for n in range(1, depth + 1):
-            live = live[~(example1_term_bound(n, eps_d[live]) < 1e-18 * scale[live])]
+            live = live[~(_term_bound(n, log_inv_eps[live]) < 1e-18 * scale[live])]
             if not live.size:
                 break
             c, zl = step[live], z[live]
@@ -126,18 +136,37 @@ class Example1:
         return total
 
     def eval_mp(self, lam, z):
+        """The series in mpmath arithmetic, truncated by its term bound.
+
+        Term ``n`` is summed unless its bound (``example1_term_bound`` at
+        ``__call__``'s ``eps_d``) is below ``2**-(prec + 64)`` times the
+        partial sum, at most ``n_trunc`` terms.  The comparison is made
+        between logarithms, so no bound underflows, and a zero partial sum
+        (log ``-inf``) never stops the sum: the value at ``z = 0`` is
+        exactly 0.  The product ``prod_j (z - w_j)`` grows by one factor
+        per term, with the ``w_j`` and the order of a product rebuilt at
+        every term, so each partial product keeps its bits.
+        """
         import mpmath as mp
         lam = mp.mpc(lam)
         z = mp.mpc(z)
         if lam == 0:
             raise ValueError("example 1 is undefined at lambda = 0")
+        a = abs(lam)
+        eps_d = min(a, 1 / a, 0.33)
+        if z != 0:
+            eps_d = min(eps_d, 1 / (3 * abs(z)))
+        log_inv_eps = float(-mp.log(eps_d))
+        log_tol = -(mp.mp.prec + 64) * math.log(2.0)
+        step = mp.mpf(2) / 3 * lam
         total = mp.mpc(0)
+        prod = w = mp.mpc(1)
         for n in range(1, self.n_trunc + 1):
-            prod = mp.mpc(1)
-            w = mp.mpc(1)
-            for j in range(1, n + 1):
-                w *= mp.mpf(2) / 3 * lam
-                prod *= (z - w)
+            if (_term_log_bound(n, log_inv_eps)
+                    < log_tol + float(mp.log(abs(total)))):
+                break
+            w *= step
+            prod *= z - w
             total += mp.mpf(3) ** (-4 * n ** 3) * prod * lam ** (-n * n) * z ** n
         return total
 

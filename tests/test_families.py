@@ -275,11 +275,26 @@ def test_general_position_matches_pair_loop_on_mixed_degrees():
         if (idx // 6) % 2 == 0:
             c[0] = 0.0
         curves.append(DiscFunction(c, require_into_disc=False))
+    # Edge cases of the one-mask disc filter: constants and monomials c
+    # lam^2, whose differences with each other have degree 0 or only the
+    # float zeros of lam^m; a pair whose zeros all lie outside the disc;
+    # three lines through one point at lambda = 1.5, outside the disc; and
+    # four lines through one point (p, w) inside it.
+    p, w = 0.25 - 0.15j, 0.2 + 0.1j
+    curves += [DiscFunction([0.3]), DiscFunction([-0.2j]),
+               DiscFunction([0, 0, 0.4]), DiscFunction([0, 0, -0.5j]),
+               DiscFunction([0.1, 0.05]), DiscFunction([0.3, 0.01])]
+    curves += [DiscFunction([0.1 - 1.5 * b, b]) for b in (0.3, -0.3, 0.3j)]
+    curves += [DiscFunction([w - b * p, b]) for b in (0.3, -0.4j, 0.5 + 0.2j, -0.6)]
     probes = [0j, 0.4 - 0.3j, -0.6 + 0.1j]
     report = general_position_check(curves, ZERO, probes)
     assert report.triple_violations
     assert report.as_dict() == _records_by_pair_loop(curves, ZERO,
                                                      probes).as_dict()
+    k = len(curves)
+    assert any(v.indices[-4:] == tuple(range(k - 4, k)) and abs(v.lam - p) < 1e-12
+               for v in report.triple_violations)
+    assert all(abs(v.lam) <= 1.0 + 1e-9 for v in report.triple_violations)
 
 
 def _triples_by_scalar_loop(curves):

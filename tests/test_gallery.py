@@ -64,6 +64,21 @@ def _example1_loop(lam, z, n_trunc=40, depth=None):
     return total, terms
 
 
+def _example1_mp_untruncated(lam, z, n_trunc=40):
+    """The former ``Example1.eval_mp``: all ``n_trunc`` terms, each product
+    rebuilt from 1."""
+    lam, z = mp.mpc(lam), mp.mpc(z)
+    total = mp.mpc(0)
+    for n in range(1, n_trunc + 1):
+        prod = mp.mpc(1)
+        w = mp.mpc(1)
+        for j in range(1, n + 1):
+            w *= mp.mpf(2) / 3 * lam
+            prod *= (z - w)
+        total += mp.mpf(3) ** (-4 * n ** 3) * prod * lam ** (-n * n) * z ** n
+    return total
+
+
 def _example2_loop(ex, lam, z, l_trunc=40):
     """The former one-point loop of ``Example2.__call__``, kept as reference."""
     lam = complex(lam)
@@ -186,23 +201,31 @@ def test_example1_broadcast_and_scalars(rng):
 
 def test_example1_sums_each_point_to_its_own_depth(rng, monkeypatch):
     # step n evaluates term n's bound only at the points that are still
-    # summing: those where the reference loop summed at least n - 1 terms
+    # summing: those where the reference loop summed at least n - 1 terms.
+    # The bounds are recorded at the kernel's helper, which takes each
+    # point's log(1 / eps_d).
     lam, z = _ring_points(rng, 200)
     lam[:4] = [1e-6, 1e-4, 3e-2, 5.0]
     calls = []
+    term_bound = gallery._term_bound
 
-    def recording(n, eps_d):
-        calls.append((n, np.size(eps_d)))
-        return example1_term_bound(n, eps_d)
+    def recording(n, log_inv_eps):
+        calls.append((n, log_inv_eps))
+        return term_bound(n, log_inv_eps)
 
-    monkeypatch.setattr(gallery, "example1_term_bound", recording)
+    monkeypatch.setattr(gallery, "_term_bound", recording)
     values = Example1()(lam, z)
     reference = [_example1_loop(l, w) for l, w in zip(lam, z)]
     terms = np.array([t for _, t in reference])
     assert len(set(terms)) >= 3
-    assert calls[0] == (41, lam.size)  # the tail bound
-    assert calls[1:] == [(n, int((terms >= n - 1).sum()))
-                         for n in range(1, terms.max() + 2)]
+    assert [(n, seen.size) for n, seen in calls] == (
+        [(41, lam.size)]  # the tail bound
+        + [(n, int((terms >= n - 1).sum())) for n in range(1, terms.max() + 2)])
+    a = np.abs(lam)
+    eps_d = np.minimum(np.minimum(np.minimum(a, 1.0 / a), 0.33),
+                       1.0 / (3.0 * np.abs(z)))
+    for n, seen in calls[1:]:
+        assert (seen == np.log(1.0 / eps_d[terms >= n - 1])).all()
     _assert_close(values, [v for v, _ in reference])
 
 
@@ -233,9 +256,12 @@ def test_example1_first_uncertifiable_point_is_reported(rng):
 
 def test_example1_infinite_tail_is_not_summed():
     # the tail bound at lam = 1e-60 is inf: no term is evaluated (no
-    # overflow), and the point is reported as uncertifiable
-    with pytest.raises(ConvergenceError, match="bound inf at series depth 40"):
-        Example1()(np.array([0.9, 1e-60]), 0.1)
+    # overflow), also among tiny-|lam| points that sum longer than the
+    # rest, and the point is reported as uncertifiable
+    for lam in ([0.9, 1e-60], [1e-4, 0.9, 1e-60, 3e-2, 1e-6]):
+        with pytest.raises(ConvergenceError,
+                           match="bound inf at series depth 40"):
+            Example1()(np.array(lam), 0.1)
 
 
 def test_example1_overflow_still_fails():
@@ -279,6 +305,23 @@ def test_growth_probe_parameter_checks():
     with pytest.raises(ValueError):
         example1_growth_probe(0, 0.1, range(4, 6))
     assert example1_growth_probe(1, 0.1, []) == ()
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+def test_example1_mp_matches_untruncated_sum(dps):
+    # the mp series stops at its own term bound, 2**-(prec + 64) of the
+    # partial sum: within 2**-(prec + 60) of all 40 terms, and exactly 0
+    # at z = 0
+    lam = [0.8 + 0.3j, -1.1 + 0.2j, 0.35 - 0.1j, 2.5j]
+    z = [0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 1.2 + 0.0j]
+    ex = Example1()
+    with mp.workdps(dps):
+        for l, w in zip(lam, z):
+            got = ex.eval_mp(l, w)
+            full = _example1_mp_untruncated(l, w)
+            assert abs(got - full) <= mp.ldexp(abs(full), -(mp.mp.prec + 60))
+        zero = ex.eval_mp(0.9 - 0.2j, 0)
+        assert zero == 0 and zero._mpc_ == _example1_mp_untruncated(0.9 - 0.2j, 0)._mpc_
 
 
 # ---------------------------------------------------------------- example 2
@@ -394,7 +437,7 @@ def test_remark1_eval_is_the_ring_kernel(rng):
 
 @pytest.mark.parametrize("make", [remark1_ring, example1_ring, example2_ring])
 def test_ring_mp_evaluator_matches_float_kernel(make):
-    # a few points only: example 1's mp series costs about 25 ms a point
+    # a few points only: the example-2 mp series costs about 10 ms a point
     ring = make(0.3)
     lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.2 + 0.0j])
     z = np.array([0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45 + 0.0j])
