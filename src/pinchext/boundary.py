@@ -7,11 +7,11 @@ Hardy projection, the Hilbert transform and the Sobolev norm act on the
 coefficients as plain Fourier multipliers, which keeps the operator
 identities exact to rounding.
 
-Building a :class:`CircleFunction` costs about one FFT: the float modes
-``n`` and the roots of unity are tables cached per grid size, the
-``fftshift`` is a swap of array halves, and at radius 1 the mode weight
-``r**n`` is the scalar 1.0.  A radius whose weights ``r**n`` would leave
-the normal float range on the grid is rejected with ``ValueError``.
+Building a :class:`CircleFunction` costs about one FFT: the roots of
+unity are a table cached per grid size, the ``fftshift`` is a swap of
+array halves, and at radius 1 the mode weight ``r**n`` is the scalar
+1.0.  A radius whose weights ``r**n`` would leave the normal float range
+on the grid is rejected with ``ValueError``.
 Every Hardy-minus projection is the one stacked truncation ``_minus_parts``.
 
 Normalization note: the Sobolev norm implemented here is
@@ -59,12 +59,9 @@ def _check_sample_count(m: int) -> None:
         raise ValueError(f"sample count must be a power of two, got {m}")
 
 
-@functools.lru_cache(maxsize=None)
 def _modes(m: int) -> np.ndarray:
-    """Read-only float modes ``-m/2 .. m/2 - 1``, one table per grid size."""
-    modes = np.arange(-m // 2, m // 2).astype(float)
-    modes.setflags(write=False)
-    return modes
+    """The modes ``-m/2 .. m/2 - 1`` of an ``m``-point grid."""
+    return np.arange(-m // 2, m // 2)
 
 
 def _mode_weights(m: int, radius) -> np.ndarray | float:
@@ -82,7 +79,7 @@ def _mode_weights(m: int, radius) -> np.ndarray | float:
             f"radius {radius!r} on a grid of m = {m} points needs weights "
             f"radius**n up to |n| = {m // 2} beyond the float range "
             f"(need (m/2)|ln radius| <= {_LOG_TINY:.1f})")
-    return radius ** _modes(m)
+    return float(radius) ** _modes(m)
 
 
 def _half_swap(a: np.ndarray) -> np.ndarray:
@@ -156,13 +153,12 @@ class CircleFunction:
     """Complex function sampled uniformly on ``|lambda| = radius``.
 
     The samples determine Laurent coefficients ``c_n`` for
-    ``n in [-M/2, M/2)`` via the FFT, rescaled so that ``c_n`` is the
-    coefficient of ``lambda^n`` on the sampling circle.  The rescaling
-    weights ``radius**n`` come from a mode table cached per ``M`` (the
-    scalar 1.0 at radius 1); the constructors raise ``ValueError`` when
-    ``(M/2) |ln radius|`` exceeds ``-ln`` of the smallest normal float
-    (about 708.4), where a weight would overflow or go subnormal.  The
-    constructor keeps a read-only copy of the caller's samples.
+    ``n in [-M/2, M/2)`` via the FFT, rescaled by the weights ``radius**n``
+    (the scalar 1.0 at radius 1) so that ``c_n`` is the coefficient of
+    ``lambda^n`` on the sampling circle.  The constructors raise
+    ``ValueError`` when ``(M/2) |ln radius|`` exceeds ``-ln`` of the
+    smallest normal float (about 708.4), where a weight would overflow or
+    go subnormal.  The constructor keeps a read-only copy of the samples.
     """
 
     __slots__ = ("_radius", "_samples", "_coeffs")
@@ -234,8 +230,7 @@ class CircleFunction:
 
     @property
     def modes(self) -> np.ndarray:
-        m = self.size
-        return np.arange(-m // 2, m // 2)
+        return _modes(self.size)
 
     def coeff(self, n: int) -> complex:
         """Laurent coefficient ``c_n`` (zero outside the resolved band)."""

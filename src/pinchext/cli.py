@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gallery
+from .boundary import _MIN_SAMPLES, _check_sample_count
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      ConvergenceError, DomainError, PoleLocationError)
 from .extension import (_HOLO_TOLERANCE, DiscFunction, RingFunction,
@@ -171,8 +172,11 @@ def parse_config(path) -> AnalysisConfig:
 
     an = parser["analysis"]
     grid = an.getint("grid", 256)
-    if grid < 16 or grid & (grid - 1):
-        raise ConfigError(f"grid must be a power of two >= 16, got {grid}")
+    try:
+        _check_sample_count(grid)
+    except ValueError:
+        raise ConfigError(f"grid must be a power of two >= {_MIN_SAMPLES}, "
+                          f"got {grid}") from None
     depth = an.getint("depth", 6)
     if depth > 24:
         raise ConfigError(f"depth must be at most 24, got {depth}")
@@ -364,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lam", required=True,
                    help="complex point as re,im")
     g.add_argument("--z", required=True, help="complex point as re,im")
-    g.add_argument("--trunc", type=int, default=40)
+    g.add_argument("--trunc", type=int, default=gallery._SERIES_DEPTH)
     g.add_argument("--out", default=None)
     return parser
 

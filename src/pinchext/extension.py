@@ -81,14 +81,14 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import (CircleFunction, _check_sample_count,
+from .boundary import (_ZERO_TOLERANCE, CircleFunction, _check_sample_count,
                        _coeffs_from_samples, _minus_parts, distance_product,
                        hardy_project_minus, pointwise, require_resolved,
                        unit_circle_grid)
 from .errors import (BandwidthError, CircleVanishingError,
                      ConvergenceError, DomainError)
-from .rational import (_CLUSTER_RADIUS, RationalPart, _single_linkage,
-                       blaschke_from_zeros, detect_rational)
+from .rational import (_CLUSTER_RADIUS, MAX_POLE_BOUND, RationalPart,
+                       _single_linkage, blaschke_from_zeros, detect_rational)
 
 __all__ = [
     "RingFunction",
@@ -292,7 +292,7 @@ class DiscFunction:
         out: List[Tuple[complex, int]] = []
         for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
             center = complex(np.mean(cluster))
-            if abs(center) <= radius + 1e-9:
+            if abs(center) <= radius + _DISC_SLACK:
                 out.append((center, cluster.size))
         out.sort(key=lambda t: (round(t[0].real, 6), round(t[0].imag, 6)))
         return tuple(out)
@@ -980,7 +980,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                 f"curve {idx} is not extendable with at most {n_max} poles; "
                 "not a valid test-sequence scenario")
         verdicts.append(verdict)
-        if float(np.abs(float_nodes[idx]).min()) <= 1e-9:
+        if float(np.abs(float_nodes[idx]).min()) <= _ZERO_TOLERANCE:
             raise CircleVanishingError(
                 f"curve {idx} vanishes on the unit circle")
     if leaves is not None:
@@ -994,14 +994,14 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     n_total = sum(l for _, l in zeros)
     raw_pole_lines, pole_lines = _stabilized_pole_lines(verdicts, zeros)
     m_total = sum(mult for _, mult in raw_pole_lines)
-    if depth * n_total + m_total > 16:
+    if depth * n_total + m_total > MAX_POLE_BOUND:
         raise ConvergenceError(
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
-            "the supported bound 16")
+            f"the supported bound {MAX_POLE_BOUND}")
     n_keep = depth + 1
-    # level n may carry n*N + M poles; detection gets that clipped to 1..16
+    # level n may carry n*N + M poles, within the cap; detection gets >= 1
     allowed = [n * n_total + m_total for n in range(n_keep)]
-    budgets = [min(16, max(1, a)) for a in allowed]
+    budgets = [max(1, a) for a in allowed]
 
     def split(psi: CircleFunction, n: int, not_rational: str, too_many: str,
               k: Optional[int] = None) -> RationalPart:

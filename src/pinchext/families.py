@@ -25,7 +25,7 @@ import numpy as np
 # unused here; bench/selftest.py checks that its tracer wraps this alias
 from .boundary import winding_number  # noqa: F401
 from .errors import ConvergenceError
-from .extension import DiscFunction, _roots_of_rows
+from .extension import _DISC_SLACK, DiscFunction, _roots_of_rows
 
 __all__ = [
     "TestSequenceReport",
@@ -68,8 +68,6 @@ def probes_from_csv(path) -> Tuple[complex, ...]:
 _CIRCLE_DISTANCE_TOL = 1e-6
 _N_RADII = 32
 _AVOID_RADIUS = 0.05
-# zeros up to this modulus count as in the closed unit disc
-_DISC_EDGE = 1.0 + 1e-9
 _VANISHING = ("curve difference vanishes identically or has a zero within "
               f"{_CIRCLE_DISTANCE_TOL:g} of the unit circle; winding undefined")
 
@@ -172,19 +170,29 @@ class WindingProfileReport:
                 "radius": self.radius, "constant": self.constant}
 
 
-def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
-                      radii: np.ndarray) -> Optional[float]:
-    """First scanned radius at which every difference is zero-free.
+def _radius_scan(lo: float, hi: float) -> List[np.ndarray]:
+    """The radii scanned in ``(lo, hi)``: 32 steps, then a refinement to 64."""
+    return [np.linspace(lo, hi, n + 2)[1:-1] for n in (_N_RADII, 2 * _N_RADII)]
 
-    ``zero_sets`` holds each difference's ``roots()``; one counts as
-    vanishing at radius ``r`` when any of its roots lies within 1e-6 of
-    the circle ``|lambda| = r`` (conservative).
+
+def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
+                      scan: Sequence[np.ndarray],
+                      n_bound: float = np.inf) -> Optional[float]:
+    """First radius of the ``scan`` at which every difference is zero-free.
+
+    ``zero_sets`` holds each difference's ``roots()``; a root within 1e-6
+    of ``|lambda| = r`` makes it vanish at ``r`` (conservative).  Each grid
+    offers its first such radius, taken if no winding exceeds ``n_bound``.
     """
     if any(zs is None for zs in zero_sets):
         return None  # identically zero difference never witnesses
     moduli = np.abs(np.concatenate([*zero_sets, []]))
-    free = (np.abs(moduli[:, None] - radii) > _CIRCLE_DISTANCE_TOL).all(0)
-    return float(radii[np.argmax(free)]) if free.any() else None
+    for radii in scan:
+        free = (np.abs(moduli[:, None] - radii) > _CIRCLE_DISTANCE_TOL).all(0)
+        r = float(radii[np.argmax(free)])
+        if free.any() and all(_winding(zs, r) <= n_bound for zs in zero_sets):
+            return r
+    return None
 
 
 def _coefficient_table(curves: Sequence[DiscFunction]) -> np.ndarray:
@@ -223,7 +231,7 @@ def _zeros_against(curves: Sequence[DiscFunction],
 
 def _in_disc(zeros: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """The zeros in the closed unit disc (to 1e-9); ``None`` stays ``None``."""
-    return None if zeros is None else zeros[np.abs(zeros) <= _DISC_EDGE]
+    return None if zeros is None else zeros[np.abs(zeros) <= 1.0 + _DISC_SLACK]
 
 
 def _winding(zeros: np.ndarray, radius: float) -> int:
@@ -246,7 +254,7 @@ def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
     windings: List[Optional[int]] = []
     failures: List[Tuple[int, str]] = []
     for idx, zeros in enumerate(_zeros_against(curves, phi0)):
-        if _zero_free_radius([zeros], np.ones(1)) is None:
+        if _zero_free_radius([zeros], [np.ones(1)]) is None:
             windings.append(None)
             failures.append((idx, _VANISHING))
         else:
@@ -275,18 +283,13 @@ def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
     """
     if len(curves) < 2:
         raise ValueError("need at least 2 curves for a family check")
-    lo, hi = 1.0 - epsilon / 2.0, 1.0 + epsilon / 2.0
+    scan = _radius_scan(1.0 - epsilon / 2.0, 1.0 + epsilon / 2.0)
     first, second = np.triu_indices(len(curves), 1)
     pair_zeros = _difference_zeros(_coefficient_table(curves), first, second)
     pairs: List[PairWitness] = []
     for s, t, zeros in zip(first.tolist(), second.tolist(), pair_zeros):
-        radius = winding = None
-        for steps in (_N_RADII, 2 * _N_RADII):
-            radii = np.linspace(lo, hi, steps + 2)[1:-1]
-            r = _zero_free_radius([zeros], radii)
-            if r is not None and _winding(zeros, r) <= n_bound:
-                radius, winding = r, _winding(zeros, r)
-                break
+        radius = _zero_free_radius([zeros], scan, n_bound)
+        winding = None if radius is None else _winding(zeros, radius)
         pairs.append(PairWitness(s=s, t=t, radius=radius, winding=winding,
                                  ok=radius is not None))
     return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
@@ -343,7 +346,7 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     # (i, j > i) are consecutive, so curve i's zeros are one slice.
     counts = [zs.size for zs in pair_zeros]
     zeros = np.concatenate(pair_zeros)
-    inside = np.abs(zeros) <= _DISC_EDGE
+    inside = np.abs(zeros) <= 1.0 + _DISC_SLACK
     zeros, owners = zeros[inside], np.repeat(second, counts)[inside]
     cuts = np.searchsorted(np.repeat(first, counts)[inside], np.arange(k))
     below = np.arange(k)[:, None]
@@ -379,12 +382,7 @@ def winding_profile(family: Callable[[float], DiscFunction],
         raise ValueError("alpha grid must exclude alpha0 itself")
     base = family(alpha0)
     zero_sets = _zeros_against([family(a) for a in alphas], base)
-    radius = None
-    for steps in (_N_RADII, 2 * _N_RADII):
-        radii = np.linspace(0.875, 1.125, steps + 2)[1:-1]
-        radius = _zero_free_radius(zero_sets, radii)
-        if radius is not None:
-            break
+    radius = _zero_free_radius(zero_sets, _radius_scan(0.875, 1.125))
     if radius is None:
         raise ConvergenceError(
             "no common zero-free radius found for the family differences")

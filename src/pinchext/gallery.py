@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _LOG3 = math.log(3.0)
+_SERIES_DEPTH = 40
 
 
 def _term_log_bound(n: int, log_inv_eps):
@@ -81,7 +82,7 @@ def example1_term_bound(n: int, eps_d):
 class Example1:
     """Series evaluator with adaptive truncation (default depth 40)."""
 
-    def __init__(self, n_trunc: int = 40):
+    def __init__(self, n_trunc: int = _SERIES_DEPTH):
         self.n_trunc = int(n_trunc)
 
     @pointwise
@@ -174,7 +175,8 @@ class Example1:
 _EXAMPLE1 = Example1()
 
 
-def example1_eval(lam: complex, z: complex, n_trunc: int = 40) -> complex:
+def example1_eval(lam: complex, z: complex,
+                  n_trunc: int = _SERIES_DEPTH) -> complex:
     """Partial sum of the example-1 series at one point."""
     return _EXAMPLE1(lam, z, n_trunc=n_trunc)
 
@@ -272,7 +274,7 @@ class Example2:
             self._sup_grid, self.p_coeffs(l))).max())
 
     @pointwise
-    def __call__(self, lam, z, *, l_trunc: int = 40):
+    def __call__(self, lam, z, *, l_trunc: int = _SERIES_DEPTH):
         """Partial sums to ``l_trunc``; ``lam`` and ``z`` broadcast together.
 
         Overflow of a term raises :class:`FloatingPointError`.
@@ -294,7 +296,7 @@ class Example2:
         if lam == 0:
             raise ValueError("example 2 is undefined at lambda = 0")
         total = mp.mpc(0)
-        for l in range(1, 41):
+        for l in range(1, _SERIES_DEPTH + 1):
             coeffs = self.p_coeffs(l - 1)
             p = mp.mpc(0)
             for ck in reversed(coeffs):
@@ -320,7 +322,8 @@ class Example2:
 _EXAMPLE2 = Example2()
 
 
-def example2_eval(lam: complex, z: complex, l_trunc: int = 40) -> complex:
+def example2_eval(lam: complex, z: complex,
+                  l_trunc: int = _SERIES_DEPTH) -> complex:
     return _EXAMPLE2(lam, z, l_trunc=l_trunc)
 
 
@@ -394,6 +397,6 @@ def gallery_ring(name: str, epsilon: float) -> RingFunction:
 
 
 def gallery_eval(name: str, lam: complex, z: complex,
-                 trunc: int = 40) -> complex:
+                 trunc: int = _SERIES_DEPTH) -> complex:
     """Point evaluation of a gallery function by CLI name."""
     return _gallery_entry(name)[1](lam, z, trunc)

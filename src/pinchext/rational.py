@@ -11,11 +11,11 @@ the signature of an essential singularity - are rejected, and the
 observed gap is reported so borderline verdicts can be audited.
 
 Poles are recovered from the shifted Hankel pencil restricted to the
-numeric-rank subspace.  Nearby candidates are merged into multiple poles
-(single-linkage clustering from radius 1e-4, coarsened until the
-principal-part least-squares fit matches the coefficient data), because
-an ``m``-fold pole scatters into a cluster of ``m`` simple candidates of
-radius roughly ``eps**(1/m)`` in floating point.
+numeric-rank subspace.  Nearby candidates are merged into multiple poles,
+because an ``m``-fold pole scatters into a cluster of ``m`` simple
+candidates of radius roughly ``eps**(1/m)`` in floating point.  The
+single-linkage radii are 0 (no merging: two simple poles closer than 1e-4
+stay apart) and 1e-4 to 5e-2; the best principal-part fit decides.
 """
 
 from __future__ import annotations
@@ -373,12 +373,12 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
     pencil = u1.conj().T @ hankel1 @ v1 @ np.diag(1.0 / sigma[:rank])
     candidates = np.linalg.eigvals(pencil)
 
-    # Try every clustering rung and keep the best-fitting pole model: the
-    # structurally correct model beats a spuriously split multiple pole by
-    # orders of magnitude in residual.
+    # Try every clustering rung from none (radius 0) up and keep the best
+    # fit: the correct model beats a split multiple pole, or two close simple
+    # poles merged into one, by orders of magnitude in residual.
     best: Tuple[RationalPart, float] | None = None
     seen = set()
-    for radius in (_CLUSTER_RADIUS, 10 * _CLUSTER_RADIUS,
+    for radius in (0.0, _CLUSTER_RADIUS, 10 * _CLUSTER_RADIUS,
                    100 * _CLUSTER_RADIUS, 500 * _CLUSTER_RADIUS):
         clusters = _single_linkage(candidates, radius)
         signature = tuple(sorted(c.size for c in clusters))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pinchext
-from pinchext import DomainError, RingFunction, cli
+from pinchext import DomainError, RingFunction, cli, gallery
 from pinchext.cli import main
 
 
@@ -257,6 +257,47 @@ depth = 3
     report = read_json(tmp_path, "ladder_report.json")
     assert report["pinch"]["pinches"] == []
     assert report["pinch"]["c"] == 1.0
+
+
+def test_cmd_ladder_example1_extended_precision(tmp_path):
+    # example 1 on the lines phi_k = lam / (2k): the extended-precision path
+    # through Example1.eval_mp.  The exact z-coefficients of the series are
+    # A_0 = 0, A_1 = -2/243 and A_2 = (1/81 + 8 * 3^-35) / lam; A_3 is about
+    # 1.5e-15 at |lam| = 0.7, near the 1e-12 share of the data scale below
+    # which the ladder cleans a coefficient to zero
+    cfg = write_config(tmp_path, """
+[function]
+name = example1
+epsilon = 0.3
+
+[curves]
+generator = scaled_monomial
+scale = 0.5
+indices = 1:8
+
+[analysis]
+grid = 64
+depth = 3
+n_max = 16
+""")
+    assert main(["ladder", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path, "ladder_report.json")
+    pinches = report["pinch"]["pinches"]
+    assert [(p["a"], p["order"]) for p in pinches] == [([0.0, 0.0], 1)]
+    entries = [pinchext.LadderEntry(
+        n=e["n"], rational=pinchext.RationalPart.from_dict(e["rational"]),
+        tail=tuple(complex(re, im) for re, im in e["tail"]))
+        for e in report["ladder"]["entries"]]
+    assert [e.n for e in entries] == [0, 1, 2, 3]
+    lam = pinchext.unit_circle_grid(32, 0.7)
+    exact = [np.zeros_like(lam), np.full_like(lam, -2 / 243),
+             (1 / 81 + 8 * 3.0 ** -35) / lam]
+    grid = pinchext.unit_circle_grid(64)
+    scale = max(np.abs(gallery.example1_eval(grid, grid / (2 * k))).max()
+                for k in range(1, 9))
+    for n in range(3):
+        np.testing.assert_allclose(entries[n](lam), exact[n], rtol=1e-12, atol=0)
+    assert np.abs(entries[3](lam)).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("term", [{"n": 2, "l": 1, "c": [1.0]},

@@ -510,13 +510,10 @@ def test_kronecker_round_trip_near_thresholds(case):
     check_round_trip(*case)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="two simple poles closer than _CLUSTER_RADIUS come "
-                   "back as one double pole")
 def test_kronecker_round_trip_close_simple_poles():
     # residues 1 and -1 at 8e-5 apart: sigma_2 / sigma_1 = 0.33, so the
-    # Hankel rank resolves both poles, but every clustering rung starts at
-    # 1e-4 and merges the two candidates
+    # Hankel rank resolves both poles, and the unclustered model (radius 0)
+    # fits far better than the double pole that the 1e-4 rung gives
     a = 0.3 - 0.5j
     rp = RationalPart(poles=((a, (1.0 + 0j,)), (a + 8e-5, (-1.0 + 0j,))))
     check_round_trip(rp, rational_to_circle(rp), 0.0, 0.0)
