@@ -1,17 +1,17 @@
-"""Sampled functions on circles and their Fourier-side operators.
+"""Sampled functions on the unit circle and their Fourier-side operators.
 
 A :class:`CircleFunction` holds uniform samples of a complex function on
-the circle ``|lambda| = r`` together with the Laurent coefficients ``c_n``
-(``n`` in ``[-M/2, M/2)``) recovered from the FFT of the samples.  The
-Hardy projection, the Hilbert transform and the Sobolev norm act on the
-coefficients as plain Fourier multipliers, which keeps the operator
+the unit circle ``|lambda| = 1`` together with the Laurent coefficients
+``c_n`` (``n`` in ``[-M/2, M/2)``) recovered from the FFT of the samples.
+The Hardy projection, the Hilbert transform and the Sobolev norm act on
+the coefficients as plain Fourier multipliers, which keeps the operator
 identities exact to rounding.
 
 Building a :class:`CircleFunction` costs about one FFT: the roots of
-unity are a table cached per grid size, the ``fftshift`` is a swap of
-array halves, and at radius 1 the mode weight ``r**n`` is the scalar
-1.0.  A radius whose weights ``r**n`` would leave the normal float range
-on the grid is rejected with ``ValueError``.
+unity are a table cached per grid size and the ``fftshift`` is a swap of
+array halves.  Other circles are sampled only as points, by
+:func:`unit_circle_grid`; the CSV header names the radius, and a file
+at any radius other than 1 is refused.
 Every Hardy-minus projection is the one stacked truncation ``_minus_parts``.
 
 Normalization note: the Sobolev norm implemented here is
@@ -49,7 +49,6 @@ _MIN_SAMPLES = 16
 _MAX_WINDING_GRID = 2 ** 16
 _ZERO_TOLERANCE = 1e-9
 _BANDWIDTH_REL_TOL = 1e-12
-_LOG_TINY = -math.log(np.finfo(float).tiny)  # about 708.4
 
 
 def _check_sample_count(m: int) -> None:
@@ -57,29 +56,6 @@ def _check_sample_count(m: int) -> None:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {m}")
     if m & (m - 1):
         raise ValueError(f"sample count must be a power of two, got {m}")
-
-
-def _modes(m: int) -> np.ndarray:
-    """The modes ``-m/2 .. m/2 - 1`` of an ``m``-point grid."""
-    return np.arange(-m // 2, m // 2)
-
-
-def _mode_weights(m: int, radius) -> np.ndarray | float:
-    """``radius ** n`` on the modes of an ``m``-point grid; 1.0 at radius 1.
-
-    Raises ``ValueError`` before any power is taken when a weight would
-    leave the normal float range, ``(m/2) |ln radius| > -ln(tiny)``.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if radius == 1.0:
-        return 1.0
-    if not m / 2 * abs(math.log(radius)) <= _LOG_TINY:
-        raise ValueError(
-            f"radius {radius!r} on a grid of m = {m} points needs weights "
-            f"radius**n up to |n| = {m // 2} beyond the float range "
-            f"(need (m/2)|ln radius| <= {_LOG_TINY:.1f})")
-    return float(radius) ** _modes(m)
 
 
 def _half_swap(a: np.ndarray) -> np.ndarray:
@@ -91,17 +67,15 @@ def _half_swap(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
 
 
-def _coeffs_from_samples(samples: np.ndarray, radius) -> np.ndarray:
+def _coeffs_from_samples(samples: np.ndarray) -> np.ndarray:
     """Centered Laurent coefficients of the samples on the last axis."""
     m = samples.shape[-1]
-    weight = _mode_weights(m, radius)
-    return _half_swap(np.fft.fft(samples) / m) / weight
+    return _half_swap(np.fft.fft(samples) / m)
 
 
-def _samples_from_coeffs(coeffs: np.ndarray, radius) -> np.ndarray:
+def _samples_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Samples of the centered Laurent coefficients on the last axis."""
-    m = coeffs.shape[-1]
-    return np.fft.ifft(_half_swap(coeffs * _mode_weights(m, radius))) * m
+    return np.fft.ifft(_half_swap(coeffs)) * coeffs.shape[-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,28 +124,23 @@ def distance_product(pts, centers, power: int = 1) -> np.ndarray:
 
 
 class CircleFunction:
-    """Complex function sampled uniformly on ``|lambda| = radius``.
+    """Complex function sampled uniformly on the unit circle.
 
-    The samples determine Laurent coefficients ``c_n`` for
-    ``n in [-M/2, M/2)`` via the FFT, rescaled by the weights ``radius**n``
-    (the scalar 1.0 at radius 1) so that ``c_n`` is the coefficient of
-    ``lambda^n`` on the sampling circle.  The constructors raise
-    ``ValueError`` when ``(M/2) |ln radius|`` exceeds ``-ln`` of the
-    smallest normal float (about 708.4), where a weight would overflow or
-    go subnormal.  The constructor keeps a read-only copy of the samples.
+    The samples at ``exp(2 pi i k / M)`` determine, via the FFT, the
+    Laurent coefficients ``c_n`` of ``lambda^n`` for ``n in [-M/2, M/2)``.
+    The constructor keeps a read-only copy of the samples.
     """
 
-    __slots__ = ("_radius", "_samples", "_coeffs")
+    __slots__ = ("_samples", "_coeffs")
 
-    def __init__(self, samples: Sequence[complex], radius: float = 1.0):
+    def __init__(self, samples: Sequence[complex]):
         samples = np.array(samples, dtype=complex)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_sample_count(samples.size)
-        self._set(samples, _coeffs_from_samples(samples, radius), radius)
+        self._set(samples, _coeffs_from_samples(samples))
 
-    def _set(self, samples: np.ndarray, coeffs: np.ndarray, radius) -> None:
-        self._radius = float(radius)
+    def _set(self, samples: np.ndarray, coeffs: np.ndarray) -> None:
         self._samples = samples
         self._coeffs = coeffs
         samples.setflags(write=False)
@@ -180,7 +149,7 @@ class CircleFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coefficients(cls, coeffs: Sequence[complex], radius: float = 1.0,
+    def from_coefficients(cls, coeffs: Sequence[complex], *,
                           m: int | None = None) -> "CircleFunction":
         """Build from centered Laurent coefficients (mode ``-M/2`` first).
 
@@ -198,22 +167,17 @@ class CircleFunction:
             raise ValueError("centered coefficient array must have even length")
         lo = size // 2 - half
         full[lo:lo + coeffs.size] = coeffs
-        return cls._from_parts(_samples_from_coeffs(full, radius), full,
-                               radius)
+        return cls._from_parts(_samples_from_coeffs(full), full)
 
     @classmethod
-    def _from_parts(cls, samples: np.ndarray, coeffs: np.ndarray,
-                    radius) -> "CircleFunction":
+    def _from_parts(cls, samples: np.ndarray,
+                    coeffs: np.ndarray) -> "CircleFunction":
         """Wrap matching samples and coefficients without a transform."""
         g = cls.__new__(cls)
-        g._set(samples, coeffs, radius)
+        g._set(samples, coeffs)
         return g
 
     # -- basic accessors ----------------------------------------------
-
-    @property
-    def radius(self) -> float:
-        return self._radius
 
     @property
     def size(self) -> int:
@@ -230,7 +194,7 @@ class CircleFunction:
 
     @property
     def modes(self) -> np.ndarray:
-        return _modes(self.size)
+        return np.arange(-self.size // 2, self.size // 2)
 
     def coeff(self, n: int) -> complex:
         """Laurent coefficient ``c_n`` (zero outside the resolved band)."""
@@ -266,36 +230,33 @@ class CircleFunction:
         """Band-limited resampling of the interpolant on a finer grid."""
         if m == self.size:
             return self
-        return CircleFunction.from_coefficients(self._coeffs, self._radius, m=m)
+        return CircleFunction.from_coefficients(self._coeffs, m=m)
 
     # -- arithmetic (pointwise on a shared grid) ------------------------
 
     def _check_compatible(self, other: "CircleFunction") -> None:
         if self.size != other.size:
             raise ValueError("grid sizes differ")
-        if abs(self._radius - other._radius) > 1e-12:
-            raise ValueError("sampling radii differ")
 
     def __add__(self, other: "CircleFunction") -> "CircleFunction":
         self._check_compatible(other)
-        return CircleFunction(self._samples + other._samples, self._radius)
+        return CircleFunction(self._samples + other._samples)
 
     def __sub__(self, other: "CircleFunction") -> "CircleFunction":
         self._check_compatible(other)
-        return CircleFunction(self._samples - other._samples, self._radius)
+        return CircleFunction(self._samples - other._samples)
 
     def __mul__(self, other):
         if isinstance(other, CircleFunction):
             self._check_compatible(other)
-            return CircleFunction(self._samples * other._samples, self._radius)
-        return CircleFunction(self._samples * complex(other), self._radius)
+            return CircleFunction(self._samples * other._samples)
+        return CircleFunction(self._samples * complex(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CircleFunction(radius={self._radius}, m={self.size}, "
-                f"sup={self.sup_norm:.3e})")
+        return f"CircleFunction(m={self.size}, sup={self.sup_norm:.3e})"
 
 
 @dataclass(frozen=True)
@@ -306,14 +267,13 @@ class HardySplit:
     minus: CircleFunction
 
 
-def _minus_parts(coeffs: np.ndarray, radius) -> List[CircleFunction]:
-    """Hardy-minus part of each row of centered coefficients on the circle
-    of ``radius``, at one stacked inverse FFT, with row-by-row bits."""
+def _minus_parts(coeffs: np.ndarray) -> List[CircleFunction]:
+    """Hardy-minus part of each row of centered coefficients, at one
+    stacked inverse FFT, with row-by-row bits."""
     minus = coeffs.copy()
     minus[:, coeffs.shape[1] // 2:] = 0
-    samples = _samples_from_coeffs(minus, radius)
-    return [CircleFunction._from_parts(s, c, radius)
-            for s, c in zip(samples, minus)]
+    samples = _samples_from_coeffs(minus)
+    return [CircleFunction._from_parts(s, c) for s, c in zip(samples, minus)]
 
 
 def hardy_project_minus(g: CircleFunction) -> CircleFunction:
@@ -322,9 +282,7 @@ def hardy_project_minus(g: CircleFunction) -> CircleFunction:
     ``P(g)`` vanishes exactly when ``g`` extends holomorphically to the
     unit disc; it is the one-row case of the stacked mode truncation.
     """
-    if abs(g.radius - 1.0) > 1e-12:
-        raise ValueError("Hardy projection is defined on the unit circle")
-    minus, = _minus_parts(g.coeffs[None], g.radius)
+    minus, = _minus_parts(g.coeffs[None])
     return minus
 
 
@@ -333,7 +291,7 @@ def hardy_split(g: CircleFunction) -> HardySplit:
     minus = hardy_project_minus(g)
     plus = g.coeffs.copy()
     plus[:g.size // 2] = 0
-    return HardySplit(plus=CircleFunction.from_coefficients(plus, g.radius),
+    return HardySplit(plus=CircleFunction.from_coefficients(plus),
                       minus=minus)
 
 
@@ -343,7 +301,7 @@ def hilbert_transform(g: CircleFunction) -> CircleFunction:
     m = g.size
     coeffs = g.coeffs.copy()
     coeffs[:m // 2] *= -1.0
-    return CircleFunction.from_coefficients(coeffs, g.radius)
+    return CircleFunction.from_coefficients(coeffs)
 
 
 def sobolev_norm(g: CircleFunction) -> float:
@@ -353,7 +311,7 @@ def sobolev_norm(g: CircleFunction) -> float:
 
 
 def winding_number(g: CircleFunction) -> int:
-    """Winding number of ``g`` around zero along its circle.
+    """Winding number of ``g`` around zero along the unit circle.
 
     The net change of ``arg(g)`` is accumulated over the sample grid; the
     grid is refined (doubling, synthesizing from the coefficients) until
@@ -412,8 +370,8 @@ def require_resolved(g: CircleFunction) -> None:
 # -- CSV interchange ---------------------------------------------------
 
 def circle_to_csv(g: CircleFunction, path) -> None:
-    """Write samples as ``theta,re,im`` rows with a radius header line."""
-    lines: List[str] = [f"# radius={g.radius!r}", "theta,re,im"]
+    """Write samples as ``theta,re,im`` rows under a ``# radius=1.0`` line."""
+    lines: List[str] = ["# radius=1.0", "theta,re,im"]
     m = g.size
     for k, s in enumerate(g.samples):
         theta = 2.0 * math.pi * k / m
@@ -423,7 +381,7 @@ def circle_to_csv(g: CircleFunction, path) -> None:
 
 
 def circle_from_csv(path) -> CircleFunction:
-    """Read a :class:`CircleFunction` written by :func:`circle_to_csv`."""
+    """Read the samples written by :func:`circle_to_csv`; radius 1.0 only."""
     radius = None
     rows: List[complex] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -442,4 +400,7 @@ def circle_from_csv(path) -> CircleFunction:
             rows.append(complex(float(re_s), float(im_s)))
     if radius is None:
         raise ValueError("missing '# radius=<r>' header line")
-    return CircleFunction(rows, radius)
+    if radius != 1.0:
+        raise ValueError(f"samples on radius {radius!r}: a circle function "
+                         "lives on the unit circle, radius 1.0")
+    return CircleFunction(rows)

@@ -191,6 +191,8 @@ def parse_config(path) -> AnalysisConfig:
                           f"the fixed holomorphy threshold {_HOLO_TOLERANCE:g}"
                           f", got {holo_tol:g}")
     n_bound = an.getint("n_bound", 10)
+    if n_bound < 0:
+        raise ConfigError(f"n_bound must be at least 0, got {n_bound}")
     probes = [_parse_complex_pair(t) for t in an.get("probes", "0,0").split()]
     if "probes_file" in an:
         probe_path = (path.parent / an["probes_file"]).resolve()
@@ -340,6 +342,8 @@ def cmd_validate(cfg: AnalysisConfig, out_dir: Optional[str] = None,
 
 def cmd_gallery(name: str, lam: complex, z: complex, trunc: int,
                 out_dir: Optional[str] = None) -> int:
+    if trunc < 0:
+        raise ConfigError(f"trunc must be at least 0, got {trunc}")
     value = gallery.gallery_eval(name, lam, z, trunc)
     report = {"command": "gallery", "name": name,
               "lambda": [lam.real, lam.imag], "z": [z.real, z.imag],

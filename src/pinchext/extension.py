@@ -25,10 +25,11 @@ Numerical notes
   ladder works at ``dps`` digits; otherwise everything runs in complex
   doubles, and deep levels lose accuracy.
 * At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
-  pass per curve over the grid) and the function values, one grid column
-  at a time (:func:`_mp_column`).  An ``mp_evaluator`` may carry a private
-  column form ``_mp_column(lam, zs)``; remark 1's computes ``1/lam`` once
-  per column, so its values differ from ``exp(z / lam)`` by about 1e-52
+  pass per curve over the grid, checked for collisions before any value)
+  and the function values, one grid column at a time (:func:`_mp_column`).
+  An ``mp_evaluator`` may carry a private column form
+  ``_mp_column(lam, zs)``; remark 1's computes ``1/lam`` once per column,
+  so its values differ from ``exp(z / lam)`` by about 1e-52
   relative.  Otherwise, and always for a wrapper (a callable with
   ``__wrapped__``), the evaluator is called once per node; each value is
   computed on its own, so the column order changes no bit.  Each part of
@@ -445,11 +446,11 @@ class LevelDiagnostic:
         return sum(mult for _, mult in self.poles)
 
     def _corrected(self) -> CircleFunction:
-        level_fn = CircleFunction.from_coefficients(self.level_coeffs, 1.0)
+        level_fn = CircleFunction.from_coefficients(self.level_coeffs)
         blaschke = blaschke_from_zeros(
             [p for p, mult in self.poles for _ in range(mult)])
         return level_fn * CircleFunction(
-            blaschke(unit_circle_grid(level_fn.size)), 1.0)
+            blaschke(unit_circle_grid(level_fn.size)))
 
     @property
     def corrected_sup(self) -> float:
@@ -600,12 +601,11 @@ def _test_rows(values: np.ndarray, n_max: int, epsilon: float,
     and the verdict then run row by row as the rows are consumed, so an
     error of row ``k`` comes after the verdicts of the rows before it.
     """
-    coeffs = _coeffs_from_samples(values, 1.0)
-    minus = _minus_parts(coeffs, 1.0)
+    coeffs = _coeffs_from_samples(values)
+    minus = _minus_parts(coeffs)
     for k, psi in enumerate(minus):
         try:
-            require_resolved(CircleFunction._from_parts(values[k], coeffs[k],
-                                                        1.0))
+            require_resolved(CircleFunction._from_parts(values[k], coeffs[k]))
         except BandwidthError as exc:
             raise BandwidthError(f"{prefix(k)}{exc}") from None
         residual = psi.sup_norm
@@ -626,7 +626,7 @@ def restrict_along_curve(f: RingFunction, phi: DiscFunction,
     _, values, leaves = _sample_curves(f, [phi], m)
     if leaves is not None:
         raise leaves
-    return CircleFunction(values[0], 1.0)
+    return CircleFunction(values[0])
 
 
 def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
@@ -751,26 +751,36 @@ def _decimal_digits(dps: int) -> int:
     return p
 
 
+def _refuse_coinciding(nodes) -> None:
+    """Raise :class:`ConvergenceError` when two curves share a node in
+    some grid column (equal nodes are neighbours in a sorted column)."""
+    node_arr = np.sort(nodes.astype(complex), axis=0)
+    if (np.abs(np.diff(node_arr, axis=0)) == 0.0).any():
+        raise ConvergenceError("two curves coincide at a grid point")
+
+
 def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
                   grid: np.ndarray, dps: int) -> Tuple:
     """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
     mp-capable ``f``.
 
     mpmath evaluates both at ``dps`` digits: the nodes by one Horner pass
-    per curve over the whole grid, the values one grid column at a time
-    (one ``lam`` and its ``K`` nodes per call of :func:`_mp_column`), each
-    column converted to ``Decimal`` parts as it is produced.  They are
-    returned as two ``(K, m)`` :class:`_DecimalArray` (call inside the
-    ``decimal`` context of the kernel).
+    per curve over the whole grid, checked by :func:`_refuse_coinciding`
+    before any value is computed, the values one grid column at a time
+    (one ``lam`` and its ``K`` nodes per call of :func:`_mp_column`).  Both
+    are converted to ``Decimal`` parts and returned as two ``(K, m)``
+    :class:`_DecimalArray` (call inside the ``decimal`` context).
     """
     import mpmath as mp
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
         nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)
+        dec_nodes = _DecimalArray.from_mpc(nodes)
+        _refuse_coinciding(dec_nodes)
         values = _DecimalArray(*np.empty((2,) + nodes.shape, dtype=object))
         for j, lam in enumerate(lam_mp):
             values[:, j] = _DecimalArray.from_mpc(_mp_column(f, lam, nodes[:, j]))
-    return _DecimalArray.from_mpc(nodes), values
+    return dec_nodes, values
 
 
 def _mp_column(f: RingFunction, lam, zs) -> list:
@@ -843,14 +853,14 @@ def _clean_and_project(rows: np.ndarray, abs_floor: float
     is ``CircleFunction(row)``, that floor and ``hardy_project_minus``,
     with the same bits, at one stacked FFT and one stacked inverse FFT.
     """
-    coeffs = _coeffs_from_samples(rows, 1.0)
+    coeffs = _coeffs_from_samples(rows)
     mags = np.abs(coeffs)
     rel = _CLEAN_REL_FLOOR * mags.max(axis=1)
     # Python's max(rel, abs_floor), NaN cases included
     floor = np.where(abs_floor > rel, abs_floor, rel)
     coeffs[mags < floor[:, None]] = 0.0
     coeffs.setflags(write=False)
-    return coeffs, _minus_parts(coeffs, 1.0)
+    return coeffs, _minus_parts(coeffs)
 
 
 def _match_allowance(pole: complex, mult: int, level: int,
@@ -1024,13 +1034,11 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
-        nodes, values = ((float_nodes, float_values) if not f.mp_capable
-                         else _nodes_values(f, curves, grid, dps))
-
-        # node collision guard: equal nodes are neighbours in a sorted column
-        node_arr = np.sort(nodes.astype(complex), axis=0)
-        if (np.abs(np.diff(node_arr, axis=0)) == 0.0).any():
-            raise ConvergenceError("two curves coincide at a grid point")
+        if f.mp_capable:
+            nodes, values = _nodes_values(f, curves, grid, dps)
+        else:
+            _refuse_coinciding(float_nodes)
+            nodes, values = float_nodes, float_values
 
         value_scale = float(np.abs(values.astype(complex)).max())
         abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)

@@ -316,7 +316,7 @@ class Example2:
         centered = np.zeros(m, dtype=complex)
         for l in range(1, k + 1):
             centered[m // 2 - l] = self.p_eval(l - 1, self.z(k))
-        return CircleFunction.from_coefficients(centered, 1.0)
+        return CircleFunction.from_coefficients(centered)
 
 
 _EXAMPLE2 = Example2()

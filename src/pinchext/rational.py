@@ -187,16 +187,15 @@ def evaluate_rational(rp: RationalPart, lam: complex) -> complex:
     return complex(rp(lam))
 
 
-def rational_to_circle(rp: RationalPart, m: int = 256,
-                       radius: float = 1.0) -> CircleFunction:
-    """Boundary values of a rational part as a :class:`CircleFunction`.
+def rational_to_circle(rp: RationalPart, m: int = 256) -> CircleFunction:
+    """Boundary values of a rational part on the unit circle.
 
     Built from the exact Laurent tail, truncated at the grid bandwidth.
     """
     tail = rp.laurent_tail(m // 2)
     centered = np.zeros(m, dtype=complex)
     centered[:m // 2] = tail[::-1]
-    return CircleFunction.from_coefficients(centered, radius)
+    return CircleFunction.from_coefficients(centered)
 
 
 # -- detection ---------------------------------------------------------

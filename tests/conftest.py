@@ -14,7 +14,7 @@ def random_laurent_coeffs(rng, bandwidth, m):
 
 def random_laurent_function(rng, bandwidth=64, m=256):
     return CircleFunction.from_coefficients(
-        random_laurent_coeffs(rng, bandwidth, m), 1.0)
+        random_laurent_coeffs(rng, bandwidth, m))
 
 
 def _hankel_margin(rp):

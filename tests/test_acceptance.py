@@ -56,7 +56,7 @@ def test_criterion_1():
     start = time.monotonic()
     for _ in range(100):
         g = CircleFunction.from_coefficients(
-            random_laurent_coeffs(rng, 64, 256), 1.0)
+            random_laurent_coeffs(rng, 64, 256))
         p = hardy_project_minus(g)
         s = hilbert_transform(g)
         assert (hilbert_transform(s) - g).sup_norm < 1e-10
@@ -72,13 +72,13 @@ def test_criterion_2():
     for _ in range(100):
         deg = int(rng.integers(0, 41))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        g = CircleFunction(np.polynomial.polynomial.polyval(grid, coeffs), 1.0)
+        g = CircleFunction(np.polynomial.polynomial.polyval(grid, coeffs))
         assert hardy_project_minus(g).sup_norm < 1e-10
     for _ in range(100):
         coeffs = random_laurent_coeffs(rng, 30, 256)
         k = int(rng.integers(1, 31))
         coeffs[128 - k] += 0.2 + 0.1j  # guarantee a nonzero negative mode
-        g = CircleFunction.from_coefficients(coeffs, 1.0)
+        g = CircleFunction.from_coefficients(coeffs)
         assert hardy_project_minus(g).sup_norm > 1e-3
 
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -16,8 +15,8 @@ from pinchext.boundary import distance_product, require_resolved
 from conftest import random_laurent_function
 
 
-def tau(m=256, radius=1.0):
-    return unit_circle_grid(m, radius)
+def tau(m=256):
+    return unit_circle_grid(m)
 
 
 # ---------------------------------------------------- scalar-or-array calls
@@ -25,7 +24,7 @@ def tau(m=256, radius=1.0):
 _RP = RationalPart(poles=((0.2j, (1.0, 0.5 - 0.5j)), (-0.3 + 0j, (2.0,))))
 POINTWISE = {
     "circle": (lambda: CircleFunction.from_coefficients(
-        np.arange(16) * (0.1 - 0.05j), 1.0, m=64), complex),
+        np.arange(16) * (0.1 - 0.05j), m=64), complex),
     "disc": (lambda: DiscFunction([0.1, 0.5j, -0.25]), complex),
     "ladder_entry": (lambda: LadderEntry(n=2, rational=_RP,
                                          tail=(1.0, 0.5j, -0.25)), complex),
@@ -61,7 +60,7 @@ def test_pointwise_contract(name):
 
 def test_distance_product():
     centers = ((0.1 + 0j, 2), (-0.4j, 1), (0.5 - 0.5j, 3))
-    pts = tau(16, 0.7).reshape(4, 4)
+    pts = unit_circle_grid(16, 0.7).reshape(4, 4)
     for power in (0, 1, 3):
         expected = np.ones(pts.shape)
         for a, l in centers:
@@ -77,92 +76,59 @@ def test_distance_product():
 # ----------------------------------------------------------- construction
 
 def test_analyze_monomial():
-    g = CircleFunction(tau(64) ** 2, 1.0)
+    g = CircleFunction(tau(64) ** 2)
     assert abs(g.coeff(2) - 1.0) < 1e-13
     others = [abs(g.coeff(n)) for n in range(-32, 32) if n != 2]
     assert max(others) < 1e-14
 
 
 def test_analyze_constant():
-    g = CircleFunction(np.full(64, 5.0 + 0j), 1.0)
+    g = CircleFunction(np.full(64, 5.0 + 0j))
     assert abs(g.coeff(0) - 5.0) < 1e-13
 
 
 def test_analyze_geometric_pole():
     # 1/(lam - a) = sum_{k>=1} a^{k-1} lam^{-k} for |a| < |lam|
     a = 0.3
-    g = CircleFunction(1.0 / (tau() - a), 1.0)
+    g = CircleFunction(1.0 / (tau() - a))
     for k in range(1, 9):
         assert abs(g.coeff(-k) - a ** (k - 1)) < 1e-12
 
 
 def test_analyze_rejects_bad_counts():
     with pytest.raises(ValueError):
-        CircleFunction(np.ones(48), 1.0)
+        CircleFunction(np.ones(48))
     with pytest.raises(ValueError):
-        CircleFunction(np.ones(8), 1.0)
-    with pytest.raises(ValueError):
-        CircleFunction(np.ones(16), -1.0)
+        CircleFunction(np.ones(8))
 
 
 def test_round_trip(rng):
     g = random_laurent_function(rng, bandwidth=40)
-    resampled = CircleFunction.from_coefficients(g.coeffs, 1.0)
+    resampled = CircleFunction.from_coefficients(g.coeffs)
     scale = np.abs(g.samples).max()
     npt.assert_allclose(resampled.samples, g.samples, rtol=0, atol=1e-12 * scale)
     # interpolant evaluation agrees with samples on the grid
     npt.assert_allclose(g(tau()), g.samples, rtol=0, atol=1e-11 * scale)
 
 
-def test_radius_scaling():
-    # samples of lam^2 on radius 2: c_2 must still be 1
-    g = CircleFunction((2.0 * tau(64)) ** 2, 2.0)
-    assert abs(g.coeff(2) - 1.0) < 1e-13
-
-
-def test_radius_overflowing_weights_rejected():
-    # (m/2)|ln r| = 2048 ln 2 > 708.4: r**n overflows or goes subnormal on
-    # the modes, so both constructors refuse before taking any power
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for make in (lambda: CircleFunction((2.0 * tau(4096)) ** 2, 2.0),
-                     lambda: CircleFunction(np.ones(4096), 0.5),
-                     lambda: CircleFunction.from_coefficients(
-                         np.ones(16), 2.0, m=4096)):
-            with pytest.raises(ValueError, match=r"radius .*m = 4096"):
-                make()
-        # just inside the range every weight is a normal float
-        r = math.exp(700.0 / 2048)
-        g = CircleFunction.from_coefficients(np.ones(4096), r)
-        assert np.isfinite(g.samples).all()
-        # radius 1 is never affected
-        assert CircleFunction(np.ones(2 ** 16)).coeff(0) == 1.0
-
-
 # ------------------------------------------------------------- projection
 
 def test_projection_kills_plus_modes():
-    g = CircleFunction((2 + 1j) * tau() ** 3, 1.0)
+    g = CircleFunction((2 + 1j) * tau() ** 3)
     assert hardy_project_minus(g).sup_norm < 1e-13
 
 
 def test_projection_identity_on_minus():
-    g = CircleFunction(tau() ** -2, 1.0)
+    g = CircleFunction(tau() ** -2)
     p = hardy_project_minus(g)
     npt.assert_allclose(p.samples, g.samples, atol=1e-13)
 
 
 def test_projection_linearity():
     t = tau()
-    g = CircleFunction(3 * t + 4 / t + 5, 1.0)
+    g = CircleFunction(3 * t + 4 / t + 5)
     p = hardy_project_minus(g)
     npt.assert_allclose(p.samples, 4 / t, atol=1e-12)
-
-
-def test_projection_requires_unit_radius():
-    g = CircleFunction(tau(64, 2.0), 2.0)
-    with pytest.raises(ValueError):
-        hardy_project_minus(g)
 
 
 def test_split_reconstructs_exactly(rng):
@@ -177,18 +143,18 @@ def test_split_reconstructs_exactly(rng):
 # -------------------------------------------------------- hilbert transform
 
 def test_hilbert_identity_on_plus():
-    g = CircleFunction(tau() ** 2, 1.0)
+    g = CircleFunction(tau() ** 2)
     npt.assert_allclose(hilbert_transform(g).samples, g.samples, atol=1e-13)
 
 
 def test_hilbert_negation_on_minus():
-    g = CircleFunction(tau() ** -3, 1.0)
+    g = CircleFunction(tau() ** -3)
     npt.assert_allclose(hilbert_transform(g).samples, -g.samples, atol=1e-13)
 
 
 def test_hilbert_involution():
     t = tau()
-    g = CircleFunction(t + 1 / t, 1.0)
+    g = CircleFunction(t + 1 / t)
     ss = hilbert_transform(hilbert_transform(g))
     npt.assert_allclose(ss.samples, g.samples, atol=1e-13)
 
@@ -209,44 +175,44 @@ def test_operator_identities_random(rng):
 def test_projection_vanishes_on_polynomials(rng):
     for _ in range(10):
         coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        g = CircleFunction(np.polynomial.polynomial.polyval(tau(), coeffs), 1.0)
+        g = CircleFunction(np.polynomial.polynomial.polyval(tau(), coeffs))
         assert hardy_project_minus(g).sup_norm < 1e-10
 
 
 # ------------------------------------------------------------ sobolev norm
 
 def test_sobolev_examples():
-    assert abs(sobolev_norm(CircleFunction(np.ones(64), 1.0)) - 1.0) < 1e-12
-    assert abs(sobolev_norm(CircleFunction(tau(64), 1.0)) - math.sqrt(2)) < 1e-12
-    assert sobolev_norm(CircleFunction(np.zeros(64), 1.0)) == 0.0
+    assert abs(sobolev_norm(CircleFunction(np.ones(64))) - 1.0) < 1e-12
+    assert abs(sobolev_norm(CircleFunction(tau(64))) - math.sqrt(2)) < 1e-12
+    assert sobolev_norm(CircleFunction(np.zeros(64))) == 0.0
 
 
 # ---------------------------------------------------------- winding number
 
 def test_winding_monomial():
-    assert winding_number(CircleFunction(tau() ** 5, 1.0)) == 5
+    assert winding_number(CircleFunction(tau() ** 5)) == 5
 
 
 def test_winding_constant():
-    assert winding_number(CircleFunction(np.ones(64), 1.0)) == 0
+    assert winding_number(CircleFunction(np.ones(64))) == 0
 
 
 def test_winding_contracting_monomials():
     # witness for unbounded winding along (2/3 lam)^k
     for k in range(1, 13):
-        g = CircleFunction(((2.0 / 3.0) * tau()) ** k, 1.0)
+        g = CircleFunction(((2.0 / 3.0) * tau()) ** k)
         assert winding_number(g) == k
 
 
 def test_winding_vanishing_rejected():
-    g = CircleFunction(tau(64) - 1.0, 1.0)  # zero at the sample lam = 1
+    g = CircleFunction(tau(64) - 1.0)  # zero at the sample lam = 1
     with pytest.raises(CircleVanishingError):
         winding_number(g)
 
 
 def test_winding_refinement():
     # bandwidth 100 on a 256 grid: increments exceed pi/2 until refinement
-    g = CircleFunction(tau(256) ** 100, 1.0)
+    g = CircleFunction(tau(256) ** 100)
     assert winding_number(g) == 100
 
 
@@ -265,9 +231,9 @@ def test_winding_additivity(rng):
         hn = rng.integers(0, 4)
         for _ in range(hn):
             h = h * (t - 0.4 * np.exp(2j * np.pi * rng.uniform()))
-        wg = winding_number(CircleFunction(g, 1.0))
-        wh = winding_number(CircleFunction(h, 1.0))
-        wgh = winding_number(CircleFunction(g * h, 1.0))
+        wg = winding_number(CircleFunction(g))
+        wh = winding_number(CircleFunction(h))
+        wgh = winding_number(CircleFunction(g * h))
         assert wg == roots_in
         assert wh == hn
         assert wgh == wg + wh
@@ -276,10 +242,10 @@ def test_winding_additivity(rng):
 # -------------------------------------------------------------- bandwidth
 
 def test_effective_bandwidth():
-    g = CircleFunction(tau() ** 10 + 1e-15 * tau() ** 90, 1.0)
+    g = CircleFunction(tau() ** 10 + 1e-15 * tau() ** 90)
     assert effective_bandwidth(g) == 10
     require_resolved(g)
-    h = CircleFunction(tau() ** 90, 1.0)
+    h = CircleFunction(tau() ** 90)
     with pytest.raises(BandwidthError):
         require_resolved(h)
 
@@ -291,10 +257,8 @@ def test_csv_round_trip(tmp_path, rng):
     path = tmp_path / "circle.csv"
     circle_to_csv(g, path)
     text = path.read_text()
-    assert text.startswith("# radius=")
-    assert "theta,re,im" in text
+    assert text.startswith("# radius=1.0\ntheta,re,im\n")
     back = circle_from_csv(path)
-    assert back.radius == g.radius
     npt.assert_array_equal(back.samples, g.samples)
 
 
@@ -311,3 +275,25 @@ def test_csv_missing_radius(tmp_path):
     path.write_text("theta,re,im\n0.0,1.0,0.0\n")
     with pytest.raises(ValueError):
         circle_from_csv(path)
+
+
+def test_csv_other_radius_refused(tmp_path):
+    # a circle function lives on the unit circle; a file sampled on
+    # another circle is refused, and the message names its radius
+    g = CircleFunction(tau(16))
+    path = tmp_path / "circle.csv"
+    circle_to_csv(g, path)
+    path.write_text(path.read_text().replace("# radius=1.0", "# radius=0.5"))
+    with pytest.raises(ValueError, match=r"^samples on radius 0\.5: a circle "
+                       r"function lives on the unit circle, radius 1\.0$"):
+        circle_from_csv(path)
+
+
+def test_from_coefficients_grid_size_is_keyword_only():
+    # a radius passed positionally is refused, not read as a grid size
+    with pytest.raises(TypeError):
+        CircleFunction.from_coefficients(np.ones(16), 1.0)
+    with pytest.raises(TypeError):
+        CircleFunction(np.ones(16), 1.0)
+    g = CircleFunction.from_coefficients(np.ones(16), m=64)
+    assert g.size == 64 and g.coeff(-8) == 1.0 and g.coeff(8) == 0.0

@@ -162,6 +162,19 @@ def test_n_max_out_of_range_is_config_error(tmp_path, capsys, n_max):
             in capsys.readouterr().err)
 
 
+def test_negative_n_bound_is_config_error(tmp_path, capsys):
+    # a negative winding bound would make every sequence "not a test
+    # sequence" (exit 2) instead of a refused config
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace("n_bound = 10",
+                                                        "n_bound = -1"))
+    assert main(["validate", "--config", cfg]) == 1
+    assert (capsys.readouterr().err
+            == "error: n_bound must be at least 0, got -1\n")
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace("n_bound = 10",
+                                                        "n_bound = 0"))
+    assert cli.parse_config(cfg).n_bound == 0
+
+
 def test_depth_cap(tmp_path):
     cfg = write_config(tmp_path, LADDER_EXP.replace("depth = 4", "depth = 30"))
     assert main(["ladder", "--config", cfg]) == 1
@@ -580,6 +593,15 @@ def test_gallery_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["value"] == [1.0, 0.0]
     assert main(["gallery", "unknown", "--lam", "1,0", "--z", "0,0"]) == 1
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "remark1"])
+def test_gallery_negative_trunc_is_usage_error(name, capsys):
+    # a negative depth would sum no term and print the value 0
+    assert main(["gallery", name, "--lam", "0.9,0.1", "--z", "0.3,0",
+                 "--trunc", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: trunc must be at least 0, "
+                                   "got -3\n")
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "remark1"])

@@ -548,6 +548,19 @@ def test_ladder_rejects_coinciding_nodes(exp_ring):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
 
 
+def test_ladder_refuses_coinciding_nodes_before_mp_values():
+    # lam/2 twice: the guard reads only the extended-precision nodes, so
+    # it runs before any of the 8 x 64 values is evaluated
+    ring = remark1_ring(0.3)
+    inner, calls = ring.mp_evaluator, []
+    ring.mp_evaluator = lambda lam, z: calls.append(z) or inner(lam, z)
+    curves = [DiscFunction([0, 1.0 / k]) for k in (1, 2, 2, 3, 4, 5, 6, 7)]
+    with pytest.raises(ConvergenceError,
+                       match="^two curves coincide at a grid point$"):
+        coefficient_ladder(ring, curves, 3, 10, m=64)
+    assert calls == []
+
+
 def test_ladder_rejects_circle_vanishing_curve(exp_ring):
     from pinchext import CircleVanishingError
     # phi_k = lam (lam - 1) / (3k) vanishes at the boundary point lam = 1
@@ -771,13 +784,13 @@ def test_ladder_diagnostics(exp_ring, exp_ladder):
         rebuilt = exp_ring.eval_many(grid, phi)
         for entry in exp_ladder.entries[:n]:
             rebuilt = (rebuilt - entry(grid)) / phi
-        level_fn = CircleFunction.from_coefficients(diag.level_coeffs, 1.0)
+        level_fn = CircleFunction.from_coefficients(diag.level_coeffs)
         assert np.abs(level_fn.samples - rebuilt).max() <= 1e-14 * k ** n
         # the eager correction of the level function by the Blaschke
         # product of its poles gives the same floats, bit for bit
         blaschke = blaschke_from_zeros(
             [p for p, mult in diag.poles for _ in range(mult)])
-        corrected = level_fn * CircleFunction(blaschke(grid), 1.0)
+        corrected = level_fn * CircleFunction(blaschke(grid))
         assert diag.corrected_sup == corrected.sup_norm
         assert (diag.projection_residual
                 == hardy_project_minus(corrected).sup_norm)

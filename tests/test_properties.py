@@ -36,7 +36,7 @@ def band_limited(draw):
     coeffs = np.zeros(m, dtype=complex)
     coeffs[m // 2 - band:m // 2 + band + 1] = (np.array(draw(parts))
                                                + 1j * np.array(draw(parts)))
-    return CircleFunction.from_coefficients(coeffs, 1.0)
+    return CircleFunction.from_coefficients(coeffs)
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -64,10 +64,13 @@ def polynomial_differences(draw):
 
 
 def sampled_winding(coeffs, radius, m=256):
-    """Winding of the polynomial along ``|lambda| = radius``, from samples."""
+    """Winding of the polynomial ``p`` along ``|lambda| = radius``, from
+    samples of ``p(radius * lambda)`` (coefficients ``c_k radius**k``) on
+    the unit circle."""
     centered = np.zeros(m, dtype=complex)
-    centered[m // 2:m // 2 + len(coeffs)] = coeffs
-    return winding_number(CircleFunction.from_coefficients(centered, radius))
+    centered[m // 2:m // 2 + len(coeffs)] = (
+        coeffs * radius ** np.arange(len(coeffs)))
+    return winding_number(CircleFunction.from_coefficients(centered))
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -143,22 +146,16 @@ def test_roots_of_rows_match_np_roots(rows):
             assert np.array_equal(found, expected)
 
 
-def reference_circle(samples, radius):
-    """``(samples, coeffs)`` of ``CircleFunction(samples, radius)`` by the
-    formulas it had before its mode tables were cached."""
-    m = samples.size
-    chat = np.fft.fft(samples) / m
-    modes = np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
-    return samples, np.fft.fftshift(chat) / (radius ** modes.astype(float))
+def reference_circle(samples):
+    """``(samples, coeffs)`` of ``CircleFunction(samples)`` by the plain
+    ``fft`` and ``fftshift`` formulas."""
+    return samples, np.fft.fftshift(np.fft.fft(samples) / samples.size)
 
 
-def reference_from_coefficients(full, radius):
+def reference_from_coefficients(full):
     """``(samples, coeffs)`` of ``from_coefficients`` for a full-grid
-    coefficient array, by the same earlier formulas."""
-    size = full.size
-    modes = np.arange(-size // 2, size // 2)
-    chat = np.fft.ifftshift(full * radius ** modes.astype(float))
-    return np.fft.ifft(chat) * size, full
+    coefficient array, by the plain ``ifftshift`` and ``ifft`` formulas."""
+    return np.fft.ifft(np.fft.ifftshift(full)) * full.size, full
 
 
 def same_bytes(got, expected):
@@ -182,39 +179,32 @@ def signed_zero_samples(draw, sizes):
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(signed_zero_samples([2 ** k for k in range(4, 13)]),
-       st.sampled_from([1.0, 0.5, 0.875, 1.125]))
-def test_circle_function_bits_match_reference(samples, radius):
+@given(signed_zero_samples([2 ** k for k in range(4, 13)]))
+def test_circle_function_bits_match_reference(samples):
     # the cached tables and half swaps change no bit of either constructor,
     # of the Hardy split or of the sample grid
     m = samples.size
-    assert same_bytes(unit_circle_grid(m, radius),
-                      radius * np.exp(2j * np.pi * np.arange(m) / m))
-    if m / 2 * abs(np.log(radius)) > 708.4:   # 0.5 on 2048 and 4096 points
-        with pytest.raises(ValueError, match="radius"):
-            CircleFunction(samples, radius)
-        return
-    g = CircleFunction(samples, radius)
-    for got, expected in zip((g.samples, g.coeffs),
-                             reference_circle(samples, radius)):
+    assert same_bytes(unit_circle_grid(m),
+                      np.exp(2j * np.pi * np.arange(m) / m))
+    g = CircleFunction(samples)
+    for got, expected in zip((g.samples, g.coeffs), reference_circle(samples)):
         assert same_bytes(got, expected)
     padded = np.zeros(m, dtype=complex)
     padded[m // 4:3 * m // 4] = samples[:m // 2]
     for coeffs, size, full in ((samples, None, samples),
                                (samples[:m // 2], m, padded)):
-        h = CircleFunction.from_coefficients(coeffs, radius, m=size)
+        h = CircleFunction.from_coefficients(coeffs, m=size)
         for got, expected in zip((h.samples, h.coeffs),
-                                 reference_from_coefficients(full, radius)):
+                                 reference_from_coefficients(full)):
             assert same_bytes(got, expected)
-    if radius == 1.0:
-        split = hardy_split(g)
-        for part, keep in ((split.plus, slice(m // 2, None)),
-                           (split.minus, slice(None, m // 2))):
-            full = np.zeros(m, dtype=complex)
-            full[keep] = g.coeffs[keep]
-            for got, expected in zip((part.samples, part.coeffs),
-                                     reference_from_coefficients(full, 1.0)):
-                assert same_bytes(got, expected)
+    split = hardy_split(g)
+    for part, keep in ((split.plus, slice(m // 2, None)),
+                       (split.minus, slice(None, m // 2))):
+        full = np.zeros(m, dtype=complex)
+        full[keep] = g.coeffs[keep]
+        for got, expected in zip((part.samples, part.coeffs),
+                                 reference_from_coefficients(full)):
+            assert same_bytes(got, expected)
 
 
 @st.composite
@@ -250,20 +240,18 @@ def reference_project(g, keep_negative):
         coeffs[m // 2:] = 0
     else:
         coeffs[:m // 2] = 0
-    return CircleFunction.from_coefficients(coeffs, g.radius)
+    return CircleFunction.from_coefficients(coeffs)
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(band_limited(), st.sampled_from([1.0, 1.0 + 5e-13]))
-def test_hardy_projection_bits_match_reference(g, radius):
+@given(band_limited())
+def test_hardy_projection_bits_match_reference(g):
     # the one-row case of the stacked projection changes no bit of either
-    # Hardy part, on the unit circle or within its 1e-12 tolerance
-    g = CircleFunction.from_coefficients(g.coeffs, radius)
+    # Hardy part
     split = hardy_split(g)
     for got, keep_negative in ((hardy_project_minus(g), True),
                                (split.minus, True), (split.plus, False)):
         expected = reference_project(g, keep_negative)
-        assert got.radius == expected.radius
         for part, ref in ((got.samples, expected.samples),
                           (got.coeffs, expected.coeffs)):
             assert ([x.hex() for x in part.view(float)]
@@ -273,10 +261,10 @@ def test_hardy_projection_bits_match_reference(g, radius):
 def reference_clean_and_project(row, abs_floor):
     """Cleaned coefficients and Hardy-minus part of one row, one circle
     function at a time as the ladder built them before stacking."""
-    coeffs = CircleFunction(row, 1.0).coeffs.copy()
+    coeffs = CircleFunction(row).coeffs.copy()
     mags = np.abs(coeffs)
     coeffs[mags < max(1e-7 * mags.max(), abs_floor)] = 0.0
-    cleaned = CircleFunction.from_coefficients(coeffs, 1.0)
+    cleaned = CircleFunction.from_coefficients(coeffs)
     return cleaned.coeffs, reference_project(cleaned, keep_negative=True)
 
 
@@ -292,18 +280,16 @@ def test_clean_and_project_bits_match_per_row(rows, abs_floor):
         assert same_bytes(got_coeffs, ref_coeffs)
         assert same_bytes(got_minus.samples, ref_minus.samples)
         assert same_bytes(got_minus.coeffs, ref_minus.coeffs)
-        assert got_minus.radius == 1.0
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(signed_zero_samples([16, 64, 256, 1024]), st.floats(0.5, 2.0))
-def test_csv_round_trip_keeps_bits(samples, radius):
-    g = CircleFunction(samples, radius)
+@given(signed_zero_samples([16, 64, 256, 1024]))
+def test_csv_round_trip_keeps_bits(samples):
+    g = CircleFunction(samples)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "circle.csv"
         circle_to_csv(g, path)
         back = circle_from_csv(path)
-    assert back.radius == g.radius
     assert same_bytes(back.samples, g.samples)
     assert same_bytes(back.coeffs, g.coeffs)
 
@@ -344,7 +330,7 @@ def reference_extension_test(f, phi, n_max, m, holo_tolerance=1e-8):
     if zmax >= 1.0 + 1e-9:
         raise DomainError(
             f"curve leaves the z-range of the ring (sup {zmax:.6f} on |lam|=1)")
-    g = CircleFunction(f.eval_many(grid, z), 1.0)
+    g = CircleFunction(f.eval_many(grid, z))
     require_resolved(g)
     psi = reference_project(g, keep_negative=True)
     residual = psi.sup_norm
@@ -467,7 +453,7 @@ def near_threshold_rational_parts(draw):
     coeffs[:m // 2] += kicks
     # the detector's s x s Hankel matrix of the kicks: 2-norm <= s * max
     noise_norm = _S_DIM * np.abs(kicks).max()
-    return (rp, CircleFunction.from_coefficients(coeffs, 1.0), noise_norm,
+    return (rp, CircleFunction.from_coefficients(coeffs), noise_norm,
             draw(st.sampled_from([0.0, 0.15])))
 
 

@@ -17,7 +17,7 @@ def minus_function(coeff_map, m=256):
     centered = np.zeros(m, dtype=complex)
     for k, c in coeff_map.items():
         centered[m // 2 + k] = c
-    return CircleFunction.from_coefficients(centered, 1.0)
+    return CircleFunction.from_coefficients(centered)
 
 
 # --------------------------------------------------------------- detection
@@ -49,7 +49,7 @@ def test_detect_factorial_tail_not_rational():
 
 def test_detect_requires_hardy_minus():
     g = minus_function({-1: 1.0})
-    bad = CircleFunction(g.samples + 0.5, 1.0)
+    bad = CircleFunction(g.samples + 0.5)
     with pytest.raises(ValueError):
         detect_rational(bad, 10)
 
@@ -160,7 +160,7 @@ def test_pole_cancellation(rng):
     v = detect_rational(psi, 8)
     zeros = [a for a, mult in v.rational.pole_list for _ in range(mult)]
     b = blaschke_from_zeros(zeros)
-    corrected = psi * CircleFunction(b(unit_circle_grid(256)), 1.0)
+    corrected = psi * CircleFunction(b(unit_circle_grid(256)))
     assert hardy_project_minus(corrected).sup_norm < 1e-8
 
 
