@@ -6,9 +6,8 @@ two-variable extension coefficient by coefficient, and characterizes the
 pinched domain on which the reconstruction converges.
 """
 
-from .boundary import (CircleFunction, HardySplit, circle_from_csv,
-                       circle_to_csv, effective_bandwidth, hardy_project_minus,
-                       hardy_split, hilbert_transform, sobolev_norm,
+from .boundary import (CircleFunction, HardySplit, effective_bandwidth,
+                       hardy_project_minus, hardy_split, hilbert_transform,
                        unit_circle_grid, winding_number)
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      ConvergenceError, DomainError, PinchextError,
@@ -25,19 +24,17 @@ from .families import (GeneralPositionReport, TestFamilyReport,
                        validate_test_family, validate_test_sequence,
                        winding_profile)
 from .rational import (BlaschkeProduct, RationalPart, RationalityVerdict,
-                       blaschke_from_zeros, detect_rational, evaluate_rational,
+                       blaschke_from_zeros, detect_rational,
                        rational_to_circle)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "hardy_project_minus", "hardy_split", "hilbert_transform",
-    "sobolev_norm", "winding_number", "effective_bandwidth",
-    "circle_to_csv", "circle_from_csv", "unit_circle_grid",
+    "winding_number", "effective_bandwidth", "unit_circle_grid",
     "CircleFunction", "HardySplit",
     "RationalPart", "BlaschkeProduct", "RationalityVerdict",
-    "detect_rational", "blaschke_from_zeros", "evaluate_rational",
-    "rational_to_circle",
+    "detect_rational", "blaschke_from_zeros", "rational_to_circle",
     "RingFunction", "DiscFunction", "curve_difference",
     "ExtensionVerdict", "CoefficientLadder", "LadderEntry",
     "PinchDescriptor", "ExtensionValue",

@@ -3,26 +3,20 @@
 A :class:`CircleFunction` holds uniform samples of a complex function on
 the unit circle ``|lambda| = 1`` together with the Laurent coefficients
 ``c_n`` (``n`` in ``[-M/2, M/2)``) recovered from the FFT of the samples.
-The Hardy projection, the Hilbert transform and the Sobolev norm act on
-the coefficients as plain Fourier multipliers, which keeps the operator
-identities exact to rounding.
+The Hardy projection and the Hilbert transform act on the coefficients
+as plain Fourier multipliers, which keeps the operator identities exact
+to rounding.
 
 Building a :class:`CircleFunction` costs about one FFT: the roots of
 unity are a table cached per grid size and the ``fftshift`` is a swap of
 array halves.  Other circles are sampled only as points, by
-:func:`unit_circle_grid`; the CSV header names the radius, and a file
-at any radius other than 1 is refused.
+:func:`unit_circle_grid`.
 Every Hardy-minus projection is the one stacked truncation ``_minus_parts``.
-
-Normalization note: the Sobolev norm implemented here is
-``sqrt(sum (1 + n^2) |c_n|^2)``.  The circle-integral scalar product equals
-this up to a fixed constant, which is normalized away.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -36,12 +30,9 @@ __all__ = [
     "hardy_project_minus",
     "hardy_split",
     "hilbert_transform",
-    "sobolev_norm",
     "winding_number",
     "effective_bandwidth",
     "require_resolved",
-    "circle_to_csv",
-    "circle_from_csv",
     "unit_circle_grid",
 ]
 
@@ -304,12 +295,6 @@ def hilbert_transform(g: CircleFunction) -> CircleFunction:
     return CircleFunction.from_coefficients(coeffs)
 
 
-def sobolev_norm(g: CircleFunction) -> float:
-    """First-order Sobolev norm ``sqrt(sum (1 + n^2) |c_n|^2)``."""
-    n = g.modes.astype(float)
-    return float(np.sqrt(np.sum((1.0 + n * n) * np.abs(g.coeffs) ** 2)))
-
-
 def winding_number(g: CircleFunction) -> int:
     """Winding number of ``g`` around zero along the unit circle.
 
@@ -366,41 +351,3 @@ def require_resolved(g: CircleFunction) -> None:
             f"effective bandwidth {b} needs a grid of at least {4 * b} "
             f"points, got {g.size}")
 
-
-# -- CSV interchange ---------------------------------------------------
-
-def circle_to_csv(g: CircleFunction, path) -> None:
-    """Write samples as ``theta,re,im`` rows under a ``# radius=1.0`` line."""
-    lines: List[str] = ["# radius=1.0", "theta,re,im"]
-    m = g.size
-    for k, s in enumerate(g.samples):
-        theta = 2.0 * math.pi * k / m
-        lines.append(f"{theta!r},{float(s.real)!r},{float(s.imag)!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def circle_from_csv(path) -> CircleFunction:
-    """Read the samples written by :func:`circle_to_csv`; radius 1.0 only."""
-    radius = None
-    rows: List[complex] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if key.strip() == "radius":
-                    radius = float(value)
-                continue
-            if line.startswith("theta"):
-                continue
-            _, re_s, im_s = line.split(",")
-            rows.append(complex(float(re_s), float(im_s)))
-    if radius is None:
-        raise ValueError("missing '# radius=<r>' header line")
-    if radius != 1.0:
-        raise ValueError(f"samples on radius {radius!r}: a circle function "
-                         "lives on the unit circle, radius 1.0")
-    return CircleFunction(rows)

@@ -26,18 +26,17 @@ Numerical notes
   doubles, and deep levels lose accuracy.
 * At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
   pass per curve over the grid, checked for collisions before any value)
-  and the function values, one grid column at a time (:func:`_mp_column`).
-  An ``mp_evaluator`` may carry a private column form
-  ``_mp_column(lam, zs)``; remark 1's computes ``1/lam`` once per column,
-  so its values differ from ``exp(z / lam)`` by about 1e-52
-  relative.  Otherwise, and always for a wrapper (a callable with
-  ``__wrapped__``), the evaluator is called once per node; each value is
-  computed on its own, so the column order changes no bit.  Each part of
-  each value is converted to the C ``decimal`` type by one correctly
-  rounded division, and the divided-difference table, the monomial
-  conversion, the convergence estimates and the level recursion below run
-  on ``decimal`` at the smallest precision whose single rounding is at
-  least as fine as mpmath's at ``dps`` (:func:`_decimal_digits`).  A
+  and the function values, one call of the ring's ``mp_evaluator`` per
+  grid column: it takes one ``lam`` and the ``K`` nodes of that column and
+  returns one ``mpc`` per node.  Remark 1's computes ``1/lam`` once per
+  column, so its values differ from ``exp(z / lam)`` by about 1e-52
+  relative; the Laurent default and the example series evaluate each
+  node on its own.  Each part of each value is converted to the C
+  ``decimal`` type by one correctly rounded division, and the
+  divided-difference table, the monomial conversion, the convergence
+  estimates and the level recursion below run on ``decimal`` at the
+  smallest precision whose single rounding is at least as fine as
+  mpmath's at ``dps`` (:func:`_decimal_digits`).  A
   complex product or quotient takes a few more such roundings than
   mpmath's ``mpc`` (which rounds each part once, with guard bits for
   division), so a part can lose a few ulps more under cancellation;
@@ -124,7 +123,7 @@ _TINY = float(np.finfo(float).tiny)
 # domain types
 # ----------------------------------------------------------------------
 
-def _laurent_sum(terms, lam, z, total=0):
+def _laurent_sum(terms, lam, z, total):
     """``total + sum a * lam**l * z**n`` over the terms ``(n, l, a)``,
     added in order; on complex arrays or on mpmath numbers."""
     for n, l, c in terms:
@@ -139,9 +138,11 @@ class RingFunction:
     over numpy arrays).  An exact bivariate Laurent-polynomial form may be
     attached as ``laurent`` terms ``(n, l, a_nl)`` meaning
     ``a_nl * lambda**l * z**n``; when present it is cross-checked against
-    the evaluator at random ring points and, without an ``mp_evaluator``
-    (over ``mpmath`` numbers, for transcendental functions), summed in
-    ``mpmath`` as the default one for extended-precision evaluation.
+    the evaluator at random ring points and, without an ``mp_evaluator``,
+    summed in ``mpmath`` as the default one for extended-precision
+    evaluation.  An ``mp_evaluator`` (for transcendental functions) takes
+    one ``mpc`` ``lambda`` and a sequence of ``mpc`` nodes ``zs`` (one grid
+    column of the ladder) and returns a list with one ``mpc`` per node.
     """
 
     __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator")
@@ -161,8 +162,10 @@ class RingFunction:
             if mp_evaluator is None:
                 import mpmath as mp
                 # doubles convert to mpc exactly, so once per ring suffices
-                self.mp_evaluator = functools.partial(_laurent_sum, tuple(
-                    (n, l, mp.mpc(c)) for n, l, c in self.laurent))
+                terms = tuple((n, l, mp.mpc(c)) for n, l, c in self.laurent)
+                # the mpc start keeps a zero-term ring's values mpc
+                self.mp_evaluator = lambda lam, zs: [
+                    _laurent_sum(terms, lam, z, mp.mpc(0)) for z in zs]
 
     @classmethod
     def from_laurent(cls, terms: Sequence[Tuple[int, int, complex]],
@@ -201,11 +204,12 @@ class RingFunction:
         return self.mp_evaluator is not None
 
     def eval_mp(self, lam, z):
-        """Evaluate at mpmath arguments (requires mp capability)."""
+        """Evaluate at mpmath arguments, the one-node column (requires mp
+        capability)."""
         if self.mp_evaluator is None:
             raise ValueError("no extended-precision evaluation available")
         import mpmath as mp
-        return mp.mpc(self.mp_evaluator(lam, z))
+        return mp.mpc(self.mp_evaluator(lam, (z,))[0])
 
 
 class DiscFunction:
@@ -767,7 +771,7 @@ def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
     mpmath evaluates both at ``dps`` digits: the nodes by one Horner pass
     per curve over the whole grid, checked by :func:`_refuse_coinciding`
     before any value is computed, the values one grid column at a time
-    (one ``lam`` and its ``K`` nodes per call of :func:`_mp_column`).  Both
+    (one ``lam`` and its ``K`` nodes per call of ``f.mp_evaluator``).  Both
     are converted to ``Decimal`` parts and returned as two ``(K, m)``
     :class:`_DecimalArray` (call inside the ``decimal`` context).
     """
@@ -779,25 +783,8 @@ def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
         _refuse_coinciding(dec_nodes)
         values = _DecimalArray(*np.empty((2,) + nodes.shape, dtype=object))
         for j, lam in enumerate(lam_mp):
-            values[:, j] = _DecimalArray.from_mpc(_mp_column(f, lam, nodes[:, j]))
+            values[:, j] = _DecimalArray.from_mpc(f.mp_evaluator(lam, nodes[:, j]))
     return dec_nodes, values
-
-
-def _mp_column(f: RingFunction, lam, zs) -> list:
-    """``f(lam, z)`` as ``mpc`` for each node ``z`` of one grid column.
-
-    The ring's ``mp_evaluator`` may carry a private ``_mp_column(lam, zs)``
-    that evaluates a whole column at once (remark 1 computes ``1/lam`` once
-    per column); otherwise the evaluator, read at call time, is called once
-    per node through :meth:`RingFunction.eval_mp`.  A wrapper (a callable
-    with ``__wrapped__``) is always called per node: ``functools.wraps``
-    copies the column form of the function it wraps, which would skip the
-    wrapper.
-    """
-    column = getattr(f.mp_evaluator, "_mp_column", None)
-    if column is not None and not hasattr(f.mp_evaluator, "__wrapped__"):
-        return column(lam, zs)
-    return [f.eval_mp(lam, z) for z in zs]
 
 
 def _divided_differences(nodes, values):

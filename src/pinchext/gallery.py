@@ -20,9 +20,11 @@ call evaluates a whole array (the ring adapters hand over whole
 restriction grids), and scalars give a Python ``complex``.
 ``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
-mpmath is imported only by the extended-precision evaluators (``eval_mp``
-and the remark-1 ring's ``mp_evaluator`` and its column form) and by
-:func:`example1_growth_probe`.
+Each ring's ``mp_evaluator`` evaluates one ladder grid column: one
+``lambda`` and a sequence of nodes ``z``, one ``mpc`` per node.  Remark
+1's takes ``1/lambda`` once per column; examples 1 and 2 call their
+pointwise ``eval_mp`` once per node.  mpmath is imported only by these
+extended-precision evaluators and by :func:`example1_growth_probe`.
 """
 
 from __future__ import annotations
@@ -351,28 +353,21 @@ def _remark1_column_mp(lam, zs):
     return [mp.exp(z * inv) for z in zs]
 
 
-def _remark1_eval_mp(lam, z):
-    """``exp(z / lambda)`` at mpmath arguments; the one-node column."""
-    return _remark1_column_mp(lam, (z,))[0]
-
-
-# the ladder evaluates a whole column of curve nodes per grid point
-_remark1_eval_mp._mp_column = _remark1_column_mp
-
-
 def remark1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=remark1_eval, epsilon=epsilon,
-                        mp_evaluator=_remark1_eval_mp)
+                        mp_evaluator=_remark1_column_mp)
 
 
 def example1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE1, epsilon=epsilon,
-                        mp_evaluator=_EXAMPLE1.eval_mp)
+                        mp_evaluator=lambda lam, zs: [
+                            _EXAMPLE1.eval_mp(lam, z) for z in zs])
 
 
 def example2_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE2, epsilon=epsilon,
-                        mp_evaluator=_EXAMPLE2.eval_mp)
+                        mp_evaluator=lambda lam, zs: [
+                            _EXAMPLE2.eval_mp(lam, z) for z in zs])
 
 
 # CLI name -> (ring adapter, point evaluator taking a series depth third)

@@ -20,7 +20,6 @@ stay apart) and 1e-4 to 5e-2; the best principal-part fit decides.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .boundary import CircleFunction, pointwise
-from .errors import DomainError, PoleLocationError
+from .errors import PoleLocationError
 
 __all__ = [
     "RationalPart",
@@ -36,7 +35,6 @@ __all__ = [
     "RationalityVerdict",
     "detect_rational",
     "blaschke_from_zeros",
-    "evaluate_rational",
     "rational_to_circle",
 ]
 
@@ -45,7 +43,6 @@ _RANK_TOL = 1e-8
 _NOISE_REL = 1e-13
 _GAP_MIN = 1e4
 _CLUSTER_RADIUS = 1e-4
-_POLE_EXCLUSION_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,13 +107,6 @@ class RationalPart:
             poles.append((a, coeffs))
         return cls(poles=tuple(poles))
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalPart":
-        return cls.from_dict(json.loads(text))
-
 
 EMPTY_RATIONAL = RationalPart(poles=())
 
@@ -175,16 +165,6 @@ class RationalityVerdict:
             "fit_residual": self.fit_residual,
             "rational": None if self.rational is None else self.rational.as_dict(),
         }
-
-
-def evaluate_rational(rp: RationalPart, lam: complex) -> complex:
-    """Evaluate a rational part, refusing points within 1e-6 of a pole."""
-    for a, _ in rp.poles:
-        if abs(lam - a) <= _POLE_EXCLUSION_RADIUS:
-            raise DomainError(
-                f"evaluation point {lam} within {_POLE_EXCLUSION_RADIUS:.1e} "
-                f"of the pole {a}")
-    return complex(rp(lam))
 
 
 def rational_to_circle(rp: RationalPart, m: int = 256) -> CircleFunction:

@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pinchext import (BandwidthError, BlaschkeProduct, CircleFunction,
                       CircleVanishingError, DiscFunction, LadderEntry,
-                      PinchDescriptor, RationalPart, circle_from_csv,
-                      circle_to_csv, effective_bandwidth, hardy_project_minus,
-                      hardy_split, hilbert_transform, sobolev_norm,
+                      PinchDescriptor, RationalPart, effective_bandwidth,
+                      hardy_project_minus, hardy_split, hilbert_transform,
                       unit_circle_grid, winding_number)
 from pinchext.boundary import distance_product, require_resolved
 
@@ -179,14 +176,6 @@ def test_projection_vanishes_on_polynomials(rng):
         assert hardy_project_minus(g).sup_norm < 1e-10
 
 
-# ------------------------------------------------------------ sobolev norm
-
-def test_sobolev_examples():
-    assert abs(sobolev_norm(CircleFunction(np.ones(64))) - 1.0) < 1e-12
-    assert abs(sobolev_norm(CircleFunction(tau(64))) - math.sqrt(2)) < 1e-12
-    assert sobolev_norm(CircleFunction(np.zeros(64))) == 0.0
-
-
 # ---------------------------------------------------------- winding number
 
 def test_winding_monomial():
@@ -250,43 +239,12 @@ def test_effective_bandwidth():
         require_resolved(h)
 
 
-# ------------------------------------------------------------------- CSV
-
-def test_csv_round_trip(tmp_path, rng):
-    g = random_laurent_function(rng, bandwidth=10, m=64)
-    path = tmp_path / "circle.csv"
-    circle_to_csv(g, path)
-    text = path.read_text()
-    assert text.startswith("# radius=1.0\ntheta,re,im\n")
-    back = circle_from_csv(path)
-    npt.assert_array_equal(back.samples, g.samples)
-
-
 def test_unit_circle_grid_is_a_fresh_array():
     # the roots of unity are cached, but callers get their own copy
     a = unit_circle_grid(64)
     a[0] = 5.0
     assert unit_circle_grid(64)[0] == 1.0
     assert unit_circle_grid(64, 0.5).flags.writeable
-
-
-def test_csv_missing_radius(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("theta,re,im\n0.0,1.0,0.0\n")
-    with pytest.raises(ValueError):
-        circle_from_csv(path)
-
-
-def test_csv_other_radius_refused(tmp_path):
-    # a circle function lives on the unit circle; a file sampled on
-    # another circle is refused, and the message names its radius
-    g = CircleFunction(tau(16))
-    path = tmp_path / "circle.csv"
-    circle_to_csv(g, path)
-    path.write_text(path.read_text().replace("# radius=1.0", "# radius=0.5"))
-    with pytest.raises(ValueError, match=r"^samples on radius 0\.5: a circle "
-                       r"function lives on the unit circle, radius 1\.0$"):
-        circle_from_csv(path)
 
 
 def test_from_coefficients_grid_size_is_keyword_only():

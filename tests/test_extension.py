@@ -23,8 +23,9 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
-                                _mp_column, _mpf_to_decimal, _roots_of_rows)
-from pinchext.gallery import remark1_eval, remark1_ring
+                                _mpf_to_decimal, _roots_of_rows)
+from pinchext.gallery import (Example1, Example2, example1_ring,
+                              example2_ring, remark1_eval, remark1_ring)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +68,12 @@ def test_laurent_mp_path_matches_float_kernel(rng):
                         rtol=1e-13, atol=0)
     # an explicit mp evaluator takes precedence over the Laurent form
     g = RingFunction(f.evaluator, 0.3, laurent=terms,
-                     mp_evaluator=lambda lam, z: mp.mpc(7))
+                     mp_evaluator=lambda lam, zs: [mp.mpc(7) for _ in zs])
     assert g.eval_mp(mp.mpc(1), mp.mpc(0)) == 7
-    # mpf, int and complex results are converted to mpc
+    # eval_mp converts mpf, int and complex results to mpc
     for result in (mp.mpf(7) / 3, 7, 7 - 0.5j):
-        got = RingFunction(f.evaluator, 0.3, mp_evaluator=lambda lam, z: result
+        got = RingFunction(f.evaluator, 0.3,
+                           mp_evaluator=lambda lam, zs: [result for _ in zs]
                            ).eval_mp(mp.mpc(1), mp.mpc(0))
         assert type(got) is mp.mpc
         assert got._mpc_ == mp.mpc(result)._mpc_
@@ -457,47 +459,69 @@ def test_mpf_to_decimal_accepts_int_like_mantissa():
 
 
 def test_mp_column_forms():
-    # remark 1 evaluates a column as exp(z * (1/lam)); its pointwise
-    # evaluator is the one-node case, within 1e-50 of exp(z / lam)
-    ring = remark1_ring(0.3)
+    # every mp evaluator takes one lam and a column of nodes, one mpc per
+    # node (a ring without terms too); remark 1's takes 1/lam once, within
+    # 1e-50 of exp(z / lam), and the series and Laurent columns equal their
+    # pointwise values
+    laurent = RingFunction.from_laurent(
+        [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)], 0.3)
     with mp.workdps(52):
         lam = mp.mpc(0.6, 0.8)
-        zs = [mp.mpc(0.3, -0.2), mp.mpc(-0.1, 0.05), mp.mpc(0.45)]
-        column = _mp_column(ring, lam, zs)
-        assert [v._mpc_ for v in column] == [ring.eval_mp(lam, z)._mpc_
-                                             for z in zs]
+        zs = [mp.mpc(0.3, -0.2), mp.mpc(-0.1, 0.05), mp.mpc(0.45), mp.mpc(0)]
+        column = remark1_ring(0.3).mp_evaluator(lam, zs)
         for v, z in zip(column, zs):
             assert abs(v - mp.exp(z / lam)) <= 1e-50 * abs(v)
-        # the default column form calls the evaluator the ring holds now,
-        # converting each result to mpc
-        plain = RingFunction(remark1_eval, 0.3,
-                             mp_evaluator=lambda lam, z: mp.exp(z / lam))
-        plain.mp_evaluator = lambda lam, z: z * 2
-        column = _mp_column(plain, lam, [mp.mpc(1, 1), 3])
-        assert all(type(v) is mp.mpc for v in column)
-        assert column == [mp.mpc(2, 2), mp.mpc(6)]
-        # functools.wraps copies the column form onto a wrapper; the wrapper
-        # is still called, once per node
-        calls = []
+        for ring, pointwise in (
+                (remark1_ring(0.3), None),
+                (example1_ring(0.3), Example1().eval_mp),
+                (example2_ring(0.3), Example2().eval_mp),
+                (laurent, None),
+                (RingFunction.from_laurent([], 0.3), None)):
+            column = ring.mp_evaluator(lam, np.array(zs, dtype=object))
+            assert len(column) == len(zs)
+            assert all(type(v) is mp.mpc for v in column)
+            assert [v._mpc_ for v in column] == [
+                ring.eval_mp(lam, z)._mpc_ for z in zs]
+            if pointwise is not None:
+                assert [v._mpc_ for v in column] == [
+                    pointwise(lam, z)._mpc_ for z in zs]
 
-        @functools.wraps(ring.mp_evaluator)
-        def doubled(lam, z, inner=ring.mp_evaluator):
-            calls.append(z)
-            return 2 * inner(lam, z)
 
-        assert hasattr(doubled, "_mp_column")
-        ring.mp_evaluator = doubled
-        assert _mp_column(ring, lam, zs) == [2 * v for v in
-                                             _mp_column(remark1_ring(0.3),
-                                                        lam, zs)]
-        assert calls == zs
+def test_wrapped_mp_evaluator_called_once_per_column():
+    # a functools.wraps wrapper (as a tracer installs) sees one call per
+    # grid column and changes no bit of the ladder
+    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
+    ring = remark1_ring(0.3)
+    inner, calls = ring.mp_evaluator, []
+
+    @functools.wraps(inner)
+    def traced(lam, zs):
+        calls.append(len(zs))
+        return inner(lam, zs)
+
+    ring.mp_evaluator = traced
+    got = coefficient_ladder(ring, curves, 6, 10, m=64)
+    assert calls == [12] * 64
+    ref = coefficient_ladder(remark1_ring(0.3), curves, 6, 10, m=64)
+    assert got.as_dict() == ref.as_dict()
+
+
+def test_zero_laurent_ring_ladder_on_mp_path():
+    # the zero function through the extended-precision path: every A_n is 0
+    ring = RingFunction.from_laurent([], 0.3)
+    assert ring.mp_capable
+    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 9)]
+    ladder = coefficient_ladder(ring, curves, 3, 10, m=64)
+    grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
+    for entry in ladder.entries:
+        assert not np.any(entry(grid))
 
 
 def test_remark1_ladder_matches_pointwise_exp():
     # on rotated lines every part of every value is O(1), and the ladder
     # keeps each bit of a ring whose pointwise evaluator is exp(z / lam)
-    plain = RingFunction(remark1_eval, 0.3,
-                         mp_evaluator=lambda lam, z: mp.exp(z / lam))
+    plain = RingFunction(remark1_eval, 0.3, mp_evaluator=lambda lam, zs: [
+        mp.exp(z / lam) for z in zs])
     rotated = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
     # on real lines some results are exactly zero in exact arithmetic, and
     # the two quotients' difference of about 1e-52 shows in them
@@ -553,7 +577,7 @@ def test_ladder_refuses_coinciding_nodes_before_mp_values():
     # it runs before any of the 8 x 64 values is evaluated
     ring = remark1_ring(0.3)
     inner, calls = ring.mp_evaluator, []
-    ring.mp_evaluator = lambda lam, z: calls.append(z) or inner(lam, z)
+    ring.mp_evaluator = lambda lam, zs: calls.append(zs) or inner(lam, zs)
     curves = [DiscFunction([0, 1.0 / k]) for k in (1, 2, 2, 3, 4, 5, 6, 7)]
     with pytest.raises(ConvergenceError,
                        match="^two curves coincide at a grid point$"):

@@ -3,9 +3,6 @@
 Runs are derandomized, so every run draws the same examples.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,11 +12,11 @@ from conftest import random_rational_part
 from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
                       DomainError, ExtensionVerdict, PinchextError,
                       PoleLocationError, RationalPart, RingFunction,
-                      circle_from_csv, circle_to_csv, coefficient_ladder,
-                      detect_rational, hardy_project_minus, hardy_split,
-                      hilbert_transform, rational_to_circle,
-                      unit_circle_grid, validate_test_family,
-                      validate_test_sequence, winding_number)
+                      coefficient_ladder, detect_rational,
+                      hardy_project_minus, hardy_split, hilbert_transform,
+                      rational_to_circle, unit_circle_grid,
+                      validate_test_family, validate_test_sequence,
+                      winding_number)
 from pinchext.boundary import require_resolved
 from pinchext.extension import (_clean_and_project, _roots_of_rows,
                                 _sample_curves, _test_rows)
@@ -282,18 +279,6 @@ def test_clean_and_project_bits_match_per_row(rows, abs_floor):
         assert same_bytes(got_minus.coeffs, ref_minus.coeffs)
 
 
-@settings(derandomize=True, deadline=None, database=None)
-@given(signed_zero_samples([16, 64, 256, 1024]))
-def test_csv_round_trip_keeps_bits(samples):
-    g = CircleFunction(samples)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "circle.csv"
-        circle_to_csv(g, path)
-        back = circle_from_csv(path)
-    assert same_bytes(back.samples, g.samples)
-    assert same_bytes(back.coeffs, g.coeffs)
-
-
 @st.composite
 def curve_stacks(draw):
     """A ring ``exp(z^2/lam) + z/(lam - a)`` and 1..12 curves on m = 16..1024
@@ -405,7 +390,7 @@ finite_complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=Fa
     .map(lambda seed: random_rational_part(np.random.default_rng(seed)))))
 def test_rational_part_json_round_trip_keeps_bits(rp):
     # signed zeros, subnormals and the largest floats included
-    back = RationalPart.from_json(rp.to_json())
+    back = RationalPart.from_dict(rp.as_dict())
     assert rational_bits(back) == rational_bits(rp)
 
 
