@@ -9,6 +9,7 @@ floats are rendered with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import math
@@ -206,8 +207,14 @@ def parse_config(path) -> AnalysisConfig:
         # validate would report all_probes_ok over no probe at all
         raise ConfigError("no probe points: give at least one re,im pair, "
                           "or leave probes out for the default 0,0")
+    for probe in probes:
+        if not cmath.isfinite(probe):
+            raise ConfigError(f"probe point {probe.real:g},{probe.imag:g} "
+                              "is not finite")
 
     ray_angle = parser["output"].getfloat("ray_angle", 0.0)
+    if not math.isfinite(ray_angle):
+        raise ConfigError(f"ray_angle must be finite, got {ray_angle}")
     if not curves:
         raise ConfigError("no curves configured")
 
@@ -344,6 +351,10 @@ def cmd_gallery(name: str, lam: complex, z: complex, trunc: int,
                 out_dir: Optional[str] = None) -> int:
     if trunc < 0:
         raise ConfigError(f"trunc must be at least 0, got {trunc}")
+    for label, point in (("lam", lam), ("z", z)):
+        if not cmath.isfinite(point):
+            raise ConfigError(f"{label} must be finite, got "
+                              f"{point.real:g},{point.imag:g}")
     value = gallery.gallery_eval(name, lam, z, trunc)
     report = {"command": "gallery", "name": name,
               "lambda": [lam.real, lam.imag], "z": [z.real, z.imag],

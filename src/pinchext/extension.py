@@ -20,18 +20,18 @@ Numerical notes
   column at once and, from the same table, the interpolants through the
   first K-2 and K-1 curves used by the convergence check; only the
   ``depth + 1`` lowest monomial coefficients are formed.  The node
-  systems are exponentially ill-conditioned, so for mp-capable ring
-  functions (exact bivariate Laurent form or an mpmath evaluator) the
-  ladder works at ``dps`` digits; otherwise everything runs in complex
-  doubles, and deep levels lose accuracy.
+  systems are exponentially ill-conditioned, so for ring functions with
+  an ``mp_evaluator`` (:meth:`RingFunction.from_laurent` builds one from
+  the exact terms) the ladder works at ``dps`` digits; otherwise
+  everything runs in complex doubles, and deep levels lose accuracy.
 * At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
   pass per curve over the grid, checked for collisions before any value)
   and the function values, one call of the ring's ``mp_evaluator`` per
   grid column: it takes one ``lam`` and the ``K`` nodes of that column and
   returns one ``mpc`` per node.  Remark 1's computes ``1/lam`` once per
   column, so its values differ from ``exp(z / lam)`` by about 1e-52
-  relative; the Laurent default and the example series evaluate each
-  node on its own.  Each part of each value is converted to the C
+  relative; a Laurent ring's and the example series evaluate each node
+  on its own.  Each part of each value is converted to the C
   ``decimal`` type by one correctly rounded division, and the
   divided-difference table, the monomial conversion, the convergence
   estimates and the level recursion below run on ``decimal`` at the
@@ -134,38 +134,24 @@ def _laurent_sum(terms, lam, z, total):
 class RingFunction:
     """Function holomorphic on the ring ``A_{1-eps,1+eps} x Delta``.
 
-    Wraps a black-box evaluator ``(lambda, z) -> complex`` (vectorized
-    over numpy arrays).  An exact bivariate Laurent-polynomial form may be
-    attached as ``laurent`` terms ``(n, l, a_nl)`` meaning
-    ``a_nl * lambda**l * z**n``; when present it is cross-checked against
-    the evaluator at random ring points and, without an ``mp_evaluator``,
-    summed in ``mpmath`` as the default one for extended-precision
-    evaluation.  An ``mp_evaluator`` (for transcendental functions) takes
-    one ``mpc`` ``lambda`` and a sequence of ``mpc`` nodes ``zs`` (one grid
-    column of the ladder) and returns a list with one ``mpc`` per node.
+    A ring is its two evaluators: ``evaluator(lambda, z)`` in complex
+    doubles, vectorized over numpy arrays, and the optional extended-
+    precision ``mp_evaluator(lambda, zs)``, which takes one ``mpc`` lambda
+    and the ``mpc`` nodes of one ladder grid column and returns one ``mpc``
+    per node.  :meth:`from_laurent` builds both from exact terms and keeps
+    them as ``laurent`` (``None`` on any other ring).
     """
 
     __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator")
 
     def __init__(self, evaluator: Callable, epsilon: float,
-                 laurent: Optional[Sequence[Tuple[int, int, complex]]] = None,
                  mp_evaluator: Optional[Callable] = None):
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
         self.evaluator = evaluator
         self.epsilon = float(epsilon)
-        self.laurent = None if laurent is None else tuple(
-            (int(n), int(l), complex(c)) for n, l, c in laurent)
         self.mp_evaluator = mp_evaluator
-        if self.laurent is not None:
-            self._validate_laurent()
-            if mp_evaluator is None:
-                import mpmath as mp
-                # doubles convert to mpc exactly, so once per ring suffices
-                terms = tuple((n, l, mp.mpc(c)) for n, l, c in self.laurent)
-                # the mpc start keeps a zero-term ring's values mpc
-                self.mp_evaluator = lambda lam, zs: [
-                    _laurent_sum(terms, lam, z, mp.mpc(0)) for z in zs]
+        self.laurent = None
 
     @classmethod
     def from_laurent(cls, terms: Sequence[Tuple[int, int, complex]],
@@ -182,34 +168,18 @@ class RingFunction:
             return _laurent_sum(terms, lam, z, np.zeros(
                 np.broadcast(lam, z).shape, dtype=complex))
 
-        return cls(evaluator, epsilon, laurent=terms)
-
-    def _validate_laurent(self) -> None:
-        rng = np.random.default_rng(20240201)
-        r = 1.0 + self.epsilon * rng.uniform(-0.9, 0.9, 100)
-        lam = r * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
-        z = 0.95 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
-        direct = self.eval_many(lam, z)
-        exact = _laurent_sum(self.laurent, lam, z, np.zeros_like(lam))
-        scale = np.maximum(1.0, np.abs(exact))
-        if np.max(np.abs(direct - exact) / scale) > 1e-12:
-            raise ValueError("evaluator disagrees with the exact Laurent form")
-
-    def eval_many(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-        out = self.evaluator(lam, z)
-        return np.asarray(out, dtype=complex)
+        import mpmath as mp
+        # doubles convert to mpc exactly, so once per ring suffices
+        mp_terms = tuple((n, l, mp.mpc(c)) for n, l, c in terms)
+        # the mpc start keeps a zero-term ring's values mpc
+        ring = cls(evaluator, epsilon, mp_evaluator=lambda lam, zs: [
+            _laurent_sum(mp_terms, lam, z, mp.mpc(0)) for z in zs])
+        ring.laurent = terms
+        return ring
 
     @property
     def mp_capable(self) -> bool:
         return self.mp_evaluator is not None
-
-    def eval_mp(self, lam, z):
-        """Evaluate at mpmath arguments, the one-node column (requires mp
-        capability)."""
-        if self.mp_evaluator is None:
-            raise ValueError("no extended-precision evaluation available")
-        import mpmath as mp
-        return mp.mpc(self.mp_evaluator(lam, (z,))[0])
 
 
 class DiscFunction:
@@ -588,7 +558,7 @@ def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
     values = np.empty_like(nodes)
     for k, z in enumerate(nodes):
         try:
-            values[k] = f.eval_many(grid, z)
+            values[k] = f.evaluator(grid, z)
         except DomainError as exc:
             raise type(exc)(f"{prefix(k)}{exc}") from exc
     return nodes, values, leaves

@@ -100,10 +100,6 @@ class PairWitness:
     winding: Optional[int]
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {"s": self.s, "t": self.t, "radius": self.radius,
-                "winding": self.winding, "ok": self.ok}
-
 
 @dataclass(frozen=True)
 class TestFamilyReport:
@@ -113,10 +109,6 @@ class TestFamilyReport:
     @property
     def all_ok(self) -> bool:
         return all(p.ok for p in self.pairs)
-
-    def as_dict(self) -> dict:
-        return {"pairs": [p.as_dict() for p in self.pairs],
-                "n_bound": self.n_bound, "all_ok": self.all_ok}
 
 
 @dataclass(frozen=True)
@@ -164,10 +156,6 @@ class WindingProfileReport:
     windings: Tuple[Tuple[float, int], ...]
     radius: float
     constant: bool
-
-    def as_dict(self) -> dict:
-        return {"windings": [{"alpha": a, "winding": w} for a, w in self.windings],
-                "radius": self.radius, "constant": self.constant}
 
 
 def _radius_scan(lo: float, hi: float) -> List[np.ndarray]:

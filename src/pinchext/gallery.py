@@ -58,6 +58,7 @@ __all__ = [
 
 _LOG3 = math.log(3.0)
 _SERIES_DEPTH = 40
+_EXAMPLE2_MAX_DEPTH = 171  # P_l needs l! as a float, which fits to l = 170
 
 
 def _term_log_bound(n: int, log_inv_eps):
@@ -190,11 +191,6 @@ class GrowthSample:
     value: object          # mpf; far below float range near lambda = 0
     ratios: Tuple[object, ...]  # value * lam^p for p = 1..6
 
-    def as_dict(self) -> dict:
-        import mpmath as mp
-        return {"m": self.m, "lam": self.lam, "value": mp.nstr(self.value, 17),
-                "ratios": [mp.nstr(r, 17) for r in self.ratios]}
-
 
 def example1_growth_probe(n0: int, c: float,
                           m_range: Sequence[int]) -> Tuple[GrowthSample, ...]:
@@ -279,8 +275,13 @@ class Example2:
     def __call__(self, lam, z, *, l_trunc: int = _SERIES_DEPTH):
         """Partial sums to ``l_trunc``; ``lam`` and ``z`` broadcast together.
 
-        Overflow of a term raises :class:`FloatingPointError`.
+        A term overflow raises :class:`FloatingPointError`; a depth past
+        171, ``ValueError``.
         """
+        if l_trunc > _EXAMPLE2_MAX_DEPTH:
+            raise ValueError(f"example 2's series depth must be at most "
+                             f"{_EXAMPLE2_MAX_DEPTH} (1/l! of P_l overflows "
+                             f"past l = 170), got {l_trunc}")
         if (lam == 0).any():
             raise ValueError("example 2 is undefined at lambda = 0")
         total = np.zeros_like(lam)

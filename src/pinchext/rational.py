@@ -156,16 +156,6 @@ class RationalityVerdict:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_max": self.n_max,
-            "rank": self.rank,
-            "gap": self.gap,
-            "fit_residual": self.fit_residual,
-            "rational": None if self.rational is None else self.rational.as_dict(),
-        }
-
 
 def rational_to_circle(rp: RationalPart, m: int = 256) -> CircleFunction:
     """Boundary values of a rational part on the unit circle.

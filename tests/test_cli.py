@@ -207,6 +207,12 @@ def test_default_section_supplies_analysis_keys(tmp_path):
     ("grid = abc", "invalid literal for int() with base 10: 'abc'"),
     ("n_bound = x", "invalid literal for int() with base 10: 'x'"),
     ("[output]\nray_angle = x", "could not convert string to float: 'x'"),
+    # a non-finite angle would write an all-nan profile CSV, and a
+    # non-finite probe would be reported as a failed probe
+    ("[output]\nray_angle = nan", "ray_angle must be finite, got nan"),
+    ("[output]\nray_angle = -inf", "ray_angle must be finite, got -inf"),
+    ("probes = 0,0 nan,0", "probe point nan,0 is not finite"),
+    ("probes = 0,inf", "probe point 0,inf is not finite"),
 ])
 def test_malformed_number_is_config_error(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, HORIZONTAL.replace("grid = 128", line))
@@ -604,6 +610,34 @@ def test_gallery_negative_trunc_is_usage_error(name, capsys):
                                    "got -3\n")
 
 
+@pytest.mark.parametrize("name, point, message", [
+    # remark 1 would print nan values; examples 1 and 2 would exit 3 as if
+    # the series had failed numerically
+    ("remark1", ["--lam", "0.5,0", "--z", "nan,0"],
+     "z must be finite, got nan,0"),
+    ("example1", ["--lam", "0.5,0", "--z", "inf,0"],
+     "z must be finite, got inf,0"),
+    ("example2", ["--lam", "nan,0", "--z", "0.1,0"],
+     "lam must be finite, got nan,0"),
+])
+def test_gallery_non_finite_point_is_usage_error(name, point, message, capsys):
+    assert main(["gallery", name] + point) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_gallery_example2_depth_limit(capsys):
+    # P_l carries 1/l!, and 171! is past the float range: depth 171 is the
+    # deepest example-2 sum, and a deeper one is refused, not a traceback
+    args = ["gallery", "example2", "--lam", "0.5,0", "--z", "0.1,0"]
+    assert main(args + ["--trunc", "171"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == [
+        gallery.example2_eval(0.5, 0.1, 171).real, 0.0]
+    assert main(args + ["--trunc", "172"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: example 2's series depth must be at most 171 (1/l! of "
+        "P_l overflows past l = 170), got 172\n")
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "remark1"])
 def test_gallery_float_overflow_exit_code(name, capsys):
     # at lambda = 1e-8 doubles overflow (the series terms of examples 1
@@ -680,6 +714,18 @@ def test_malformed_probe_row_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"error: probe file {probe_file.resolve()}: line 3: cannot parse "
             "probe row '0.1,x'") in err
+
+
+def test_non_finite_probe_row_is_config_error(tmp_path, capsys):
+    # validate would report the probe as failed and exit 0; a probe file
+    # is held to the rule of the inline probes
+    (tmp_path / "probes.csv").write_text("re,im\n0,0\nnan,0\n")
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace(
+        "probes = 0,0 0.5,0", "probes_file = probes.csv"))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (capsys.readouterr().err
+            == "error: probe point nan,0 is not finite\n")
+    assert not (tmp_path / "validate_report.json").exists()
 
 
 def test_explicit_curve_parsing(tmp_path):

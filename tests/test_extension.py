@@ -41,44 +41,30 @@ def exp_ladder(exp_ring):
 
 # ------------------------------------------------------------ ring function
 
-def test_ring_function_laurent_validation():
-    with pytest.raises(ValueError):
-        RingFunction(lambda lam, z: lam * z + 1.0, 0.3,
-                     laurent=((1, 1, 1.0 + 0j),))
-
-
 def test_ring_function_from_laurent_evaluates():
     f = RingFunction.from_laurent([(1, -2, 1.0)], 0.3)
-    assert abs(f.eval_many(np.array([2j]), np.array([0.5]))[0]
+    assert abs(f.evaluator(np.array([2j]), np.array([0.5]))[0]
                - 0.5 / (2j) ** 2) < 1e-14
     assert f.mp_capable
 
 
 def test_laurent_mp_path_matches_float_kernel(rng):
-    # the Laurent form is the default mp evaluator; at dps 40 it agrees
-    # with the float evaluator at ring points
+    # from_laurent builds the mp evaluator from the terms; at dps 40 it
+    # agrees with the float evaluator at ring points
     terms = [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)]
     f = RingFunction.from_laurent(terms, 0.3)
     lam = (1 + 0.25 * rng.uniform(-1, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
     z = 0.9 * rng.uniform(0, 1, 4) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
     with mp.workdps(40):
-        got = [f.eval_mp(mp.mpc(l), mp.mpc(w)) for l, w in zip(lam, z)]
+        got = [f.mp_evaluator(mp.mpc(l), [mp.mpc(w)])[0]
+               for l, w in zip(lam, z)]
         assert all(isinstance(v, mp.mpc) for v in got)
-    npt.assert_allclose(np.array(got, dtype=complex), f.eval_many(lam, z),
+    npt.assert_allclose(np.array(got, dtype=complex), f.evaluator(lam, z),
                         rtol=1e-13, atol=0)
-    # an explicit mp evaluator takes precedence over the Laurent form
-    g = RingFunction(f.evaluator, 0.3, laurent=terms,
-                     mp_evaluator=lambda lam, zs: [mp.mpc(7) for _ in zs])
-    assert g.eval_mp(mp.mpc(1), mp.mpc(0)) == 7
-    # eval_mp converts mpf, int and complex results to mpc
-    for result in (mp.mpf(7) / 3, 7, 7 - 0.5j):
-        got = RingFunction(f.evaluator, 0.3,
-                           mp_evaluator=lambda lam, zs: [result for _ in zs]
-                           ).eval_mp(mp.mpc(1), mp.mpc(0))
-        assert type(got) is mp.mpc
-        assert got._mpc_ == mp.mpc(result)._mpc_
-    with pytest.raises(ValueError, match="no extended-precision"):
-        RingFunction(f.evaluator, 0.3).eval_mp(mp.mpc(1), mp.mpc(0))
+    assert f.laurent == tuple((n, l, complex(c)) for n, l, c in terms)
+    # a ring built from its evaluator alone has no Laurent form
+    g = RingFunction(f.evaluator, 0.3)
+    assert g.laurent is None and not g.mp_capable
 
 
 def test_ring_function_epsilon_range():
@@ -481,7 +467,7 @@ def test_mp_column_forms():
             assert len(column) == len(zs)
             assert all(type(v) is mp.mpc for v in column)
             assert [v._mpc_ for v in column] == [
-                ring.eval_mp(lam, z)._mpc_ for z in zs]
+                ring.mp_evaluator(lam, [z])[0]._mpc_ for z in zs]
             if pointwise is not None:
                 assert [v._mpc_ for v in column] == [
                     pointwise(lam, z)._mpc_ for z in zs]
@@ -805,7 +791,7 @@ def test_ladder_diagnostics(exp_ring, exp_ladder):
         # they agree to rounding amplified by |1/phi_k|^n
         n, k = diag.level, diag.curve_index + 1
         phi = grid / k
-        rebuilt = exp_ring.eval_many(grid, phi)
+        rebuilt = exp_ring.evaluator(grid, phi)
         for entry in exp_ladder.entries[:n]:
             rebuilt = (rebuilt - entry(grid)) / phi
         level_fn = CircleFunction.from_coefficients(diag.level_coeffs)
@@ -842,7 +828,7 @@ def test_ladder_consistency(exp_ring, exp_ladder):
     # re-restricting the reconstruction matches f along an input curve
     phi = DiscFunction([0, 1.0 / 12.0])
     grid = unit_circle_grid(64)
-    direct = exp_ring.eval_many(grid, phi(grid))
+    direct = exp_ring.evaluator(grid, phi(grid))
     series = np.zeros_like(grid)
     for entry in exp_ladder.entries:
         series += entry(grid) * phi(grid) ** entry.n

@@ -393,7 +393,7 @@ def test_ring_adapters_evaluate_whole_grids(rng):
     z = 0.9 * np.exp(1j * np.angle(z))
     for ring, point in ((example1_ring(0.3), example1_eval),
                         (example2_ring(0.3), example2_eval)):
-        values = ring.eval_many(lam, z)
+        values = ring.evaluator(lam, z)
         assert values.shape == lam.shape
         _assert_close(values, [point(l, w) for l, w in zip(lam, z)])
 
@@ -421,14 +421,13 @@ def test_remark1_eval_is_the_ring_kernel(rng):
     ring = remark1_ring(0.3)
     lam, z = _ring_points(rng, 200)
     values = remark1_eval(lam, z)
-    assert values.tobytes() == ring.eval_many(lam, z).tobytes()
     assert values.tobytes() == ring.evaluator(lam, z).tobytes()
     grid = remark1_eval(lam[:3, None], z[None, :4])
     assert grid.shape == (3, 4)
     for i, j in ((0, 0), (2, 1), (1, 3)):
         value = remark1_eval(lam[i], z[j])
         assert type(value) is complex and value == grid[i, j]
-    for evaluate in (remark1_eval, ring.evaluator, ring.eval_many):
+    for evaluate in (remark1_eval, ring.evaluator):
         with pytest.raises(ValueError, match="undefined at lambda = 0"):
             evaluate(np.array([0.5, 0.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError, match="undefined at lambda = 0"):
@@ -442,9 +441,9 @@ def test_ring_mp_evaluator_matches_float_kernel(make):
     lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.2 + 0.0j])
     z = np.array([0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45 + 0.0j])
     with mp.workdps(40):
-        got = np.array([complex(ring.eval_mp(mp.mpc(l), mp.mpc(w)))
+        got = np.array([complex(ring.mp_evaluator(mp.mpc(l), [mp.mpc(w)])[0])
                         for l, w in zip(lam, z)])
-    np.testing.assert_allclose(got, ring.eval_many(lam, z), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got, ring.evaluator(lam, z), rtol=1e-13, atol=0)
 
 
 def test_remark1_constant_along_scaled_lines():

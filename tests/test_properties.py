@@ -315,7 +315,7 @@ def reference_extension_test(f, phi, n_max, m, holo_tolerance=1e-8):
     if zmax >= 1.0 + 1e-9:
         raise DomainError(
             f"curve leaves the z-range of the ring (sup {zmax:.6f} on |lam|=1)")
-    g = CircleFunction(f.eval_many(grid, z))
+    g = CircleFunction(f.evaluator(grid, z))
     require_resolved(g)
     psi = reference_project(g, keep_negative=True)
     residual = psi.sup_norm
@@ -364,7 +364,7 @@ def test_stacked_extension_tests_match_per_curve(stack):
     grid = unit_circle_grid(m)
     for phi, row_nodes, row_values in zip(curves, nodes, values):
         assert same_bytes(row_nodes, phi(grid))
-        assert same_bytes(row_values, ring.eval_many(grid, phi(grid)))
+        assert same_bytes(row_values, ring.evaluator(grid, phi(grid)))
     got = []
     try:
         for verdict in _test_rows(values, n_max, ring.epsilon):
