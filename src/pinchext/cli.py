@@ -24,9 +24,9 @@ from . import gallery
 from .boundary import _MIN_SAMPLES, _check_sample_count
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      ConvergenceError, DomainError, PoleLocationError)
-from .extension import (_HOLO_TOLERANCE, DiscFunction, RingFunction,
-                        coefficient_ladder, extension_test, pinch_estimate,
-                        verify_coefficient_bounds)
+from .extension import (_DISC_SLACK, _HOLO_TOLERANCE, DiscFunction,
+                        RingFunction, coefficient_ladder, extension_test,
+                        pinch_estimate, verify_coefficient_bounds)
 from .families import (_complex_pair, general_position_check,
                        probes_from_csv, validate_test_sequence)
 from .rational import MAX_POLE_BOUND
@@ -211,6 +211,10 @@ def parse_config(path) -> AnalysisConfig:
         if not cmath.isfinite(probe):
             raise ConfigError(f"probe point {probe.real:g},{probe.imag:g} "
                               "is not finite")
+        # hypot, not abs: abs overflows on a finite probe such as 1e308,1e308
+        if math.hypot(probe.real, probe.imag) > 1.0 + _DISC_SLACK:
+            raise ConfigError(f"probe point {probe.real:g},{probe.imag:g} "
+                              "lies outside the closed unit disc")
 
     ray_angle = parser["output"].getfloat("ray_angle", 0.0)
     if not math.isfinite(ray_angle):

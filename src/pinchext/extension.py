@@ -45,6 +45,20 @@ Numerical notes
   mpmath is imported only inside the functions that work at ``dps``
   digits, so a ladder or extension test without extended precision never
   loads it.
+* Everything from the values to the level recursion reads one grid
+  column at a time, so :func:`_ladder_block` computes it for a contiguous
+  block of columns and returns complex doubles.  On the extended-precision
+  path, on Linux and with no other Python thread, the grid is split into
+  one block per CPU in ``os.sched_getaffinity(0)``, each of at least 64
+  columns (so a grid-64 ladder never forks); :func:`_run_blocks` runs
+  the first block in the process and each other one in a forked child.
+  The nodes and their collision check come before the fork, and the
+  convergence check, cleaning, splits and diagnostics after it, on the
+  joined columns.  The bits do not depend on the block count, and an
+  error is the one a single block would raise.  The children's memory is
+  not in ``getrusage(RUSAGE_SELF)``; it shows in ``RUSAGE_CHILDREN``.  The
+  float path and every other case run the same block function in the
+  process as one block.
 * Each curve is sampled once.  The ladder's extension tests, its check
   that no curve vanishes on the circle and, for rings without extended
   precision, the interpolation read the same ``(K, m)`` nodes
@@ -75,9 +89,15 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, List, NamedTuple, NoReturn, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -733,28 +753,44 @@ def _refuse_coinciding(nodes) -> None:
         raise ConvergenceError("two curves coincide at a grid point")
 
 
-def _nodes_values(f: RingFunction, curves: Sequence[DiscFunction],
-                  grid: np.ndarray, dps: int) -> Tuple:
-    """Curve nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
-    mp-capable ``f``.
+def _mp_nodes(curves: Sequence[DiscFunction], grid: np.ndarray,
+              dps: int) -> Tuple:
+    """Grid points and curve nodes ``phi_k(lam)`` at ``dps`` digits.
 
-    mpmath evaluates both at ``dps`` digits: the nodes by one Horner pass
-    per curve over the whole grid, checked by :func:`_refuse_coinciding`
-    before any value is computed, the values one grid column at a time
-    (one ``lam`` and its ``K`` nodes per call of ``f.mp_evaluator``).  Both
-    are converted to ``Decimal`` parts and returned as two ``(K, m)``
-    :class:`_DecimalArray` (call inside the ``decimal`` context).
+    mpmath evaluates the nodes by one Horner pass per curve over the whole
+    grid.  Returns ``(lam_mp, mp_nodes, nodes)``: the grid as an ``object``
+    array of ``mpc``, the ``(K, m)`` nodes as ``mpc`` and the same nodes as
+    a :class:`_DecimalArray` (call inside the ``decimal`` context), after
+    :func:`_refuse_coinciding` has checked them, so that no value is
+    computed for coinciding curves.
     """
     import mpmath as mp
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
-        nodes = np.array([phi.eval_mp(lam_mp) for phi in curves], dtype=object)
-        dec_nodes = _DecimalArray.from_mpc(nodes)
-        _refuse_coinciding(dec_nodes)
-        values = _DecimalArray(*np.empty((2,) + nodes.shape, dtype=object))
+        mp_nodes = np.array([phi.eval_mp(lam_mp) for phi in curves],
+                            dtype=object)
+        nodes = _DecimalArray.from_mpc(mp_nodes)
+    _refuse_coinciding(nodes)
+    return lam_mp, mp_nodes, nodes
+
+
+def _mp_values(f: RingFunction, lam_mp: np.ndarray, mp_nodes: np.ndarray,
+               dps: int, cols: slice) -> _DecimalArray:
+    """Values ``f(lam, phi_k(lam))`` of an mp-capable ``f`` on the grid
+    columns ``cols``, as a ``(K, len(cols))`` :class:`_DecimalArray`.
+
+    One call of ``f.mp_evaluator`` per grid column, at ``dps`` digits,
+    with one ``lam`` and its ``K`` nodes from :func:`_mp_nodes`; each
+    column is converted to ``Decimal`` parts as it is produced.
+    """
+    import mpmath as mp
+    lam_mp, mp_nodes = lam_mp[cols], mp_nodes[:, cols]
+    values = _DecimalArray(*np.empty((2,) + mp_nodes.shape, dtype=object))
+    with mp.workdps(dps):
         for j, lam in enumerate(lam_mp):
-            values[:, j] = _DecimalArray.from_mpc(f.mp_evaluator(lam, nodes[:, j]))
-    return dec_nodes, values
+            values[:, j] = _DecimalArray.from_mpc(
+                f.mp_evaluator(lam, mp_nodes[:, j]))
+    return values
 
 
 def _divided_differences(nodes, values):
@@ -797,6 +833,152 @@ def _interp_prefixes(nodes, dd, n_keep: int,
             c[0] = dd[i] - nodes[i] * c[0]
         out.append(c)
     return out
+
+
+def _ladder_block(nodes, values_of: Callable, cols: slice, *, n_keep: int,
+                  stride: int) -> Tuple[np.ndarray, ...]:
+    """The ladder's column-wise work on the grid columns ``cols``.
+
+    ``nodes`` is the ``(K, m)`` node array and ``values_of(cols)`` gives the
+    values of those columns.  From them come the divided-difference table,
+    the ``n_keep`` lowest coefficients of the interpolant through all ``K``
+    curves and, on the columns of the global stride ``stride`` (grid
+    columns ``0, stride, 2 stride, ...``), those through the first K-2 and
+    K-1 curves, and the level recursion on the last three curves.  Every
+    step reads one grid column at a time, so a block's results are the
+    same columns of the whole grid's, bit for bit.  Returns complex
+    doubles only: the block's max ``|value|``, its ``(n_keep, c)``
+    coefficient samples, its two ``(min(n_keep, K - 2), s)`` estimate
+    arrays and its ``(n_keep, 3, c)`` level rows.
+    """
+    kcurves = len(nodes)
+    nodes = nodes[:, cols]
+    values = values_of(cols)
+    dd = _divided_differences(nodes, values)
+    coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
+    sub = slice(-cols.start % stride, None, stride)
+    estimates = _interp_prefixes(nodes[:, sub], dd[:, sub],
+                                 min(n_keep, kcurves - 2),
+                                 [kcurves - 2, kcurves - 1])
+    coeff_samples = coeffs.astype(complex)
+    levels = np.empty((n_keep, 3, coeff_samples.shape[1]), dtype=complex)
+    level_values = values[-3:]
+    for n in range(n_keep):
+        if n:
+            level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
+        levels[n] = level_values.astype(complex)
+    # the scale last: taken first, its temporaries made the allocator fault
+    # in fresh pages for the float path's arrays on every ladder (about
+    # 1,600 minor faults per ladder-float benchmark round against 2)
+    return (np.abs(values.astype(complex)).max(), coeff_samples,
+            *(e.astype(complex) for e in estimates), levels)
+
+
+# a forked block holds at least this many grid columns, so that the fork
+# and the pipe stay small next to its extended-precision work
+_MIN_BLOCK_COLUMNS = 64
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on (Linux only)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _block_bounds(m: int, forkable: bool) -> List[int]:
+    """Column bounds of the ladder's blocks: ``[0, ..., m]``.
+
+    One block per CPU, each of at least ``_MIN_BLOCK_COLUMNS`` columns,
+    when ``forkable`` (the extended-precision path), on Linux and with no
+    other Python thread: a fork copies only the calling thread, so a lock
+    that another thread holds would stay locked in the child.  Otherwise
+    the single block ``[0, m]``.
+    """
+    blocks = 1
+    if forkable and sys.platform == "linux" and threading.active_count() == 1:
+        blocks = max(1, min(_cpu_count(), m // _MIN_BLOCK_COLUMNS))
+    return [m * i // blocks for i in range(blocks + 1)]
+
+
+def _run_blocks(block: Callable[[slice], tuple],
+                bounds: Sequence[int]) -> List[tuple]:
+    """``block(slice(lo, hi))`` for each pair of consecutive ``bounds``.
+
+    Block 0 runs in this process.  Each later block runs in a forked child,
+    which sends its result, or the exception it raised, back through a
+    pipe; the results come back in block order.  When a fork fails, that
+    block and the ones after it run in this process, after the children.
+    An exception is raised as the single-block run would raise it: block
+    0's first, then the others' in block order.  Every exit from here, a
+    return, an exception or ``KeyboardInterrupt``, kills and reaps every
+    child.
+    """
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    children: List[Tuple[int, int]] = []
+    try:
+        for cols in slices[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                os.close(read_fd)
+                _block_child(block, cols, write_fd)
+            children.append((pid, read_fd))
+            os.close(write_fd)
+        results = [block(slices[0])]
+        for k, (_, read_fd) in enumerate(children, 1):
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                ok, result = pickle.loads(data)
+            except Exception:
+                raise ChildProcessError(
+                    f"ladder block {k} ended without a result") from None
+            if not ok:
+                raise result
+            results.append(result)
+        return results + [block(cols) for cols in slices[1 + len(children):]]
+    finally:
+        # a child holds nothing to clean up, and one that already sent its
+        # result is a zombie until reaped here, so its pid cannot be reused
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _block_child(block: Callable[[slice], tuple], cols: slice,
+                 write_fd: int) -> NoReturn:
+    """Run one block in a forked child and send ``(ok, result)``.
+
+    The child leaves only through ``os._exit``: it must not return into
+    the parent's stack, run its exit handlers or flush its buffers.  The
+    block makes no BLAS, LAPACK or FFT call (``decimal`` arithmetic and
+    elementwise numpy only), so no library thread pool is needed after the
+    fork.  An exception that does not survive a pickle round trip is sent
+    as a ``RuntimeError`` naming its type and text.
+    """
+    status = 1
+    try:
+        try:
+            outcome = (True, block(cols))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(
+                    f"ladder block raised {type(exc).__module__}."
+                    f"{type(exc).__qualname__}: {exc}")
+            outcome = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _clean_and_project(rows: np.ndarray, abs_floor: float
@@ -922,6 +1104,9 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     Its stages are module-level functions, from :func:`_sample_curves` to
     :func:`_check_convergence` and :func:`_circle_max`; one budgeted split
     through :func:`detect_rational` serves every ``A_n`` and level function.
+    The column-wise stages run in :func:`_ladder_block`, on the
+    extended-precision path in blocks of grid columns forked by
+    :func:`_run_blocks`; the report does not depend on the block count.
 
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
@@ -988,69 +1173,70 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         return rp
 
     dps = max(40, 16 + 3 * kcurves)
+    stride = max(1, m // 64)
     with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
         if f.mp_capable:
-            nodes, values = _nodes_values(f, curves, grid, dps)
+            lam_mp, mp_nodes, nodes = _mp_nodes(curves, grid, dps)
+            values_of = functools.partial(_mp_values, f, lam_mp, mp_nodes, dps)
         else:
             _refuse_coinciding(float_nodes)
-            nodes, values = float_nodes, float_values
+            nodes, values_of = float_nodes, lambda cols: float_values[:, cols]
+        # extraction, the estimates from the first K-2, K-1 curves and the
+        # level rows, by blocks of grid columns (forked on the mp path)
+        blocks = _run_blocks(
+            functools.partial(_ladder_block, nodes, values_of,
+                              n_keep=n_keep, stride=stride),
+            _block_bounds(m, f.mp_capable))
+    scales, *parts = zip(*blocks)
+    # one block (the float path) is used as it is, without a copy
+    coeff_samples, est_prev, est_last, levels = (
+        part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
+        for part in parts)
 
-        value_scale = float(np.abs(values.astype(complex)).max())
-        abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
-        # below this sup norm a Hardy-minus part is taken as zero
-        noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
+    value_scale = float(np.max(scales))
+    abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
+    # below this sup norm a Hardy-minus part is taken as zero
+    noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
+    n_cmp = min(n_keep, kcurves - 2)
+    _check_convergence(est_prev, est_last, coeff_samples[:n_cmp, ::stride],
+                       value_scale, ladder_tol)
 
-        # extraction, and the estimates from the first K-2, K-1 curves
-        sub = slice(0, m, max(1, m // 64))
-        n_cmp = min(n_keep, kcurves - 2)
-        dd = _divided_differences(nodes, values)
-        coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
-        est_prev, est_last = _interp_prefixes(
-            nodes[:, sub], dd[:, sub], n_cmp, [kcurves - 2, kcurves - 1])
-        coeff_samples = coeffs.astype(complex)
-        _check_convergence(est_prev.astype(complex), est_last.astype(complex),
-                           coeff_samples[:n_cmp, sub], value_scale, ladder_tol)
+    # cleaned coefficients, split into rational part + tail
+    a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
+    entries: List[LadderEntry] = []
+    for n in range(n_keep):
+        rp = split(a_minus[n], n,
+                   "coefficient A_{n} is not rational with at most "
+                   "{budget} poles (rank {rank}, gap {gap:.2e})",
+                   "A_{n} carries {degree} poles, exceeding the budget "
+                   "n*N + M = {allowed}")
+        for pole, mult in rp.pole_list:
+            if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
+                raise ConvergenceError(
+                    f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
+                    "poles must accumulate at curve zeros or extension poles")
+        tail_coeffs = a_coeffs[n, m // 2:]
+        nz = np.nonzero(tail_coeffs)[0]
+        tail = (tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1])
+                if nz.size else ())
+        entries.append(LadderEntry(n=n, rational=rp, tail=tail))
 
-        # cleaned coefficients, split into rational part + tail
-        a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
-        entries: List[LadderEntry] = []
-        for n in range(n_keep):
-            rp = split(a_minus[n], n,
-                       "coefficient A_{n} is not rational with at most "
-                       "{budget} poles (rank {rank}, gap {gap:.2e})",
-                       "A_{n} carries {degree} poles, exceeding the budget "
-                       "n*N + M = {allowed}")
-            for pole, mult in rp.pole_list:
-                if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
-                    raise ConvergenceError(
-                        f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
-                        "poles must accumulate at curve zeros or extension poles")
-            tail_coeffs = a_coeffs[n, m // 2:]
-            nz = np.nonzero(tail_coeffs)[0]
-            tail = (tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1])
-                    if nz.size else ())
-            entries.append(LadderEntry(n=n, rational=rp, tail=tail))
-
-        # level functions f_{n,k} of the last three curves and their poles
-        diagnostics: List[LevelDiagnostic] = []
-        level_values = values[-3:]
-        for n in range(n_keep):
-            if n:
-                level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
-            level_coeffs, level_minus = _clean_and_project(
-                level_values.astype(complex), abs_floor)
-            for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
-                                           kcurves - 3):
-                rp = split(psi, n,
-                           "level function f_{n},{k} is not rational within "
-                           "the pole budget {budget}",
-                           "pole count {degree} at level {n} exceeds the "
-                           "budget n*N + M = {allowed}", k=k)
-                diagnostics.append(LevelDiagnostic(
-                    level=n, curve_index=k, level_coeffs=row,
-                    poles=rp.pole_list))
+    # level functions f_{n,k} of the last three curves and their poles
+    diagnostics: List[LevelDiagnostic] = []
+    for n in range(n_keep):
+        level_coeffs, level_minus = _clean_and_project(levels[n], abs_floor)
+        for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
+                                       kcurves - 3):
+            rp = split(psi, n,
+                       "level function f_{n},{k} is not rational within "
+                       "the pole budget {budget}",
+                       "pole count {degree} at level {n} exceeds the "
+                       "budget n*N + M = {allowed}", k=k)
+            diagnostics.append(LevelDiagnostic(
+                level=n, curve_index=k, level_coeffs=row,
+                poles=rp.pole_list))
 
     c_bound = 0.0
     for n in range(n_keep):

@@ -233,6 +233,13 @@ def example1_growth_probe(n0: int, c: float,
     return tuple(samples)
 
 
+def _check_example2_depth(depth: int) -> None:
+    if depth > _EXAMPLE2_MAX_DEPTH:
+        raise ValueError(f"example 2's series depth must be at most "
+                         f"{_EXAMPLE2_MAX_DEPTH} (1/l! of P_l overflows "
+                         f"past l = 170), got {depth}")
+
+
 class Example2:
     """Series ``sum_{l>=1} P_{l-1}(z) lam^{-l}`` with interpolated ``P_l``.
 
@@ -251,7 +258,9 @@ class Example2:
         return complex(1.0 / (k + 2))
 
     def p_coeffs(self, l: int) -> np.ndarray:
-        """Ascending coefficients of ``P_l`` (degree ``l + 1``)."""
+        """Ascending coefficients of ``P_l`` (degree ``l + 1``); ``l`` past
+        170, a series depth ``l + 1`` past 171, raises ``ValueError``."""
+        _check_example2_depth(l + 1)
         if l not in self._p_cache:
             coeffs = np.array([1.0 + 0j])
             for j in range(l + 1):
@@ -278,10 +287,7 @@ class Example2:
         A term overflow raises :class:`FloatingPointError`; a depth past
         171, ``ValueError``.
         """
-        if l_trunc > _EXAMPLE2_MAX_DEPTH:
-            raise ValueError(f"example 2's series depth must be at most "
-                             f"{_EXAMPLE2_MAX_DEPTH} (1/l! of P_l overflows "
-                             f"past l = 170), got {l_trunc}")
+        _check_example2_depth(l_trunc)
         if (lam == 0).any():
             raise ValueError("example 2 is undefined at lambda = 0")
         total = np.zeros_like(lam)
@@ -314,8 +320,10 @@ class Example2:
         restriction is exactly rational with a pole of order ``k`` at 0.
         The top coefficients are heavily graded (they collapse like the
         factorial-scaled spacing products), so rational detection on this
-        data should run with a tightened tail floor (around 1e-15).
+        data should run with a tightened tail floor (around 1e-15).  ``k``
+        past 171 raises ``ValueError``, as that series depth does.
         """
+        _check_example2_depth(k)
         centered = np.zeros(m, dtype=complex)
         for l in range(1, k + 1):
             centered[m // 2 - l] = self.p_eval(l - 1, self.z(k))

@@ -213,6 +213,11 @@ def test_default_section_supplies_analysis_keys(tmp_path):
     ("[output]\nray_angle = -inf", "ray_angle must be finite, got -inf"),
     ("probes = 0,0 nan,0", "probe point nan,0 is not finite"),
     ("probes = 0,inf", "probe point 0,inf is not finite"),
+    # validate would report a probe off the disc as ok
+    ("probes = 0,0 1e308,1e308",
+     "probe point 1e+308,1e+308 lies outside the closed unit disc"),
+    ("probes = 0.8,0.6000001",
+     "probe point 0.8,0.6 lies outside the closed unit disc"),
 ])
 def test_malformed_number_is_config_error(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path, HORIZONTAL.replace("grid = 128", line))
@@ -726,6 +731,20 @@ def test_non_finite_probe_row_is_config_error(tmp_path, capsys):
     assert (capsys.readouterr().err
             == "error: probe point nan,0 is not finite\n")
     assert not (tmp_path / "validate_report.json").exists()
+
+
+def test_probe_row_outside_disc_is_config_error(tmp_path, capsys):
+    # a probe file is held to the closed unit disc like the inline probes;
+    # a probe on the unit circle is accepted
+    (tmp_path / "probes.csv").write_text("re,im\n0.6,0.8\n0,-1\n1.5,0\n")
+    cfg = write_config(tmp_path, VALIDATE_LINES.replace(
+        "probes = 0,0 0.5,0", "probes_file = probes.csv"))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (capsys.readouterr().err
+            == "error: probe point 1.5,0 lies outside the closed unit disc\n")
+    assert not (tmp_path / "validate_report.json").exists()
+    (tmp_path / "probes.csv").write_text("re,im\n0.6,0.8\n0,-1\n")
+    assert [abs(p) for p in cli.parse_config(cfg).probes] == [1.0, 1.0]
 
 
 def test_explicit_curve_parsing(tmp_path):

@@ -2,8 +2,13 @@ import cmath
 import dataclasses
 import decimal
 import functools
+import json
 import math
+import os
 import re
+import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -523,6 +528,171 @@ def test_remark1_ladder_matches_pointwise_exp():
             assert err <= (0 if exact else 1e-50 * np.abs(y.level_coeffs).max())
         if exact:
             assert got.as_dict() == ref.as_dict()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_blocks(monkeypatch, blocks, floor=16):
+    """Make the mp path split the grid into ``blocks`` blocks."""
+    monkeypatch.setattr(extension, "_cpu_count", lambda: blocks)
+    monkeypatch.setattr(extension, "_MIN_BLOCK_COLUMNS", floor)
+
+
+def _column(lam, m):
+    """Grid index of ``lam`` on the ``m``-point unit-circle grid."""
+    return round(cmath.phase(complex(lam)) / (2 * math.pi / m)) % m
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_forked_blocks_give_identical_reports(monkeypatch, blocks):
+    # every column-wise step gives the same bits on any block of columns,
+    # so the report does not depend on how many blocks the grid is split
+    # into; block 0 runs here, the others in forked children
+    rotated = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 11)]
+    laurent = RingFunction.from_laurent(
+        [(0, -2, 0.5 - 1j), (1, -1, 2.0), (2, 1, 0.25j), (3, 0, -1.5),
+         (1, 2, 0.75)], 0.3)
+    lines = [DiscFunction([0, cmath.exp(0.3j) / (k + 1)]) for k in range(1, 9)]
+    cases = [(remark1_ring(0.3), rotated, 4, 256), (laurent, lines, 3, 128)]
+    _force_blocks(monkeypatch, 1)
+    refs = [json.dumps(coefficient_ladder(ring, curves, depth, 10,
+                                          m=m).as_dict())
+            for ring, curves, depth, m in cases]
+    _force_blocks(monkeypatch, blocks)
+    for (ring, curves, depth, m), ref in zip(cases, refs):
+        bounds = extension._block_bounds(m, True)
+        assert len(bounds) == blocks + 1
+        inner, calls = ring.mp_evaluator, []
+        counted = RingFunction(ring.evaluator, ring.epsilon, lambda lam, zs:
+                               calls.append(lam) or inner(lam, zs))
+        got = coefficient_ladder(counted, curves, depth, 10, m=m)
+        assert json.dumps(got.as_dict()) == ref
+        # this process evaluated block 0's columns only
+        assert len(calls) == bounds[1]
+        _no_child_left()
+
+
+def _failing_ring(fail_at, exc=DomainError, m=128):
+    """Remark 1 whose mp evaluator raises ``exc`` on the columns ``fail_at``."""
+    inner = remark1_ring(0.3).mp_evaluator
+
+    def mp_evaluator(lam, zs):
+        j = _column(lam, m)
+        if j in fail_at:
+            raise exc(f"column {j} refused")
+        return inner(lam, zs)
+
+    return RingFunction(remark1_eval, 0.3, mp_evaluator)
+
+
+@pytest.mark.parametrize("fail_at, text", [
+    ({100}, "column 100 refused"),         # in block 1 only: a child's
+    ({10, 100}, "column 10 refused"),      # in both: block 0's wins
+])
+def test_forked_block_error_matches_in_process(monkeypatch, fail_at, text):
+    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 9)]
+    for blocks in (1, 2):
+        _force_blocks(monkeypatch, blocks, floor=64)
+        assert extension._block_bounds(128, True) == (
+            [0, 128] if blocks == 1 else [0, 64, 128])
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            coefficient_ladder(_failing_ring(fail_at), curves, 3, 10, m=128)
+        _no_child_left()
+
+
+def test_forked_block_unpicklable_error_names_its_type(monkeypatch):
+    class Unpicklable(Exception):   # a local class does not pickle
+        pass
+
+    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 9)]
+    _force_blocks(monkeypatch, 2, floor=64)
+    with pytest.raises(RuntimeError,
+                       match=r"^ladder block raised .*\.Unpicklable: "
+                             r"column 100 refused$"):
+        coefficient_ladder(_failing_ring({100}, Unpicklable), curves, 3, 10,
+                           m=128)
+    _no_child_left()
+
+
+def test_run_blocks_reaps_every_child():
+    # results come back in block order; an exception in this process, a
+    # KeyboardInterrupt included, kills and reaps the children still busy
+    bounds = [0, 16, 32, 48]
+    assert extension._run_blocks(lambda cols: (cols.start, os.getpid()),
+                                 bounds)[0] == (0, os.getpid())
+    results = extension._run_blocks(lambda cols: (cols.start,), bounds)
+    assert results == [(0,), (16,), (32,)]
+    _no_child_left()
+
+    def busy_children(exc):
+        def block(cols):
+            if cols.start:
+                time.sleep(60)
+            raise exc
+        return block
+
+    for exc in (ValueError("block 0"), KeyboardInterrupt()):
+        start = time.perf_counter()
+        with pytest.raises(type(exc)):
+            extension._run_blocks(busy_children(exc), bounds)
+        assert time.perf_counter() - start < 30
+        _no_child_left()
+
+
+def test_run_blocks_runs_in_process_when_fork_fails(monkeypatch):
+    # the second fork fails: block 1 runs in a child, blocks 2 and 3 here,
+    # and the results keep block order
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    results = extension._run_blocks(lambda cols: (cols.start, os.getpid()),
+                                    [0, 16, 32, 48, 64])
+    assert [start for start, _ in results] == [0, 16, 32, 48]
+    assert [pid == os.getpid() for _, pid in results] == [True, False,
+                                                          True, True]
+    _no_child_left()
+
+
+def test_forked_child_leaves_only_through_os_exit():
+    # SystemExit or a child that dies cannot return into this process: the
+    # child exits through os._exit and the block reports no result
+    def block(cols):
+        if cols.start:
+            raise SystemExit(0)
+        return ()
+
+    with pytest.raises(ChildProcessError,
+                       match="^ladder block 1 ended without a result$"):
+        extension._run_blocks(block, [0, 64, 128])
+    _no_child_left()
+
+
+def test_fork_only_on_linux_mp_path_without_threads(monkeypatch):
+    monkeypatch.setattr(extension, "_cpu_count", lambda: 4)
+    assert extension._block_bounds(256, True) == [0, 64, 128, 192, 256]
+    assert extension._block_bounds(128, True) == [0, 64, 128]
+    # a grid-64 ladder and the float path run in this process
+    assert extension._block_bounds(64, True) == [0, 64]
+    assert extension._block_bounds(256, False) == [0, 256]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert extension._block_bounds(256, True) == [0, 256]
+    finally:
+        stop.set()
+        thread.join()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert extension._block_bounds(256, True) == [0, 256]
 
 
 def test_ladder_exponential_coefficients(exp_ladder):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -350,6 +351,23 @@ def test_example2_restriction_pole_orders():
 def test_example2_restriction_at_zero_index():
     psi = example2_restriction(0)
     assert psi.sup_norm == 0.0
+
+
+def test_example2_depth_limit_is_a_value_error():
+    # P_l carries 1/l!, and 171! is past the float range: P_170 and the
+    # restriction to z_171 are the last ones, refused past that with the
+    # message of a series depth above 171, not an OverflowError
+    ex = Example2()
+    assert np.isfinite(ex.p_coeffs(170)).all()
+    assert np.isfinite(example2_restriction(171, 512).samples).all()
+    message = ("example 2's series depth must be at most 171 (1/l! of P_l "
+               "overflows past l = 170), got {}")
+    for call, depth in ((lambda: ex.p_coeffs(171), 172),
+                        (lambda: ex.p_eval(200, 0.1), 201),
+                        (lambda: ex.restriction(172), 172),
+                        (lambda: example2_restriction(250), 250)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(depth))}$"):
+            call()
 
 
 def test_example2_off_sequence_does_not_truncate():
