@@ -14,10 +14,9 @@ from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      PoleLocationError)
 from .extension import (CoefficientLadder, DiscFunction, ExtensionValue,
                         ExtensionVerdict, LadderEntry, PinchDescriptor,
-                        RingFunction, coefficient_ladder, curve_difference,
-                        evaluate_extension, extension_test, minus_part,
-                        pinch_estimate, restrict_along_curve,
-                        verify_coefficient_bounds)
+                        RingFunction, coefficient_ladder, evaluate_extension,
+                        extension_test, minus_part, pinch_estimate,
+                        restrict_along_curve, verify_coefficient_bounds)
 from .families import (GeneralPositionReport, TestFamilyReport,
                        TestSequenceReport, WindingProfileReport,
                        general_position_check, probes_from_csv,
@@ -35,7 +34,7 @@ __all__ = [
     "CircleFunction", "HardySplit",
     "RationalPart", "BlaschkeProduct", "RationalityVerdict",
     "detect_rational", "blaschke_from_zeros", "rational_to_circle",
-    "RingFunction", "DiscFunction", "curve_difference",
+    "RingFunction", "DiscFunction",
     "ExtensionVerdict", "CoefficientLadder", "LadderEntry",
     "PinchDescriptor", "ExtensionValue",
     "restrict_along_curve", "extension_test", "coefficient_ladder",

@@ -86,6 +86,7 @@ Numerical notes
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import functools
 import math
@@ -113,7 +114,6 @@ from .rational import (_CLUSTER_RADIUS, MAX_POLE_BOUND, RationalPart,
 __all__ = [
     "RingFunction",
     "DiscFunction",
-    "curve_difference",
     "ExtensionVerdict",
     "LadderEntry",
     "CoefficientLadder",
@@ -176,17 +176,25 @@ class RingFunction:
     @classmethod
     def from_laurent(cls, terms: Sequence[Tuple[int, int, complex]],
                      epsilon: float) -> "RingFunction":
-        """Build from exact terms ``a_nl * lambda**l * z**n`` (``n >= 0``)."""
+        """Build from exact terms ``a_nl * lambda**l * z**n`` (``n >= 0``).
+
+        A negative z-degree or a coefficient that is not finite raises
+        ``ValueError``; a double overflow of the float evaluator raises
+        ``FloatingPointError``.
+        """
         terms = tuple((int(n), int(l), complex(c)) for n, l, c in terms)
-        for n, _, _ in terms:
+        for idx, (n, _, c) in enumerate(terms):
             if n < 0:
                 raise ValueError("z-degrees must be nonnegative")
+            if not cmath.isfinite(c):
+                raise ValueError(f"term {idx}: coefficient {c!r} is not finite")
 
         def evaluator(lam, z):
             lam = np.asarray(lam, dtype=complex)
             z = np.asarray(z, dtype=complex)
-            return _laurent_sum(terms, lam, z, np.zeros(
-                np.broadcast(lam, z).shape, dtype=complex))
+            with np.errstate(over="raise", invalid="raise"):
+                return _laurent_sum(terms, lam, z, np.zeros(
+                    np.broadcast(lam, z).shape, dtype=complex))
 
         import mpmath as mp
         # doubles convert to mpc exactly, so once per ring suffices
@@ -209,18 +217,18 @@ class DiscFunction:
     leading magnitude is trimmed at construction.  ``sup_bound`` is the
     largest modulus on ``N = max(256, 2**ceil(log2(8 (d + 1))))`` points of
     the unit circle for degree ``d``; the sup on the closed disc (maximum
-    principle) is at most ``sec(pi d / 2N) <= 1.02`` times it.  With
-    ``require_into_disc`` a curve is refused (``ValueError``) unless that
-    bound or ``sum |c_k|`` stays below ``1 + 1e-9``.  A coefficient that
-    is not finite raises ``ValueError``, whatever ``require_into_disc``
-    is; so does a highest kept coefficient below the smallest normal
-    float, with a nonzero one below it: the zeros of such a curve are not
-    computable in floating point.
+    principle) is at most ``sec(pi d / 2N) <= 1.02`` times it.  A curve
+    maps into the closed unit disc, the z-range of every ring: it is
+    refused (``ValueError``) unless that bound or ``sum |c_k|`` stays
+    below ``1 + 1e-9``.  A coefficient that is not finite raises
+    ``ValueError``; so does a highest kept coefficient below the smallest
+    normal float, with a nonzero one below it: the zeros of such a curve
+    are not computable in floating point.
     """
 
     __slots__ = ("coeffs", "sup_bound")
 
-    def __init__(self, coeffs: Sequence[complex], require_into_disc: bool = True):
+    def __init__(self, coeffs: Sequence[complex]):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if arr.size == 0:
             arr = np.zeros(1, dtype=complex)
@@ -234,14 +242,13 @@ class DiscFunction:
         self.coeffs = tuple(complex(c) for c in arr)
         n = max(256, 1 << (8 * arr.size - 1).bit_length())
         self.sup_bound = float(np.abs(self(unit_circle_grid(n))).max())
-        if require_into_disc and self.sup_bound >= 1.0 + _DISC_SLACK:
+        if self.sup_bound >= 1.0 + _DISC_SLACK:
             raise ValueError(
                 f"curve has sup {self.sup_bound:.6f} on the closed unit disc; "
                 "it must map into the disc")
         # the samples may miss the sup; sum |c_k| may still bound it by 1
         bound = self.sup_bound / math.cos(math.pi * self.degree / (2 * n))
-        if (require_into_disc
-                and min(bound, np.abs(arr).sum()) >= 1.0 + _DISC_SLACK):
+        if min(bound, np.abs(arr).sum()) >= 1.0 + _DISC_SLACK:
             raise ValueError(
                 f"curve has sampled sup {self.sup_bound:.6f} on {n} circle "
                 f"points, which bounds its sup on the closed unit disc only "
@@ -359,15 +366,6 @@ def _roots_of_rows(rows: np.ndarray,
         for m, r in zip(members, roots):
             out[m] = r
     return out
-
-
-def curve_difference(a: DiscFunction, b: DiscFunction) -> DiscFunction:
-    """Coefficient-wise difference ``a - b`` (no into-disc requirement)."""
-    la, lb = len(a.coeffs), len(b.coeffs)
-    coeffs = np.zeros(max(la, lb), dtype=complex)
-    coeffs[:la] += a.coeffs
-    coeffs[:lb] -= b.coeffs
-    return DiscFunction(coeffs, require_into_disc=False)
 
 
 @dataclass(frozen=True)
@@ -551,37 +549,26 @@ def _sample_curves(f: RingFunction, curves: Sequence[DiscFunction], m: int,
                    prefix: Callable[[int], str] = "".format) -> Tuple:
     """Sample the curves once: nodes ``phi_k(lam)`` and values ``f(lam, .)``.
 
-    Returns ``(nodes, values, leaves)``: two ``(j, m)`` complex arrays on
-    the ``m``-point unit-circle grid, one row per curve before the first
-    curve that leaves the z-range of the ring, and for that curve the
-    :class:`DomainError` to raise once the earlier rows are checked
-    (``None`` when every curve stays inside).  Each curve and ``f`` are
-    called once per row.  A grid size that is not a power of two of at
-    least 16 raises ``ValueError`` when there is a row to sample.  The
-    text of that :class:`DomainError`, and of one the evaluator raises on
-    row ``k``, starts with ``prefix(k)``.
+    Returns ``(nodes, values)``: two ``(K, m)`` complex arrays on the
+    ``m``-point unit-circle grid, one row per curve; each curve and ``f``
+    are called once per row.  Every curve maps into the disc, the z-range
+    of the ring, by construction.  A grid size that is not a power of two
+    of at least 16 raises ``ValueError``.  The text of a
+    :class:`DomainError` the evaluator raises on row ``k`` starts with
+    ``prefix(k)``.
     """
+    _check_sample_count(m)
     grid = unit_circle_grid(m)
     nodes = np.empty((len(curves), m), dtype=complex)
-    leaves = None
     for j, phi in enumerate(curves):
         nodes[j] = phi(grid)
-        zmax = float(np.abs(nodes[j]).max())
-        if zmax >= 1.0 + _DISC_SLACK:
-            leaves = DomainError(
-                f"{prefix(j)}curve leaves the z-range of the ring "
-                f"(sup {zmax:.6f} on |lam|=1)")
-            nodes = nodes[:j]
-            break
-    if len(nodes):
-        _check_sample_count(m)
     values = np.empty_like(nodes)
     for k, z in enumerate(nodes):
         try:
             values[k] = f.evaluator(grid, z)
         except DomainError as exc:
             raise type(exc)(f"{prefix(k)}{exc}") from exc
-    return nodes, values, leaves
+    return nodes, values
 
 
 def _test_rows(values: np.ndarray, n_max: int, epsilon: float,
@@ -617,9 +604,7 @@ def _test_rows(values: np.ndarray, n_max: int, epsilon: float,
 def restrict_along_curve(f: RingFunction, phi: DiscFunction,
                          m: int = 256) -> CircleFunction:
     """Sample ``lambda -> f(lambda, phi(lambda))`` on the unit circle."""
-    _, values, leaves = _sample_curves(f, [phi], m)
-    if leaves is not None:
-        raise leaves
+    _, values = _sample_curves(f, [phi], m)
     return CircleFunction(values[0])
 
 
@@ -634,9 +619,7 @@ def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,
     ``not-extendable``.  This is the one-curve case of the ladder's
     stacked tests.
     """
-    _, values, leaves = _sample_curves(f, [phi], m)
-    if leaves is not None:
-        raise leaves
+    _, values = _sample_curves(f, [phi], m)
     verdict, = _test_rows(values, n_max, f.epsilon)
     return verdict
 
@@ -955,7 +938,7 @@ def _block_child(block: Callable[[slice], tuple], cols: slice,
                  write_fd: int) -> NoReturn:
     """Run one block in a forked child and send ``(ok, result)``.
 
-    The child leaves only through ``os._exit``: it must not return into
+    The child exits only through ``os._exit``: it must not return into
     the parent's stack, run its exit handlers or flush its buffers.  The
     block makes no BLAS, LAPACK or FFT call (``decimal`` arithmetic and
     elementwise numpy only), so no library thread pool is needed after the
@@ -1095,11 +1078,11 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     Each curve is sampled once on the ``m``-point grid, and the ``K``
     extension tests run as one stack on those samples; the float path
     interpolates through them as well.  Curves are checked in order, each
-    for its z-range (:class:`DomainError`), its grid resolution
-    (:class:`BandwidthError`), extendability and vanishing on the unit
-    circle.  A :class:`DomainError` or :class:`BandwidthError` raised while
-    sampling or testing curve ``k``, the evaluator's own included, starts
-    with ``curve k: `` (zero-based), as in ``pinchext test``.
+    for its grid resolution (:class:`BandwidthError`), extendability and
+    vanishing on the unit circle.  A :class:`DomainError` the evaluator
+    raises while sampling curve ``k``, or a :class:`BandwidthError` of
+    curve ``k``, starts with ``curve k: `` (zero-based), as in
+    ``pinchext test``.
 
     Its stages are module-level functions, from :func:`_sample_curves` to
     :func:`_check_convergence` and :func:`_circle_max`; one budgeted split
@@ -1124,7 +1107,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     # each curve is sampled once; its extension test, the vanishing check
     # and (on the float path) the interpolation all read these rows
     name = "curve {}: ".format
-    float_nodes, float_values, leaves = _sample_curves(f, curves, m, name)
+    float_nodes, float_values = _sample_curves(f, curves, m, name)
     verdicts = []
     for idx, verdict in enumerate(_test_rows(float_values, n_max, eps, name)):
         if verdict.kind == "not-extendable":
@@ -1135,8 +1118,6 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         if float(np.abs(float_nodes[idx]).min()) <= _ZERO_TOLERANCE:
             raise CircleVanishingError(
                 f"curve {idx} vanishes on the unit circle")
-    if leaves is not None:
-        raise leaves
     if curves[-1].sup_bound > curves[0].sup_bound + 1e-12:
         raise ConvergenceError(
             "curves do not shrink toward the zero curve "

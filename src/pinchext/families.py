@@ -197,8 +197,8 @@ def _difference_zeros(table: np.ndarray, first, second,
                       ) -> List[Optional[np.ndarray]]:
     """``roots()`` of each difference of columns ``first - second``.
 
-    ``(0 + a) - b`` on the zero-padded columns repeats the arithmetic of
-    ``curve_difference``, signed zeros included, and one
+    ``(0 + a) - b`` on the zero-padded columns is the coefficient-wise
+    difference of the two curves, signed zeros included, and one
     ``_roots_of_rows`` call finds the zeros of every difference.  A
     difference whose zeros are not computable raises ``ValueError`` named
     by ``name(i)``, by default ``curves first[i] and second[i]``.

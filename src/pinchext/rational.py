@@ -269,12 +269,15 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
     Raises
     ------
     ValueError
-        if ``psi`` has nonnegative-mode mass or ``n_max`` exceeds 16.
+        if ``psi`` has a coefficient that is not finite or nonnegative-mode
+        mass, or ``n_max`` exceeds 16.
     PoleLocationError
         if a recovered pole violates the disc/guard constraints.
     """
     if not 1 <= n_max <= MAX_POLE_BOUND:
         raise ValueError(f"n_max must be in 1..{MAX_POLE_BOUND}, got {n_max}")
+    if not np.isfinite(psi.coeffs).all():
+        raise ValueError("input has a coefficient that is not finite")
     m = psi.size
     plus_mass = float(np.abs(psi.coeffs[m // 2:]).sum())
     if plus_mass >= 1e-10 * max(1.0, float(np.abs(psi.coeffs).max())):

@@ -225,6 +225,67 @@ def test_malformed_number_is_config_error(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+LAURENT = HORIZONTAL.replace("name = remark1",
+                             "name = laurent\ncoeffs = poly.json")
+GENERATED = HORIZONTAL.replace("curve_1 = 0.2,0",
+                               "generator = scaled_monomial\nindices = 1:5")
+
+
+@pytest.mark.parametrize("body, terms, message", [
+    (HORIZONTAL.replace("grid = 128", "probes = 0,0 0.5;0"), None,
+     "cannot parse complex pair '0.5;0'"),
+    (GENERATED.replace("1:5", "1-5"), None,
+     "cannot parse index range '1-5'"),
+    (GENERATED.replace("scaled_monomial", "spiral"), None,
+     "unknown curve generator 'spiral'"),
+    (HORIZONTAL + "grid = 64\n", None,
+     "cannot parse config: While reading from {ini!r} [line 11]: "
+     "option 'grid' in section 'analysis' already exists"),
+    (HORIZONTAL.replace("[function]", "[ring]"), None,
+     "missing [function] section"),
+    (HORIZONTAL.replace("name = remark1", "kind = remark1"), None,
+     "missing function.name"),
+    (LAURENT.replace("coeffs = poly.json\n", ""), None,
+     "function.name = laurent requires function.coeffs"),
+    (LAURENT.replace("poly.json", "nowhere.json"), None,
+     "coefficient file {dir}/nowhere.json does not exist"),
+    (HORIZONTAL.replace("remark1", "remark2"), None,
+     "unknown function 'remark2'"),
+    (HORIZONTAL.replace("grid = 128", "grid = 100"), None,
+     "grid must be a power of two >= 16, got 100"),
+    (HORIZONTAL.replace("grid = 128", "probes_file = nowhere.csv"), None,
+     "probe file {dir}/nowhere.csv does not exist"),
+    (LAURENT, [{"n": -1, "l": 0, "c": [1.0, 0.0]}],
+     "z-degrees must be nonnegative"),
+    # json reads Infinity as a float, so the ring must refuse it
+    (LAURENT, [{"n": 1, "l": -1, "c": [math.inf, 0.0]}],
+     "term 0: coefficient (inf+0j) is not finite"),
+], ids=["pair", "indices", "generator", "ini", "no-function", "no-name",
+        "no-coeffs", "no-coeff-file", "function", "grid", "no-probe-file",
+        "z-degree", "non-finite-term"])
+def test_config_refusal_is_config_error(tmp_path, capsys, body, terms,
+                                        message):
+    (tmp_path / "poly.json").write_text(json.dumps({"terms": terms or []}))
+    cfg = write_config(tmp_path, body)
+    assert main(["test", "--config", cfg]) == 1
+    text = message.format(dir=tmp_path.resolve(), ini=Path(cfg))
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+def test_laurent_overflow_is_non_convergence(tmp_path, capsys):
+    # two finite terms whose sum overflows on the curve z = lam: the float
+    # evaluator raises FloatingPointError, as the gallery kernels do
+    term = {"n": 1, "l": -1, "c": [1e308, 0.0]}
+    (tmp_path / "poly.json").write_text(json.dumps({"terms": [term, term]}))
+    cfg = write_config(tmp_path, LAURENT.replace(
+        "curve_1 = 0.2,0", "curve_1 = 0,0 1,0\ncurve_2 = 0,0 0.5,0\n"
+        "curve_3 = 0,0 0.25,0").replace("grid = 128", "grid = 64\ndepth = 1"))
+    for command in ("test", "ladder"):
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr() == (
+            "", "non-convergence: overflow encountered in add\n")
+
+
 def test_holo_tol_is_fixed(tmp_path, capsys):
     # test and ladder share the threshold 1e-8; only that value is accepted
     cfg = write_config(tmp_path, HORIZONTAL + "holo_tol = 1e-8\n")
@@ -425,7 +486,6 @@ def test_restriction_errors_name_the_curve(tmp_path, capsys, command):
     # c (1 + e^{-i pi/256} lam^31) with 2|c| = 1 + 1e-6: the 256 points of
     # the into-disc check sample at most 0.99998, but that times
     # sec(31 pi / 512) cannot bound the sup by 1, so parsing refuses it
-    # before any grid sees it leave the z-range
     high = " ".join(["0,0"] * 23) + " 0.9,0"
     c0 = (1 + 1e-6) / 2
     c31 = c0 * cmath.exp(-1j * math.pi / 256)

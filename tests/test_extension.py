@@ -21,8 +21,7 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       CoefficientLadder, ConvergenceError, DiscFunction,
                       DomainError, LadderEntry, PinchDescriptor,
                       RationalPart, RingFunction, blaschke_from_zeros,
-                      coefficient_ladder, curve_difference,
-                      evaluate_extension, extension,
+                      coefficient_ladder, evaluate_extension, extension,
                       extension_test, hardy_project_minus, minus_part,
                       pinch_estimate, restrict_along_curve, unit_circle_grid,
                       verify_coefficient_bounds)
@@ -103,7 +102,7 @@ def test_disc_eval_mp_matches_horner_from_zero(degree):
     coeffs[0] = 0.0
     coeffs[degree // 2] = 0.0
     coeffs[degree] = 0.3 - 0.1j
-    phi = DiscFunction(coeffs, require_into_disc=False)
+    phi = DiscFunction(coeffs / max(1.0, np.abs(coeffs).sum()))
     assert phi.degree == degree
     with mp.workdps(52):
         lam = np.array([mp.mpc(x) for x in unit_circle_grid(16) * 0.97],
@@ -124,11 +123,10 @@ def test_disc_function_into_disc_check():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan),
                                  complex(-math.inf, 0)])
 def test_disc_function_rejects_non_finite_coefficients(bad):
-    for into_disc in (True, False):
-        with pytest.raises(ValueError, match=r"^coefficient c_0 = .* is not finite"):
-            DiscFunction([bad, 0.5], require_into_disc=into_disc)
+    with pytest.raises(ValueError, match=r"^coefficient c_0 = .* is not finite"):
+        DiscFunction([bad, 0.5])
     with pytest.raises(ValueError, match=r"^coefficient c_2 = "):
-        DiscFunction([0, 0.5, bad, 1e-20], require_into_disc=False)
+        DiscFunction([0, 0.5, bad, 1e-20])
 
 
 def test_subnormal_top_coefficient_rejected():
@@ -148,7 +146,7 @@ def test_subnormal_top_coefficient_rejected():
 
 
 def test_disc_function_roots():
-    phi = DiscFunction([0, -0.5 / 3, 1.0 / 3], require_into_disc=False)
+    phi = DiscFunction([0, -0.5 / 3, 1.0 / 3])
     roots = phi.roots_in_disc(0.9)
     assert [(round(a.real, 8), mult) for a, mult in roots] == [(0.0, 1), (0.5, 1)]
     target = DiscFunction([0, 0, 0.5])
@@ -158,7 +156,7 @@ def test_disc_function_roots():
 def test_disc_function_all_roots():
     # every zero, repeated by multiplicity; none for a nonzero constant;
     # None marks the zero curve, which vanishes everywhere
-    phi = DiscFunction([0, -0.5 / 3, 1.0 / 3], require_into_disc=False)
+    phi = DiscFunction([0, -0.5 / 3, 1.0 / 3])
     assert sorted(np.round(phi.roots().real, 8)) == [0.0, 0.5]
     assert DiscFunction([0, 0, 0.5]).roots().size == 2
     assert DiscFunction([0.3]).roots().size == 0
@@ -167,16 +165,10 @@ def test_disc_function_all_roots():
         DiscFunction([0j]).roots_in_disc(0.9)
 
 
-def test_curve_difference():
-    d = curve_difference(DiscFunction([0, 1.0]),
-                         DiscFunction([0.7, 0.7], require_into_disc=False))
-    npt.assert_allclose(d.coeffs, [-0.7, 0.3])
-
-
 def test_sup_bound_set_at_construction(monkeypatch):
-    # every curve samples its sup once, into-disc check or not; reading
+    # every curve samples its sup once, for the into-disc check; reading
     # it later evaluates nothing
-    d = curve_difference(DiscFunction([0, 1.0]), DiscFunction([0.5, 0, 0.25]))
+    d = DiscFunction([-0.25, 0.5, -0.125])
     monkeypatch.setattr(DiscFunction, "__call__", None)
     grid = unit_circle_grid(256)
     expected = float(np.abs(np.polynomial.polynomial.polyval(grid, d.coeffs)).max())
@@ -196,8 +188,6 @@ def test_sup_bound_grid_grows_with_degree(monkeypatch):
     peaked = [0.50000005] + [0] * 127 + [0.50000005j]
     with pytest.raises(ValueError, match=r"^curve has sup 1\.000000 "):
         DiscFunction(peaked)
-    assert (DiscFunction(peaked, require_into_disc=False).sup_bound
-            >= 1.0 + 1e-7)
 
 
 def test_into_disc_check_covers_the_sampling_miss():
@@ -206,7 +196,6 @@ def test_into_disc_check_covers_the_sampling_miss():
     # sampled sup times sec(31 pi / 512) bounds it by 1
     c0 = (1 + 1e-6) / 2
     peaked = [c0] + [0] * 30 + [c0 * cmath.exp(-1j * math.pi / 256)]
-    assert DiscFunction(peaked, require_into_disc=False).sup_bound < 1.0
     with pytest.raises(ValueError, match=r"^curve has sampled sup 0\.999982 "
                        r"on 256 circle points, .* only by 1\.018349; "):
         DiscFunction(peaked)
@@ -235,12 +224,6 @@ def test_restrict_constant_result():
 def test_restrict_exponential(exp_ring):
     g = restrict_along_curve(exp_ring, DiscFunction([0, 1.0 / 3.0]), m=64)
     npt.assert_allclose(g.samples, cmath.exp(1.0 / 3.0), atol=1e-13)
-
-
-def test_restrict_domain_violation(exp_ring):
-    wide = curve_difference(DiscFunction([0, 1.0]), DiscFunction([-0.5]))
-    with pytest.raises(DomainError):
-        restrict_along_curve(exp_ring, wide, m=64)
 
 
 # ----------------------------------------------------------- extension test
@@ -751,24 +734,14 @@ def test_ladder_rejects_circle_vanishing_curve(exp_ring):
 
 
 def test_ladder_checks_curves_in_order(exp_ring):
-    # curve 0 is not extendable and curve 3 leaves the z-range: the curve-0
-    # verdict still comes first, and only the rows before curve 3 are
-    # evaluated
-    calls = []
-    ring = RingFunction(lambda lam, z: calls.append(1) or np.exp(z / lam),
-                        0.3)
+    # curve 0 is not extendable and curve 2 needs a finer grid: the curve-0
+    # verdict comes first, and the restriction errors name their curve
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 7)]
     curves[0] = DiscFunction([0.2])
-    curves[3] = DiscFunction([0, 1.5], require_into_disc=False)
-    with pytest.raises(ConvergenceError, match="^curve 0 is not extendable"):
-        coefficient_ladder(ring, curves, 3, 10, m=64)
-    assert len(calls) == 3
-    # the restriction errors name their curve
-    curves[0] = DiscFunction([0, 1.0])
-    with pytest.raises(DomainError,
-                       match=r"^curve 3: curve leaves the z-range .*1\.5"):
-        coefficient_ladder(exp_ring, curves, 3, 10, m=64)
     curves[2] = DiscFunction([0] * 23 + [0.9])
+    with pytest.raises(ConvergenceError, match="^curve 0 is not extendable"):
+        coefficient_ladder(exp_ring, curves, 3, 10, m=64)
+    curves[0] = DiscFunction([0, 1.0])
     with pytest.raises(BandwidthError, match=r"^curve 2: effective bandwidth"):
         coefficient_ladder(exp_ring, curves, 3, 10, m=64)
 

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from pinchext import (CircleFunction, PoleLocationError, RationalPart,
-                      blaschke_from_zeros, detect_rational, rational_to_circle,
+                      blaschke_from_zeros, detect_rational,
+                      hardy_project_minus, rational_to_circle,
                       unit_circle_grid)
 
 from conftest import random_rational_part
@@ -56,6 +57,15 @@ def test_detect_requires_hardy_minus():
 def test_detect_pole_budget_cap():
     with pytest.raises(ValueError):
         detect_rational(minus_function({-1: 1.0}), 17)
+
+
+def test_detect_rejects_non_finite_input():
+    # the documented ValueError, not an index error of the
+    # terminating-sequence scan
+    psi = hardy_project_minus(CircleFunction(np.full(64, np.nan) + 0j))
+    with pytest.raises(ValueError, match="^input has a coefficient that is "
+                       "not finite$"):
+        detect_rational(psi, 4)
 
 
 def test_detect_zero_function():
