@@ -59,9 +59,14 @@ def _half_swap(a: np.ndarray) -> np.ndarray:
 
 
 def _coeffs_from_samples(samples: np.ndarray) -> np.ndarray:
-    """Centered Laurent coefficients of the samples on the last axis."""
+    """Centered Laurent coefficients of the samples on the last axis.
+
+    Finite samples near the top of the double range can overflow in the
+    sums of the transform; that raises ``FloatingPointError``.
+    """
     m = samples.shape[-1]
-    return _half_swap(np.fft.fft(samples) / m)
+    with np.errstate(over="raise", invalid="raise"):
+        return _half_swap(np.fft.fft(samples) / m)
 
 
 def _samples_from_coeffs(coeffs: np.ndarray) -> np.ndarray:

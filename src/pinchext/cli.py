@@ -140,7 +140,8 @@ def parse_config(path) -> AnalysisConfig:
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        # a str, so that a parse error quotes the path, not a Path repr
+        parser.read(str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     parser.read_dict({"analysis": {}, "output": {}})

@@ -25,14 +25,14 @@ Numerical notes
   the exact terms) the ladder works at ``dps`` digits; otherwise
   everything runs in complex doubles, and deep levels lose accuracy.
 * At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
-  pass per curve over the grid, checked for collisions before any value)
-  and the function values, one call of the ring's ``mp_evaluator`` per
-  grid column: it takes one ``lam`` and the ``K`` nodes of that column and
-  returns one ``mpc`` per node.  Remark 1's computes ``1/lam`` once per
-  column, so its values differ from ``exp(z / lam)`` by about 1e-52
-  relative; a Laurent ring's and the example series evaluate each node
-  on its own.  Each part of each value is converted to the C
-  ``decimal`` type by one correctly rounded division, and the
+  pass per curve over a block of grid columns, checked for collisions
+  before any value of the block) and the function values, one call of the
+  ring's ``mp_evaluator`` per grid column: it takes one ``lam`` and the
+  ``K`` nodes of that column and returns one ``mpc`` per node.  Remark
+  1's computes ``1/lam`` once per column, so its values differ from
+  ``exp(z / lam)`` by about 1e-52 relative; a Laurent ring's and the
+  example series evaluate each node on its own.  Each part of each node and value is converted to the C
+  ``decimal`` type once, by one correctly rounded division, and the
   divided-difference table, the monomial conversion, the convergence
   estimates and the level recursion below run on ``decimal`` at the
   smallest precision whose single rounding is at least as fine as
@@ -40,25 +40,28 @@ Numerical notes
   complex product or quotient takes a few more such roundings than
   mpmath's ``mpc`` (which rounds each part once, with guard bits for
   division), so a part can lose a few ulps more under cancellation;
-  normwise the error stays a few ulps.  Results return to complex doubles through
-  ``float(Decimal)``, which rounds correctly.
+  normwise the error stays a few ulps.  Results return to complex doubles
+  through ``float(Decimal)``, which rounds correctly, each value once.
   mpmath is imported only inside the functions that work at ``dps``
   digits, so a ladder or extension test without extended precision never
   loads it.
-* Everything from the values to the level recursion reads one grid
+* Everything from the nodes to the level recursion reads one grid
   column at a time, so :func:`_ladder_block` computes it for a contiguous
   block of columns and returns complex doubles.  On the extended-precision
   path, on Linux and with no other Python thread, the grid is split into
   one block per CPU in ``os.sched_getaffinity(0)``, each of at least 64
   columns (so a grid-64 ladder never forks); :func:`_run_blocks` runs
   the first block in the process and each other one in a forked child.
-  The nodes and their collision check come before the fork, and the
-  convergence check, cleaning, splits and diagnostics after it, on the
-  joined columns.  The bits do not depend on the block count, and an
-  error is the one a single block would raise.  The children's memory is
-  not in ``getrusage(RUSAGE_SELF)``; it shows in ``RUSAGE_CHILDREN``.  The
-  float path and every other case run the same block function in the
-  process as one block.
+  Each block evaluates its own nodes and checks its own columns for
+  coinciding curves before its values; the convergence check, cleaning,
+  splits and diagnostics run after the fork, on the joined columns.  The
+  bits do not depend on the block count.  An error is the one a single
+  block raises on the first failing block, block 0's first: a collision
+  in a later block's columns alone is raised after block 0's values,
+  with the same text.  The children's memory is not in
+  ``getrusage(RUSAGE_SELF)``; it shows in ``RUSAGE_CHILDREN``.  The float
+  path and every other case run the same block function in the process
+  as one block.
 * Each curve is sampled once.  The ladder's extension tests, its check
   that no curve vanishes on the circle and, for rings without extended
   precision, the interpolation read the same ``(K, m)`` nodes
@@ -262,16 +265,21 @@ class DiscFunction:
         """Horner at one ``mpc`` or at an ``object`` array of them.
 
         The same bits as Horner from 0, whose first step ``0 * lam + c``
-        is exact.  ``lam`` stays the left operand of the first product: an
-        ``mpc`` times an ``object`` array is much slower than the reverse.
+        is exact, and whose additions of a zero coefficient are skipped.
+        ``lam`` stays the left operand of the first product: an ``mpc``
+        times an ``object`` array is much slower than the reverse.
         """
         import mpmath as mp
         *low, top = [mp.mpc(c) for c in self.coeffs]
         if not low:
             return 0 * lam + top
-        total = lam * top + low[-1]
-        for c in reversed(low[:-1]):
-            total = total * lam + c
+        total = lam * top
+        for i, c in enumerate(reversed(low)):
+            if i:
+                total = total * lam
+            # mpmath has no signed zero: x + 0 is x at the working precision
+            if c:
+                total = total + c
         return total
 
     @property
@@ -648,9 +656,9 @@ class _DecimalArray:
         """Each part of each ``mpc`` (an ``object`` array or a list of
         them) rounded once to the context by :func:`_mpf_to_decimal`."""
         z = np.asarray(z, dtype=object)
-        parts = np.array([[_mpf_to_decimal(t) for t in x._mpc_] for x in z.flat],
+        parts = np.array([_mpf_to_decimal(t) for x in z.flat for t in x._mpc_],
                          dtype=object)
-        return cls(parts[:, 0].reshape(z.shape), parts[:, 1].reshape(z.shape))
+        return cls(parts[0::2].reshape(z.shape), parts[1::2].reshape(z.shape))
 
     def __len__(self) -> int:
         return len(self.re)
@@ -697,17 +705,20 @@ def _mpf_to_decimal(t: tuple) -> Decimal:
         import mpmath as mp
         return Decimal(mp.libmp.to_float(t))
     # on mpmath's gmpy backend the mantissa is an mpz, which Decimal refuses
-    man = int(man)
-    if sign:
-        man = -man
-    return Decimal(man << max(exp, 0)) / _decimal_pow2(max(-exp, 0))
+    man = -int(man) if sign else int(man)
+    if exp >= 0:
+        return Decimal(man << exp) / 1  # the division rounds to the context
+    divisor = _DECIMAL_POW2.get(exp)
+    if divisor is None:
+        divisor = Decimal(1 << -exp)
+        if len(_DECIMAL_POW2) < 1024:
+            _DECIMAL_POW2[exp] = divisor
+    return Decimal(man) / divisor
 
 
-@functools.lru_cache(maxsize=256)
-def _decimal_pow2(k: int) -> Decimal:
-    """``2**k`` as an exact ``Decimal``: the same divisor as the ``int``,
-    converted once instead of on every division."""
-    return Decimal(1 << k)
+# exp -> 2**-exp as an exact Decimal: the same divisor as the int, converted
+# once instead of on every division; at most 1024 entries bound its memory
+_DECIMAL_POW2: dict = {}
 
 
 def _decimal_digits(dps: int) -> int:
@@ -740,12 +751,15 @@ def _mp_nodes(curves: Sequence[DiscFunction], grid: np.ndarray,
               dps: int) -> Tuple:
     """Grid points and curve nodes ``phi_k(lam)`` at ``dps`` digits.
 
-    mpmath evaluates the nodes by one Horner pass per curve over the whole
-    grid.  Returns ``(lam_mp, mp_nodes, nodes)``: the grid as an ``object``
-    array of ``mpc``, the ``(K, m)`` nodes as ``mpc`` and the same nodes as
-    a :class:`_DecimalArray` (call inside the ``decimal`` context), after
-    :func:`_refuse_coinciding` has checked them, so that no value is
-    computed for coinciding curves.
+    ``grid`` holds the grid points of a block of columns.  mpmath
+    evaluates the nodes by one Horner pass per curve over them.  Returns
+    ``(lam_mp, mp_nodes, nodes)``: the points as an ``object`` array of
+    ``mpc``, the ``(K, c)`` nodes as ``mpc`` and the same nodes as a
+    :class:`_DecimalArray` (call inside the ``decimal`` context), after
+    :func:`_refuse_coinciding` has checked these columns, so that no value
+    of the block is computed for coinciding curves.  A node depends only
+    on its grid point, so the nodes of a block are the same columns of
+    the whole grid's, bit for bit.
     """
     import mpmath as mp
     with mp.workdps(dps):
@@ -758,22 +772,20 @@ def _mp_nodes(curves: Sequence[DiscFunction], grid: np.ndarray,
 
 
 def _mp_values(f: RingFunction, lam_mp: np.ndarray, mp_nodes: np.ndarray,
-               dps: int, cols: slice) -> _DecimalArray:
-    """Values ``f(lam, phi_k(lam))`` of an mp-capable ``f`` on the grid
-    columns ``cols``, as a ``(K, len(cols))`` :class:`_DecimalArray`.
+               dps: int) -> _DecimalArray:
+    """Values ``f(lam, phi_k(lam))`` of an mp-capable ``f`` on a block of
+    grid columns, as a ``(K, c)`` :class:`_DecimalArray`.
 
     One call of ``f.mp_evaluator`` per grid column, at ``dps`` digits,
-    with one ``lam`` and its ``K`` nodes from :func:`_mp_nodes`; each
-    column is converted to ``Decimal`` parts as it is produced.
+    with one ``lam`` and its ``K`` nodes from :func:`_mp_nodes`; the
+    block's values are converted to ``Decimal`` parts in one call.
     """
     import mpmath as mp
-    lam_mp, mp_nodes = lam_mp[cols], mp_nodes[:, cols]
-    values = _DecimalArray(*np.empty((2,) + mp_nodes.shape, dtype=object))
+    values = np.empty(mp_nodes.shape, dtype=object)
     with mp.workdps(dps):
         for j, lam in enumerate(lam_mp):
-            values[:, j] = _DecimalArray.from_mpc(
-                f.mp_evaluator(lam, mp_nodes[:, j]))
-    return values
+            values[:, j] = f.mp_evaluator(lam, mp_nodes[:, j])
+    return _DecimalArray.from_mpc(values)
 
 
 def _divided_differences(nodes, values):
@@ -818,25 +830,24 @@ def _interp_prefixes(nodes, dd, n_keep: int,
     return out
 
 
-def _ladder_block(nodes, values_of: Callable, cols: slice, *, n_keep: int,
+def _ladder_block(columns_of: Callable, cols: slice, *, n_keep: int,
                   stride: int) -> Tuple[np.ndarray, ...]:
     """The ladder's column-wise work on the grid columns ``cols``.
 
-    ``nodes`` is the ``(K, m)`` node array and ``values_of(cols)`` gives the
-    values of those columns.  From them come the divided-difference table,
-    the ``n_keep`` lowest coefficients of the interpolant through all ``K``
-    curves and, on the columns of the global stride ``stride`` (grid
-    columns ``0, stride, 2 stride, ...``), those through the first K-2 and
-    K-1 curves, and the level recursion on the last three curves.  Every
-    step reads one grid column at a time, so a block's results are the
-    same columns of the whole grid's, bit for bit.  Returns complex
-    doubles only: the block's max ``|value|``, its ``(n_keep, c)``
-    coefficient samples, its two ``(min(n_keep, K - 2), s)`` estimate
-    arrays and its ``(n_keep, 3, c)`` level rows.
+    ``columns_of(cols)`` gives the ``(K, c)`` nodes and values of those
+    columns.  From them come the divided-difference table, the ``n_keep``
+    lowest coefficients of the interpolant through all ``K`` curves and,
+    on the columns of the global stride ``stride`` (grid columns ``0,
+    stride, 2 stride, ...``), those through the first K-2 and K-1 curves,
+    and the level recursion on the last three curves.  Every step reads
+    one grid column at a time, so a block's results are the same columns
+    of the whole grid's, bit for bit.  Returns complex doubles only: the
+    block's max ``|value|``, its ``(n_keep, c)`` coefficient samples, its
+    two ``(min(n_keep, K - 2), s)`` estimate arrays and its
+    ``(n_keep, 3, c)`` level rows.
     """
+    nodes, values = columns_of(cols)
     kcurves = len(nodes)
-    nodes = nodes[:, cols]
-    values = values_of(cols)
     dd = _divided_differences(nodes, values)
     coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
     sub = slice(-cols.start % stride, None, stride)
@@ -846,14 +857,16 @@ def _ladder_block(nodes, values_of: Callable, cols: slice, *, n_keep: int,
     coeff_samples = coeffs.astype(complex)
     levels = np.empty((n_keep, 3, coeff_samples.shape[1]), dtype=complex)
     level_values = values[-3:]
-    for n in range(n_keep):
-        if n:
-            level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
+    for n in range(1, n_keep):
+        level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
         levels[n] = level_values.astype(complex)
-    # the scale last: taken first, its temporaries made the allocator fault
-    # in fresh pages for the float path's arrays on every ladder (about
-    # 1,600 minor faults per ladder-float benchmark round against 2)
-    return (np.abs(values.astype(complex)).max(), coeff_samples,
+    # each value becomes a double once: level row 0 and the scale read it.
+    # Both last: taken first, the scale's temporaries made the allocator
+    # fault in fresh pages for the float path's arrays on every ladder
+    # (about 1,600 minor faults per ladder-float benchmark round against 2)
+    float_values = values.astype(complex)
+    levels[0] = float_values[-3:]
+    return (np.abs(float_values).max(), coeff_samples,
             *(e.astype(complex) for e in estimates), levels)
 
 
@@ -1159,16 +1172,20 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
         if f.mp_capable:
-            lam_mp, mp_nodes, nodes = _mp_nodes(curves, grid, dps)
-            values_of = functools.partial(_mp_values, f, lam_mp, mp_nodes, dps)
+            # each block evaluates and checks its own nodes, then its values
+            def columns_of(cols):
+                lam_mp, mp_nodes, nodes = _mp_nodes(curves, grid[cols], dps)
+                return nodes, _mp_values(f, lam_mp, mp_nodes, dps)
         else:
             _refuse_coinciding(float_nodes)
-            nodes, values_of = float_nodes, lambda cols: float_values[:, cols]
+
+            def columns_of(cols):
+                return float_nodes[:, cols], float_values[:, cols]
         # extraction, the estimates from the first K-2, K-1 curves and the
         # level rows, by blocks of grid columns (forked on the mp path)
         blocks = _run_blocks(
-            functools.partial(_ladder_block, nodes, values_of,
-                              n_keep=n_keep, stride=stride),
+            functools.partial(_ladder_block, columns_of, n_keep=n_keep,
+                              stride=stride),
             _block_bounds(m, f.mp_capable))
     scales, *parts = zip(*blocks)
     # one block (the float path) is used as it is, without a copy

@@ -268,22 +268,37 @@ def test_config_refusal_is_config_error(tmp_path, capsys, body, terms,
     (tmp_path / "poly.json").write_text(json.dumps({"terms": terms or []}))
     cfg = write_config(tmp_path, body)
     assert main(["test", "--config", cfg]) == 1
-    text = message.format(dir=tmp_path.resolve(), ini=Path(cfg))
+    text = message.format(dir=tmp_path.resolve(), ini=str(Path(cfg)))
     assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+def _overflow_config(tmp_path, terms):
+    (tmp_path / "poly.json").write_text(json.dumps({"terms": terms}))
+    return write_config(tmp_path, LAURENT.replace(
+        "curve_1 = 0.2,0", "curve_1 = 0,0 1,0\ncurve_2 = 0,0 0.5,0\n"
+        "curve_3 = 0,0 0.25,0").replace("grid = 128", "grid = 64\ndepth = 1"))
 
 
 def test_laurent_overflow_is_non_convergence(tmp_path, capsys):
     # two finite terms whose sum overflows on the curve z = lam: the float
     # evaluator raises FloatingPointError, as the gallery kernels do
     term = {"n": 1, "l": -1, "c": [1e308, 0.0]}
-    (tmp_path / "poly.json").write_text(json.dumps({"terms": [term, term]}))
-    cfg = write_config(tmp_path, LAURENT.replace(
-        "curve_1 = 0.2,0", "curve_1 = 0,0 1,0\ncurve_2 = 0,0 0.5,0\n"
-        "curve_3 = 0,0 0.25,0").replace("grid = 128", "grid = 64\ndepth = 1"))
+    cfg = _overflow_config(tmp_path, [term, term])
     for command in ("test", "ladder"):
         assert main([command, "--config", cfg]) == 3
         assert capsys.readouterr() == (
             "", "non-convergence: overflow encountered in add\n")
+
+
+def test_fft_overflow_is_non_convergence(tmp_path, capsys):
+    # one such term: finite values of 1e308 whose sum overflows in the FFT
+    # of the extension test, which raises the same error instead of
+    # printing numpy's warnings and refusing the non-finite coefficients
+    cfg = _overflow_config(tmp_path, [{"n": 1, "l": -1, "c": [1e308, 0.0]}])
+    for command in ("test", "ladder"):
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr() == (
+            "", "non-convergence: overflow encountered in fft\n")
 
 
 def test_holo_tol_is_fixed(tmp_path, capsys):

@@ -545,16 +545,43 @@ def test_forked_blocks_give_identical_reports(monkeypatch, blocks):
                                           m=m).as_dict())
             for ring, curves, depth, m in cases]
     _force_blocks(monkeypatch, blocks)
+    eval_mp, points = DiscFunction.eval_mp, []
+    monkeypatch.setattr(DiscFunction, "eval_mp", lambda phi, lam:
+                        points.append(len(lam)) or eval_mp(phi, lam))
     for (ring, curves, depth, m), ref in zip(cases, refs):
         bounds = extension._block_bounds(m, True)
         assert len(bounds) == blocks + 1
         inner, calls = ring.mp_evaluator, []
         counted = RingFunction(ring.evaluator, ring.epsilon, lambda lam, zs:
                                calls.append(lam) or inner(lam, zs))
+        points.clear()
         got = coefficient_ladder(counted, curves, depth, 10, m=m)
         assert json.dumps(got.as_dict()) == ref
-        # this process evaluated block 0's columns only
+        # this process evaluated block 0's nodes and values only
+        assert points == [bounds[1]] * len(curves)
         assert len(calls) == bounds[1]
+        _no_child_left()
+
+
+def test_collision_in_a_later_block_is_found_there(monkeypatch):
+    # lam/4 and lam/4 + lam (1 + lam)^2 / 8 touch to second order at
+    # lam = -1, grid column 64 of 128, so their nodes there round to the
+    # same double (curves that only cross there, as lam/2 and -lam^2/2 do,
+    # stay apart at the grid point -1 + 1.2e-16i).  Each block checks its
+    # own nodes: one block refuses before any value, two refuse in block 1
+    # after block 0's values, with the same text
+    curves = [DiscFunction([0, 0.25]), DiscFunction([0, 0.375, 0.25, 0.125])]
+    curves += [DiscFunction([0, 1.0 / k]) for k in range(5, 11)]
+    inner = remark1_ring(0.3).mp_evaluator
+    for blocks, evaluated in ((1, 0), (2, 64)):
+        _force_blocks(monkeypatch, blocks, floor=64)
+        calls = []
+        ring = RingFunction(remark1_eval, 0.3, lambda lam, zs:
+                            calls.append(lam) or inner(lam, zs))
+        with pytest.raises(ConvergenceError,
+                           match="^two curves coincide at a grid point$"):
+            coefficient_ladder(ring, curves, 3, 10, m=128)
+        assert len(calls) == evaluated
         _no_child_left()
 
 
