@@ -16,11 +16,10 @@ from .extension import (CoefficientLadder, DiscFunction, ExtensionValue,
                         ExtensionVerdict, LadderEntry, PinchDescriptor,
                         RingFunction, coefficient_ladder, evaluate_extension,
                         extension_test, minus_part, pinch_estimate,
-                        restrict_along_curve, verify_coefficient_bounds)
-from .families import (GeneralPositionReport, TestFamilyReport,
-                       TestSequenceReport, WindingProfileReport,
-                       general_position_check, probes_from_csv,
-                       validate_test_family, validate_test_sequence,
+                        verify_coefficient_bounds)
+from .families import (GeneralPositionReport, TestSequenceReport,
+                       WindingProfileReport, general_position_check,
+                       probes_from_csv, validate_test_sequence,
                        winding_profile)
 from .rational import (BlaschkeProduct, RationalPart, RationalityVerdict,
                        blaschke_from_zeros, detect_rational,
@@ -37,12 +36,12 @@ __all__ = [
     "RingFunction", "DiscFunction",
     "ExtensionVerdict", "CoefficientLadder", "LadderEntry",
     "PinchDescriptor", "ExtensionValue",
-    "restrict_along_curve", "extension_test", "coefficient_ladder",
+    "extension_test", "coefficient_ladder",
     "pinch_estimate", "evaluate_extension", "verify_coefficient_bounds",
     "minus_part",
-    "TestSequenceReport", "TestFamilyReport", "GeneralPositionReport",
-    "WindingProfileReport", "validate_test_sequence", "validate_test_family",
-    "general_position_check", "winding_profile", "probes_from_csv",
+    "TestSequenceReport", "GeneralPositionReport", "WindingProfileReport",
+    "validate_test_sequence", "general_position_check", "winding_profile",
+    "probes_from_csv",
     "PinchextError", "BandwidthError", "CircleVanishingError",
     "ConvergenceError", "DomainError", "PoleLocationError", "ConfigError",
 ]

@@ -123,7 +123,6 @@ __all__ = [
     "PinchDescriptor",
     "ExtensionValue",
     "minus_part",
-    "restrict_along_curve",
     "extension_test",
     "coefficient_ladder",
     "pinch_estimate",
@@ -607,13 +606,6 @@ def _test_rows(values: np.ndarray, n_max: int, epsilon: float,
         yield ExtensionVerdict(kind=kind, residual=residual, n_max=n_max,
                                rational=verdict.rational, rank=verdict.rank,
                                gap=verdict.gap)
-
-
-def restrict_along_curve(f: RingFunction, phi: DiscFunction,
-                         m: int = 256) -> CircleFunction:
-    """Sample ``lambda -> f(lambda, phi(lambda))`` on the unit circle."""
-    _, values = _sample_curves(f, [phi], m)
-    return CircleFunction(values[0])
 
 
 def extension_test(f: RingFunction, phi: DiscFunction, n_max: int, *,

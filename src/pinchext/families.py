@@ -1,11 +1,13 @@
-"""Validation of test sequences, test families and general position.
+"""Validation of test sequences, general position and winding profiles.
 
 A sequence of curves ``phi_k -> phi_0`` qualifies as a test sequence when
 the boundary differences ``phi_k - phi_0`` are zero-free on the unit
-circle with uniformly bounded winding numbers.  Families are tested
-pairwise on a scanned range of radii; general position asks that the
-zeros of the differences avoid a probe point for a sub-collection of
-curves (equivalently, that no three curves pass through one point).
+circle with uniformly bounded winding numbers.  General position asks
+that the zeros of the differences avoid a probe point for a
+sub-collection of curves (equivalently, that no three curves pass
+through one point).  A winding profile counts the windings of a
+one-parameter family's differences at one common zero-free radius,
+found on a scanned range of radii.
 Curves are polynomials: by the argument principle the winding of a
 difference along ``|lambda| = r`` is the number of its ``roots()`` inside,
 and it is zero-free there when no root lies within 1e-6 of the circle.
@@ -29,14 +31,11 @@ from .extension import _DISC_SLACK, DiscFunction, _roots_of_rows
 
 __all__ = [
     "TestSequenceReport",
-    "TestFamilyReport",
-    "PairWitness",
     "GeneralPositionReport",
     "ProbeResult",
     "TripleIntersection",
     "WindingProfileReport",
     "validate_test_sequence",
-    "validate_test_family",
     "general_position_check",
     "winding_profile",
     "probes_from_csv",
@@ -93,25 +92,6 @@ class TestSequenceReport:
 
 
 @dataclass(frozen=True)
-class PairWitness:
-    s: int
-    t: int
-    radius: Optional[float]
-    winding: Optional[int]
-    ok: bool
-
-
-@dataclass(frozen=True)
-class TestFamilyReport:
-    pairs: Tuple[PairWitness, ...]
-    n_bound: int
-
-    @property
-    def all_ok(self) -> bool:
-        return all(p.ok for p in self.pairs)
-
-
-@dataclass(frozen=True)
 class ProbeResult:
     probe: complex
     witness_indices: Tuple[int, ...]
@@ -164,22 +144,20 @@ def _radius_scan(lo: float, hi: float) -> List[np.ndarray]:
 
 
 def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
-                      scan: Sequence[np.ndarray],
-                      n_bound: float = np.inf) -> Optional[float]:
+                      scan: Sequence[np.ndarray]) -> Optional[float]:
     """First radius of the ``scan`` at which every difference is zero-free.
 
     ``zero_sets`` holds each difference's ``roots()``; a root within 1e-6
-    of ``|lambda| = r`` makes it vanish at ``r`` (conservative).  Each grid
-    offers its first such radius, taken if no winding exceeds ``n_bound``.
+    of ``|lambda| = r`` makes it vanish at ``r`` (conservative).  The grids
+    are tried in order, and the first one with such a radius gives it.
     """
     if any(zs is None for zs in zero_sets):
         return None  # identically zero difference never witnesses
     moduli = np.abs(np.concatenate([*zero_sets, []]))
     for radii in scan:
         free = (np.abs(moduli[:, None] - radii) > _CIRCLE_DISTANCE_TOL).all(0)
-        r = float(radii[np.argmax(free)])
-        if free.any() and all(_winding(zs, r) <= n_bound for zs in zero_sets):
-            return r
+        if free.any():
+            return float(radii[np.argmax(free)])
     return None
 
 
@@ -258,29 +236,6 @@ def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
     return TestSequenceReport(windings=tuple(windings), failures=tuple(failures),
                               bound=bound, is_test=is_test,
                               first_failure=first_failure, n_bound=n_bound)
-
-
-def validate_test_family(curves: Sequence[DiscFunction], n_bound: int,
-                         epsilon: float) -> TestFamilyReport:
-    """Pairwise test-family check on radii scanned in ``(1-eps/2, 1+eps/2)``.
-
-    For each pair a radius is sought at which the difference is zero-free
-    with winding number (zeros inside that circle) at most ``n_bound``; the
-    scan refines once (to twice the resolution) before reporting a pair as
-    failed.
-    """
-    if len(curves) < 2:
-        raise ValueError("need at least 2 curves for a family check")
-    scan = _radius_scan(1.0 - epsilon / 2.0, 1.0 + epsilon / 2.0)
-    first, second = np.triu_indices(len(curves), 1)
-    pair_zeros = _difference_zeros(_coefficient_table(curves), first, second)
-    pairs: List[PairWitness] = []
-    for s, t, zeros in zip(first.tolist(), second.tolist(), pair_zeros):
-        radius = _zero_free_radius([zeros], scan, n_bound)
-        winding = None if radius is None else _winding(zeros, radius)
-        pairs.append(PairWitness(s=s, t=t, radius=radius, winding=winding,
-                                 ok=radius is not None))
-    return TestFamilyReport(pairs=tuple(pairs), n_bound=n_bound)
 
 
 def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,

@@ -23,7 +23,7 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       RationalPart, RingFunction, blaschke_from_zeros,
                       coefficient_ladder, evaluate_extension, extension,
                       extension_test, hardy_project_minus, minus_part,
-                      pinch_estimate, restrict_along_curve, unit_circle_grid,
+                      pinch_estimate, unit_circle_grid,
                       verify_coefficient_bounds)
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
@@ -210,19 +210,23 @@ def test_into_disc_check_covers_the_sampling_miss():
 
 def test_restrict_product_curve():
     f = RingFunction.from_laurent([(1, 1, 1.0)], 0.3)  # lam * z
-    g = restrict_along_curve(f, DiscFunction([0, 0, 1.0]), m=64)
+    grid = unit_circle_grid(64)
+    g = CircleFunction(f.evaluator(grid, DiscFunction([0, 0, 1.0])(grid)))
     assert abs(g.coeff(3) - 1.0) < 1e-13
     assert sum(abs(g.coeff(n)) for n in range(-32, 32) if n != 3) < 1e-12
 
 
 def test_restrict_constant_result():
     f = RingFunction.from_laurent([(1, -1, 1.0)], 0.3)  # z / lam
-    g = restrict_along_curve(f, DiscFunction([0, 0.5]), m=64)
+    grid = unit_circle_grid(64)
+    g = CircleFunction(f.evaluator(grid, DiscFunction([0, 0.5])(grid)))
     npt.assert_allclose(g.samples, 0.5, atol=1e-14)
 
 
 def test_restrict_exponential(exp_ring):
-    g = restrict_along_curve(exp_ring, DiscFunction([0, 1.0 / 3.0]), m=64)
+    grid = unit_circle_grid(64)
+    g = CircleFunction(exp_ring.evaluator(grid,
+                                          DiscFunction([0, 1.0 / 3.0])(grid)))
     npt.assert_allclose(g.samples, cmath.exp(1.0 / 3.0), atol=1e-13)
 
 
@@ -896,8 +900,6 @@ def test_ladder_split_call_order(monkeypatch, exp_ring):
 def test_restriction_checks_grid_size(exp_ring, m, message):
     phi = DiscFunction([0, 0.5])
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 7)]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        restrict_along_curve(exp_ring, phi, m)
     with pytest.raises(ValueError, match=f"^{message}$"):
         extension_test(exp_ring, phi, 10, m=m)
     with pytest.raises(ValueError, match=f"^{message}$"):

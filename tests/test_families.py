@@ -7,8 +7,7 @@ import pytest
 
 from pinchext import (ConvergenceError, DiscFunction, coefficient_ladder,
                       general_position_check, pinch_estimate,
-                      validate_test_family, validate_test_sequence,
-                      winding_profile)
+                      validate_test_sequence, winding_profile)
 from pinchext.families import (GeneralPositionReport, ProbeResult,
                                TripleIntersection)
 from pinchext.gallery import remark1_ring
@@ -102,50 +101,6 @@ def test_sequence_needs_three_curves():
         validate_test_sequence([scaled_line(1)], ZERO, 10)
 
 
-# -------------------------------------------------------------- test family
-
-def test_family_horizontal_curves():
-    report = validate_test_family([DiscFunction([0.3]), DiscFunction([0.6])],
-                                  10, 0.3)
-    assert report.all_ok
-    (pair,) = report.pairs
-    assert pair.winding == 0
-
-
-def test_family_cubic_pair():
-    # lam - lam^3 vanishes on |lam| = 1 (roots 0, 1, -1) but not at radii
-    # inside; the witnessing winding counts the single root inside
-    report = validate_test_family(
-        [DiscFunction([0, 1.0]), DiscFunction([0, 0, 0, 1.0])], 10, 0.3)
-    assert report.all_ok
-    (pair,) = report.pairs
-    assert pair.winding == 1
-    assert abs(pair.radius - 1.0) > 1e-6
-
-
-def test_family_identical_curves_have_no_witness():
-    # their difference vanishes everywhere, so no radius is zero-free
-    report = validate_test_family([DiscFunction([0.3]), DiscFunction([0.3])],
-                                  10, 0.3)
-    (pair,) = report.pairs
-    assert not pair.ok
-    assert pair.radius is None and pair.winding is None
-
-
-def test_family_zero_free_difference_with_tiny_values():
-    # the constant difference 1e-10 is zero-free at every radius
-    report = validate_test_family(
-        [DiscFunction([0.3]), DiscFunction([0.3 + 1e-10])], 10, 0.3)
-    (pair,) = report.pairs
-    assert pair.ok
-    assert pair.winding == 0
-
-
-def test_family_needs_two_curves():
-    with pytest.raises(ValueError):
-        validate_test_family([DiscFunction([0.3])], 10, 0.3)
-
-
 # --------------------------------------------------------- general position
 
 def test_general_position_lines():
@@ -218,7 +173,7 @@ def test_uncomputable_differences_name_their_curves():
     tiny = [DiscFunction([1e-300, 3e-308]), DiscFunction([0, 2.9e-308]),
             DiscFunction([0, 0.5])]
     with pytest.raises(ValueError, match=r"^curves 0 and 1: highest kept"):
-        validate_test_family(tiny, 2, 0.3)
+        general_position_check(tiny, ZERO, [0j])
     with pytest.raises(ValueError, match=r"^curve 1 and phi_0: highest kept"):
         validate_test_sequence([DiscFunction([0, 0.1])] + tiny[1:], tiny[0], 2)
 

@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pinchext import (ConvergenceError, DiscFunction, detect_rational,
-                      gallery, hardy_project_minus, restrict_along_curve)
+from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
+                      detect_rational, gallery, hardy_project_minus,
+                      unit_circle_grid)
 from pinchext.gallery import (Example1, Example2, example1_eval,
                               example1_growth_probe, example1_ring,
                               example1_term_bound, example2_eval,
@@ -167,9 +168,10 @@ def test_example1_rejects_origin():
 def test_example1_restriction_is_polynomial():
     # the restriction to C_l extends over the disc: Hardy-minus part tiny
     ring = example1_ring(0.3)
+    grid = unit_circle_grid(64)
     for l in (2, 3):
         phi = DiscFunction([0j] * l + [(2.0 / 3.0) ** l])
-        g = restrict_along_curve(ring, phi, m=64)
+        g = CircleFunction(ring.evaluator(grid, phi(grid)))
         assert hardy_project_minus(g).sup_norm < 1e-10
 
 
@@ -466,8 +468,10 @@ def test_ring_mp_evaluator_matches_float_kernel(make):
 
 def test_remark1_constant_along_scaled_lines():
     ring = remark1_ring(0.3)
+    grid = unit_circle_grid(64)
     for k in (1, 3, 7):
-        g = restrict_along_curve(ring, DiscFunction([0, 1.0 / k]), m=64)
+        phi = DiscFunction([0, 1.0 / k])
+        g = CircleFunction(ring.evaluator(grid, phi(grid)))
         np.testing.assert_allclose(g.samples, cmath.exp(1.0 / k), atol=1e-13)
 
 

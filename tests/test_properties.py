@@ -17,11 +17,12 @@ from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
                       coefficient_ladder, detect_rational,
                       hardy_project_minus, hardy_split, hilbert_transform,
                       rational_to_circle, unit_circle_grid,
-                      validate_test_family, validate_test_sequence,
-                      winding_number)
+                      validate_test_sequence, winding_number)
 from pinchext.boundary import require_resolved
 from pinchext.extension import (_clean_and_project, _roots_of_rows,
                                 _sample_curves, _test_rows)
+from pinchext.families import (_radius_scan, _winding, _zero_free_radius,
+                               _zeros_against)
 from pinchext.rational import _CLUSTER_RADIUS, _NOISE_REL
 
 
@@ -85,9 +86,11 @@ def test_root_count_winding_matches_sampled_winding(coeffs):
     assume(np.abs(moduli - 1.0).min() >= 1e-3)
     seq = validate_test_sequence([diff] * 3, zero, 10)
     assert seq.windings[0] == sampled_winding(coeffs, 1.0)
-    (pair,) = validate_test_family([diff, zero], 10, 0.3).pairs
-    if np.abs(moduli - pair.radius).min() >= 1e-3:
-        assert pair.winding == sampled_winding(coeffs, pair.radius)
+    # and at the first zero-free radius scanned in (0.85, 1.15)
+    (zeros,) = _zeros_against([diff], zero)
+    radius = _zero_free_radius([zeros], _radius_scan(0.85, 1.15))
+    if np.abs(moduli - radius).min() >= 1e-3:
+        assert _winding(zeros, radius) == sampled_winding(coeffs, radius)
 
 
 @st.composite
