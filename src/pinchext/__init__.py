@@ -10,8 +10,8 @@ from .boundary import (CircleFunction, HardySplit, effective_bandwidth,
                        hardy_project_minus, hardy_split, hilbert_transform,
                        unit_circle_grid, winding_number)
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
-                     ConvergenceError, DomainError, PinchextError,
-                     PoleLocationError)
+                     ConvergenceError, DomainError, NotExtendableError,
+                     PinchextError, PoleLocationError)
 from .extension import (CoefficientLadder, DiscFunction, ExtensionValue,
                         ExtensionVerdict, LadderEntry, PinchDescriptor,
                         RingFunction, coefficient_ladder, evaluate_extension,
@@ -44,4 +44,5 @@ __all__ = [
     "probes_from_csv",
     "PinchextError", "BandwidthError", "CircleVanishingError",
     "ConvergenceError", "DomainError", "PoleLocationError", "ConfigError",
+    "NotExtendableError",
 ]

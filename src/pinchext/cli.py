@@ -23,7 +23,8 @@ import numpy as np
 from . import gallery
 from .boundary import _MIN_SAMPLES, _check_sample_count
 from .errors import (BandwidthError, CircleVanishingError, ConfigError,
-                     ConvergenceError, DomainError, PoleLocationError)
+                     ConvergenceError, DomainError, NotExtendableError,
+                     PoleLocationError)
 from .extension import (_DISC_SLACK, _HOLO_TOLERANCE, DiscFunction,
                         RingFunction, coefficient_ladder, extension_test,
                         pinch_estimate, verify_coefficient_bounds)
@@ -411,7 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, BandwidthError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PoleLocationError as exc:
+    except (PoleLocationError, NotExtendableError) as exc:
         print(f"analysis negative: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except (ConvergenceError, CircleVanishingError, FloatingPointError) as exc:

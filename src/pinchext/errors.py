@@ -23,6 +23,11 @@ class ConvergenceError(PinchextError):
     """A numerical iteration or stabilization check did not converge."""
 
 
+class NotExtendableError(ConvergenceError):
+    """A curve restriction does not extend meromorphically within the pole
+    budget, so the curves are not a valid test-sequence scenario."""
+
+
 class DomainError(PinchextError):
     """Evaluation requested outside the domain of validity."""
 

@@ -110,7 +110,7 @@ from .boundary import (_ZERO_TOLERANCE, CircleFunction, _check_sample_count,
                        hardy_project_minus, pointwise, require_resolved,
                        unit_circle_grid)
 from .errors import (BandwidthError, CircleVanishingError,
-                     ConvergenceError, DomainError)
+                     ConvergenceError, DomainError, NotExtendableError)
 from .rational import (_CLUSTER_RADIUS, MAX_POLE_BOUND, RationalPart,
                        _single_linkage, blaschke_from_zeros, detect_rational)
 
@@ -440,10 +440,6 @@ class LevelDiagnostic:
     level_coeffs: np.ndarray = field(repr=False, compare=False)
     poles: Tuple[Tuple[complex, int], ...] = ()
 
-    @property
-    def pole_count(self) -> int:
-        return sum(mult for _, mult in self.poles)
-
     def _corrected(self) -> CircleFunction:
         level_fn = CircleFunction.from_coefficients(self.level_coeffs)
         blaschke = blaschke_from_zeros(
@@ -514,9 +510,6 @@ class PinchDescriptor:
     def domain_radius(self, lam) -> np.ndarray | float:
         return self.c * distance_product(lam, self.pinches)
 
-    def contains(self, lam: complex, z: complex, margin: float = 1.0) -> bool:
-        return abs(z) < margin * self.domain_radius(lam)
-
     def as_dict(self) -> dict:
         return {
             "pinches": [{"a": [a.real, a.imag], "order": l}
@@ -527,7 +520,11 @@ class PinchDescriptor:
 
 
 class ExtensionValue(NamedTuple):
-    """Value of the reconstructed extension with its truncation bound."""
+    """Value of the reconstructed extension with its truncation bound.
+
+    ``bound`` covers only the series tail past ``depth``, not the error of
+    the reconstructed ``A_0 .. A_depth``.
+    """
 
     value: complex
     bound: float
@@ -739,19 +736,20 @@ def _refuse_coinciding(nodes) -> None:
         raise ConvergenceError("two curves coincide at a grid point")
 
 
-def _mp_nodes(curves: Sequence[DiscFunction], grid: np.ndarray,
-              dps: int) -> Tuple:
-    """Grid points and curve nodes ``phi_k(lam)`` at ``dps`` digits.
+def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
+                grid: np.ndarray, dps: int) -> Tuple:
+    """Nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
+    mp-capable ``f`` on a block of grid columns, at ``dps`` digits.
 
-    ``grid`` holds the grid points of a block of columns.  mpmath
-    evaluates the nodes by one Horner pass per curve over them.  Returns
-    ``(lam_mp, mp_nodes, nodes)``: the points as an ``object`` array of
-    ``mpc``, the ``(K, c)`` nodes as ``mpc`` and the same nodes as a
-    :class:`_DecimalArray` (call inside the ``decimal`` context), after
-    :func:`_refuse_coinciding` has checked these columns, so that no value
-    of the block is computed for coinciding curves.  A node depends only
-    on its grid point, so the nodes of a block are the same columns of
-    the whole grid's, bit for bit.
+    ``grid`` holds the grid points of the block.  mpmath evaluates the
+    nodes by one Horner pass per curve over them, and
+    :func:`_refuse_coinciding` checks them before any value of the block
+    is computed; then ``f.mp_evaluator`` is called once per grid column,
+    with one ``lam`` and its ``K`` nodes.  Returns ``(nodes, values)`` as
+    ``(K, c)`` :class:`_DecimalArray` (call inside the ``decimal``
+    context), each converted from ``mpc`` in one call.  A node depends
+    only on its grid point, so the nodes of a block are the same columns
+    of the whole grid's, bit for bit.
     """
     import mpmath as mp
     with mp.workdps(dps):
@@ -759,25 +757,11 @@ def _mp_nodes(curves: Sequence[DiscFunction], grid: np.ndarray,
         mp_nodes = np.array([phi.eval_mp(lam_mp) for phi in curves],
                             dtype=object)
         nodes = _DecimalArray.from_mpc(mp_nodes)
-    _refuse_coinciding(nodes)
-    return lam_mp, mp_nodes, nodes
-
-
-def _mp_values(f: RingFunction, lam_mp: np.ndarray, mp_nodes: np.ndarray,
-               dps: int) -> _DecimalArray:
-    """Values ``f(lam, phi_k(lam))`` of an mp-capable ``f`` on a block of
-    grid columns, as a ``(K, c)`` :class:`_DecimalArray`.
-
-    One call of ``f.mp_evaluator`` per grid column, at ``dps`` digits,
-    with one ``lam`` and its ``K`` nodes from :func:`_mp_nodes`; the
-    block's values are converted to ``Decimal`` parts in one call.
-    """
-    import mpmath as mp
-    values = np.empty(mp_nodes.shape, dtype=object)
-    with mp.workdps(dps):
+        _refuse_coinciding(nodes)
+        values = np.empty(mp_nodes.shape, dtype=object)
         for j, lam in enumerate(lam_mp):
             values[:, j] = f.mp_evaluator(lam, mp_nodes[:, j])
-    return _DecimalArray.from_mpc(values)
+    return nodes, _DecimalArray.from_mpc(values)
 
 
 def _divided_differences(nodes, values):
@@ -1098,7 +1082,9 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
-    coefficient estimates, pole budgets exceeded).
+    coefficient estimates, pole budgets exceeded), and its subclass
+    :class:`NotExtendableError` when a curve's restriction is not
+    extendable.
     """
     kcurves = len(curves)
     if depth < 1:
@@ -1116,7 +1102,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     verdicts = []
     for idx, verdict in enumerate(_test_rows(float_values, n_max, eps, name)):
         if verdict.kind == "not-extendable":
-            raise ConvergenceError(
+            raise NotExtendableError(
                 f"curve {idx} is not extendable with at most {n_max} poles; "
                 "not a valid test-sequence scenario")
         verdicts.append(verdict)
@@ -1166,8 +1152,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         if f.mp_capable:
             # each block evaluates and checks its own nodes, then its values
             def columns_of(cols):
-                lam_mp, mp_nodes, nodes = _mp_nodes(curves, grid[cols], dps)
-                return nodes, _mp_values(f, lam_mp, mp_nodes, dps)
+                return _mp_columns(f, curves, grid[cols], dps)
         else:
             _refuse_coinciding(float_nodes)
 
@@ -1303,21 +1288,19 @@ def pinch_estimate(ladder: CoefficientLadder) -> PinchDescriptor:
 
 
 def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
-                       lam: complex, z: complex, *,
-                       tol: Optional[float] = None,
-                       margin: float = 0.9) -> ExtensionValue:
+                       lam: complex, z: complex) -> ExtensionValue:
     """Evaluate ``sum A_n(lam) z^n`` inside the pinched domain.
 
-    The point must satisfy ``|z| < margin * c * prod |lam - a_j|^{l_j}``
-    and stay more than 1e-2 off the pole lines.  The attached bound
-    dominates the tail beyond ``depth`` via the coefficient estimates; when
-    ``tol`` is given a bound above it raises :class:`ConvergenceError`.
+    The point must satisfy ``|z| < 0.9 * c * prod |lam - a_j|^{l_j}`` and
+    stay more than 1e-2 off the pole lines.  The attached bound dominates
+    the tail beyond ``depth`` via the coefficient estimates; it does not
+    cover the error of the reconstructed ``A_0 .. A_depth``.
     """
     lam = complex(lam)
     z = complex(z)
-    if not descriptor.contains(lam, z, margin=margin):
+    if not abs(z) < 0.9 * descriptor.domain_radius(lam):
         raise DomainError(
-            f"({lam}, {z}) is outside the pinched domain with margin {margin}")
+            f"({lam}, {z}) is outside the pinched domain with margin 0.9")
     for b in descriptor.pole_lines:
         if abs(lam - b) <= _POLE_LINE_EXCLUSION:
             raise DomainError(f"lambda = {lam} lies on the pole line at {b}")
@@ -1338,10 +1321,6 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
         else:
             bound = (ladder.c_prime / max(prod_b, 1e-300)
                      * q ** (depth + 1) / (1.0 - q))
-    if tol is not None and bound > tol:
-        raise ConvergenceError(
-            f"truncation bound {bound:.3e} exceeds the requested tolerance "
-            f"{tol:.1e} at depth {depth}")
     return ExtensionValue(complex(value), float(bound))
 
 

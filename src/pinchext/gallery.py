@@ -38,6 +38,7 @@ import numpy as np
 from .boundary import CircleFunction, pointwise, unit_circle_grid
 from .errors import ConvergenceError
 from .extension import RingFunction
+from .rational import RationalPart, rational_to_circle
 
 __all__ = [
     "Example1",
@@ -276,10 +277,6 @@ class Example2:
         return complex(np.polynomial.polynomial.polyval(
             complex(z), self.p_coeffs(l)))
 
-    def p_sup(self, l: int) -> float:
-        return float(np.abs(np.polynomial.polynomial.polyval(
-            self._sup_grid, self.p_coeffs(l))).max())
-
     @pointwise
     def __call__(self, lam, z, *, l_trunc: int = _SERIES_DEPTH):
         """Partial sums to ``l_trunc``; ``lam`` and ``z`` broadcast together.
@@ -320,14 +317,15 @@ class Example2:
         restriction is exactly rational with a pole of order ``k`` at 0.
         The top coefficients are heavily graded (they collapse like the
         factorial-scaled spacing products), so rational detection on this
-        data should run with a tightened tail floor (around 1e-15).  ``k``
-        past 171 raises ``ValueError``, as that series depth does.
+        data should run with a tightened tail floor (around 1e-15).  As for
+        every rational part, modes past ``lam^{-m/2}`` are cut at the grid
+        bandwidth.  ``k`` past 171 raises ``ValueError``, as that series
+        depth does.
         """
         _check_example2_depth(k)
-        centered = np.zeros(m, dtype=complex)
-        for l in range(1, k + 1):
-            centered[m // 2 - l] = self.p_eval(l - 1, self.z(k))
-        return CircleFunction.from_coefficients(centered)
+        coeffs = tuple(self.p_eval(l - 1, self.z(k)) for l in range(k, 0, -1))
+        return rational_to_circle(
+            RationalPart(poles=((0j, coeffs),) if k else ()), m)
 
 
 _EXAMPLE2 = Example2()

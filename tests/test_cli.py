@@ -747,6 +747,27 @@ depth = 3
     assert main(["ladder", "--config", cfg]) == 3
 
 
+def test_ladder_not_extendable_exit_code(tmp_path, capsys):
+    # phi_1 == 1 misses the origin, so exp(z/lam) does not extend along
+    # it: analysis negative, as for pinchext test, not non-convergence
+    cfg = write_config(tmp_path, """
+[function]
+name = remark1
+
+[curves]
+generator = horizontal
+indices = 1:8
+
+[analysis]
+grid = 64
+depth = 3
+""")
+    assert main(["ladder", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "analysis negative: curve 0 is not extendable with at most 10 "
+        "poles; not a valid test-sequence scenario\n")
+
+
 def test_pole_budget_overflow_exit_code(tmp_path):
     # curves lambda^3 / k share a zero of order 3 at 0: depth 6 needs a
     # pole budget of 6 * 3 > 16, a numerical limit -> exit code 3

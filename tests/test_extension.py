@@ -955,7 +955,6 @@ def test_ladder_diagnostics(exp_ring, exp_ladder):
     for diag in exp_ladder.diagnostics:
         assert diag.corrected_sup <= bound * (1.0 + 1e-6)
         assert diag.projection_residual < 1e-8
-        assert diag.pole_count == diag.level
         assert diag.poles == (((0j, diag.level),) if diag.level else ())
         # the stored level function is f_{n,k} = (f_{n-1,k} - A_{n-1}) /
         # phi_k, rebuilt from the curve and the entries; the ladder's own
@@ -1087,12 +1086,6 @@ def test_evaluate_outside_domain(exp_ladder):
         evaluate_extension(exp_ladder, desc, lam, z)
 
 
-def test_evaluate_truncation_tolerance(exp_ladder):
-    desc = pinch_estimate(exp_ladder)
-    with pytest.raises(ConvergenceError):
-        evaluate_extension(exp_ladder, desc, 0.5, 0.3, tol=1e-30)
-
-
 def test_evaluate_deep_ladder(exp_ring):
     # depth-12 reconstruction evaluates e^{z/lam} to high relative accuracy
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 21)]
@@ -1114,10 +1107,28 @@ def test_evaluate_agrees_inside_domain(exp_ring, exp_ladder, rng):
              * np.exp(2j * np.pi * rng.uniform()))
         if abs(z) >= 0.95:
             continue
-        out = evaluate_extension(exp_ladder, desc, lam, z, margin=0.95)
+        out = evaluate_extension(exp_ladder, desc, lam, z)
         direct = cmath.exp(complex(z) / complex(lam))
         assert abs(out.value - direct) <= out.bound
         checked += 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the bound covers only the series tail past depth, "
+                   "not the float error of A_0 .. A_depth")
+def test_evaluate_bound_covers_small_z_on_float_path():
+    # the float ladder's A_0 carries about 1.5e-12 relative error, which
+    # the tail bound at |z/lam| = 1e-3 (4.6e-13) does not cover
+    f = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
+    u = cmath.exp(0.4j)
+    curves = [DiscFunction([0j, u / k]) for k in range(1, 11)]
+    ladder = coefficient_ladder(f, curves, 3, 10, m=1024, ladder_tol=1e-5)
+    lam = 0.5 * cmath.exp(0.7j)
+    z = 1e-3 * lam * cmath.exp(0.3j)
+    out = evaluate_extension(ladder, pinch_estimate(ladder), lam, z)
+    with mp.workdps(40):
+        exact = complex(mp.exp(mp.mpc(z) / mp.mpc(lam)))
+    assert abs(out.value - exact) <= out.bound
 
 
 # ------------------------------------------------------------------ bounds

@@ -334,7 +334,9 @@ def test_example2_polynomial_invariants():
     for l in range(13):
         coeffs = ex.p_coeffs(l)
         assert len(coeffs) == l + 2  # degree l + 1
-        assert abs(ex.p_sup(l) * math.factorial(l) - 1.0) < 1e-10
+        sup = np.abs(np.polynomial.polynomial.polyval(
+            unit_circle_grid(256), coeffs)).max()
+        assert abs(sup * math.factorial(l) - 1.0) < 1e-10
         for j in range(l + 1):
             assert abs(ex.p_eval(l, ex.z(j))) < 1e-16 / math.factorial(l)
         assert abs(ex.p_eval(l, 0.0)) > 0.0
@@ -348,6 +350,34 @@ def test_example2_restriction_pole_orders():
         (pole, mult), = verdict.rational.pole_list
         assert abs(pole) < 1e-8
         assert mult == k
+
+
+def _example2_centered_modes(ex, k, m):
+    # reference construction: the coefficient of lam^{-l} written at
+    # centered mode m/2 - l; past k = m/2 a negative index would wrap the
+    # low modes into the plus half
+    centered = np.zeros(m, dtype=complex)
+    for l in range(1, k + 1):
+        centered[m // 2 - l] = ex.p_eval(l - 1, ex.z(k))
+    return CircleFunction.from_coefficients(centered)
+
+
+def test_example2_restriction_matches_centered_modes():
+    ex = Example2()
+    for m in (64, 256, 512):
+        for k in range(min(171, m // 2) + 1):
+            got = example2_restriction(k, m)
+            want = _example2_centered_modes(ex, k, m)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_example2_restriction_is_cut_at_the_grid_bandwidth():
+    # k = 40 > m/2 = 32: the modes past lam^{-32} are dropped, none of
+    # them wraps into the plus modes
+    psi = example2_restriction(40, 64)
+    assert not psi.coeffs[psi.modes >= 0].any()
+    assert psi.coeff(-32) != 0
 
 
 def test_example2_restriction_at_zero_index():
