@@ -31,12 +31,12 @@ Numerical notes
   ``K`` nodes of that column and returns one ``mpc`` per node.  Remark
   1's computes ``1/lam`` once per column, so its values differ from
   ``exp(z / lam)`` by about 1e-52 relative; a Laurent ring's and the
-  example series evaluate each node on its own.  Each part of each node and value is converted to the C
-  ``decimal`` type once, by one correctly rounded division, and the
-  divided-difference table, the monomial conversion, the convergence
-  estimates and the level recursion below run on ``decimal`` at the
-  smallest precision whose single rounding is at least as fine as
-  mpmath's at ``dps`` (:func:`_decimal_digits`).  A
+  example series evaluate each node on its own.  Each part of each node
+  and value is converted to the C ``decimal`` type once, by one correctly
+  rounded division, and the divided-difference table, the monomial
+  conversion, the convergence estimates and the level recursion below run
+  on ``decimal`` at the smallest precision whose single rounding is at
+  least as fine as mpmath's at ``dps`` (:func:`_decimal_digits`).  A
   complex product or quotient takes a few more such roundings than
   mpmath's ``mpc`` (which rounds each part once, with guard bits for
   division), so a part can lose a few ulps more under cancellation;
@@ -72,12 +72,10 @@ Numerical notes
 * Extracted coefficient functions are cleaned with a relative floor of
   1e-7 (and an absolute floor tied to the data scale) before rational
   detection; this is the working-precision floor of the ladder.  The
-  rows of the ``A_n`` and of each level are cleaned and projected as one
-  stack: one FFT and one inverse FFT of the Hardy-minus parts, with
-  row-by-row bits, and one budgeted rational split serves every ``A_n``
-  and level function.  The ladder's stages are module-level functions
-  (see :func:`coefficient_ladder`), and every Hardy-minus part is the one
-  mode truncation in ``boundary``.
+  rows of the ``A_n``, and those of each level, are cleaned and projected
+  as one stack (one FFT and one inverse FFT, with row-by-row bits), and
+  :func:`_split` takes the rational part of each row within its pole
+  budget; every Hardy-minus part is the one mode truncation in ``boundary``.
 * The level functions behind the Blaschke diagnostics run that recursion
   literally on the last three curves: ``f_{0,k} = f(., phi_k)`` and
   ``f_{n,k} = (f_{n-1,k} - A_{n-1}) / phi_k``, one subtraction and one
@@ -736,24 +734,28 @@ def _refuse_coinciding(nodes) -> None:
         raise ConvergenceError("two curves coincide at a grid point")
 
 
-def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
-                grid: np.ndarray, dps: int) -> Tuple:
-    """Nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
-    mp-capable ``f`` on a block of grid columns, at ``dps`` digits.
+def _float_columns(nodes: np.ndarray, values: np.ndarray, cols) -> Tuple:
+    """Views of the float samples' nodes and values on the columns ``cols``."""
+    return nodes[:, cols], values[:, cols]
 
-    ``grid`` holds the grid points of the block.  mpmath evaluates the
-    nodes by one Horner pass per curve over them, and
-    :func:`_refuse_coinciding` checks them before any value of the block
-    is computed; then ``f.mp_evaluator`` is called once per grid column,
-    with one ``lam`` and its ``K`` nodes.  Returns ``(nodes, values)`` as
-    ``(K, c)`` :class:`_DecimalArray` (call inside the ``decimal``
-    context), each converted from ``mpc`` in one call.  A node depends
-    only on its grid point, so the nodes of a block are the same columns
-    of the whole grid's, bit for bit.
+
+def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
+                grid: np.ndarray, dps: int, cols: slice) -> Tuple:
+    """Nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
+    mp-capable ``f`` on the grid columns ``cols``, at ``dps`` digits.
+
+    mpmath evaluates the nodes by one Horner pass per curve over the
+    points ``grid[cols]``, and :func:`_refuse_coinciding` checks them
+    before any value of the block is computed; then ``f.mp_evaluator`` is
+    called once per grid column, with one ``lam`` and its ``K`` nodes.
+    Returns ``(nodes, values)`` as ``(K, c)`` :class:`_DecimalArray` (call
+    inside the ``decimal`` context), each converted from ``mpc`` in one
+    call.  A node depends only on its grid point, so the nodes of a block
+    are the same columns of the whole grid's, bit for bit.
     """
     import mpmath as mp
     with mp.workdps(dps):
-        lam_mp = np.array([mp.mpc(x) for x in grid], dtype=object)
+        lam_mp = np.array([mp.mpc(x) for x in grid[cols]], dtype=object)
         mp_nodes = np.array([phi.eval_mp(lam_mp) for phi in curves],
                             dtype=object)
         nodes = _DecimalArray.from_mpc(mp_nodes)
@@ -976,20 +978,15 @@ def _clean_and_project(rows: np.ndarray, abs_floor: float
 
 def _match_allowance(pole: complex, mult: int, level: int,
                      zeros, pole_lines) -> bool:
-    allowed = 0
-    for a, l in zeros:
-        if abs(pole - a) <= _MATCH_RADIUS:
-            allowed += level * l
-    for b, bm in pole_lines:
-        if abs(pole - b) <= _MATCH_RADIUS:
-            allowed += bm
+    allowed = sum(level * l for a, l in zeros
+                  if abs(pole - a) <= _MATCH_RADIUS)
+    allowed += sum(bm for b, bm in pole_lines
+                   if abs(pole - b) <= _MATCH_RADIUS)
     return 0 < allowed and mult <= allowed
 
 
 def _stabilized_zero_sets(curves: Sequence[DiscFunction], radius: float):
-    zero_sets = []
-    for phi in curves[-3:]:
-        zero_sets.append(phi.roots_in_disc(radius))
+    zero_sets = [phi.roots_in_disc(radius) for phi in curves[-3:]]
     counts = [sum(l for _, l in zs) for zs in zero_sets]
     if len(set(counts)) != 1:
         raise ConvergenceError(
@@ -1049,6 +1046,38 @@ def _circle_max(centers, grid: np.ndarray) -> float:
     return float(prod.max())
 
 
+_COEFF_SPLIT_TEXTS = (
+    "coefficient A_{n} is not rational with at most {budget} poles "
+    "(rank {rank}, gap {gap:.2e})",
+    "A_{n} carries {degree} poles, exceeding the budget n*N + M = {allowed}")
+_LEVEL_SPLIT_TEXTS = (
+    "level function f_{n},{k} is not rational within the pole budget "
+    "{budget}",
+    "pole count {degree} at level {n} exceeds the budget n*N + M = {allowed}")
+
+
+def _split(psi: CircleFunction, texts: Tuple[str, str], n: int, allowed: int,
+           eps: float, noise_floor: float,
+           k: Optional[int] = None) -> RationalPart:
+    """Rational part, with at most ``allowed`` poles, of the Hardy-minus
+    part ``psi`` of ``A_n`` or of ``f_{n,k}``: zero when ``psi.sup_norm <=
+    noise_floor``, else what :func:`detect_rational` finds with the budget
+    ``max(1, allowed)``.  Its two refusals (not rational, too many poles)
+    format the pair ``texts`` with ``n k budget allowed rank gap degree``.
+    """
+    if psi.sup_norm <= noise_floor:
+        return RationalPart(poles=())
+    fields = dict(n=n, k=k, budget=max(1, allowed), allowed=allowed)
+    verdict = detect_rational(psi, fields["budget"], delta_pole=eps / 2.0)
+    if not verdict.is_rational:
+        raise ConvergenceError(texts[0].format(
+            rank=verdict.rank, gap=verdict.gap, **fields))
+    if verdict.rational.degree > allowed:
+        raise ConvergenceError(texts[1].format(
+            degree=verdict.rational.degree, **fields))
+    return verdict.rational
+
+
 def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
                        depth: int, n_max: int, *, m: int = 256,
                        ladder_tol: float = 1e-7) -> CoefficientLadder:
@@ -1064,27 +1093,23 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     :func:`minus_part` of it.  Mp-capable functions are worked at
     ``max(40, 16 + 3K)`` digits for ``K`` curves.
 
-    Each curve is sampled once on the ``m``-point grid, and the ``K``
-    extension tests run as one stack on those samples; the float path
-    interpolates through them as well.  Curves are checked in order, each
-    for its grid resolution (:class:`BandwidthError`), extendability and
-    vanishing on the unit circle.  A :class:`DomainError` the evaluator
-    raises while sampling curve ``k``, or a :class:`BandwidthError` of
-    curve ``k``, starts with ``curve k: `` (zero-based), as in
-    ``pinchext test``.
+    Each curve is sampled once on the ``m``-point grid and checked, in
+    order, for its grid resolution (:class:`BandwidthError`),
+    extendability and vanishing on the unit circle.  A :class:`DomainError`
+    the evaluator raises while sampling curve ``k``, or a
+    :class:`BandwidthError` of curve ``k``, starts with ``curve k: ``
+    (zero-based), as in ``pinchext test``.
 
-    Its stages are module-level functions, from :func:`_sample_curves` to
-    :func:`_check_convergence` and :func:`_circle_max`; one budgeted split
-    through :func:`detect_rational` serves every ``A_n`` and level function.
-    The column-wise stages run in :func:`_ladder_block`, on the
-    extended-precision path in blocks of grid columns forked by
-    :func:`_run_blocks`; the report does not depend on the block count.
+    The stages are module-level functions.  :func:`_ladder_block` does the
+    column-wise work, in blocks of grid columns that :func:`_run_blocks`
+    forks on the extended-precision path (the report does not depend on
+    the block count); :func:`_split` takes the rational part of every
+    ``A_n``, then of every level function.
 
     Raises :class:`ConvergenceError` when the data does not behave like a
     test-sequence scenario (unstable zeros or pole counts, non-converging
-    coefficient estimates, pole budgets exceeded), and its subclass
-    :class:`NotExtendableError` when a curve's restriction is not
-    extendable.
+    estimates, pole budgets exceeded), and its subclass
+    :class:`NotExtendableError` for a restriction that is not extendable.
     """
     kcurves = len(curves)
     if depth < 1:
@@ -1123,26 +1148,8 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             f"pole budget depth*N + M = {depth * n_total + m_total} exceeds "
             f"the supported bound {MAX_POLE_BOUND}")
     n_keep = depth + 1
-    # level n may carry n*N + M poles, within the cap; detection gets >= 1
+    # level n may carry n*N + M poles, within the cap
     allowed = [n * n_total + m_total for n in range(n_keep)]
-    budgets = [max(1, a) for a in allowed]
-
-    def split(psi: CircleFunction, n: int, not_rational: str, too_many: str,
-              k: Optional[int] = None) -> RationalPart:
-        """Rational part of ``psi`` within level ``n``'s budget, zero below
-        ``noise_floor``; texts take ``n k budget allowed rank gap degree``."""
-        fields = dict(n=n, k=k, budget=budgets[n], allowed=allowed[n])
-        if psi.sup_norm <= noise_floor:
-            rp = RationalPart(poles=())
-        else:
-            verdict = detect_rational(psi, budgets[n], delta_pole=eps / 2.0)
-            if not verdict.is_rational:
-                raise ConvergenceError(not_rational.format(
-                    rank=verdict.rank, gap=verdict.gap, **fields))
-            rp = verdict.rational
-        if rp.degree > allowed[n]:
-            raise ConvergenceError(too_many.format(degree=rp.degree, **fields))
-        return rp
 
     dps = max(40, 16 + 3 * kcurves)
     stride = max(1, m // 64)
@@ -1151,13 +1158,11 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         # float samples its extension tests read
         if f.mp_capable:
             # each block evaluates and checks its own nodes, then its values
-            def columns_of(cols):
-                return _mp_columns(f, curves, grid[cols], dps)
+            columns_of = functools.partial(_mp_columns, f, curves, grid, dps)
         else:
             _refuse_coinciding(float_nodes)
-
-            def columns_of(cols):
-                return float_nodes[:, cols], float_values[:, cols]
+            columns_of = functools.partial(_float_columns, float_nodes,
+                                           float_values)
         # extraction, the estimates from the first K-2, K-1 curves and the
         # level rows, by blocks of grid columns (forked on the mp path)
         blocks = _run_blocks(
@@ -1174,49 +1179,35 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
     # below this sup norm a Hardy-minus part is taken as zero
     noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
-    n_cmp = min(n_keep, kcurves - 2)
-    _check_convergence(est_prev, est_last, coeff_samples[:n_cmp, ::stride],
-                       value_scale, ladder_tol)
+    est_all = coeff_samples[:len(est_prev), ::stride]
+    _check_convergence(est_prev, est_last, est_all, value_scale, ladder_tol)
 
     # cleaned coefficients, split into rational part + tail
     a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)
     entries: List[LadderEntry] = []
     for n in range(n_keep):
-        rp = split(a_minus[n], n,
-                   "coefficient A_{n} is not rational with at most "
-                   "{budget} poles (rank {rank}, gap {gap:.2e})",
-                   "A_{n} carries {degree} poles, exceeding the budget "
-                   "n*N + M = {allowed}")
+        rp = _split(a_minus[n], _COEFF_SPLIT_TEXTS, n, allowed[n], eps,
+                    noise_floor)
         for pole, mult in rp.pole_list:
             if not _match_allowance(pole, mult, n, zeros, raw_pole_lines):
                 raise ConvergenceError(
                     f"A_{n} has an unexpected pole at {pole} (mult {mult}); "
                     "poles must accumulate at curve zeros or extension poles")
-        tail_coeffs = a_coeffs[n, m // 2:]
-        nz = np.nonzero(tail_coeffs)[0]
-        tail = (tuple(complex(c) for c in tail_coeffs[:nz[-1] + 1])
-                if nz.size else ())
-        entries.append(LadderEntry(n=n, rational=rp, tail=tail))
+        tail = np.trim_zeros(a_coeffs[n, m // 2:], "b").tolist()
+        entries.append(LadderEntry(n=n, rational=rp, tail=tuple(tail)))
 
     # level functions f_{n,k} of the last three curves and their poles
-    diagnostics: List[LevelDiagnostic] = []
-    for n in range(n_keep):
-        level_coeffs, level_minus = _clean_and_project(levels[n], abs_floor)
-        for k, (row, psi) in enumerate(zip(level_coeffs, level_minus),
-                                       kcurves - 3):
-            rp = split(psi, n,
-                       "level function f_{n},{k} is not rational within "
-                       "the pole budget {budget}",
-                       "pole count {degree} at level {n} exceeds the "
-                       "budget n*N + M = {allowed}", k=k)
-            diagnostics.append(LevelDiagnostic(
-                level=n, curve_index=k, level_coeffs=row,
-                poles=rp.pole_list))
+    diagnostics = []
+    for n, rows in enumerate(levels):
+        cleaned = zip(*_clean_and_project(rows, abs_floor))
+        for k, (row, psi) in enumerate(cleaned, kcurves - 3):
+            rp = _split(psi, _LEVEL_SPLIT_TEXTS, n, allowed[n], eps,
+                        noise_floor, k)
+            diagnostics.append(LevelDiagnostic(n, k, row, rp.pole_list))
 
-    c_bound = 0.0
-    for n in range(n_keep):
-        sup_n = float(np.abs(coeff_samples[n]).max())
-        c_bound = max(c_bound, sup_n * (1.0 + eps) ** n)
+    # Python's pow: numpy's array power can differ in the last bit
+    c_bound = float(np.max(np.abs(coeff_samples).max(axis=1)
+                           * [(1.0 + eps) ** n for n in range(n_keep)]))
     c1 = _circle_max(zeros, grid)
     c2 = _circle_max(pole_lines, grid)
     c_prime = c_bound * c2 * max(1.0, c1) ** depth

@@ -194,14 +194,22 @@ def _single_linkage(points: np.ndarray, radius: float) -> List[np.ndarray]:
 
 
 def _principal_design(poles: Sequence[Tuple[complex, int]], rows: int) -> np.ndarray:
-    """Matrix mapping principal coefficients to Laurent coefficients."""
+    """Matrix mapping principal coefficients to Laurent coefficients:
+    column ``p`` of a pole ``a`` holds ``comb(n - 1, p - 1) * a ** (n - p)``
+    in row ``n - 1`` (``n >= p``).  Per pole, the powers (numpy scalars: an
+    array power of a real ``a`` can differ in the last bit) and a Pascal
+    table of exact ints, rounded once to doubles, are made once."""
     cols = []
     for a, mult in poles:
-        for k in range(mult):
-            p = mult - k
+        powers = np.array([a ** n for n in np.arange(rows)])
+        # pascal[p - 1][t] = comb(p - 1 + t, p - 1) for t < rows - p + 1
+        pascal = [np.ones(rows, dtype=object)]
+        for p in range(2, mult + 1):
+            pascal.append(np.cumsum(pascal[-1][:max(0, rows - p + 1)]))
+        for p in range(mult, 0, -1):
             col = np.zeros(rows, dtype=complex)
-            ns = np.arange(p, rows + 1)
-            col[ns - 1] = [math.comb(n - 1, p - 1) * a ** (n - p) for n in ns]
+            binoms = pascal[p - 1].astype(float)
+            col[p - 1:] = binoms * powers[:binoms.size]
             cols.append(col)
     return np.column_stack(cols)
 

@@ -589,6 +589,20 @@ def test_collision_in_a_later_block_is_found_there(monkeypatch):
         _no_child_left()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the grid holds -1 only as -1 + 1.2e-16i, so curves "
+                   "that cross there keep distinct nodes (ROADMAP item 4)")
+def test_curves_crossing_at_minus_one_are_refused():
+    # lam/2 and -lam^2/2 meet at lam = -1, grid column 64 of 128, where
+    # their nodes stay 6e-17 apart: the ladder ends with "coefficient
+    # estimates are not converging" instead of this refusal
+    curves = [DiscFunction([0, 0.5]), DiscFunction([0, 0, -0.5])]
+    curves += [DiscFunction([0, 1.0 / k]) for k in range(3, 9)]
+    with pytest.raises(ConvergenceError,
+                       match="^two curves coincide at a grid point$"):
+        coefficient_ladder(remark1_ring(0.3), curves, 3, 10, m=128)
+
+
 def _failing_ring(fail_at, exc=DomainError, m=128):
     """Remark 1 whose mp evaluator raises ``exc`` on the columns ``fail_at``."""
     inner = remark1_ring(0.3).mp_evaluator
@@ -892,6 +906,29 @@ def test_ladder_split_call_order(monkeypatch, exp_ring):
     coefficient_ladder(exp_ring, _lam_over(range(1, 13), 0), 6, 10, m=64)
     assert calls == [1, 2, 3, 4, 5, 6] + [n for n in range(1, 7)
                                           for _ in range(3)]
+
+
+def test_ladder_c_bound_and_tails_match_the_former_loops(monkeypatch):
+    # A_4 = 10 lam^-4 sets C = 10 * 1.2**4, whose power numpy's array
+    # power and Python's pow round differently on some builds
+    calls, clean = [], extension._clean_and_project
+    monkeypatch.setattr(extension, "_clean_and_project", lambda rows, floor:
+                        calls.append((rows, clean(rows, floor)))
+                        or calls[-1][1])
+    ring = RingFunction.from_laurent([(0, 0, 1.0), (4, -4, 10.0)], 0.2)
+    ladder = coefficient_ladder(ring, _lam_over(range(1, 9), 0), 5, 10, m=64)
+    samples, (coeffs, _) = calls[0]
+    c_bound = 0.0
+    for n in range(6):
+        c_bound = max(c_bound, float(np.abs(samples[n]).max())
+                      * (1.0 + ring.epsilon) ** n)
+    assert ladder.c_bound == c_bound
+    assert [len(e.tail) for e in ladder.entries] == [1, 0, 0, 0, 0, 0]
+    for n, entry in enumerate(ladder.entries):
+        tail_coeffs = coeffs[n, 32:]
+        nz = np.nonzero(tail_coeffs)[0]
+        tail = tail_coeffs[:nz[-1] + 1] if nz.size else ()
+        assert entry.tail == tuple(complex(c) for c in tail)
 
 
 @pytest.mark.parametrize("m, message", [

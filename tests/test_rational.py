@@ -8,6 +8,7 @@ from pinchext import (CircleFunction, PoleLocationError, RationalPart,
                       blaschke_from_zeros, detect_rational,
                       hardy_project_minus, rational_to_circle,
                       unit_circle_grid)
+from pinchext.rational import _principal_design
 
 from conftest import random_rational_part
 
@@ -226,6 +227,42 @@ def test_laurent_tail_matches_reference(rng):
         assert got.shape == (length,)
         npt.assert_allclose(got, want, rtol=0,
                             atol=1e-13 * np.abs(want).max())
+
+
+def reference_principal_design(poles, rows):
+    """The former design matrix: each entry an exact ``math.comb`` times a
+    numpy scalar power, one list comprehension per column."""
+    cols = []
+    for a, mult in poles:
+        for k in range(mult):
+            p = mult - k
+            col = np.zeros(rows, dtype=complex)
+            ns = np.arange(p, rows + 1)
+            col[ns - 1] = [math.comb(n - 1, p - 1) * a ** (n - p) for n in ns]
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+def test_principal_design_matches_reference_bits(rng):
+    # binomials past 2**53 (comb(511, 20) is about 2**123, comb(255, 127)
+    # about 2**251), multiplicities above the row count (zero columns),
+    # poles at the origin and real-valued pole locations
+    cases = [([(0j, 171)], 256), ([(0.3, 30), (0.9j, 3)], 8),
+             ([(0j, 5), (-0.5 + 0j, 2)], 3), ([(0.2 - 0.7j, 21)], 512)]
+    for _ in range(60):
+        rows = int(rng.choice([1, 2, 16, 100, 256, 512]))
+        poles = []
+        for _ in range(rng.integers(1, 4)):
+            a = rng.uniform(0.0, 0.99) * np.exp(2j * np.pi * rng.uniform())
+            a = 0j if rng.uniform() < 0.2 else a
+            a = a.real if rng.uniform() < 0.2 else complex(a)
+            poles.append((a, int(rng.integers(1, 21))))
+        cases.append((poles, rows))
+    for poles, rows in cases:
+        got = _principal_design(poles, rows)
+        want = reference_principal_design(poles, rows)
+        assert got.shape == want.shape == (rows, sum(m for _, m in poles))
+        assert got.tobytes() == want.tobytes(), (poles, rows)
 
 
 # ------------------------------------------------------------------- JSON
