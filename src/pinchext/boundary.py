@@ -192,13 +192,6 @@ class CircleFunction:
     def modes(self) -> np.ndarray:
         return np.arange(-self.size // 2, self.size // 2)
 
-    def coeff(self, n: int) -> complex:
-        """Laurent coefficient ``c_n`` (zero outside the resolved band)."""
-        m = self.size
-        if n < -m // 2 or n >= m // 2:
-            return 0j
-        return complex(self._coeffs[n + m // 2])
-
     @property
     def sup_norm(self) -> float:
         return float(np.abs(self._samples).max())
@@ -206,21 +199,6 @@ class CircleFunction:
     @property
     def min_modulus(self) -> float:
         return float(np.abs(self._samples).min())
-
-    # -- evaluation ----------------------------------------------------
-
-    @pointwise
-    def __call__(self, points) -> np.ndarray | complex:
-        """Evaluate the Laurent interpolant ``sum c_n lambda^n``."""
-        m = self.size
-        cplus = self._coeffs[m // 2:]
-        cminus = self._coeffs[:m // 2][::-1]  # c_{-1}, c_{-2}, ...
-        plus = np.polynomial.polynomial.polyval(points, cplus)
-        inv = np.zeros_like(points)
-        nz = points != 0
-        inv[nz] = 1.0 / points[nz]
-        minus = np.polynomial.polynomial.polyval(inv, np.concatenate(([0], cminus)))
-        return plus + minus
 
     def resample(self, m: int) -> "CircleFunction":
         """Band-limited resampling of the interpolant on a finer grid."""

@@ -230,22 +230,13 @@ def parse_config(path) -> AnalysisConfig:
         n_bound=n_bound, probes=probes, ray_angle=ray_angle)
 
 
-def _laurent_term(idx: int, term) -> Tuple[int, int, complex]:
-    """``(n, l, c)`` of a coefficient-file term: the degrees must be
-    integral and ``c`` exactly ``[re, im]``."""
-    degrees = []
-    for key in ("n", "l"):
-        d = term[key]
-        if isinstance(d, float) and d.is_integer():
-            d = int(d)
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError(f"term {idx}: degree {key} = {term[key]!r} "
-                             "is not an integer")
-        degrees.append(d)
+def _laurent_term(idx: int, term) -> Tuple[object, object, complex]:
+    """``(n, l, c)`` of a coefficient-file term, with ``c`` exactly
+    ``[re, im]``; :meth:`RingFunction.from_laurent` checks the degrees."""
     c = term["c"]
     if not isinstance(c, list) or len(c) != 2:
         raise ValueError(f"term {idx}: c = {c!r} is not a pair [re, im]")
-    return degrees[0], degrees[1], complex(c[0], c[1])
+    return term["n"], term["l"], complex(c[0], c[1])
 
 
 def _build_ring(cfg: AnalysisConfig) -> RingFunction:

@@ -91,6 +91,7 @@ import cmath
 import decimal
 import functools
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -143,6 +144,16 @@ _TINY = float(np.finfo(float).tiny)
 # domain types
 # ----------------------------------------------------------------------
 
+def _degree(idx: int, key: str, d) -> int:
+    """Degree ``key`` of term ``idx`` as an ``int``; a bool or a value that
+    is not integral raises ``ValueError``."""
+    if isinstance(d, float) and d.is_integer():
+        return int(d)
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"term {idx}: degree {key} = {d!r} is not an integer")
+    return int(d)
+
+
 def _laurent_sum(terms, lam, z, total):
     """``total + sum a * lam**l * z**n`` over the terms ``(n, l, a)``,
     added in order; on complex arrays or on mpmath numbers."""
@@ -178,11 +189,13 @@ class RingFunction:
                      epsilon: float) -> "RingFunction":
         """Build from exact terms ``a_nl * lambda**l * z**n`` (``n >= 0``).
 
-        A negative z-degree or a coefficient that is not finite raises
-        ``ValueError``; a double overflow of the float evaluator raises
-        ``FloatingPointError``.
+        A degree that is not integral (``1.5``, ``True``; ``2.0`` is
+        accepted), a negative z-degree or a coefficient that is not finite
+        raises ``ValueError``; a double overflow of the float evaluator
+        raises ``FloatingPointError``.
         """
-        terms = tuple((int(n), int(l), complex(c)) for n, l, c in terms)
+        terms = tuple((_degree(idx, "n", n), _degree(idx, "l", l), complex(c))
+                      for idx, (n, l, c) in enumerate(terms))
         for idx, (n, _, c) in enumerate(terms):
             if n < 0:
                 raise ValueError("z-degrees must be nonnegative")
@@ -204,10 +217,6 @@ class RingFunction:
             _laurent_sum(mp_terms, lam, z, mp.mpc(0)) for z in zs])
         ring.laurent = terms
         return ring
-
-    @property
-    def mp_capable(self) -> bool:
-        return self.mp_evaluator is not None
 
 
 class DiscFunction:
@@ -1156,7 +1165,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
-        if f.mp_capable:
+        if f.mp_evaluator is not None:
             # each block evaluates and checks its own nodes, then its values
             columns_of = functools.partial(_mp_columns, f, curves, grid, dps)
         else:
@@ -1168,7 +1177,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         blocks = _run_blocks(
             functools.partial(_ladder_block, columns_of, n_keep=n_keep,
                               stride=stride),
-            _block_bounds(m, f.mp_capable))
+            _block_bounds(m, f.mp_evaluator is not None))
     scales, *parts = zip(*blocks)
     # one block (the float path) is used as it is, without a copy
     coeff_samples, est_prev, est_last, levels = (

@@ -45,7 +45,6 @@ __all__ = [
     "Example2",
     "GrowthSample",
     "example1_eval",
-    "example1_term_bound",
     "example1_growth_probe",
     "example2_eval",
     "example2_restriction",
@@ -63,24 +62,16 @@ _EXAMPLE2_MAX_DEPTH = 171  # P_l needs l! as a float, which fits to l = 170
 
 
 def _term_log_bound(n: int, log_inv_eps):
-    """``log`` of :func:`example1_term_bound` from ``log(1 / eps_d)``."""
+    """``log`` of the bound ``3^{-4n^3-n} (1/eps_d)^{1.5 (n^2+n)}`` on
+    term ``n`` of example 1, from ``log(1 / eps_d)``."""
     return -(4 * n ** 3 + n) * _LOG3 + 1.5 * (n * n + n) * log_inv_eps
 
 
 def _term_bound(n: int, log_inv_eps) -> np.ndarray:
-    """:func:`example1_term_bound` from ``log(1 / eps_d)``, as an array."""
+    """The bound of :func:`_term_log_bound` as an array, ``inf`` past
+    ``e^700``."""
     log_bound = _term_log_bound(n, log_inv_eps)
     return np.where(log_bound > 700.0, np.inf, np.exp(np.minimum(log_bound, 700.0)))
-
-
-def example1_term_bound(n: int, eps_d):
-    """Bound ``3^{-4n^3-n} (1/eps_d)^{1.5 (n^2+n)}`` on term ``n``.
-
-    ``eps_d`` may be an array; a scalar gives a ``float``.  Bounds past
-    ``e^700`` are reported as ``inf``.
-    """
-    out = _term_bound(n, np.log(1.0 / np.asarray(eps_d, dtype=float)))
-    return float(out) if out.ndim == 0 else out
 
 
 class Example1:
@@ -143,7 +134,7 @@ class Example1:
     def eval_mp(self, lam, z):
         """The series in mpmath arithmetic, truncated by its term bound.
 
-        Term ``n`` is summed unless its bound (``example1_term_bound`` at
+        Term ``n`` is summed unless its bound (:func:`_term_log_bound` at
         ``__call__``'s ``eps_d``) is below ``2**-(prec + 64)`` times the
         partial sum, at most ``n_trunc`` terms.  The comparison is made
         between logarithms, so no bound underflows, and a zero partial sum
@@ -287,12 +278,8 @@ class Example2:
         _check_example2_depth(l_trunc)
         if (lam == 0).any():
             raise ValueError("example 2 is undefined at lambda = 0")
-        total = np.zeros_like(lam)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for l in range(1, l_trunc + 1):
-                total += (np.polynomial.polynomial.polyval(z, self.p_coeffs(l - 1))
-                          * lam ** (-l))
-        return total
+            return self._series(lam, z, l_trunc, np.zeros_like(lam))
 
     def eval_mp(self, lam, z):
         """Partial sum to depth 40 in mpmath arithmetic."""
@@ -301,12 +288,16 @@ class Example2:
         z = mp.mpc(z)
         if lam == 0:
             raise ValueError("example 2 is undefined at lambda = 0")
-        total = mp.mpc(0)
-        for l in range(1, _SERIES_DEPTH + 1):
-            coeffs = self.p_coeffs(l - 1)
-            p = mp.mpc(0)
-            for ck in reversed(coeffs):
-                p = p * z + mp.mpc(ck)
+        return self._series(lam, z, _SERIES_DEPTH, mp.mpc(0))
+
+    def _series(self, lam, z, depth: int, total):
+        """``total`` plus the terms ``1 .. depth``, each ``P_{l-1}(z)`` by
+        Horner in numpy ``polyval``'s order: on complex arrays or on
+        mpmath numbers."""
+        for l in range(1, depth + 1):
+            p = 0 * z
+            for c in reversed(self.p_coeffs(l - 1)):
+                p = p * z + c
             total += p * lam ** (-l)
         return total
 

@@ -330,22 +330,23 @@ def detect_rational(psi: CircleFunction, n_max: int, *,
     idx = np.add.outer(np.arange(s_dim), np.arange(s_dim))
     hankel0, hankel1 = h[idx], h[idx + 1]
     u, sigma, vh = np.linalg.svd(hankel0)
+    if sigma[0] == 0.0:
+        # the mass lies past the leading block: no rank to read
+        return RationalityVerdict(kind="not-rational", n_max=n_max, rank=0,
+                                  gap=math.inf)
     rel = sigma / sigma[0]
-    rank = int(np.sum(rel > _RANK_TOL))
-    if 0 < rank < s_dim:
+    rank = int(np.sum(rel > _RANK_TOL))  # at least 1: rel[0] is 1
+    if rank < s_dim:
         svd_gap = float(sigma[rank - 1] / sigma[rank]) \
             if sigma[rank] > 0.0 else math.inf
     else:
-        svd_gap = math.inf if rank == 0 else 1.0
+        svd_gap = 1.0
     svd_clean = (rank < s_dim and rel[rank] <= _NOISE_REL
                  and svd_gap >= _GAP_MIN)
 
     if not svd_clean or rank > n_max:
         return RationalityVerdict(kind="not-rational", n_max=n_max,
                                   rank=rank, gap=svd_gap)
-    if rank == 0:
-        return RationalityVerdict(kind="rational", n_max=n_max, rank=0,
-                                  gap=svd_gap, rational=EMPTY_RATIONAL)
 
     # Matrix pencil on the rank-truncated subspace.
     u1 = u[:, :rank]

@@ -408,16 +408,19 @@ def test_malformed_laurent_term_is_config_error(tmp_path, capsys, term):
     cfg = write_config(tmp_path, HORIZONTAL.replace(
         "name = remark1", f"name = laurent\ncoeffs = {coeffs.name}"))
     assert main(["test", "--config", cfg]) == 1
+    # RingFunction.from_laurent refuses a degree that is not an integer
     assert capsys.readouterr().err.startswith(
-        "error: malformed coefficient file: ")
+        "error: term 0: degree n = None " if term["n"] is None
+        else "error: malformed coefficient file: ")
 
 
 LOOSE_TERM = {"n": 1.5, "l": 1, "c": [1, 0, 7]}
 
 
 @pytest.mark.parametrize("term, message", [
-    # int() would truncate 1.5, and the third entry of c would be ignored
-    (LOOSE_TERM, "term 0: degree n = 1.5 is not an integer"),
+    # int() would truncate 1.5 (RingFunction.from_laurent refuses it), and
+    # the third entry of c would be ignored (the coefficient file's check)
+    (dict(LOOSE_TERM, c=[1, 0]), "term 0: degree n = 1.5 is not an integer"),
     (dict(LOOSE_TERM, n=1), "term 0: c = [1, 0, 7] is not a pair [re, im]")])
 def test_loose_laurent_term_is_config_error(tmp_path, capsys, term, message):
     coeffs = tmp_path / "poly.json"
@@ -425,13 +428,16 @@ def test_loose_laurent_term_is_config_error(tmp_path, capsys, term, message):
     cfg = write_config(tmp_path, HORIZONTAL.replace(
         "name = remark1", f"name = laurent\ncoeffs = {coeffs.name}"))
     assert main(["test", "--config", cfg]) == 1
-    assert capsys.readouterr().err == (
-        f"error: malformed coefficient file: {message}\n")
+    source = "" if "degree" in message else "malformed coefficient file: "
+    assert capsys.readouterr().err == f"error: {source}{message}\n"
 
 
 def test_integral_float_laurent_degree_is_accepted():
     term = {"n": 1.0, "l": -1.0, "c": [0.5, 2]}
-    assert cli._laurent_term(0, term) == (1, -1, 0.5 + 2j)
+    assert cli._laurent_term(0, term) == (1.0, -1.0, 0.5 + 2j)
+    ring = RingFunction.from_laurent([cli._laurent_term(0, term)], 0.3)
+    assert ring.laurent == ((1, -1, 0.5 + 2j),)
+    assert all(type(d) is int for d in ring.laurent[0][:2])
 
 
 def test_empty_probes_is_config_error(tmp_path, capsys):

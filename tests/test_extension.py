@@ -49,7 +49,22 @@ def test_ring_function_from_laurent_evaluates():
     f = RingFunction.from_laurent([(1, -2, 1.0)], 0.3)
     assert abs(f.evaluator(np.array([2j]), np.array([0.5]))[0]
                - 0.5 / (2j) ** 2) < 1e-14
-    assert f.mp_capable
+    assert f.mp_evaluator is not None
+
+
+def test_from_laurent_refuses_degrees_that_are_not_integers():
+    # int() would read 1.5 as 1 and True as 1
+    for term, message in (((1.5, -0.7, 1.0), "degree n = 1.5"),
+                          ((True, 0, 1.0), "degree n = True"),
+                          ((None, 0, 1.0), "degree n = None"),
+                          ((1, 0.5, 1.0), "degree l = 0.5"),
+                          ((1, math.inf, 1.0), "degree l = inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"term 1: {message} is not an integer")):
+            RingFunction.from_laurent([(0, 0, 1.0), term], 0.3)
+    f = RingFunction.from_laurent([(2.0, np.int64(-1), 1.0)], 0.3)
+    assert f.laurent == ((2, -1, 1 + 0j),)
+    assert all(type(d) is int for d in f.laurent[0][:2])
 
 
 def test_laurent_mp_path_matches_float_kernel(rng):
@@ -68,7 +83,7 @@ def test_laurent_mp_path_matches_float_kernel(rng):
     assert f.laurent == tuple((n, l, complex(c)) for n, l, c in terms)
     # a ring built from its evaluator alone has no Laurent form
     g = RingFunction(f.evaluator, 0.3)
-    assert g.laurent is None and not g.mp_capable
+    assert g.laurent is None and g.mp_evaluator is None
 
 
 def test_ring_function_epsilon_range():
@@ -212,8 +227,8 @@ def test_restrict_product_curve():
     f = RingFunction.from_laurent([(1, 1, 1.0)], 0.3)  # lam * z
     grid = unit_circle_grid(64)
     g = CircleFunction(f.evaluator(grid, DiscFunction([0, 0, 1.0])(grid)))
-    assert abs(g.coeff(3) - 1.0) < 1e-13
-    assert sum(abs(g.coeff(n)) for n in range(-32, 32) if n != 3) < 1e-12
+    assert abs(g.coeffs[3 + 32] - 1.0) < 1e-13
+    assert sum(abs(g.coeffs[n + 32]) for n in range(-32, 32) if n != 3) < 1e-12
 
 
 def test_restrict_constant_result():
@@ -487,7 +502,7 @@ def test_wrapped_mp_evaluator_called_once_per_column():
 def test_zero_laurent_ring_ladder_on_mp_path():
     # the zero function through the extended-precision path: every A_n is 0
     ring = RingFunction.from_laurent([], 0.3)
-    assert ring.mp_capable
+    assert ring.mp_evaluator is not None
     curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 9)]
     ladder = coefficient_ladder(ring, curves, 3, 10, m=64)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
@@ -931,6 +946,15 @@ def test_ladder_c_bound_and_tails_match_the_former_loops(monkeypatch):
         assert entry.tail == tuple(complex(c) for c in tail)
 
 
+@pytest.mark.parametrize("depth, kcurves, message", [
+    (0, 8, "depth must be at least 1"),
+    (3, 4, "need at least depth + 2 = 5 curves, got 4")])
+def test_ladder_checks_depth_and_curve_count(depth, kcurves, message):
+    curves = [DiscFunction([0, 1.0 / k]) for k in range(1, kcurves + 1)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coefficient_ladder(remark1_ring(0.3), curves, depth, 10, m=64)
+
+
 @pytest.mark.parametrize("m, message", [
     (8, "need at least 16 samples, got 8"),
     (100, "sample count must be a power of two, got 100")])
@@ -1101,6 +1125,23 @@ def test_pinch_synthetic_with_pole_line():
     assert desc.c > 0
 
 
+def _polynomial_ladder(coeffs, zeros=()):
+    # A_n = coeffs[n], constants without poles
+    return CoefficientLadder(
+        entries=tuple(LadderEntry(n=n, rational=RationalPart(poles=()),
+                                  tail=(c,)) for n, c in enumerate(coeffs)),
+        zeros=zeros, pole_lines=(), epsilon=0.3, c_bound=2.0, c1_bound=1.0,
+        c2_bound=1.0, c_prime=50.0)
+
+
+def test_pinch_refuses_terms_that_do_not_contract():
+    # |A_1 / A_0| = 1e30 needs c below 2^-60
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "no positive constant gives geometric contraction of the "
+            "ladder terms on the test grid")):
+        pinch_estimate(_polynomial_ladder((1.0, 1e30, 1e60)))
+
+
 def test_pinch_requires_depth():
     ladder = _synthetic_ladder(depth=1)
     with pytest.raises(ValueError):
@@ -1121,6 +1162,28 @@ def test_evaluate_outside_domain(exp_ladder):
     z = 0.9 * desc.c * abs(lam) * 1.5
     with pytest.raises(DomainError):
         evaluate_extension(exp_ladder, desc, lam, z)
+
+
+def test_evaluate_refuses_a_point_on_a_pole_line():
+    desc = PinchDescriptor(pinches=(), pole_lines=(0.4 + 0j,), c=1.0)
+    with pytest.raises(DomainError, match=re.escape(
+            "lambda = (0.4+0.005j) lies on the pole line at (0.4+0j)")):
+        evaluate_extension(_synthetic_ladder(), desc, 0.4 + 0.005j, 0.1)
+
+
+@pytest.mark.parametrize("lam, z, bound", [
+    # a curve zero that is no pinch: prod |lam - a_j| is 0
+    (0.5, 0.1, math.inf),
+    # q = c1 |z| / ((1 + eps) prod |lam - a_j|) = 0.5 / 0.13 >= 1
+    (0.6, 0.5, math.inf),
+    # q = 0.1 / 1.3: the tail bound c' q^3 / (1 - q) of depth 2
+    (-0.5, 0.1, 50.0 * (0.1 / 1.3) ** 3 / (1.0 - 0.1 / 1.3))])
+def test_evaluate_tail_bound(lam, z, bound):
+    ladder = _polynomial_ladder((1.0, 0.5, 0.25), zeros=((0.5 + 0j, 1),))
+    desc = PinchDescriptor(pinches=(), pole_lines=(), c=1.0)
+    out = evaluate_extension(ladder, desc, lam, z)
+    assert out.value == 1.0 + 0.5 * z + 0.25 * z ** 2
+    assert out.bound == bound
 
 
 def test_evaluate_deep_ladder(exp_ring):
@@ -1219,7 +1282,7 @@ def test_ladder_float_fallback():
     # a plain float evaluator still supports shallow ladders, at reduced
     # accuracy (hence the looser convergence tolerance)
     f = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
-    assert not f.mp_capable
+    assert f.mp_evaluator is None
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 9)]
     ladder = coefficient_ladder(f, curves, 2, 10, m=64, ladder_tol=1e-5)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(8) / 8)

@@ -12,7 +12,7 @@ from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
                       unit_circle_grid)
 from pinchext.gallery import (Example1, Example2, example1_eval,
                               example1_growth_probe, example1_ring,
-                              example1_term_bound, example2_eval,
+                              example2_eval,
                               example2_ring, example2_restriction,
                               gallery_eval, remark1_eval, remark1_ring)
 
@@ -90,6 +90,30 @@ def _example2_loop(ex, lam, z, l_trunc=40):
     return total
 
 
+def _example2_polyval(ex, lam, z, l_trunc=40):
+    """The former float sum of ``Example2.__call__`` on 1-d arrays, by
+    numpy's ``polyval``, kept as reference."""
+    total = np.zeros_like(lam)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for l in range(1, l_trunc + 1):
+            total += (np.polynomial.polynomial.polyval(z, ex.p_coeffs(l - 1))
+                      * lam ** (-l))
+    return total
+
+
+def _example2_mp_horner(ex, lam, z):
+    """The former ``Example2.eval_mp``, kept as reference."""
+    lam = mp.mpc(lam)
+    z = mp.mpc(z)
+    total = mp.mpc(0)
+    for l in range(1, 41):
+        p = mp.mpc(0)
+        for ck in reversed(ex.p_coeffs(l - 1)):
+            p = p * z + mp.mpc(ck)
+        total += p * lam ** (-l)
+    return total
+
+
 def _ring_points(rng, size):
     """``0.7 <= |lam| <= 1.3`` and ``1e-3 <= |z| <= 100``, so that ``eps_d``
     and with it the number of example-1 terms differ across the array."""
@@ -149,13 +173,13 @@ def test_example1_terms_decay_geometrically():
 def test_example1_term_bound_holds(rng):
     # |term n| <= 3^{-4n^3-n} (1/eps)^{1.5(n^2+n)} on the compact
     # eps <= |lam| <= 1/eps, |z| <= 1/(3 eps)
-    from pinchext.gallery import example1_term_bound
     eps = 0.3
     for _ in range(20):
         lam = rng.uniform(eps, 1.0 / eps) * np.exp(2j * np.pi * rng.uniform())
         z = rng.uniform(0, 1 / (3 * eps)) * np.exp(2j * np.pi * rng.uniform())
         for n in range(1, 5):
-            assert abs(_example1_term(lam, z, n)) <= example1_term_bound(n, eps)
+            bound = gallery._term_bound(n, math.log(1.0 / eps))
+            assert abs(_example1_term(lam, z, n)) <= bound
 
 
 def test_example1_rejects_origin():
@@ -278,15 +302,11 @@ def test_example1_overflow_still_fails():
 
 
 def test_example1_term_bound_array():
+    # one bound per point's log(1 / eps_d); past e^700 it reads inf
     eps = np.array([0.33, 0.1, 1e-3, 1e-60])
     for n in (1, 3, 41):
-        bounds = example1_term_bound(n, eps)
-        assert bounds.shape == eps.shape
-        for b, e in zip(bounds, eps):
-            single = example1_term_bound(n, float(e))
-            assert type(single) is float
-            assert b == single
-    assert example1_term_bound(41, 1e-60) == math.inf
+        assert gallery._term_bound(n, np.log(1.0 / eps)).shape == eps.shape
+    assert gallery._term_bound(41, math.log(1e60)) == math.inf
 
 
 def test_growth_probe_increasing():
@@ -377,7 +397,7 @@ def test_example2_restriction_is_cut_at_the_grid_bandwidth():
     # them wraps into the plus modes
     psi = example2_restriction(40, 64)
     assert not psi.coeffs[psi.modes >= 0].any()
-    assert psi.coeff(-32) != 0
+    assert psi.coeffs[-32 + psi.size // 2] != 0
 
 
 def test_example2_restriction_at_zero_index():
@@ -436,6 +456,24 @@ def test_example2_array_matches_scalar_loop(rng):
     _assert_close(value, _example2_loop(ex, lam[0], z[0]))
     with pytest.raises(FloatingPointError):  # lam^-40 overflows
         ex(np.array([0.9, 1e-8]), 0.1)
+
+
+def test_example2_horner_loop_is_the_former_sums_bit_for_bit(rng):
+    # __call__ and eval_mp share one Horner loop: on doubles it is numpy's
+    # polyval sum, on mpc the former hand-written loop, bit for bit
+    ex = Example2()
+    lam, z = _ring_points(rng, 2000)
+    z = np.minimum(np.abs(z), 1.0) * np.exp(1j * np.angle(z))
+    z[:3] = [ex.z(0), ex.z(4), 0.0]
+    for depth in (1, 7, 40, 171):
+        want = _example2_polyval(ex, lam, z, depth)
+        assert ex(lam, z, l_trunc=depth).tobytes() == want.tobytes()
+    for l, w in zip(lam[:20], z[:20]):
+        want = _example2_polyval(ex, np.array([l]), np.array([w]))
+        assert np.complex128(example2_eval(l, w)).tobytes() == want.tobytes()
+    with mp.workdps(52):
+        for l, w in zip(lam[:30], z[:30]):
+            assert ex.eval_mp(l, w)._mpc_ == _example2_mp_horner(ex, l, w)._mpc_
 
 
 def test_ring_adapters_evaluate_whole_grids(rng):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -74,6 +76,39 @@ def test_detect_zero_function():
     assert v.is_rational
     assert v.rank == 0
     assert v.rational.degree == 0
+
+
+def test_detect_zero_leading_hankel_block_is_not_rational():
+    # only mode -56 is set: past the 14 x 14 leading block of n_max = 10
+    # and too close to the end of the 56 read coefficients for the
+    # terminating-sequence path, so the leading block is exactly zero
+    psi = minus_function({-56: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = detect_rational(psi, 10)
+    assert (v.kind, v.rank, v.gap) == ("not-rational", 0, math.inf)
+
+
+def test_detect_refuses_a_grid_too_small_for_the_pole_bound():
+    with pytest.raises(ValueError, match=re.escape(
+            "grid size 16 resolves only 7 coefficients; need 10 for pole "
+            "bound 1")):
+        detect_rational(minus_function({-1: 1.0}, m=16), 1)
+
+
+def test_detect_terminating_sequence_past_the_pole_bound():
+    # a polynomial in 1/lambda of degree 5: one 5-fold pole at the origin,
+    # more than n_max = 3 allows
+    v = detect_rational(minus_function({-k: 1.0 for k in range(1, 6)}, 64), 3)
+    assert (v.kind, v.rank, v.gap) == ("not-rational", 5, math.inf)
+
+
+def test_detect_pole_outside_the_circle():
+    # the growing sequence 1.05^(n - 1) of c_{-n} recovers a pole at 1.05
+    psi = minus_function({-n: 1.05 ** (n - 1) for n in range(1, 32)}, 64)
+    with pytest.raises(PoleLocationError, match=re.escape(
+            "lies on or outside the unit circle")):
+        detect_rational(psi, 4)
 
 
 def test_detect_guard_annulus():
