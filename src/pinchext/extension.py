@@ -21,30 +21,40 @@ Numerical notes
   first K-2 and K-1 curves used by the convergence check; only the
   ``depth + 1`` lowest monomial coefficients are formed.  The node
   systems are exponentially ill-conditioned, so for ring functions with
-  an ``mp_evaluator`` (:meth:`RingFunction.from_laurent` builds one from
-  the exact terms) the ladder works at ``dps`` digits; otherwise
-  everything runs in complex doubles, and deep levels lose accuracy.
-* At ``dps`` digits, mpmath only evaluates the curve nodes (one Horner
-  pass per curve over a block of grid columns, checked for collisions
-  before any value of the block) and the function values, one call of the
-  ring's ``mp_evaluator`` per grid column: it takes one ``lam`` and the
-  ``K`` nodes of that column and returns one ``mpc`` per node.  Remark
-  1's computes ``1/lam`` once per column, so its values differ from
-  ``exp(z / lam)`` by about 1e-52 relative; a Laurent ring's and the
-  example series evaluate each node on its own.  Each part of each node
-  and value is converted to the C ``decimal`` type once, by one correctly
-  rounded division, and the divided-difference table, the monomial
+  a ``block_evaluator`` (remark 1's) or an ``mp_evaluator``
+  (:meth:`RingFunction.from_laurent` builds one from the exact terms) the
+  ladder works at ``dps`` digits; otherwise everything runs in complex
+  doubles, and deep levels lose accuracy.
+* At ``dps`` digits the ladder works on the C ``decimal`` type, at the
+  smallest precision whose single rounding is at least as fine as
+  mpmath's at ``dps`` (:func:`_decimal_digits`).  With a
+  ``block_evaluator`` nothing else is used: the grid points enter exactly
+  (``Decimal(float)``), one Horner pass per curve over a block of grid
+  columns gives the nodes, which are checked for collisions before any
+  value of the block, and one call gives the block's values.  Remark 1's
+  takes ``1/lam`` once per column and sums argument-reduced Taylor series
+  of ``e^x``, ``cos y`` and ``sin y`` a few guard digits above the
+  context, then rounds each part once to it; its values are within about
+  5e-54 relative of ``exp(z / lam)`` at its nodes (at ``dps`` 52, where
+  mpmath's own rounding reaches 1e-53), and its nodes may differ from
+  mpmath's nodes in the last digits, so a result that is zero in exact
+  arithmetic reads about 1e-52 (the imaginary part of ``A_0`` on the real
+  lines ``lam / k``).  Without one, mpmath evaluates the nodes (the same
+  Horner pass) and the values, one call of the ring's ``mp_evaluator``
+  per grid column: it takes one ``lam`` and the ``K`` nodes of that
+  column and returns one ``mpc`` per node (a Laurent ring's and the
+  example series evaluate each node on its own), and each part of each
+  node and value is converted to ``decimal`` once, by one correctly
+  rounded division.  The divided-difference table, the monomial
   conversion, the convergence estimates and the level recursion below run
-  on ``decimal`` at the smallest precision whose single rounding is at
-  least as fine as mpmath's at ``dps`` (:func:`_decimal_digits`).  A
-  complex product or quotient takes a few more such roundings than
-  mpmath's ``mpc`` (which rounds each part once, with guard bits for
-  division), so a part can lose a few ulps more under cancellation;
-  normwise the error stays a few ulps.  Results return to complex doubles
-  through ``float(Decimal)``, which rounds correctly, each value once.
-  mpmath is imported only inside the functions that work at ``dps``
-  digits, so a ladder or extension test without extended precision never
-  loads it.
+  on ``decimal``.  A complex product or quotient takes a few more
+  roundings than mpmath's ``mpc`` (which rounds each part once, with
+  guard bits for division), so a part can lose a few ulps more under
+  cancellation; normwise the error stays a few ulps.  Results return to
+  complex doubles through ``float(Decimal)``, which rounds correctly, each
+  value once.  mpmath is imported only inside the functions that call an
+  ``mp_evaluator`` or work in ``mpc``, so a remark-1 ladder, and a ladder
+  or extension test without extended precision, never load it.
 * Everything from the nodes to the level recursion reads one grid
   column at a time, so :func:`_ladder_block` computes it for a contiguous
   block of columns and returns complex doubles.  On the extended-precision
@@ -165,23 +175,38 @@ def _laurent_sum(terms, lam, z, total):
 class RingFunction:
     """Function holomorphic on the ring ``A_{1-eps,1+eps} x Delta``.
 
-    A ring is its two evaluators: ``evaluator(lambda, z)`` in complex
-    doubles, vectorized over numpy arrays, and the optional extended-
-    precision ``mp_evaluator(lambda, zs)``, which takes one ``mpc`` lambda
-    and the ``mpc`` nodes of one ladder grid column and returns one ``mpc``
-    per node.  :meth:`from_laurent` builds both from exact terms and keeps
-    them as ``laurent`` (``None`` on any other ring).
+    A ring has up to three evaluators:
+
+    * ``evaluator(lambda, z)`` in complex doubles, vectorized over numpy
+      arrays;
+    * the optional ``block_evaluator(lam, nodes)``, which takes a ladder
+      block's ``(c,)`` grid points and ``(K, c)`` curve nodes as
+      ``_DecimalArray`` and returns the ``(K, c)`` values as one, in C
+      ``decimal`` and rounded to the caller's context (remark 1's works
+      ``ceil(s log10 2)`` guard digits above it, 3 on the ladder, and
+      rounds each part once; see :func:`_decimal_digits`);
+    * the optional ``mp_evaluator(lambda, zs)``, which takes one ``mpc``
+      lambda and the ``mpc`` nodes of one ladder grid column and returns
+      one ``mpc`` per node.
+
+    The ladder works at extended precision when either of the last two is
+    set, and prefers ``block_evaluator``.  :meth:`from_laurent` builds the
+    float and mpmath evaluators from exact terms and keeps them as
+    ``laurent`` (``None`` on any other ring).
     """
 
-    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator")
+    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator",
+                 "block_evaluator")
 
     def __init__(self, evaluator: Callable, epsilon: float,
-                 mp_evaluator: Optional[Callable] = None):
+                 mp_evaluator: Optional[Callable] = None,
+                 block_evaluator: Optional[Callable] = None):
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
         self.evaluator = evaluator
         self.epsilon = float(epsilon)
         self.mp_evaluator = mp_evaluator
+        self.block_evaluator = block_evaluator
         self.laurent = None
 
     @classmethod
@@ -276,16 +301,22 @@ class DiscFunction:
         times an ``object`` array is much slower than the reverse.
         """
         import mpmath as mp
-        *low, top = [mp.mpc(c) for c in self.coeffs]
+        return self._horner(lam, mp.mpc)
+
+    def _horner(self, lam, convert: Callable):
+        """Horner at ``lam`` from ``lam * c_top`` (``lam * 0 + c_0`` for a
+        constant), each coefficient taken through ``convert`` to the number
+        type of ``lam``; the additions of a zero coefficient are skipped
+        (for an ``mpc``, x + 0 is x at the working precision)."""
+        *low, top = self.coeffs
         if not low:
-            return 0 * lam + top
-        total = lam * top
+            return lam * 0 + convert(top)
+        total = lam * convert(top)
         for i, c in enumerate(reversed(low)):
             if i:
                 total = total * lam
-            # mpmath has no signed zero: x + 0 is x at the working precision
             if c:
-                total = total + c
+                total = total + convert(c)
         return total
 
     @property
@@ -656,6 +687,13 @@ class _DecimalArray:
                          dtype=object)
         return cls(parts[0::2].reshape(z.shape), parts[1::2].reshape(z.shape))
 
+    @classmethod
+    def from_complex(cls, z) -> "_DecimalArray":
+        """Each part of each complex double as its exact ``Decimal``; a
+        scalar gives ``Decimal`` parts."""
+        z = np.asarray(z, dtype=complex)
+        return cls(_EXACT_DECIMAL(z.real), _EXACT_DECIMAL(z.imag))
+
     def __len__(self) -> int:
         return len(self.re)
 
@@ -668,6 +706,9 @@ class _DecimalArray:
 
     def copy(self) -> "_DecimalArray":
         return _DecimalArray(self.re.copy(), self.im.copy())
+
+    def __add__(self, other: "_DecimalArray") -> "_DecimalArray":
+        return _DecimalArray(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "_DecimalArray") -> "_DecimalArray":
         return _DecimalArray(self.re - other.re, self.im - other.im)
@@ -690,6 +731,10 @@ class _DecimalArray:
         out.real = self.re.astype(float) + 0.0
         out.imag = self.im.astype(float) + 0.0
         return out
+
+
+# float -> Decimal elementwise, exact: Decimal(float) does not round
+_EXACT_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 
 
 def _mpf_to_decimal(t: tuple) -> Decimal:
@@ -721,12 +766,15 @@ def _decimal_digits(dps: int) -> int:
     """Smallest ``Decimal`` precision ``p`` with ``10**(1-p)/2 <= 2**-prec``.
 
     ``prec`` is mpmath's working precision in bits at ``dps`` digits
-    (``mpmath.libmp.dps_to_prec``, computed here by its formula so that the
-    float path does not import mpmath), so a single rounding in the
+    (``mpmath.libmp.dps_to_prec``, computed here by its formula so that no
+    ladder path needs mpmath for it), so a single rounding in the
     ``decimal`` context is never coarser than one in ``mp.workdps(dps)``.
     Complex multiply and divide in :class:`_DecimalArray` round every real
     product and sum, where mpmath rounds each part once, so they are not
-    as tight as ``mpc`` arithmetic.
+    as tight as ``mpc`` arithmetic.  A block evaluator may work above this
+    precision and round its values to it once, as remark 1's does with
+    ``ceil(s log10 2)`` guard digits (3 on the ladder) for its ``s``
+    squarings and double-angle steps.
     """
     prec = max(1, round((dps + 1) * 3.3219280948873626))
     p = 1
@@ -751,17 +799,31 @@ def _float_columns(nodes: np.ndarray, values: np.ndarray, cols) -> Tuple:
 def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
                 grid: np.ndarray, dps: int, cols: slice) -> Tuple:
     """Nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
-    mp-capable ``f`` on the grid columns ``cols``, at ``dps`` digits.
+    extended-precision ``f`` on the grid columns ``cols``, at ``dps``
+    digits.
 
-    mpmath evaluates the nodes by one Horner pass per curve over the
-    points ``grid[cols]``, and :func:`_refuse_coinciding` checks them
-    before any value of the block is computed; then ``f.mp_evaluator`` is
-    called once per grid column, with one ``lam`` and its ``K`` nodes.
-    Returns ``(nodes, values)`` as ``(K, c)`` :class:`_DecimalArray` (call
-    inside the ``decimal`` context), each converted from ``mpc`` in one
-    call.  A node depends only on its grid point, so the nodes of a block
-    are the same columns of the whole grid's, bit for bit.
+    With a ``block_evaluator``, everything stays in ``decimal``: the points
+    ``grid[cols]`` enter exactly, the Horner steps of
+    :meth:`DiscFunction.eval_mp` give the nodes (each coefficient enters
+    exactly; each real product and sum rounds to the context),
+    :func:`_refuse_coinciding` checks them, and one call of
+    ``f.block_evaluator`` gives the block's values.  Otherwise mpmath
+    evaluates the nodes by one Horner pass per curve over the points
+    ``grid[cols]``, :func:`_refuse_coinciding` checks them before any value
+    of the block is computed, and ``f.mp_evaluator`` is called once per grid
+    column, with one ``lam`` and its ``K`` nodes; nodes and values are then
+    converted from ``mpc``, each in one call.  Returns ``(nodes, values)``
+    as ``(K, c)`` :class:`_DecimalArray` (call inside the ``decimal``
+    context).  A node depends only on its grid point, so the nodes of a
+    block are the same columns of the whole grid's, bit for bit.
     """
+    if f.block_evaluator is not None:
+        lam = _DecimalArray.from_complex(grid[cols])
+        rows = [phi._horner(lam, _DecimalArray.from_complex) for phi in curves]
+        nodes = _DecimalArray(np.array([row.re for row in rows]),
+                              np.array([row.im for row in rows]))
+        _refuse_coinciding(nodes)
+        return nodes, f.block_evaluator(lam, nodes)
     import mpmath as mp
     with mp.workdps(dps):
         lam_mp = np.array([mp.mpc(x) for x in grid[cols]], dtype=object)
@@ -1099,8 +1161,8 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     ``depth + 2`` curves are required; accuracy improves with more.
 
     To drop the bidisc-holomorphic component of ``f`` first, pass
-    :func:`minus_part` of it.  Mp-capable functions are worked at
-    ``max(40, 16 + 3K)`` digits for ``K`` curves.
+    :func:`minus_part` of it.  A ring with a block or an mp evaluator is
+    worked at ``max(40, 16 + 3K)`` digits for ``K`` curves.
 
     Each curve is sampled once on the ``m``-point grid and checked, in
     order, for its grid resolution (:class:`BandwidthError`),
@@ -1162,10 +1224,11 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     dps = max(40, 16 + 3 * kcurves)
     stride = max(1, m // 64)
+    extended = f.block_evaluator is not None or f.mp_evaluator is not None
     with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
-        if f.mp_evaluator is not None:
+        if extended:
             # each block evaluates and checks its own nodes, then its values
             columns_of = functools.partial(_mp_columns, f, curves, grid, dps)
         else:
@@ -1177,7 +1240,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
         blocks = _run_blocks(
             functools.partial(_ladder_block, columns_of, n_keep=n_keep,
                               stride=stride),
-            _block_bounds(m, f.mp_evaluator is not None))
+            _block_bounds(m, extended))
     scales, *parts = zip(*blocks)
     # one block (the float path) is used as it is, without a copy
     coeff_samples, est_prev, est_last, levels = (

@@ -20,24 +20,34 @@ call evaluates a whole array (the ring adapters hand over whole
 restriction grids), and scalars give a Python ``complex``.
 ``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
-Each ring's ``mp_evaluator`` evaluates one ladder grid column: one
-``lambda`` and a sequence of nodes ``z``, one ``mpc`` per node.  Remark
-1's takes ``1/lambda`` once per column; examples 1 and 2 call their
+For the ladder's extended precision, the remark-1 ring has a
+``block_evaluator`` and no ``mp_evaluator``: it evaluates a block of
+ladder grid columns in C ``decimal``, taking ``1/lambda`` once per column
+and summing argument-reduced Taylor series of ``e^x``, ``cos y`` and
+``sin y`` at ``w = x + iy = z / lambda``, with guard digits and one final
+rounding, within about 5e-54 relative of ``exp(z / lambda)`` at 54
+digits (the ladder's at ``dps`` 52).  Examples 1 and 2 have an
+``mp_evaluator``, which evaluates one ladder grid column (one ``lambda``
+and a sequence of nodes ``z``, one ``mpc`` per node) by calling their
 pointwise ``eval_mp`` once per node.  mpmath is imported only by these
-extended-precision evaluators and by :func:`example1_growth_probe`.
+``mpc`` evaluators and by :func:`example1_growth_probe`, so a remark-1
+ladder never loads it.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .boundary import CircleFunction, pointwise, unit_circle_grid
 from .errors import ConvergenceError
-from .extension import RingFunction
+from .extension import RingFunction, _DecimalArray
 from .rational import RationalPart, rational_to_circle
 
 __all__ = [
@@ -343,17 +353,82 @@ def remark1_eval(lam, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def _remark1_column_mp(lam, zs):
-    """``exp(z / lambda)`` for each ``z`` of ``zs`` at one ``lambda``, as
-    ``exp(z * (1 / lambda))``: one ``mpc`` division per column."""
-    import mpmath as mp
-    inv = 1 / lam
-    return [mp.exp(z * inv) for z in zs]
+# past this |Re w| or |Im w|, exp(w) takes one more halving and squaring
+_REMARK1_ARG_SLACK = 1.01
+
+
+@functools.lru_cache(maxsize=None)
+def _remark1_series(prec: int) -> Tuple[Tuple[Decimal, ...], ...]:
+    """Taylor coefficients of ``exp(t)``, ``cos(t)`` and ``sin(t) / t``
+    (the last two in ``t**2``), rounded to ``prec`` digits.
+
+    Each series stops at its first term below ``10**-prec`` for ``|t| <=
+    1.01 / 2**8``, the bound of the argument :func:`_remark1_block` sums.
+    """
+    log_t = math.log10(_REMARK1_ARG_SLACK / 256)
+    count = 1
+    while count * log_t - math.lgamma(count + 1) / math.log(10) >= -prec:
+        count += 1
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        inv = [Decimal(1) / math.factorial(k) for k in range(count + 1)]
+        # the signs of cos and sin: + + - - + + ...
+        signed = [c if k % 4 < 2 else -c for k, c in enumerate(inv)]
+    return tuple(inv[:count]), tuple(signed[0:count:2]), \
+        tuple(signed[1:count + 1:2])
+
+
+def _horner(coeffs: Sequence[Decimal], t):
+    """``sum coeffs[k] * t**k`` by Horner's rule, elementwise."""
+    total = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        total = total * t + c
+    return total
+
+
+def _remark1_block(lam: _DecimalArray, nodes: _DecimalArray) -> _DecimalArray:
+    """``exp(z / lambda)`` on a ladder block, in C ``decimal``.
+
+    ``lam`` holds the block's ``(c,)`` grid points and ``nodes`` its
+    ``(K, c)`` curve nodes.  ``1/lambda`` is taken once per column and
+    ``w = z * (1/lambda)``; then ``exp(w) = e^x (cos y + i sin y)``, with
+    ``e^x`` from the Taylor series at ``x / 2**s`` and ``s`` squarings, and
+    ``cos y``, ``sin y`` from their series in ``(y / 2**s)**2`` and ``s``
+    double-angle steps.  ``s`` is 8 while ``|Re w|`` and ``|Im w|`` stay
+    below 1.01 (on the ladder's grid ``|w| <= 1 + 1e-9``), and one more per
+    doubling of the block's largest past that.  Each squaring or step at
+    most doubles the relative error, so the work runs ``ceil(s log10 2)``
+    digits (3 at ``s = 8``) above the context's precision; the two final
+    products round once to the context.  Every value depends only on its
+    own column while ``s`` is 8, so the bits do not depend on the blocks.
+    """
+    with decimal.localcontext() as work:
+        rounded = work.prec
+        work.prec = rounded + 3   # the guard digits of s = 8
+        a, b = lam.re, lam.im
+        den = a * a + b * b
+        w = nodes * _DecimalArray(a / den, -b / den)
+        largest = max(np.max(w.re), -np.min(w.re), np.max(w.im), -np.min(w.im))
+        s = 8 + max(0, math.frexp(float(largest) / _REMARK1_ARG_SLACK)[1])
+        work.prec = rounded + math.ceil(s * math.log10(2.0))
+        exp_c, cos_c, sin_c = _remark1_series(work.prec)
+        scale = Decimal(1) / (1 << s)
+        tx, ty = w.re * scale, w.im * scale
+        ty2 = ty * ty
+        exp_x = _horner(exp_c, tx)
+        cos_y = _horner(cos_c, ty2)
+        sin_y = _horner(sin_c, ty2) * ty
+        for _ in range(s):
+            exp_x = exp_x * exp_x
+            # sin 2a = 2 sin a cos a; cos 2a = 1 - 2 sin^2 a, which does
+            # not cancel while 2a is small
+            twice = sin_y + sin_y
+            sin_y, cos_y = twice * cos_y, 1 - twice * sin_y
+    return _DecimalArray(exp_x * cos_y, exp_x * sin_y)
 
 
 def remark1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=remark1_eval, epsilon=epsilon,
-                        mp_evaluator=_remark1_column_mp)
+                        block_evaluator=_remark1_block)
 
 
 def example1_ring(epsilon: float = 0.3) -> RingFunction:

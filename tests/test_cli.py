@@ -658,6 +658,33 @@ def test_float_only_commands_do_not_load_mpmath(tmp_path):
     assert result.stdout.strip() == "[0, 0, 0] False"
 
 
+_LADDER_RUN = """
+import contextlib, io, sys
+from pinchext.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["ladder", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, "mpmath" in sys.modules)
+"""
+
+
+def test_remark1_ladder_does_not_load_mpmath(tmp_path):
+    # remark 1's extended-precision ladder runs in decimal alone, by its
+    # block evaluator; a Laurent ring's mp evaluator still loads mpmath
+    coeffs = tmp_path / "poly.json"
+    coeffs.write_text(json.dumps({"terms": [{"n": 1, "l": -1, "c": [1, 0]},
+                                            {"n": 2, "l": -2, "c": [0.5, 0]}]}))
+    laurent = LADDER_EXP.replace("name = remark1",
+                                 f"name = laurent\ncoeffs = {coeffs.name}")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pinchext.__file__).resolve().parents[1]))
+    for body, loaded in ((LADDER_EXP, False), (laurent, True)):
+        cfg = write_config(tmp_path, body)
+        result = subprocess.run(
+            [sys.executable, "-c", _LADDER_RUN, cfg, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == f"0 {loaded}"
+
+
 def test_byte_determinism(tmp_path):
     # every report file of a command has the same bytes on a second run;
     # the validate config's six lines all meet at the origin, so its

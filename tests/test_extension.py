@@ -453,19 +453,15 @@ def test_mpf_to_decimal_accepts_int_like_mantissa():
 
 def test_mp_column_forms():
     # every mp evaluator takes one lam and a column of nodes, one mpc per
-    # node (a ring without terms too); remark 1's takes 1/lam once, within
-    # 1e-50 of exp(z / lam), and the series and Laurent columns equal their
-    # pointwise values
+    # node (a ring without terms too), and the series and Laurent columns
+    # equal their pointwise values; remark 1 has a block evaluator instead
     laurent = RingFunction.from_laurent(
         [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)], 0.3)
+    assert remark1_ring(0.3).mp_evaluator is None
     with mp.workdps(52):
         lam = mp.mpc(0.6, 0.8)
         zs = [mp.mpc(0.3, -0.2), mp.mpc(-0.1, 0.05), mp.mpc(0.45), mp.mpc(0)]
-        column = remark1_ring(0.3).mp_evaluator(lam, zs)
-        for v, z in zip(column, zs):
-            assert abs(v - mp.exp(z / lam)) <= 1e-50 * abs(v)
         for ring, pointwise in (
-                (remark1_ring(0.3), None),
                 (example1_ring(0.3), Example1().eval_mp),
                 (example2_ring(0.3), Example2().eval_mp),
                 (laurent, None),
@@ -481,10 +477,11 @@ def test_mp_column_forms():
 
 
 def test_wrapped_mp_evaluator_called_once_per_column():
-    # a functools.wraps wrapper (as a tracer installs) sees one call per
-    # grid column and changes no bit of the ladder
+    # a ring without a block evaluator: a functools.wraps wrapper (as a
+    # tracer installs) sees one call per grid column and changes no bit of
+    # the ladder
     curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
-    ring = remark1_ring(0.3)
+    ring = example1_ring(0.3)
     inner, calls = ring.mp_evaluator, []
 
     @functools.wraps(inner)
@@ -495,6 +492,26 @@ def test_wrapped_mp_evaluator_called_once_per_column():
     ring.mp_evaluator = traced
     got = coefficient_ladder(ring, curves, 6, 10, m=64)
     assert calls == [12] * 64
+    ref = coefficient_ladder(example1_ring(0.3), curves, 6, 10, m=64)
+    assert got.as_dict() == ref.as_dict()
+
+
+def test_wrapped_block_evaluator_called_once_per_block():
+    # a functools.wraps wrapper (as a tracer installs) sees one call per
+    # block of grid columns (one block at grid 64) and changes no bit of
+    # the ladder
+    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
+    ring = remark1_ring(0.3)
+    inner, calls = ring.block_evaluator, []
+
+    @functools.wraps(inner)
+    def traced(lam, nodes):
+        calls.append((len(lam), nodes.re.shape))
+        return inner(lam, nodes)
+
+    ring.block_evaluator = traced
+    got = coefficient_ladder(ring, curves, 6, 10, m=64)
+    assert calls == [(64, (12, 64))]
     ref = coefficient_ladder(remark1_ring(0.3), curves, 6, 10, m=64)
     assert got.as_dict() == ref.as_dict()
 
@@ -532,6 +549,11 @@ def test_remark1_ladder_matches_pointwise_exp():
             assert got.as_dict() == ref.as_dict()
 
 
+def _exp_column(lam, zs):
+    """``exp(z / lam)`` at each node of one column, pointwise in mpmath."""
+    return [mp.exp(z / lam) for z in zs]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -558,27 +580,24 @@ def test_forked_blocks_give_identical_reports(monkeypatch, blocks):
         [(0, -2, 0.5 - 1j), (1, -1, 2.0), (2, 1, 0.25j), (3, 0, -1.5),
          (1, 2, 0.75)], 0.3)
     lines = [DiscFunction([0, cmath.exp(0.3j) / (k + 1)]) for k in range(1, 9)]
+    # remark 1 by its block evaluator, the Laurent ring by its mp evaluator
     cases = [(remark1_ring(0.3), rotated, 4, 256), (laurent, lines, 3, 128)]
     _force_blocks(monkeypatch, 1)
     refs = [json.dumps(coefficient_ladder(ring, curves, depth, 10,
                                           m=m).as_dict())
             for ring, curves, depth, m in cases]
     _force_blocks(monkeypatch, blocks)
-    eval_mp, points = DiscFunction.eval_mp, []
-    monkeypatch.setattr(DiscFunction, "eval_mp", lambda phi, lam:
-                        points.append(len(lam)) or eval_mp(phi, lam))
+    mp_columns, evaluated = extension._mp_columns, []
+    monkeypatch.setattr(extension, "_mp_columns", lambda f, *args:
+                        evaluated.append(args[-1]) or mp_columns(f, *args))
     for (ring, curves, depth, m), ref in zip(cases, refs):
         bounds = extension._block_bounds(m, True)
         assert len(bounds) == blocks + 1
-        inner, calls = ring.mp_evaluator, []
-        counted = RingFunction(ring.evaluator, ring.epsilon, lambda lam, zs:
-                               calls.append(lam) or inner(lam, zs))
-        points.clear()
-        got = coefficient_ladder(counted, curves, depth, 10, m=m)
+        evaluated.clear()
+        got = coefficient_ladder(ring, curves, depth, 10, m=m)
         assert json.dumps(got.as_dict()) == ref
         # this process evaluated block 0's nodes and values only
-        assert points == [bounds[1]] * len(curves)
-        assert len(calls) == bounds[1]
+        assert evaluated == [slice(0, bounds[1])]
         _no_child_left()
 
 
@@ -591,12 +610,11 @@ def test_collision_in_a_later_block_is_found_there(monkeypatch):
     # after block 0's values, with the same text
     curves = [DiscFunction([0, 0.25]), DiscFunction([0, 0.375, 0.25, 0.125])]
     curves += [DiscFunction([0, 1.0 / k]) for k in range(5, 11)]
-    inner = remark1_ring(0.3).mp_evaluator
     for blocks, evaluated in ((1, 0), (2, 64)):
         _force_blocks(monkeypatch, blocks, floor=64)
         calls = []
         ring = RingFunction(remark1_eval, 0.3, lambda lam, zs:
-                            calls.append(lam) or inner(lam, zs))
+                            calls.append(lam) or _exp_column(lam, zs))
         with pytest.raises(ConvergenceError,
                            match="^two curves coincide at a grid point$"):
             coefficient_ladder(ring, curves, 3, 10, m=128)
@@ -619,14 +637,13 @@ def test_curves_crossing_at_minus_one_are_refused():
 
 
 def _failing_ring(fail_at, exc=DomainError, m=128):
-    """Remark 1 whose mp evaluator raises ``exc`` on the columns ``fail_at``."""
-    inner = remark1_ring(0.3).mp_evaluator
-
+    """``exp(z / lam)`` by an mp evaluator that raises ``exc`` on the
+    columns ``fail_at``."""
     def mp_evaluator(lam, zs):
         j = _column(lam, m)
         if j in fail_at:
             raise exc(f"column {j} refused")
-        return inner(lam, zs)
+        return _exp_column(lam, zs)
 
     return RingFunction(remark1_eval, 0.3, mp_evaluator)
 
@@ -775,8 +792,9 @@ def test_ladder_refuses_coinciding_nodes_before_mp_values():
     # lam/2 twice: the guard reads only the extended-precision nodes, so
     # it runs before any of the 8 x 64 values is evaluated
     ring = remark1_ring(0.3)
-    inner, calls = ring.mp_evaluator, []
-    ring.mp_evaluator = lambda lam, zs: calls.append(zs) or inner(lam, zs)
+    inner, calls = ring.block_evaluator, []
+    ring.block_evaluator = lambda lam, nodes: (calls.append(nodes)
+                                               or inner(lam, nodes))
     curves = [DiscFunction([0, 1.0 / k]) for k in (1, 2, 2, 3, 4, 5, 6, 7)]
     with pytest.raises(ConvergenceError,
                        match="^two curves coincide at a grid point$"):

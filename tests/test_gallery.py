@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import re
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
                       detect_rational, gallery, hardy_project_minus,
                       unit_circle_grid)
+from pinchext.extension import _DecimalArray, _decimal_digits
 from pinchext.gallery import (Example1, Example2, example1_eval,
                               example1_growth_probe, example1_ring,
                               example2_eval,
@@ -524,14 +526,80 @@ def test_remark1_eval_is_the_ring_kernel(rng):
 
 @pytest.mark.parametrize("make", [remark1_ring, example1_ring, example2_ring])
 def test_ring_mp_evaluator_matches_float_kernel(make):
-    # a few points only: the example-2 mp series costs about 10 ms a point
+    # a few points only: the example-2 mp series costs about 10 ms a point;
+    # remark 1 has a block evaluator instead, here one column per point
     ring = make(0.3)
     lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.2 + 0.0j])
     z = np.array([0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45 + 0.0j])
-    with mp.workdps(40):
-        got = np.array([complex(ring.mp_evaluator(mp.mpc(l), [mp.mpc(w)])[0])
-                        for l, w in zip(lam, z)])
+    if ring.block_evaluator is not None:
+        with decimal.localcontext(decimal.Context(prec=_decimal_digits(40))):
+            got = ring.block_evaluator(_DecimalArray.from_complex(lam),
+                                       _DecimalArray.from_complex(z[None]))
+        got = got.astype(complex)[0]
+    else:
+        with mp.workdps(40):
+            got = np.array([complex(ring.mp_evaluator(mp.mpc(l),
+                                                      [mp.mpc(w)])[0])
+                            for l, w in zip(lam, z)])
     np.testing.assert_allclose(got, ring.evaluator(lam, z), rtol=1e-13, atol=0)
+
+
+def _decimal_to_mpf(d):
+    """A ``Decimal`` as an ``mpf``, exact at the working precision when
+    that holds its digits."""
+    return mp.mpf(str(d))
+
+
+def _remark1_block_errors(dps, w):
+    """Per-part errors of remark 1's block kernel and of ``mp.exp`` at
+    ``dps`` against ``mp.exp`` at ``2 dps``, on the doubles ``w`` (lambda
+    = 1, so ``z / lambda`` is exact in both); each error is divided by the
+    modulus of the value (``normwise``) or by the part itself."""
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
+        got = remark1_ring(0.3).block_evaluator(
+            _DecimalArray.from_complex(np.ones(len(w))),
+            _DecimalArray.from_complex(w[None]))
+    ours = {"normwise": 0.0, "part": 0.0}
+    theirs = dict(ours)
+    for j, x in enumerate(w):
+        with mp.workdps(2 * dps):
+            ref = mp.exp(mp.mpc(x))
+            with mp.workdps(dps):
+                plain = mp.exp(mp.mpc(x))
+            ours_x = (_decimal_to_mpf(got.re[0, j]),
+                      _decimal_to_mpf(got.im[0, j]))
+            for errs, parts in ((ours, ours_x),
+                                (theirs, (plain.real, plain.imag))):
+                for value, exact in zip(parts, (ref.real, ref.imag)):
+                    if not exact:
+                        assert value == 0   # exp(0), exp(1), exp(-1)
+                        continue
+                    err = abs(value - exact)
+                    errs["normwise"] = max(errs["normwise"],
+                                           float(err / abs(ref)))
+                    errs["part"] = max(errs["part"], float(err / abs(exact)))
+    return ours, theirs
+
+
+@pytest.mark.parametrize("dps", [40, 52, 76])
+def test_remark1_block_kernel_within_mpmath_error(dps):
+    # each part's relative error against mpmath at twice the digits is no
+    # larger than mpmath's own at dps: on |w| <= 1 + 1e-9 (the ladder's
+    # range) with 0, +-1, +-i and points of |w| = 1 per part, and up to
+    # |w| = 50 (more halvings and squarings) normwise, since cos y or
+    # sin y may be near 0 there
+    rng = np.random.default_rng(5200 + dps)
+    unit = np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    inner = (1 + 1e-9) * np.sqrt(rng.uniform(0, 1, 120)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 120))
+    w = np.concatenate([[0, 1, -1, 1j, -1j], unit, (1 + 1e-9) * unit[:10],
+                        inner])
+    ours, theirs = _remark1_block_errors(dps, w)
+    assert ours["part"] <= theirs["part"]
+    large = 50 * np.sqrt(rng.uniform(0, 1, 60)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 60))
+    ours, theirs = _remark1_block_errors(dps, np.concatenate([large, [50, 50j]]))
+    assert ours["normwise"] <= theirs["normwise"]
 
 
 def test_remark1_constant_along_scaled_lines():
