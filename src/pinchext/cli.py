@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import functools
 import json
 import math
 import sys
@@ -28,8 +29,8 @@ from .errors import (BandwidthError, CircleVanishingError, ConfigError,
 from .extension import (_DISC_SLACK, _HOLO_TOLERANCE, DiscFunction,
                         RingFunction, coefficient_ladder, extension_test,
                         pinch_estimate, verify_coefficient_bounds)
-from .families import (_complex_pair, general_position_check,
-                       probes_from_csv, validate_test_sequence)
+from .families import (_complex_pair, _general_position, _sequence_report,
+                       _zeros_against, probes_from_csv)
 from .rational import MAX_POLE_BOUND
 
 __all__ = ["AnalysisConfig", "parse_config", "main",
@@ -327,9 +328,11 @@ def cmd_ladder(cfg: AnalysisConfig, out_dir: Optional[str] = None) -> int:
 
 def cmd_validate(cfg: AnalysisConfig, out_dir: Optional[str] = None,
                  fmt: str = "json") -> int:
-    phi0 = DiscFunction([0j])
-    seq_report = validate_test_sequence(cfg.curves, phi0, cfg.n_bound)
-    gp_report = general_position_check(cfg.curves, phi0, cfg.probes)
+    # validate_test_sequence and general_position_check, sharing the zeros
+    # of each phi_k - phi_0
+    zero_sets = _zeros_against(cfg.curves, DiscFunction([0j]))
+    seq_report = _sequence_report(zero_sets, cfg.n_bound)
+    gp_report = _general_position(cfg.curves, zero_sets, cfg.probes)
     report = {"command": "validate",
               "test_sequence": seq_report.as_dict(),
               "general_position": gp_report.as_dict()}
@@ -364,6 +367,7 @@ def cmd_gallery(name: str, lam: complex, z: complex, trunc: int,
 # entry point
 # ----------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchext",

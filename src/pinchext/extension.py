@@ -275,7 +275,10 @@ class DiscFunction:
             raise ValueError(_subnormal_top_message(arr.size - 1, arr[-1]))
         self.coeffs = tuple(complex(c) for c in arr)
         n = max(256, 1 << (8 * arr.size - 1).bit_length())
-        self.sup_bound = float(np.abs(self(unit_circle_grid(n))).max())
+        # polyval of the coefficient array: the bits of self(grid), without
+        # the per-call conversions of __call__
+        samples = np.polynomial.polynomial.polyval(unit_circle_grid(n), arr)
+        self.sup_bound = float(np.abs(samples).max())
         if self.sup_bound >= 1.0 + _DISC_SLACK:
             raise ValueError(
                 f"curve has sup {self.sup_bound:.6f} on the closed unit disc; "
@@ -845,12 +848,11 @@ def _divided_differences(nodes, values):
     table is the table of that column subset.  Works on complex arrays and
     on :class:`_DecimalArray`.
     """
-    # one row at a time, in place: whole-slice updates keep several tables
-    # of temporaries alive and raise the peak memory
+    # one step per order j: the right side reads only the old rows, so every
+    # entry is the row-by-row recurrence's, bit for bit
     dd = values.copy()
     for j in range(1, len(dd)):
-        for i in range(len(dd) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+        dd[j:] = (dd[j:] - dd[j - 1:-1]) / (nodes[j:] - nodes[:-j])
     return dd
 
 
@@ -863,17 +865,17 @@ def _interp_prefixes(nodes, dd, n_keep: int,
     first ``k`` points ``(nodes[i, c], values[i, c])``, from the table
     ``dd = _divided_differences(nodes, values)`` (``n_keep`` may not exceed
     its row count).  Each Newton form is converted to monomial form by
-    Horner steps truncated to ``n_keep`` rows, one row at a time, which is
-    exact because the degree-``d`` coefficient never depends on higher
-    degrees.
+    Horner steps truncated to ``n_keep`` rows, which is exact because the
+    degree-``d`` coefficient never depends on higher degrees.  One step per
+    node updates all rows at once; each reads only old rows, so every entry
+    is the row-by-row step's, bit for bit.
     """
     out = []
     for k in sizes:
         c = dd[:n_keep] * 0
         c[0] = dd[k - 1]
         for i in range(k - 2, -1, -1):
-            for d in range(n_keep - 1, 0, -1):
-                c[d] = c[d - 1] - nodes[i] * c[d]
+            c[1:] = c[:-1] - nodes[i] * c[1:]
             c[0] = dd[i] - nodes[i] * c[0]
         out.append(c)
     return out

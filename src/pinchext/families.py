@@ -215,11 +215,18 @@ def validate_test_sequence(curves: Sequence[DiscFunction], phi0: DiscFunction,
     when all windings are defined and the maximum does not exceed
     ``n_bound``.
     """
-    if len(curves) < 3:
+    return _sequence_report(_zeros_against(curves, phi0), n_bound)
+
+
+def _sequence_report(zero_sets: Sequence[Optional[np.ndarray]],
+                     n_bound: int) -> TestSequenceReport:
+    """:func:`validate_test_sequence` from the ``roots()`` of each
+    ``phi_k - phi_0``, as :func:`_zeros_against` gives them."""
+    if len(zero_sets) < 3:
         raise ValueError("need at least 3 curves for a sequence check")
     windings: List[Optional[int]] = []
     failures: List[Tuple[int, str]] = []
-    for idx, zeros in enumerate(_zeros_against(curves, phi0)):
+    for idx, zeros in enumerate(zero_sets):
         if _zero_free_radius([zeros], [np.ones(1)]) is None:
             windings.append(None)
             failures.append((idx, _VANISHING))
@@ -261,9 +268,17 @@ def general_position_check(curves: Sequence[DiscFunction], phi0: DiscFunction,
     so the scan has no intersection points to report for them.  The
     first such pair in ``(i, j)`` order is named.
     """
+    return _general_position(curves, _zeros_against(curves, phi0), probes)
+
+
+def _general_position(curves: Sequence[DiscFunction],
+                      zero_sets: Sequence[Optional[np.ndarray]],
+                      probes: Sequence[complex]) -> GeneralPositionReport:
+    """:func:`general_position_check` from the ``roots()`` of each
+    ``phi_k - phi_0``, as :func:`_zeros_against` gives them."""
     if len(curves) < 3:
         raise ValueError("need at least 3 curves for a general-position check")
-    zero_sets = [_in_disc(zs) for zs in _zeros_against(curves, phi0)]
+    zero_sets = [_in_disc(zs) for zs in zero_sets]
 
     probe_results: List[ProbeResult] = []
     for probe in probes:

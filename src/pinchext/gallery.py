@@ -96,7 +96,8 @@ class Example1:
 
         ``lam`` and ``z`` broadcast together; scalars give a ``complex``.
         Each point sums its terms until their bound (from the point's own
-        ``eps_d``) drops below ``1e-18`` of the largest partial sum so far.
+        ``eps_d``) drops below ``1e-18 * max(1, |s|)``, where ``|s|`` is
+        the largest modulus of the point's partial sums so far.
         The value at the configured depth must be certifiable at every
         point: the normal-convergence tail bound past ``self.n_trunc`` has
         to fall below 1e-12, else :class:`ConvergenceError` is raised for
@@ -112,28 +113,32 @@ class Example1:
         depth = self.n_trunc if n_trunc is None else int(n_trunc)
         a = np.abs(lam)
         eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
-        nz = z != 0
-        eps_d[nz] = np.minimum(eps_d[nz], 1.0 / (3.0 * np.abs(z[nz])))
+        with np.errstate(divide="ignore"):  # z = 0 gives inf: no constraint
+            eps_d = np.minimum(eps_d, 1.0 / (3.0 * np.abs(z)))
         log_inv_eps = np.log(1.0 / eps_d)
         tail = 2.0 * _term_bound(self.n_trunc + 1, log_inv_eps)
         total = np.zeros_like(lam)
         scale = np.ones(lam.shape)
         step = (2.0 / 3.0) * lam
         live = np.flatnonzero(tail < np.inf)
+        # while every point sums, a full slice: views, no gathers or scatters
+        at = slice(None) if live.size == lam.size else live
         for n in range(1, depth + 1):
-            live = live[~(_term_bound(n, log_inv_eps[live]) < 1e-18 * scale[live])]
+            stop = _term_bound(n, log_inv_eps[at]) < 1e-18 * scale[at]
+            if stop.any():
+                at = live = live[~stop]
             if not live.size:
                 break
-            c, zl = step[live], z[live]
+            c, zl = step[at], z[at]
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 w = c
                 prod = zl - w
                 for _ in range(2, n + 1):
                     w = w * c
                     prod = prod * (zl - w)
-                total[live] += (3.0 ** (-4 * n ** 3) * prod * lam[live] ** (-n * n)
-                                * zl ** n)
-            scale[live] = np.fmax(scale[live], np.abs(total[live]))
+                total[at] += (3.0 ** (-4 * n ** 3) * prod * lam[at] ** (-n * n)
+                              * zl ** n)
+            scale[at] = np.fmax(scale[at], np.abs(total[at]))
         failed = np.flatnonzero(~(tail < 1e-12 * np.fmax(1.0, np.abs(total))))
         if failed.size:
             raise ConvergenceError(

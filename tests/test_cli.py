@@ -128,6 +128,33 @@ def test_help_exits_0(capsys):
     assert "usage: pinchext" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one argparse parser serves every call in a process: a second round of
+    # the same commands, a usage error and --help included, prints and
+    # returns exactly what the first round did
+    validate = write_config(tmp_path, VALIDATE_LINES, "validate.ini")
+    test = write_config(tmp_path, TEST_LINES, "test.ini")
+    ladder = write_config(tmp_path, LADDER_EXP, "ladder.ini")
+    calls = [["validate", "--config", validate, "--format", "csv"],
+             ["test", "--config", test],
+             ["gallery", "remark1", "--lam", "0.5,0", "--z", "0.1,0"],
+             ["ladder", "--config", ladder],
+             ["validate", "--format", "csv"],
+             ["--help"]]
+    rounds = []
+    for _ in range(2):
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        rounds.append(seen)
+    assert [code for code, _, _ in rounds[0]] == [0, 0, 0, 0, 1, 0]
+    assert "--config" in rounds[0][4][2] and "usage: pinchext" in rounds[0][5][1]
+    assert rounds[1] == rounds[0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_ladder_has_no_format_option(tmp_path):
     # the ladder writes JSON and a CSV profile whatever --format says, so
     # the option is not offered

@@ -205,6 +205,24 @@ def test_sup_bound_grid_grows_with_degree(monkeypatch):
         DiscFunction(peaked)
 
 
+def test_sup_bound_is_the_sampled_max_of_the_curve():
+    # the constructor samples with one polyval of its trimmed coefficients:
+    # bit for bit the max of |phi| on its grid through __call__, on grids
+    # of 256 to 2048 points, with tails below the trim in every other curve
+    rng = np.random.default_rng(5151)
+    sizes = set()
+    for degree in [*range(41), 63, 64, 127, 128, 255]:
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        c *= rng.uniform(0.3, 0.99) / np.abs(c).sum()
+        if degree % 2:
+            c = np.concatenate([c, [1e-17, 2e-18j]])
+        phi = DiscFunction(c)
+        n = max(256, 1 << (8 * (phi.degree + 1) - 1).bit_length())
+        sizes.add(n)
+        assert phi.sup_bound == float(np.abs(phi(unit_circle_grid(n))).max())
+    assert sizes == {256, 512, 1024, 2048}
+
+
 def test_into_disc_check_covers_the_sampling_miss():
     # c (1 + e^{-i pi/256} lam^31) with 2|c| = 1 + 1e-6 has sup 1 + 1e-6,
     # but its 256 samples peak at 0.99998: neither sum |c_k| nor the
@@ -357,6 +375,51 @@ def test_interp_prefixes_matches_lu():
                     c_c = got_c[k - 1][:, col]
                     ref_c = np.array([complex(r) for r in ref])
                     assert np.abs(c_c - ref_c).max() <= 1e-8 * float(scale)
+
+
+def _dd_by_rows(nodes, values):
+    """The former row-by-row divided differences, kept as reference."""
+    dd = values.copy()
+    for j in range(1, len(dd)):
+        for i in range(len(dd) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    return dd
+
+
+def _prefix_by_rows(nodes, dd, n_keep, k):
+    """The former row-by-row truncated Horner steps, kept as reference."""
+    c = dd[:n_keep] * 0
+    c[0] = dd[k - 1]
+    for i in range(k - 2, -1, -1):
+        for d in range(n_keep - 1, 0, -1):
+            c[d] = c[d - 1] - nodes[i] * c[d]
+        c[0] = dd[i] - nodes[i] * c[0]
+    return c
+
+
+def test_newton_kernel_matches_row_by_row_recurrences():
+    # the whole-slice steps give every entry of the row-by-row ones, bit for
+    # bit, on complex arrays and on _DecimalArray
+    rng = np.random.default_rng(6061)
+
+    def bits(a):
+        if isinstance(a, _DecimalArray):
+            return [str(x) for x in (*a.re.flat, *a.im.flat)]
+        return a.tobytes()
+
+    for kcurves in (1, 2, 5, 9):
+        x = np.column_stack([_separated_nodes(rng, kcurves) for _ in range(3)])
+        y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        with decimal.localcontext(decimal.Context(prec=_decimal_digits(52))):
+            x_dec = _DecimalArray.from_complex(x)
+            y_dec = _DecimalArray.from_complex(y) * _DecimalArray.from_complex(y)
+            for nodes, values in ((x, y), (x_dec, y_dec)):
+                dd = _divided_differences(nodes, values)
+                assert bits(dd) == bits(_dd_by_rows(nodes, values))
+                for n_keep in sorted({1, max(1, kcurves - 1), kcurves}):
+                    got = _interp_prefixes(nodes, dd, n_keep, range(1, kcurves + 1))
+                    for k, c in enumerate(got, 1):
+                        assert bits(c) == bits(_prefix_by_rows(nodes, dd, n_keep, k))
 
 
 def test_convergence_check_reads_prefix_estimates(exp_ring):

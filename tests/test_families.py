@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pinchext import (ConvergenceError, DiscFunction, coefficient_ladder,
+from pinchext import (ConvergenceError, DiscFunction, cli, coefficient_ladder,
                       general_position_check, pinch_estimate,
                       validate_test_sequence, winding_profile)
 from pinchext.families import (GeneralPositionReport, ProbeResult,
@@ -226,9 +226,10 @@ def _records_by_pair_loop(curves, phi0, probes):
                                  triple_violations=tuple(violations))
 
 
-def test_general_position_matches_pair_loop_on_mixed_degrees():
-    # sixty curves of degrees 1..6 in turn, half through the origin: the
-    # batched scan reports exactly what the per-pair loop reports
+def _mixed_degree_curves():
+    """Sixty curves of degrees 1..6 in turn, half through the origin, then
+    the edge cases of the one-mask disc filter; with the point ``p`` that
+    the last four lines pass through."""
     rng = np.random.default_rng(2718)
     curves = []
     for idx in range(60):
@@ -250,15 +251,47 @@ def test_general_position_matches_pair_loop_on_mixed_degrees():
                DiscFunction([0.1, 0.05]), DiscFunction([0.3, 0.01])]
     curves += [DiscFunction([0.1 - 1.5 * b, b]) for b in (0.3, -0.3, 0.3j)]
     curves += [DiscFunction([w - b * p, b]) for b in (0.3, -0.4j, 0.5 + 0.2j, -0.6)]
-    probes = [0j, 0.4 - 0.3j, -0.6 + 0.1j]
-    report = general_position_check(curves, ZERO, probes)
+    return curves, p
+
+
+MIXED_PROBES = [0j, 0.4 - 0.3j, -0.6 + 0.1j]
+
+
+def test_general_position_matches_pair_loop_on_mixed_degrees():
+    # the batched scan reports exactly what the per-pair loop reports
+    curves, p = _mixed_degree_curves()
+    report = general_position_check(curves, ZERO, MIXED_PROBES)
     assert report.triple_violations
     assert report.as_dict() == _records_by_pair_loop(curves, ZERO,
-                                                     probes).as_dict()
+                                                     MIXED_PROBES).as_dict()
     k = len(curves)
     assert any(v.indices[-4:] == tuple(range(k - 4, k)) and abs(v.lam - p) < 1e-12
                for v in report.triple_violations)
     assert all(abs(v.lam) <= 1.0 + 1e-9 for v in report.triple_violations)
+
+
+def test_validate_command_reports_the_library_checks(tmp_path, capsys):
+    # pinchext validate finds the zeros of phi_k - phi_0 once for both
+    # checks; its report is byte for byte the two public checks' as_dict()
+    curves, _ = _mixed_degree_curves()
+
+    def pair(c):
+        return f"{c.real!r},{c.imag!r}"
+
+    rows = "\n".join(f"curve_{k} = " + " ".join(map(pair, phi.coeffs))
+                     for k, phi in enumerate(curves, 1))
+    config = tmp_path / "validate.ini"
+    config.write_text(f"[function]\nname = example1\n\n[curves]\n{rows}\n\n"
+                      f"[analysis]\nprobes = {' '.join(map(pair, MIXED_PROBES))}\n")
+    sequence = validate_test_sequence(curves, ZERO, 10)
+    position = general_position_check(curves, ZERO, MIXED_PROBES)
+    code = cli.main(["validate", "--config", str(config)])
+    out = capsys.readouterr()
+    assert out.out == cli.dump_json({"command": "validate",
+                                     "test_sequence": sequence.as_dict(),
+                                     "general_position": position.as_dict()})
+    assert out.err == ""
+    assert code == (0 if sequence.is_test else 2)
 
 
 def _triples_by_scalar_loop(curves):

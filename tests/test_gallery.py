@@ -258,6 +258,94 @@ def test_example1_sums_each_point_to_its_own_depth(rng, monkeypatch):
     _assert_close(values, [v for v, _ in reference])
 
 
+def _example1_gathering(lam, z, n_trunc=40, depth=None):
+    """The former array kernel of ``Example1.__call__``, kept as the
+    bit-for-bit reference: a ``z != 0`` mask for ``eps_d``, and index
+    gathers and scatters of the summing points at every term."""
+    lam, z = (np.array(p, dtype=complex).ravel()
+              for p in np.broadcast_arrays(lam, z))
+    if (lam == 0).any():
+        raise ValueError("example 1 is undefined at lambda = 0")
+    depth = n_trunc if depth is None else depth
+    a = np.abs(lam)
+    eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
+    nz = z != 0
+    eps_d[nz] = np.minimum(eps_d[nz], 1.0 / (3.0 * np.abs(z[nz])))
+    log_inv_eps = np.log(1.0 / eps_d)
+    tail = 2.0 * gallery._term_bound(n_trunc + 1, log_inv_eps)
+    total = np.zeros_like(lam)
+    scale = np.ones(lam.shape)
+    step = (2.0 / 3.0) * lam
+    live = np.flatnonzero(tail < np.inf)
+    for n in range(1, depth + 1):
+        live = live[~(gallery._term_bound(n, log_inv_eps[live])
+                      < 1e-18 * scale[live])]
+        if not live.size:
+            break
+        c, zl = step[live], z[live]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w = c
+            prod = zl - w
+            for _ in range(2, n + 1):
+                w = w * c
+                prod = prod * (zl - w)
+            total[live] += (3.0 ** (-4 * n ** 3) * prod * lam[live] ** (-n * n)
+                            * zl ** n)
+        scale[live] = np.fmax(scale[live], np.abs(total[live]))
+    failed = np.flatnonzero(~(tail < 1e-12 * np.fmax(1.0, np.abs(total))))
+    if failed.size:
+        raise ConvergenceError(
+            f"truncation error bound {tail[failed[0]]:.3e} at series depth "
+            f"{n_trunc} cannot certify the value at this point")
+    return total
+
+
+def test_example1_kernel_matches_gathering_kernel_bit_for_bit(rng, monkeypatch):
+    # ring points, points with z = 0, points that stop at different depths
+    # (as in test_example1_sums_each_point_to_its_own_depth), shallow
+    # depths, a scalar, and the uncertifiable and overflowing points: the
+    # same values or error, after the same term bounds at the same points
+    bounds = []
+    term_bound = gallery._term_bound
+
+    def recording(n, log_inv_eps):
+        bounds.append((n, log_inv_eps.tobytes()))
+        return term_bound(n, log_inv_eps)
+
+    monkeypatch.setattr(gallery, "_term_bound", recording)
+
+    def _outcome(fn, *args, **kwargs):
+        bounds.clear()
+        try:
+            got = np.asarray(fn(*args, **kwargs), dtype=complex).tobytes()
+        except (ConvergenceError, FloatingPointError) as exc:
+            got = type(exc), str(exc)
+        return got, list(bounds)
+
+    lam, z = _ring_points(rng, 200)
+    lam[:4] = [1e-6, 1e-4, 3e-2, 5.0]
+    z[::9] = 0.0
+    near = np.minimum(np.abs(z), 0.9) * np.exp(1j * np.angle(z))
+    cases = [(lam, z), (lam[4:], near[4:]),
+             (lam.reshape(8, 25), z.reshape(8, 25)), (0.9 + 0.2j, 0.3 - 0.1j), (0.8j, 0.0), (lam[:10], 0.0),
+             (np.array([0.9, 1e-60]), 0.1),  # infinite tail bound
+             (np.array([0.9, 1e-3]), 0.5),   # uncertifiable at shallow depth
+             (np.array([0.9, 1e-8]), 0.1)]   # a term overflows doubles
+    outcomes = []
+    for lam_, z_ in cases:
+        for n_trunc in (1, 2, 5, 40):
+            got = _outcome(Example1(n_trunc), lam_, z_)
+            assert got == _outcome(_example1_gathering, lam_, z_, n_trunc)
+            outcomes.append(got[0])
+        for depth in (1, 2, 5):  # the call's own depth, under the tail at 40
+            got = _outcome(Example1(), lam_, z_, n_trunc=depth)
+            assert got == _outcome(_example1_gathering, lam_, z_, depth=depth)
+            outcomes.append(got[0])
+    assert type(Example1()(0.9 + 0.2j, 0.3 - 0.1j)) is complex
+    kinds = {o[0] if isinstance(o, tuple) else bytes for o in outcomes}
+    assert kinds == {bytes, ConvergenceError, FloatingPointError}
+
+
 def test_example1_first_uncertifiable_point_is_reported(rng):
     # depth 2: the tail bound past term 2 certifies ring points but not
     # |lam| = 1e-3 or 3e-3; the first such point in ravel order is named
