@@ -27,8 +27,9 @@ from .errors import (BandwidthError, CircleVanishingError, ConfigError,
                      ConvergenceError, DomainError, NotExtendableError,
                      PoleLocationError)
 from .extension import (_DISC_SLACK, _HOLO_TOLERANCE, DiscFunction,
-                        RingFunction, coefficient_ladder, extension_test,
-                        pinch_estimate, verify_coefficient_bounds)
+                        RingFunction, _entry_sums, coefficient_ladder,
+                        extension_test, pinch_estimate,
+                        verify_coefficient_bounds)
 from .families import (_complex_pair, _general_position, _sequence_report,
                        _zeros_against, probes_from_csv)
 from .rational import MAX_POLE_BOUND
@@ -297,9 +298,9 @@ def _profile_csv(ladder, ray_angle: float) -> str:
     direction = complex(math.cos(ray_angle), math.sin(ray_angle))
     radii = np.linspace(0.1, 1.0 - ladder.epsilon / 4.0, 48)
     lines = ["n,r,abs_An"]
-    for entry in ladder.entries:
-        values = np.abs(entry(radii * direction))
-        for r, v in zip(radii, values):
+    for entry, values in zip(ladder.entries,
+                             _entry_sums(ladder.entries, radii * direction)):
+        for r, v in zip(radii, np.abs(values)):
             lines.append(f"{entry.n},{format(float(r), '.17g')},"
                          f"{format(float(v), '.17g')}")
     return "\n".join(lines) + "\n"

@@ -93,6 +93,12 @@ Numerical notes
   cleaned level function and its poles; the Blaschke-corrected
   ``f_{n,k} * B`` behind :class:`LevelDiagnostic` is computed when it is
   read.
+* The pinch search, the bound check, the profile CSV and
+  :func:`evaluate_extension` evaluate the entries they need by one
+  :func:`_entry_sums` call per point set, which builds each pole power
+  once for all of them.  On arrays its bits are those of ``polyval`` plus
+  the principal parts; ``evaluate_extension`` calls it on a Python
+  ``complex``.
 """
 
 from __future__ import annotations
@@ -121,7 +127,8 @@ from .boundary import (_ZERO_TOLERANCE, CircleFunction, _check_sample_count,
 from .errors import (BandwidthError, CircleVanishingError,
                      ConvergenceError, DomainError, NotExtendableError)
 from .rational import (_CLUSTER_RADIUS, MAX_POLE_BOUND, RationalPart,
-                       _single_linkage, blaschke_from_zeros, detect_rational)
+                       _pole_powers, _single_linkage, blaschke_from_zeros,
+                       detect_rational)
 
 __all__ = [
     "RingFunction",
@@ -336,19 +343,36 @@ class DiscFunction:
 
     def roots_in_disc(self, radius: float) -> Tuple[Tuple[complex, int], ...]:
         """Zeros inside ``|lambda| <= radius`` as ``(location, multiplicity)``."""
-        roots = self.roots()
-        if roots is None:
-            raise ValueError("zero curve has no isolated zeros")
-        out: List[Tuple[complex, int]] = []
-        for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
-            center = complex(np.mean(cluster))
-            if abs(center) <= radius + _DISC_SLACK:
-                out.append((center, cluster.size))
-        out.sort(key=lambda t: (round(t[0].real, 6), round(t[0].imag, 6)))
-        return tuple(out)
+        return _zeros_in_disc(self.roots(), radius)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiscFunction(degree={self.degree}, sup={self.sup_bound:.4f})"
+
+
+def _zeros_in_disc(roots: Optional[np.ndarray], radius: float
+                   ) -> Tuple[Tuple[complex, int], ...]:
+    """The zeros ``roots`` (of one curve, as ``roots()`` gives them) inside
+    ``|lambda| <= radius``: clusters within 1e-4 merge into one zero at
+    their mean whose multiplicity is their size, sorted by location.  The
+    zero curve's ``None`` raises ``ValueError``."""
+    if roots is None:
+        raise ValueError("zero curve has no isolated zeros")
+    out: List[Tuple[complex, int]] = []
+    for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
+        center = complex(np.mean(cluster))
+        if abs(center) <= radius + _DISC_SLACK:
+            out.append((center, cluster.size))
+    out.sort(key=lambda t: (round(t[0].real, 6), round(t[0].imag, 6)))
+    return tuple(out)
+
+
+def _coefficient_table(curves: Sequence[DiscFunction]) -> np.ndarray:
+    """Taylor coefficients of the curves, zero-padded, one curve a column."""
+    table = np.zeros((max(len(phi.coeffs) for phi in curves), len(curves)),
+                     dtype=complex)
+    for idx, phi in enumerate(curves):
+        table[:len(phi.coeffs), idx] = phi.coeffs
+    return table
 
 
 def _kept_lengths(rows: np.ndarray) -> np.ndarray:
@@ -440,7 +464,13 @@ class ExtensionVerdict:
 
 @dataclass(frozen=True)
 class LadderEntry:
-    """One reconstructed coefficient ``A_n`` = rational part + Taylor tail."""
+    """One reconstructed coefficient ``A_n`` = rational part + Taylor tail.
+
+    Calling an entry is the :func:`~pinchext.boundary.pointwise` form of
+    :func:`_entry_sums` for this entry alone; the pinch search, the bound
+    check, the profile CSV and ``evaluate_extension`` call that
+    evaluator directly, for all the entries they need at once.
+    """
 
     n: int
     rational: RationalPart
@@ -448,9 +478,7 @@ class LadderEntry:
 
     @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        out = np.polynomial.polynomial.polyval(lam, self.tail) \
-            if self.tail else np.zeros_like(lam)
-        return out + self.rational(lam)
+        return _entry_sums([self], lam)[0]
 
     @property
     def is_zero(self) -> bool:
@@ -462,6 +490,33 @@ class LadderEntry:
             "rational": self.rational.as_dict(),
             "tail": [[c.real, c.imag] for c in self.tail],
         }
+
+
+def _entry_sums(entries: Sequence[LadderEntry], lam) -> list:
+    """``A_n(lam)`` of each entry, on a 1-d complex array or on a Python
+    ``complex``.
+
+    Each power ``(lam - a)**e`` of the principal parts is built once and
+    shared by every entry with a pole at ``a``
+    (:func:`~pinchext.rational._pole_powers`).  Each Taylor tail is summed
+    by Horner in numpy ``polyval``'s order (``c_top + lam * 0``, then
+    ``c + total * lam``), so on arrays it has ``polyval``'s bits, and its
+    principal parts are added to it as one sum from zero.  On a Python
+    ``complex``, a ``lam`` at a pole raises ``ZeroDivisionError`` or
+    ``OverflowError``.
+    """
+    powers = _pole_powers(lam, [entry.rational for entry in entries])
+    zero = lam * 0
+    out = []
+    for entry in entries:
+        total = zero
+        if entry.tail:
+            *low, top = entry.tail
+            total = top + zero
+            for c in reversed(low):
+                total = c + total * lam
+        out.append(total + entry.rational._principal_sum(zero, powers))
+    return out
 
 
 @dataclass(frozen=True)
@@ -1059,7 +1114,12 @@ def _match_allowance(pole: complex, mult: int, level: int,
 
 
 def _stabilized_zero_sets(curves: Sequence[DiscFunction], radius: float):
-    zero_sets = [phi.roots_in_disc(radius) for phi in curves[-3:]]
+    """The zeros in ``|lambda| <= radius`` of the last curve, once the last
+    three curves agree on their count and stay within 0.1 of it.  Their
+    zero sets are ``roots_in_disc(radius)`` of each, from one
+    :func:`_roots_of_rows` call over their coefficient table."""
+    rows = _coefficient_table(curves[-3:]).T
+    zero_sets = [_zeros_in_disc(r, radius) for r in _roots_of_rows(rows)]
     counts = [sum(l for _, l in zs) for zs in zero_sets]
     if len(set(counts)) != 1:
         raise ConvergenceError(
@@ -1311,7 +1371,9 @@ def pinch_estimate(ladder: CoefficientLadder) -> PinchDescriptor:
     of some reconstructed coefficient; the constant ``c`` is found by a
     halving search so that consecutive significant ladder terms contract
     by at least 1/2 on the test grid (64 points on each of the circles
-    ``|lam| = 1 - eps/4`` and ``|lam| = (1 - eps)/2``).
+    ``|lam| = 1 - eps/4`` and ``|lam| = (1 - eps)/2``, off the poles).
+    Each entry of the last three pairs is evaluated once on that grid, with
+    the pole powers shared between entries.
     """
     if len(ladder.entries) < 3:
         raise ValueError("pinch estimation needs ladder depth >= 2")
@@ -1329,10 +1391,13 @@ def pinch_estimate(ladder: CoefficientLadder) -> PinchDescriptor:
         [unit_circle_grid(_PROBE_ANGLES, r)
          for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0)]))
     pinch_prod = distance_product(grid, pinches)
+    # each entry the last three pairs need, evaluated once
+    used = sorted({n for pair in pairs[-3:] for n in pair})
+    values = _entry_sums([ladder.entries[n] for n in used], grid)
+    moduli = {n: np.abs(v) for n, v in zip(used, values)}
     ratios = []
     for n1, n2 in pairs[-3:]:
-        v1 = np.abs(ladder.entries[n1](grid))
-        v2 = np.abs(ladder.entries[n2](grid))
+        v1, v2 = moduli[n1], moduli[n2]
         guard = v1 > 1e-9 * max(v1.max(), 1e-300)
         if not guard.any():
             continue
@@ -1360,22 +1425,58 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
     stay more than 1e-2 off the pole lines.  The attached bound dominates
     the tail beyond ``depth`` via the coefficient estimates; it does not
     cover the error of the reconstructed ``A_0 .. A_depth``.
+
+    Everything runs in plain Python ``complex`` and ``float`` arithmetic:
+    all ``A_n`` come from one :func:`_entry_sums` call, and the domain
+    radius and the distance products use Python's ``abs``, which may
+    differ from numpy's in the last bit.  The value agrees with the array
+    evaluation ``sum entry(lam) * z**n`` to a few ulps of
+    ``sum |A_n(lam)| |z|^n``, the bound with the array formula's to a few
+    ulps times its condition number in ``q``.
+
+    Raises :class:`DomainError` for a ``lam`` or ``z`` that is not finite,
+    for a point outside the domain or on a pole line, for a ``lam`` at a
+    pole of some ``A_n`` (where a power ``(lam - a)**e`` is not computable
+    in double precision), and when the sum is not finite or a power in it
+    or in its bound overflows.
     """
     lam = complex(lam)
     z = complex(z)
-    if not abs(z) < 0.9 * descriptor.domain_radius(lam):
+    if not (cmath.isfinite(lam) and cmath.isfinite(z)):
+        raise DomainError(f"({lam}, {z}) is not a finite point")
+    try:
+        return _evaluate_at(ladder, descriptor, lam, z)
+    except OverflowError:
+        raise DomainError(f"the extension at ({lam}, {z}) is not finite in "
+                          "double precision") from None
+
+
+def _evaluate_at(ladder: CoefficientLadder, descriptor: PinchDescriptor,
+                 lam: complex, z: complex) -> ExtensionValue:
+    """:func:`evaluate_extension` at a finite point, in plain Python; a sum
+    that is not finite, or a power that overflows, raises
+    ``OverflowError``."""
+    radius = descriptor.c * _distance(lam, descriptor.pinches)
+    if not abs(z) < 0.9 * radius:
         raise DomainError(
             f"({lam}, {z}) is outside the pinched domain with margin 0.9")
     for b in descriptor.pole_lines:
         if abs(lam - b) <= _POLE_LINE_EXCLUSION:
             raise DomainError(f"lambda = {lam} lies on the pole line at {b}")
+    try:
+        values = _entry_sums(ladder.entries, lam)
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"lambda = {lam} lies at a pole of a coefficient "
+                          "A_n") from None
 
     value = 0j
-    for entry in ladder.entries:
-        value += entry(lam) * z ** entry.n
+    for entry, entry_value in zip(ladder.entries, values):
+        value += entry_value * z ** entry.n
+    if not cmath.isfinite(value):
+        raise OverflowError
 
-    prod_a = float(distance_product(lam, ladder.zeros))
-    prod_b = float(distance_product(lam, ladder.pole_lines))
+    prod_a = _distance(lam, ladder.zeros)
+    prod_b = _distance(lam, ladder.pole_lines)
     depth = ladder.depth
     if prod_a == 0.0:
         bound = math.inf
@@ -1387,6 +1488,13 @@ def evaluate_extension(ladder: CoefficientLadder, descriptor: PinchDescriptor,
             bound = (ladder.c_prime / max(prod_b, 1e-300)
                      * q ** (depth + 1) / (1.0 - q))
     return ExtensionValue(complex(value), float(bound))
+
+
+def _distance(lam: complex, centers) -> float:
+    """``prod |lam - a|^l`` over the pairs ``(a, l)`` in ``centers`` at one
+    Python ``complex``, in Python floats (a power that overflows raises
+    ``OverflowError``)."""
+    return math.prod((abs(lam - a) ** l for a, l in centers), start=1.0)
 
 
 def verify_coefficient_bounds(ladder: CoefficientLadder) -> Tuple:
@@ -1402,11 +1510,12 @@ def verify_coefficient_bounds(ladder: CoefficientLadder) -> Tuple:
     grid = _off_poles(ladder, unit_circle_grid(_PROBE_ANGLES, r))
     prod_b = distance_product(grid, ladder.pole_lines)
     violations = []
-    for entry in ladder.entries:
+    for entry, values in zip(ladder.entries,
+                             _entry_sums(ladder.entries, grid)):
         n = entry.n
         prod_a = distance_product(grid, ladder.zeros, power=n)
         rhs = ladder.c_prime / (prod_a * prod_b * (1.0 + eps) ** n)
-        lhs = np.abs(entry(grid))
+        lhs = np.abs(values)
         bad = lhs > rhs * (1.0 + _BOUND_SLACK)
         for idx in np.nonzero(bad)[0]:
             violations.append((n, complex(grid[idx]),

@@ -27,7 +27,8 @@ import numpy as np
 # unused here; bench/selftest.py checks that its tracer wraps this alias
 from .boundary import winding_number  # noqa: F401
 from .errors import ConvergenceError
-from .extension import _DISC_SLACK, DiscFunction, _roots_of_rows
+from .extension import (_DISC_SLACK, DiscFunction, _coefficient_table,
+                        _roots_of_rows)
 
 __all__ = [
     "TestSequenceReport",
@@ -159,15 +160,6 @@ def _zero_free_radius(zero_sets: Sequence[Optional[np.ndarray]],
         if free.any():
             return float(radii[np.argmax(free)])
     return None
-
-
-def _coefficient_table(curves: Sequence[DiscFunction]) -> np.ndarray:
-    """Taylor coefficients of the curves, zero-padded, one curve a column."""
-    table = np.zeros((max(len(phi.coeffs) for phi in curves), len(curves)),
-                     dtype=complex)
-    for idx, phi in enumerate(curves):
-        table[:len(phi.coeffs), idx] = phi.coeffs
-    return table
 
 
 def _difference_zeros(table: np.ndarray, first, second,

@@ -67,13 +67,19 @@ class RationalPart:
 
     @pointwise
     def __call__(self, lam) -> np.ndarray | complex:
-        out = np.zeros_like(lam)
+        return self._principal_sum(np.zeros_like(lam),
+                                   _pole_powers(lam, [self]))
+
+    def _principal_sum(self, total, powers: dict):
+        """``total`` plus each term ``c_k (lam - a)**(k - m)`` in pole and
+        coefficient order, the powers read from ``powers`` as
+        :func:`_pole_powers` gives them: on complex arrays or on a Python
+        ``complex``."""
         for a, coeffs in self.poles:
             m = len(coeffs)
-            d = lam - a
             for k, c in enumerate(coeffs):
-                out += c * d ** (k - m)
-        return out
+                total = total + c * powers[a, k - m]
+        return total
 
     def laurent_tail(self, length: int) -> np.ndarray:
         """Coefficients ``c_{-1} .. c_{-length}`` of the expansion at infinity."""
@@ -109,6 +115,22 @@ class RationalPart:
 
 
 EMPTY_RATIONAL = RationalPart(poles=())
+
+
+def _pole_powers(lam, parts: Sequence[RationalPart]) -> dict:
+    """``(lam - a)**e`` keyed by ``(a, e)`` for every principal term of the
+    rational ``parts``, each power built once and shared by every part
+    with a pole at ``a``.  On a Python ``complex`` a power that is not
+    computable (``lam`` at a pole, or an overflow next to one) raises
+    ``ZeroDivisionError`` or ``OverflowError``."""
+    powers: dict = {}
+    for part in parts:
+        for a, coeffs in part.poles:
+            d = lam - a
+            for e in range(-len(coeffs), 0):
+                if (a, e) not in powers:
+                    powers[a, e] = d ** e
+    return powers
 
 
 @dataclass(frozen=True)

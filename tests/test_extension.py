@@ -25,6 +25,7 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       extension_test, hardy_project_minus, minus_part,
                       pinch_estimate, unit_circle_grid,
                       verify_coefficient_bounds)
+from pinchext.cli import _profile_csv
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
                                 _mpf_to_decimal, _roots_of_rows)
@@ -1387,3 +1388,283 @@ def test_report_dicts(exp_ladder):
                        DiscFunction([0, 1.0]), 10).as_dict()
     assert v["kind"] == "meromorphic"
     assert v["rational"]["poles"][0]["m"] == 1
+
+
+# ------------------------------------------------------- evaluation layer
+
+_EPS = float(np.finfo(float).eps)
+
+
+@pytest.fixture(scope="module")
+def float_ladder():
+    f = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
+    u = cmath.exp(0.4j)
+    curves = [DiscFunction([0j, u / k]) for k in range(1, 11)]
+    return coefficient_ladder(f, curves, 3, 10, m=256, ladder_tol=1e-5)
+
+
+def _mixed_ladder(c_prime=50.0):
+    # tails of length 0, 1 and 4, poles of order 1 to 3 at two points (the
+    # one at 0.3 shared by three entries) and a zero entry A_2, so the
+    # significant entries 0, 1, 3, 4 are not consecutive
+    far = -0.3 + 0.4j
+    entries = (
+        LadderEntry(0, RationalPart(((0.3 + 0j, (0.2 + 0.1j,)),)),
+                    (1.0 + 0.5j, -0.25j, 0.125 + 0j, 0.0625 - 0.03j)),
+        LadderEntry(1, RationalPart(((0.3 + 0j, (0.05j, 0.1 + 0j)),
+                                     (far, (0.02 + 0j,)))), (0.3 - 0.2j,)),
+        LadderEntry(2, RationalPart(()), ()),
+        LadderEntry(3, RationalPart(((0.3 + 0j, (0.004 + 0j, 0.001j,
+                                                 0.002 + 0j)),)), ()),
+        LadderEntry(4, RationalPart(((far, (1e-4 + 1e-4j, 2e-4 + 0j)),)),
+                    (1e-3 + 0j, 0j, -2e-3j, 5e-4 + 0j)),
+    )
+    return CoefficientLadder(
+        entries=entries, zeros=((0.3 + 0j, 1), (far, 1)), pole_lines=(),
+        epsilon=0.3, c_bound=2.0, c1_bound=1.2, c2_bound=1.0,
+        c_prime=c_prime)
+
+
+def _tampered_ladder(ladder):
+    # A_1 scaled by 1e6, as in test_bounds_catch_tampering
+    entry = ladder.entries[1]
+    scaled = LadderEntry(n=1, rational=RationalPart(tuple(
+        (a, tuple(1e6 * c for c in cs)) for a, cs in entry.rational.poles)),
+        tail=entry.tail)
+    return dataclasses.replace(
+        ladder, entries=(ladder.entries[0], scaled, *ladder.entries[2:]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def test_entry_tail_horner_has_polyval_bits(rng):
+    lam = 0.99 * np.sqrt(rng.uniform(size=97)) * np.exp(
+        2j * np.pi * rng.uniform(size=97))
+    for _ in range(300):
+        size = int(rng.integers(1, 30))
+        tail = tuple(complex(c) for c in rng.standard_normal(size)
+                     + 1j * rng.standard_normal(size))
+        entry = LadderEntry(0, RationalPart(()), tail)
+        npt.assert_array_equal(
+            _bits(extension._entry_sums([entry], lam)[0]),
+            _bits(np.polynomial.polynomial.polyval(lam, tail)))
+
+
+def _former_entry(entry, lam):
+    # LadderEntry.__call__ and RationalPart.__call__ before the shared
+    # evaluator, on a 1-d complex array
+    out = (np.polynomial.polynomial.polyval(lam, entry.tail) if entry.tail
+           else np.zeros_like(lam))
+    rational = np.zeros_like(lam)
+    for a, coeffs in entry.rational.poles:
+        d = lam - a
+        for k, c in enumerate(coeffs):
+            rational += c * d ** (k - len(coeffs))
+    return out + rational
+
+
+def _former_pinch(ladder):
+    # pinch_estimate with one evaluation per entry of each pair
+    observed = [a for e in ladder.entries for a, _ in e.rational.pole_list]
+    pinches = tuple((a, l) for a, l in ladder.zeros
+                    if any(abs(a - p) <= 0.05 for p in observed))
+    significant = [n for n, e in enumerate(ladder.entries) if not e.is_zero]
+    pairs = list(zip(significant, significant[1:]))
+    eps = ladder.epsilon
+    grid = extension._off_poles(ladder, np.concatenate(
+        [unit_circle_grid(64, r)
+         for r in (1.0 - eps / 4.0, (1.0 - eps) / 2.0)]))
+    pinch_prod = extension.distance_product(grid, pinches)
+    ratios = []
+    for n1, n2 in pairs[-3:]:
+        v1 = np.abs(_former_entry(ladder.entries[n1], grid))
+        v2 = np.abs(_former_entry(ladder.entries[n2], grid))
+        guard = v1 > 1e-9 * max(v1.max(), 1e-300)
+        if not guard.any():
+            continue
+        span = n2 - n1
+        ratio = (v2[guard] * pinch_prod[guard] ** span
+                 / v1[guard]) ** (1.0 / span)
+        ratios.append(ratio.max())
+    worst = max(ratios, default=0.0)
+    c = 1.0
+    while c * worst > 0.5:
+        c *= 0.5
+    return PinchDescriptor(pinches=pinches, c=c, pole_lines=tuple(
+        b for b, _ in ladder.pole_lines))
+
+
+def _former_violations(ladder):
+    eps = ladder.epsilon
+    grid = extension._off_poles(ladder, unit_circle_grid(64, 1.0 - eps / 4.0))
+    prod_b = extension.distance_product(grid, ladder.pole_lines)
+    violations = []
+    for entry in ladder.entries:
+        n = entry.n
+        prod_a = extension.distance_product(grid, ladder.zeros, power=n)
+        rhs = ladder.c_prime / (prod_a * prod_b * (1.0 + eps) ** n)
+        lhs = np.abs(_former_entry(entry, grid))
+        for idx in np.nonzero(lhs > rhs * (1.0 + 1e-6))[0]:
+            violations.append((n, complex(grid[idx]), float(lhs[idx]),
+                               float(rhs[idx])))
+    return tuple(violations)
+
+
+def _former_profile_csv(ladder, ray_angle):
+    direction = complex(math.cos(ray_angle), math.sin(ray_angle))
+    radii = np.linspace(0.1, 1.0 - ladder.epsilon / 4.0, 48)
+    lines = ["n,r,abs_An"]
+    for entry in ladder.entries:
+        values = np.abs(_former_entry(entry, radii * direction))
+        for r, v in zip(radii, values):
+            lines.append(f"{entry.n},{format(float(r), '.17g')},"
+                         f"{format(float(v), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _evaluation_ladders(exp_ladder, float_ladder):
+    return {"float": float_ladder, "remark1": exp_ladder,
+            "synthetic": _synthetic_ladder(),
+            "polynomial": _polynomial_ladder((1.0, 0.5, 0.25),
+                                             zeros=((0.5 + 0j, 1),)),
+            "mixed": _mixed_ladder()}
+
+
+def test_grid_callers_keep_the_former_bits(exp_ladder, float_ladder):
+    ladders = _evaluation_ladders(exp_ladder, float_ladder)
+    ladders["tampered"] = _tampered_ladder(exp_ladder)
+    ladders["mixed-tight"] = _mixed_ladder(c_prime=0.05)
+    grid = 0.8 * unit_circle_grid(64) + 0.01j
+    violated = 0
+    for name, ladder in ladders.items():
+        for entry in ladder.entries:
+            npt.assert_array_equal(entry(grid), _former_entry(entry, grid),
+                                   err_msg=name)
+        assert (pinch_estimate(ladder).as_dict()
+                == _former_pinch(ladder).as_dict()), name
+        violations = verify_coefficient_bounds(ladder)
+        assert violations == _former_violations(ladder), name
+        violated += bool(violations)
+        for angle in (0.0, 0.3, -2.0):
+            assert _profile_csv(ladder, angle) == _former_profile_csv(
+                ladder, angle), name
+    assert violated == 2
+
+
+def _in_domain_points(ladder, desc, rng, count):
+    poles = [a for e in ladder.entries for a, _ in e.rational.pole_list]
+    points = []
+    while len(points) < count:
+        lam = rng.uniform(0.2, 0.95) * cmath.exp(2j * np.pi * rng.uniform())
+        if any(abs(lam - a) < 0.02 for a in poles + list(desc.pole_lines)):
+            continue
+        radius = desc.domain_radius(lam)
+        z = (0.89 * radius * math.sqrt(rng.uniform())
+             * cmath.exp(2j * np.pi * rng.uniform()))
+        points.append((lam, z))
+    return points
+
+
+def _former_bound(ladder, lam, z):
+    # evaluate_extension's bound with numpy's distance products, and its
+    # condition number in q and in prod_b: an error of a few ulps in the
+    # distances moves it by that many ulps times this
+    prod_a = float(extension.distance_product(lam, ladder.zeros))
+    prod_b = float(extension.distance_product(lam, ladder.pole_lines))
+    if prod_a == 0.0:
+        return math.inf, None
+    q = ladder.c1_bound * abs(z) / ((1.0 + ladder.epsilon) * prod_a)
+    if q >= 1.0:
+        return math.inf, None
+    return (ladder.c_prime / max(prod_b, 1e-300)
+            * q ** (ladder.depth + 1) / (1.0 - q),
+            ladder.depth + 2 + q / (1.0 - q))
+
+
+def test_evaluate_extension_matches_the_array_path(exp_ladder, float_ladder,
+                                                   rng):
+    descriptors = {"synthetic": PinchDescriptor(((0j, 2),), (0.4 + 0j,), 0.5),
+                   "polynomial": PinchDescriptor((), (), 1.0),
+                   "mixed": PinchDescriptor((), (), 0.25)}
+    for name, ladder in _evaluation_ladders(exp_ladder, float_ladder).items():
+        desc = descriptors.get(name) or pinch_estimate(ladder)
+        for lam, z in _in_domain_points(ladder, desc, rng, 40):
+            out = evaluate_extension(ladder, desc, lam, z)
+            # the array path: each entry through its pointwise wrapper
+            terms = [entry(lam) * z ** entry.n for entry in ladder.entries]
+            scale = sum(abs(entry(lam)) * abs(z) ** entry.n
+                        for entry in ladder.entries)
+            assert abs(out.value - sum(terms, 0j)) <= 8 * _EPS * scale, name
+            bound, condition = _former_bound(ladder, lam, z)
+            if math.isinf(bound):
+                assert out.bound == bound, name
+            else:
+                assert abs(out.bound - bound) <= (
+                    4 * _EPS * condition * bound), name
+
+
+@pytest.mark.parametrize("lam, z", [
+    (math.inf, 0.1), (complex(0.5, math.inf), 0.1), (math.nan, 0.1),
+    (0.5, math.inf), (0.5, complex(math.nan, 0.0))])
+def test_evaluate_refuses_a_point_that_is_not_finite(exp_ladder, lam, z):
+    desc = pinch_estimate(exp_ladder)
+    with pytest.raises(DomainError, match="is not a finite point"):
+        evaluate_extension(exp_ladder, desc, lam, z)
+
+
+@pytest.mark.parametrize("lam", [
+    0.3,  # A_0's simple pole
+    complex(-0.3, 0.4 + 1e-160)])  # A_4's double pole: the power overflows
+def test_evaluate_refuses_a_pole_of_a_coefficient(lam):
+    # neither pole is a pinch or a pole line of the descriptor
+    desc = PinchDescriptor(pinches=(), pole_lines=(), c=1.0)
+    with pytest.raises(DomainError, match=re.escape(
+            f"lambda = {complex(lam)} lies at a pole of a coefficient A_n")):
+        evaluate_extension(_mixed_ladder(), desc, lam, 0.1)
+
+
+def test_evaluate_refuses_a_sum_that_is_not_finite(exp_ladder):
+    text = "is not finite in double precision"
+    # z**n overflows: exp(z / lam) itself is finite there
+    with pytest.raises(DomainError, match=text):
+        evaluate_extension(exp_ladder, pinch_estimate(exp_ladder), 1e308,
+                           1e307)
+    # the Taylor tail of A_0 overflows at |lam| = 1e200
+    desc = PinchDescriptor(pinches=(), pole_lines=(), c=1.0)
+    with pytest.raises(DomainError, match=text):
+        evaluate_extension(_mixed_ladder(), desc, 1e200, 0.1)
+
+
+def _curve_through(zeros, sup=0.8):
+    coeffs = np.polynomial.polynomial.polyfromroots(zeros)
+    top = np.abs(np.polynomial.polynomial.polyval(unit_circle_grid(1024),
+                                                  coeffs)).max()
+    return DiscFunction(coeffs * (sup / top))
+
+
+def test_stabilized_zero_sets_match_roots_in_disc(rng):
+    radius = 0.85
+    for _ in range(8):
+        double = rng.uniform(0.2, 0.6) * cmath.exp(2j * np.pi * rng.uniform())
+        pair = rng.uniform(0.2, 0.6) * cmath.exp(2j * np.pi * rng.uniform())
+        rim = 2j * np.pi * rng.uniform()
+        origin = [0j] if rng.uniform() < 0.5 else []
+        curves = []
+        for k in range(5):
+            shift = 1e-3 / (k + 1) * cmath.exp(2j * np.pi * rng.uniform())
+            # a double zero, two zeros 3e-5 apart (one cluster), a zero on
+            # |lambda| = radius and one just outside it
+            curves.append(_curve_through(origin + [
+                double + shift, double + shift, pair - shift,
+                pair - shift + 3e-5, radius * cmath.exp(rim + 1j * abs(shift)),
+                (radius + 1e-6) * cmath.exp(rim + 1j + 1j * abs(shift))]))
+        for k in range(3, len(curves) + 1):
+            final = extension._stabilized_zero_sets(curves[:k], radius)
+            assert final == curves[k - 1].roots_in_disc(radius)
+            mults = sorted(l for _, l in final)
+            assert mults == [1] * (len(origin) + 1) + [2, 2]
+    with pytest.raises(ValueError, match="zero curve has no isolated zeros"):
+        extension._stabilized_zero_sets(
+            [curves[0], curves[1], DiscFunction([0j])], radius)
