@@ -21,40 +21,32 @@ Numerical notes
   first K-2 and K-1 curves used by the convergence check; only the
   ``depth + 1`` lowest monomial coefficients are formed.  The node
   systems are exponentially ill-conditioned, so for ring functions with
-  a ``block_evaluator`` (remark 1's) or an ``mp_evaluator``
-  (:meth:`RingFunction.from_laurent` builds one from the exact terms) the
-  ladder works at ``dps`` digits; otherwise everything runs in complex
-  doubles, and deep levels lose accuracy.
+  a ``block_evaluator`` (:meth:`RingFunction.from_laurent` builds one
+  from the exact terms, and every gallery ring has one) the ladder works
+  at ``dps`` digits; otherwise everything runs in complex doubles, and
+  deep levels lose accuracy.
 * At ``dps`` digits the ladder works on the C ``decimal`` type, at the
-  smallest precision whose single rounding is at least as fine as
-  mpmath's at ``dps`` (:func:`_decimal_digits`).  With a
-  ``block_evaluator`` nothing else is used: the grid points enter exactly
-  (``Decimal(float)``), one Horner pass per curve over a block of grid
-  columns gives the nodes, which are checked for collisions before any
-  value of the block, and one call gives the block's values.  Remark 1's
-  takes ``1/lam`` once per column and sums argument-reduced Taylor series
-  of ``e^x``, ``cos y`` and ``sin y`` a few guard digits above the
-  context, then rounds each part once to it; its values are within about
-  5e-54 relative of ``exp(z / lam)`` at its nodes (at ``dps`` 52, where
-  mpmath's own rounding reaches 1e-53), and its nodes may differ from
-  mpmath's nodes in the last digits, so a result that is zero in exact
-  arithmetic reads about 1e-52 (the imaginary part of ``A_0`` on the real
-  lines ``lam / k``).  Without one, mpmath evaluates the nodes (the same
-  Horner pass) and the values, one call of the ring's ``mp_evaluator``
-  per grid column: it takes one ``lam`` and the ``K`` nodes of that
-  column and returns one ``mpc`` per node (a Laurent ring's and the
-  example series evaluate each node on its own), and each part of each
-  node and value is converted to ``decimal`` once, by one correctly
-  rounded division.  The divided-difference table, the monomial
-  conversion, the convergence estimates and the level recursion below run
-  on ``decimal``.  A complex product or quotient takes a few more
-  roundings than mpmath's ``mpc`` (which rounds each part once, with
-  guard bits for division), so a part can lose a few ulps more under
-  cancellation; normwise the error stays a few ulps.  Results return to
-  complex doubles through ``float(Decimal)``, which rounds correctly, each
-  value once.  mpmath is imported only inside the functions that call an
-  ``mp_evaluator`` or work in ``mpc``, so a remark-1 ladder, and a ladder
-  or extension test without extended precision, never load it.
+  smallest precision whose single rounding is at least as fine as a
+  binary one at ``dps`` digits (:func:`_decimal_digits`).  The grid
+  points enter exactly (``Decimal(float)``), one Horner pass per curve
+  over a block of grid columns gives the nodes, which are checked for
+  collisions before any value of the block, and one call of the ring's
+  ``block_evaluator`` gives the block's values.  A Laurent ring sums its
+  terms as its float evaluator does, term for term, and example 2 runs
+  its one Horner loop; example 1 sums each node until its term bound
+  falls below the context's precision.  Remark 1's takes ``1/lam`` once
+  per column and sums argument-reduced Taylor series of ``e^x``,
+  ``cos y`` and ``sin y`` a few guard digits above the context, then
+  rounds each part once to it; its values are within about 5e-54
+  relative of ``exp(z / lam)`` at its nodes (at ``dps`` 52).  A result
+  that is zero in exact arithmetic need not read 0: the imaginary part of
+  remark 1's ``A_0`` on the real lines ``lam / k`` reads about 1e-52.  The
+  divided-difference table, the monomial conversion, the convergence
+  estimates and the level recursion below run on ``decimal``.  A complex
+  product or quotient rounds every real product and sum, so a part can
+  lose a few ulps under cancellation; normwise the error stays a few
+  ulps.  Results return to complex doubles through ``float(Decimal)``,
+  which rounds correctly, each value once.  No ladder loads mpmath.
 * Everything from the nodes to the level recursion reads one grid
   column at a time, so :func:`_ladder_block` computes it for a contiguous
   block of columns and returns complex doubles.  On the extended-precision
@@ -173,7 +165,7 @@ def _degree(idx: int, key: str, d) -> int:
 
 def _laurent_sum(terms, lam, z, total):
     """``total + sum a * lam**l * z**n`` over the terms ``(n, l, a)``,
-    added in order; on complex arrays or on mpmath numbers."""
+    added in order; on complex arrays or on :class:`_DecimalArray`."""
     for n, l, c in terms:
         total = total + c * lam ** l * z ** n
     return total
@@ -182,7 +174,7 @@ def _laurent_sum(terms, lam, z, total):
 class RingFunction:
     """Function holomorphic on the ring ``A_{1-eps,1+eps} x Delta``.
 
-    A ring has up to three evaluators:
+    A ring has up to two evaluators:
 
     * ``evaluator(lambda, z)`` in complex doubles, vectorized over numpy
       arrays;
@@ -191,28 +183,24 @@ class RingFunction:
       ``_DecimalArray`` and returns the ``(K, c)`` values as one, in C
       ``decimal`` and rounded to the caller's context (remark 1's works
       ``ceil(s log10 2)`` guard digits above it, 3 on the ladder, and
-      rounds each part once; see :func:`_decimal_digits`);
-    * the optional ``mp_evaluator(lambda, zs)``, which takes one ``mpc``
-      lambda and the ``mpc`` nodes of one ladder grid column and returns
-      one ``mpc`` per node.
+      rounds each part once; see :func:`_decimal_digits`).
 
-    The ladder works at extended precision when either of the last two is
-    set, and prefers ``block_evaluator``.  :meth:`from_laurent` builds the
-    float and mpmath evaluators from exact terms and keeps them as
+    The ladder works at extended precision when the second is set.
+    :meth:`from_laurent` builds both from exact terms and keeps them as
     ``laurent`` (``None`` on any other ring).
     """
 
-    __slots__ = ("evaluator", "epsilon", "laurent", "mp_evaluator",
-                 "block_evaluator")
+    __slots__ = ("evaluator", "epsilon", "laurent", "block_evaluator")
+
+    # no ring has one; kept only for the getattr lookup in bench/tracing.py
+    mp_evaluator = None
 
     def __init__(self, evaluator: Callable, epsilon: float,
-                 mp_evaluator: Optional[Callable] = None,
                  block_evaluator: Optional[Callable] = None):
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
         self.evaluator = evaluator
         self.epsilon = float(epsilon)
-        self.mp_evaluator = mp_evaluator
         self.block_evaluator = block_evaluator
         self.laurent = None
 
@@ -241,12 +229,11 @@ class RingFunction:
                 return _laurent_sum(terms, lam, z, np.zeros(
                     np.broadcast(lam, z).shape, dtype=complex))
 
-        import mpmath as mp
-        # doubles convert to mpc exactly, so once per ring suffices
-        mp_terms = tuple((n, l, mp.mpc(c)) for n, l, c in terms)
-        # the mpc start keeps a zero-term ring's values mpc
-        ring = cls(evaluator, epsilon, mp_evaluator=lambda lam, zs: [
-            _laurent_sum(mp_terms, lam, z, mp.mpc(0)) for z in zs])
+        # doubles convert to Decimal exactly, so once per ring suffices
+        exact = tuple((n, l, _DecimalArray.from_complex(c))
+                      for n, l, c in terms)
+        ring = cls(evaluator, epsilon, block_evaluator=lambda lam, nodes:
+                   _laurent_sum(exact, lam, nodes, nodes * 0))
         ring.laurent = terms
         return ring
 
@@ -302,6 +289,7 @@ class DiscFunction:
     def __call__(self, lam) -> np.ndarray | complex:
         return np.polynomial.polynomial.polyval(lam, self.coeffs)
 
+    # no ladder calls it; kept only for the lookup in bench/tracing.py
     def eval_mp(self, lam):
         """Horner at one ``mpc`` or at an ``object`` array of them.
 
@@ -726,8 +714,9 @@ class _DecimalArray:
 
     The extended-precision number type of the ladder kernel: every operation
     is C ``decimal`` arithmetic under the current context, applied element by
-    element with numpy broadcasting.  It implements what the kernel and the
-    level recursion use of a complex ndarray.
+    element with numpy broadcasting.  It implements what the kernel, the
+    level recursion and the rings' shared sums (:func:`_laurent_sum`,
+    example 2's Horner loop) use of a complex ndarray.
     """
 
     __slots__ = ("re", "im")
@@ -735,15 +724,6 @@ class _DecimalArray:
     def __init__(self, re: np.ndarray, im: np.ndarray):
         self.re = re
         self.im = im
-
-    @classmethod
-    def from_mpc(cls, z) -> "_DecimalArray":
-        """Each part of each ``mpc`` (an ``object`` array or a list of
-        them) rounded once to the context by :func:`_mpf_to_decimal`."""
-        z = np.asarray(z, dtype=object)
-        parts = np.array([_mpf_to_decimal(t) for x in z.flat for t in x._mpc_],
-                         dtype=object)
-        return cls(parts[0::2].reshape(z.shape), parts[1::2].reshape(z.shape))
 
     @classmethod
     def from_complex(cls, z) -> "_DecimalArray":
@@ -765,7 +745,9 @@ class _DecimalArray:
     def copy(self) -> "_DecimalArray":
         return _DecimalArray(self.re.copy(), self.im.copy())
 
-    def __add__(self, other: "_DecimalArray") -> "_DecimalArray":
+    def __add__(self, other) -> "_DecimalArray":
+        if not isinstance(other, _DecimalArray):  # a complex double, exactly
+            other = _DecimalArray.from_complex(other)
         return _DecimalArray(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "_DecimalArray") -> "_DecimalArray":
@@ -777,14 +759,31 @@ class _DecimalArray:
         a, b, c, d = self.re, self.im, other.re, other.im
         return _DecimalArray(a * c - b * d, a * d + b * c)
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other: "_DecimalArray") -> "_DecimalArray":
         a, b, c, d = self.re, self.im, other.re, other.im
         den = c * c + d * d
         return _DecimalArray((a * c + b * d) / den, (b * c - a * d) / den)
 
+    def __pow__(self, n: int) -> "_DecimalArray":
+        """Integer power by repeated squaring; a negative power is the
+        reciprocal of the positive one, by one division."""
+        if n < 0:
+            p = self ** -n
+            den = p.re * p.re + p.im * p.im
+            return _DecimalArray(p.re / den, -p.im / den)
+        out, base = self * 0 + 1, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
     def astype(self, dtype) -> np.ndarray:
-        # float(Decimal) rounds correctly; + 0.0 drops the sign of zeros,
-        # which mpmath numbers do not carry either
+        # float(Decimal) rounds correctly; + 0.0 drops the sign of zeros
         out = np.empty(self.re.shape, dtype=dtype)
         out.real = self.re.astype(float) + 0.0
         out.imag = self.im.astype(float) + 0.0
@@ -795,41 +794,15 @@ class _DecimalArray:
 _EXACT_DECIMAL = np.frompyfunc(Decimal, 1, 1)
 
 
-def _mpf_to_decimal(t: tuple) -> Decimal:
-    """``man * 2**exp`` as a ``Decimal``, rounded once under the context."""
-    sign, man, exp, _ = t
-    if not man or abs(exp) > 65536:
-        # zero, inf and nan; magnitudes far outside any double become the
-        # double's 0 or inf instead of a shift by more than 65536 bits
-        import mpmath as mp
-        return Decimal(mp.libmp.to_float(t))
-    # on mpmath's gmpy backend the mantissa is an mpz, which Decimal refuses
-    man = -int(man) if sign else int(man)
-    if exp >= 0:
-        return Decimal(man << exp) / 1  # the division rounds to the context
-    divisor = _DECIMAL_POW2.get(exp)
-    if divisor is None:
-        divisor = Decimal(1 << -exp)
-        if len(_DECIMAL_POW2) < 1024:
-            _DECIMAL_POW2[exp] = divisor
-    return Decimal(man) / divisor
-
-
-# exp -> 2**-exp as an exact Decimal: the same divisor as the int, converted
-# once instead of on every division; at most 1024 entries bound its memory
-_DECIMAL_POW2: dict = {}
-
-
 def _decimal_digits(dps: int) -> int:
     """Smallest ``Decimal`` precision ``p`` with ``10**(1-p)/2 <= 2**-prec``.
 
-    ``prec`` is mpmath's working precision in bits at ``dps`` digits
-    (``mpmath.libmp.dps_to_prec``, computed here by its formula so that no
-    ladder path needs mpmath for it), so a single rounding in the
-    ``decimal`` context is never coarser than one in ``mp.workdps(dps)``.
+    ``prec = round((dps + 1) log2 10)`` bits is the binary precision that
+    carries ``dps`` significant digits with one guard digit (the rule of
+    ``mpmath.libmp.dps_to_prec``), so a single rounding in the ``decimal``
+    context is never coarser than a binary one at that precision.
     Complex multiply and divide in :class:`_DecimalArray` round every real
-    product and sum, where mpmath rounds each part once, so they are not
-    as tight as ``mpc`` arithmetic.  A block evaluator may work above this
+    product and sum, not each part once.  A block evaluator may work above this
     precision and round its values to it once, as remark 1's does with
     ``ceil(s log10 2)`` guard digits (3 on the ladder) for its ``s``
     squarings and double-angle steps.
@@ -855,44 +828,25 @@ def _float_columns(nodes: np.ndarray, values: np.ndarray, cols) -> Tuple:
 
 
 def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
-                grid: np.ndarray, dps: int, cols: slice) -> Tuple:
+                grid: np.ndarray, cols: slice) -> Tuple:
     """Nodes ``phi_k(lam)`` and values ``f(lam, phi_k(lam))`` of an
-    extended-precision ``f`` on the grid columns ``cols``, at ``dps``
-    digits.
+    extended-precision ``f`` on the grid columns ``cols``, in ``decimal``.
 
-    With a ``block_evaluator``, everything stays in ``decimal``: the points
-    ``grid[cols]`` enter exactly, the Horner steps of
-    :meth:`DiscFunction.eval_mp` give the nodes (each coefficient enters
+    The points ``grid[cols]`` enter exactly, the Horner steps of
+    :meth:`DiscFunction._horner` give the nodes (each coefficient enters
     exactly; each real product and sum rounds to the context),
     :func:`_refuse_coinciding` checks them, and one call of
-    ``f.block_evaluator`` gives the block's values.  Otherwise mpmath
-    evaluates the nodes by one Horner pass per curve over the points
-    ``grid[cols]``, :func:`_refuse_coinciding` checks them before any value
-    of the block is computed, and ``f.mp_evaluator`` is called once per grid
-    column, with one ``lam`` and its ``K`` nodes; nodes and values are then
-    converted from ``mpc``, each in one call.  Returns ``(nodes, values)``
-    as ``(K, c)`` :class:`_DecimalArray` (call inside the ``decimal``
-    context).  A node depends only on its grid point, so the nodes of a
-    block are the same columns of the whole grid's, bit for bit.
+    ``f.block_evaluator`` gives the block's values.  Returns ``(nodes,
+    values)`` as ``(K, c)`` :class:`_DecimalArray` (call inside the
+    ``decimal`` context).  A node depends only on its grid point, so the
+    nodes of a block are the same columns of the whole grid's, bit for bit.
     """
-    if f.block_evaluator is not None:
-        lam = _DecimalArray.from_complex(grid[cols])
-        rows = [phi._horner(lam, _DecimalArray.from_complex) for phi in curves]
-        nodes = _DecimalArray(np.array([row.re for row in rows]),
-                              np.array([row.im for row in rows]))
-        _refuse_coinciding(nodes)
-        return nodes, f.block_evaluator(lam, nodes)
-    import mpmath as mp
-    with mp.workdps(dps):
-        lam_mp = np.array([mp.mpc(x) for x in grid[cols]], dtype=object)
-        mp_nodes = np.array([phi.eval_mp(lam_mp) for phi in curves],
-                            dtype=object)
-        nodes = _DecimalArray.from_mpc(mp_nodes)
-        _refuse_coinciding(nodes)
-        values = np.empty(mp_nodes.shape, dtype=object)
-        for j, lam in enumerate(lam_mp):
-            values[:, j] = f.mp_evaluator(lam, mp_nodes[:, j])
-    return nodes, _DecimalArray.from_mpc(values)
+    lam = _DecimalArray.from_complex(grid[cols])
+    rows = [phi._horner(lam, _DecimalArray.from_complex) for phi in curves]
+    nodes = _DecimalArray(np.array([row.re for row in rows]),
+                          np.array([row.im for row in rows]))
+    _refuse_coinciding(nodes)
+    return nodes, f.block_evaluator(lam, nodes)
 
 
 def _divided_differences(nodes, values):
@@ -1223,8 +1177,8 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     ``depth + 2`` curves are required; accuracy improves with more.
 
     To drop the bidisc-holomorphic component of ``f`` first, pass
-    :func:`minus_part` of it.  A ring with a block or an mp evaluator is
-    worked at ``max(40, 16 + 3K)`` digits for ``K`` curves.
+    :func:`minus_part` of it.  A ring with a block evaluator is worked at
+    ``max(40, 16 + 3K)`` digits for ``K`` curves.
 
     Each curve is sampled once on the ``m``-point grid and checked, in
     order, for its grid resolution (:class:`BandwidthError`),
@@ -1286,13 +1240,13 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
 
     dps = max(40, 16 + 3 * kcurves)
     stride = max(1, m // 64)
-    extended = f.block_evaluator is not None or f.mp_evaluator is not None
+    extended = f.block_evaluator is not None
     with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
         # without extended precision the ladder interpolates through the
         # float samples its extension tests read
         if extended:
             # each block evaluates and checks its own nodes, then its values
-            columns_of = functools.partial(_mp_columns, f, curves, grid, dps)
+            columns_of = functools.partial(_mp_columns, f, curves, grid)
         else:
             _refuse_coinciding(float_nodes)
             columns_of = functools.partial(_float_columns, float_nodes,

@@ -20,18 +20,16 @@ call evaluates a whole array (the ring adapters hand over whole
 restriction grids), and scalars give a Python ``complex``.
 ``remark1_eval`` is the remark-1 ring's evaluator; ``example1_eval``,
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
-For the ladder's extended precision, the remark-1 ring has a
-``block_evaluator`` and no ``mp_evaluator``: it evaluates a block of
-ladder grid columns in C ``decimal``, taking ``1/lambda`` once per column
-and summing argument-reduced Taylor series of ``e^x``, ``cos y`` and
-``sin y`` at ``w = x + iy = z / lambda``, with guard digits and one final
-rounding, within about 5e-54 relative of ``exp(z / lambda)`` at 54
-digits (the ladder's at ``dps`` 52).  Examples 1 and 2 have an
-``mp_evaluator``, which evaluates one ladder grid column (one ``lambda``
-and a sequence of nodes ``z``, one ``mpc`` per node) by calling their
-pointwise ``eval_mp`` once per node.  mpmath is imported only by these
-``mpc`` evaluators and by :func:`example1_growth_probe`, so a remark-1
-ladder never loads it.
+For the ladder's extended precision, each ring has a ``block_evaluator``
+that evaluates a block of ladder grid columns in C ``decimal``.  Remark
+1's takes ``1/lambda`` once per column and sums argument-reduced Taylor
+series of ``e^x``, ``cos y`` and ``sin y`` at ``w = x + iy = z /
+lambda``, with guard digits and one final rounding, within about 5e-54
+relative of ``exp(z / lambda)`` at 54 digits (the ladder's at ``dps``
+52).  Example 1's sums each node until its term bound falls below the
+context's precision (:meth:`Example1.eval_block`), and example 2's runs
+the Horner loop of its float evaluator to depth 40.  mpmath is imported
+only by :func:`example1_growth_probe`, so no ladder loads it.
 """
 
 from __future__ import annotations
@@ -77,6 +75,16 @@ def _term_log_bound(n: int, log_inv_eps):
     return -(4 * n ** 3 + n) * _LOG3 + 1.5 * (n * n + n) * log_inv_eps
 
 
+def _log_inv_eps(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``log(1 / eps_d)`` of example 1's term bound at each point, with
+    ``eps_d = min(|lam|, 1/|lam|, 0.33, 1/(3|z|))``."""
+    a = np.abs(lam)
+    eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
+    with np.errstate(divide="ignore"):  # z = 0 gives inf: no constraint
+        eps_d = np.minimum(eps_d, 1.0 / (3.0 * np.abs(z)))
+    return np.log(1.0 / eps_d)
+
+
 def _term_bound(n: int, log_inv_eps) -> np.ndarray:
     """The bound of :func:`_term_log_bound` as an array, ``inf`` past
     ``e^700``."""
@@ -111,11 +119,7 @@ class Example1:
         if (lam == 0).any():
             raise ValueError("example 1 is undefined at lambda = 0")
         depth = self.n_trunc if n_trunc is None else int(n_trunc)
-        a = np.abs(lam)
-        eps_d = np.minimum(np.minimum(a, 1.0 / a), 0.33)
-        with np.errstate(divide="ignore"):  # z = 0 gives inf: no constraint
-            eps_d = np.minimum(eps_d, 1.0 / (3.0 * np.abs(z)))
-        log_inv_eps = np.log(1.0 / eps_d)
+        log_inv_eps = _log_inv_eps(lam, z)
         tail = 2.0 * _term_bound(self.n_trunc + 1, log_inv_eps)
         total = np.zeros_like(lam)
         scale = np.ones(lam.shape)
@@ -146,40 +150,48 @@ class Example1:
                 f"{self.n_trunc} cannot certify the value at this point")
         return total
 
-    def eval_mp(self, lam, z):
-        """The series in mpmath arithmetic, truncated by its term bound.
+    def eval_block(self, lam: _DecimalArray,
+                   nodes: _DecimalArray) -> _DecimalArray:
+        """The series on a ladder block, in C ``decimal``, node by node.
 
-        Term ``n`` is summed unless its bound (:func:`_term_log_bound` at
-        ``__call__``'s ``eps_d``) is below ``2**-(prec + 64)`` times the
-        partial sum, at most ``n_trunc`` terms.  The comparison is made
-        between logarithms, so no bound underflows, and a zero partial sum
-        (log ``-inf``) never stops the sum: the value at ``z = 0`` is
-        exactly 0.  The product ``prod_j (z - w_j)`` grows by one factor
-        per term, with the ``w_j`` and the order of a product rebuilt at
-        every term, so each partial product keeps its bits.
+        ``lam`` holds the block's ``(c,)`` grid points and ``nodes`` its
+        ``(K, c)`` curve nodes.  Term ``n`` of a node is summed while its
+        bound (:func:`_term_log_bound` at :func:`_log_inv_eps` of the
+        node's doubles, as in ``__call__``) is at least ``2**-(prec +
+        64)`` times the node's partial sum, ``prec`` the context's
+        precision in bits, for at most ``n_trunc`` terms.  The comparison
+        is made between logarithms, so no bound underflows, and a zero
+        partial sum never stops the sum: the value at ``z = 0`` is exactly
+        0.  Term
+        ``n`` is the product ``prod_{j<=n} z (z - w_j)``, with ``w_j =
+        ((2/3) lam)**j``, which grows by one factor per term, times
+        ``lam**(-n*n) / 3**(4n^3)`` of its column.  A value depends only on
+        its own node and column, so the bits do not depend on the blocks.
         """
-        import mpmath as mp
-        lam = mp.mpc(lam)
-        z = mp.mpc(z)
-        if lam == 0:
-            raise ValueError("example 1 is undefined at lambda = 0")
-        a = abs(lam)
-        eps_d = min(a, 1 / a, 0.33)
-        if z != 0:
-            eps_d = min(eps_d, 1 / (3 * abs(z)))
-        log_inv_eps = float(-mp.log(eps_d))
-        log_tol = -(mp.mp.prec + 64) * math.log(2.0)
-        step = mp.mpf(2) / 3 * lam
-        total = mp.mpc(0)
-        prod = w = mp.mpc(1)
+        log_inv_eps = _log_inv_eps(lam.astype(complex),
+                                   nodes.astype(complex)).ravel()
+        log_tol = -(decimal.getcontext().prec * math.log(10.0)
+                    + 64 * math.log(2.0))
+        z = _DecimalArray(nodes.re.ravel(), nodes.im.ravel())
+        total = z * 0
+        live = np.arange(len(z))  # flat indices of the nodes still summing
+        step = lam * (Decimal(2) / 3)
+        w, prod = step * 0 + 1, z * 0 + 1
         for n in range(1, self.n_trunc + 1):
-            if (_term_log_bound(n, log_inv_eps)
-                    < log_tol + float(mp.log(abs(total)))):
-                break
-            w *= step
-            prod *= z - w
-            total += mp.mpf(3) ** (-4 * n ** 3) * prod * lam ** (-n * n) * z ** n
-        return total
+            with np.errstate(divide="ignore"):  # log 0 = -inf never stops
+                log_sum = np.log(np.abs(total[live].astype(complex)))
+            keep = _term_log_bound(n, log_inv_eps[live]) >= log_tol + log_sum
+            if not keep.all():
+                live, z, prod = live[keep], z[keep], prod[keep]
+                if not live.size:
+                    break
+            w = w * step
+            cols = live % len(lam)
+            prod = prod * (z - w[cols]) * z
+            weight = lam ** (-n * n) * Decimal(3) ** (-4 * n ** 3)
+            total[live] = total[live] + prod * weight[cols]
+        return _DecimalArray(total.re.reshape(nodes.re.shape),
+                             total.im.reshape(nodes.im.shape))
 
 
 _EXAMPLE1 = Example1()
@@ -296,19 +308,10 @@ class Example2:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return self._series(lam, z, l_trunc, np.zeros_like(lam))
 
-    def eval_mp(self, lam, z):
-        """Partial sum to depth 40 in mpmath arithmetic."""
-        import mpmath as mp
-        lam = mp.mpc(lam)
-        z = mp.mpc(z)
-        if lam == 0:
-            raise ValueError("example 2 is undefined at lambda = 0")
-        return self._series(lam, z, _SERIES_DEPTH, mp.mpc(0))
-
     def _series(self, lam, z, depth: int, total):
         """``total`` plus the terms ``1 .. depth``, each ``P_{l-1}(z)`` by
         Horner in numpy ``polyval``'s order: on complex arrays or on
-        mpmath numbers."""
+        :class:`_DecimalArray` blocks."""
         for l in range(1, depth + 1):
             p = 0 * z
             for c in reversed(self.p_coeffs(l - 1)):
@@ -438,14 +441,13 @@ def remark1_ring(epsilon: float = 0.3) -> RingFunction:
 
 def example1_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE1, epsilon=epsilon,
-                        mp_evaluator=lambda lam, zs: [
-                            _EXAMPLE1.eval_mp(lam, z) for z in zs])
+                        block_evaluator=_EXAMPLE1.eval_block)
 
 
 def example2_ring(epsilon: float = 0.3) -> RingFunction:
     return RingFunction(evaluator=_EXAMPLE2, epsilon=epsilon,
-                        mp_evaluator=lambda lam, zs: [
-                            _EXAMPLE2.eval_mp(lam, z) for z in zs])
+                        block_evaluator=lambda lam, nodes: _EXAMPLE2._series(
+                            lam, nodes, _SERIES_DEPTH, nodes * 0))
 
 
 # CLI name -> (ring adapter, point evaluator taking a series depth third)

@@ -64,6 +64,34 @@ depth = 4
 n_max = 10
 """
 
+# an extended-precision Laurent ring: the coefficient file is written by
+# write_laurent_terms beside the config
+LADDER_LAURENT = LADDER_EXP.replace("name = remark1",
+                                    "name = laurent\ncoeffs = poly.json")
+LADDER_TERMS = [{"n": 1, "l": -1, "c": [1, 0]}, {"n": 2, "l": -2, "c": [0.5, 0]}]
+
+# example 1 on the lines phi_k = lam / (2k)
+LADDER_EXAMPLE1 = """
+[function]
+name = example1
+epsilon = 0.3
+
+[curves]
+generator = scaled_monomial
+scale = 0.5
+indices = 1:8
+
+[analysis]
+grid = 64
+depth = 3
+n_max = 16
+"""
+
+
+def write_laurent_terms(tmp_path, terms=LADDER_TERMS):
+    (tmp_path / "poly.json").write_text(json.dumps({"terms": terms}))
+
+
 VALIDATE_GEOMETRIC = """
 [function]
 name = remark1
@@ -388,25 +416,11 @@ depth = 3
 
 def test_cmd_ladder_example1_extended_precision(tmp_path):
     # example 1 on the lines phi_k = lam / (2k): the extended-precision path
-    # through Example1.eval_mp.  The exact z-coefficients of the series are
-    # A_0 = 0, A_1 = -2/243 and A_2 = (1/81 + 8 * 3^-35) / lam; A_3 is about
-    # 1.5e-15 at |lam| = 0.7, near the 1e-12 share of the data scale below
-    # which the ladder cleans a coefficient to zero
-    cfg = write_config(tmp_path, """
-[function]
-name = example1
-epsilon = 0.3
-
-[curves]
-generator = scaled_monomial
-scale = 0.5
-indices = 1:8
-
-[analysis]
-grid = 64
-depth = 3
-n_max = 16
-""")
+    # through Example1.eval_block.  The exact z-coefficients of the series
+    # are A_0 = 0, A_1 = -2/243 and A_2 = (1/81 + 8 * 3^-35) / lam; A_3 is
+    # about 1.5e-15 at |lam| = 0.7, near the 1e-12 share of the data scale
+    # below which the ladder cleans a coefficient to zero
+    cfg = write_config(tmp_path, LADDER_EXAMPLE1)
     assert main(["ladder", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = read_json(tmp_path, "ladder_report.json")
     pinches = report["pinch"]["pinches"]
@@ -694,34 +708,35 @@ print(code, "mpmath" in sys.modules)
 """
 
 
-def test_remark1_ladder_does_not_load_mpmath(tmp_path):
-    # remark 1's extended-precision ladder runs in decimal alone, by its
-    # block evaluator; a Laurent ring's mp evaluator still loads mpmath
-    coeffs = tmp_path / "poly.json"
-    coeffs.write_text(json.dumps({"terms": [{"n": 1, "l": -1, "c": [1, 0]},
-                                            {"n": 2, "l": -2, "c": [0.5, 0]}]}))
-    laurent = LADDER_EXP.replace("name = remark1",
-                                 f"name = laurent\ncoeffs = {coeffs.name}")
+def test_extended_precision_ladders_do_not_load_mpmath(tmp_path):
+    # every ring's extended-precision ladder runs in decimal alone, by its
+    # block evaluator; a fresh interpreter is used because this one has
+    # imported mpmath already
+    write_laurent_terms(tmp_path)
     env = dict(os.environ,
                PYTHONPATH=str(Path(pinchext.__file__).resolve().parents[1]))
-    for body, loaded in ((LADDER_EXP, False), (laurent, True)):
+    for body in (LADDER_EXP, LADDER_LAURENT, LADDER_EXAMPLE1):
         cfg = write_config(tmp_path, body)
         result = subprocess.run(
             [sys.executable, "-c", _LADDER_RUN, cfg, str(tmp_path / "out")],
             env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == f"0 {loaded}"
+        assert result.stdout.strip() == "0 False"
 
 
 def test_byte_determinism(tmp_path):
     # every report file of a command has the same bytes on a second run;
     # the validate config's six lines all meet at the origin, so its
-    # report carries a triple-intersection record
+    # report carries a triple-intersection record; the ladders cover the
+    # block evaluators of remark 1, a Laurent ring and example 1
+    write_laurent_terms(tmp_path)
+    ladder_files = ["ladder_report.json", "ladder_profiles.csv"]
     runs = [(TEST_LINES, ["test"], ["test_report.json"]),
             (VALIDATE_LINES, ["validate"], ["validate_report.json"]),
             (VALIDATE_LINES, ["validate", "--format", "csv"],
              ["validate_report.json", "validate_report.csv"]),
-            (LADDER_EXP, ["ladder"],
-             ["ladder_report.json", "ladder_profiles.csv"])]
+            (LADDER_EXP, ["ladder"], ladder_files),
+            (LADDER_LAURENT, ["ladder"], ladder_files),
+            (LADDER_EXAMPLE1, ["ladder"], ladder_files)]
     for idx, (body, command, files) in enumerate(runs):
         cfg = write_config(tmp_path, body, name=f"run{idx}.ini")
         outs = [tmp_path / f"{idx}{copy}" for copy in "ab"]

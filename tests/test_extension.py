@@ -28,9 +28,9 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
 from pinchext.cli import _profile_csv
 from pinchext.extension import (_DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
-                                _mpf_to_decimal, _roots_of_rows)
-from pinchext.gallery import (Example1, Example2, example1_ring,
-                              example2_ring, remark1_eval, remark1_ring)
+                                _roots_of_rows)
+from pinchext.gallery import (example1_ring, example2_ring, remark1_eval,
+                              remark1_ring)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_ring_function_from_laurent_evaluates():
     f = RingFunction.from_laurent([(1, -2, 1.0)], 0.3)
     assert abs(f.evaluator(np.array([2j]), np.array([0.5]))[0]
                - 0.5 / (2j) ** 2) < 1e-14
-    assert f.mp_evaluator is not None
+    assert f.block_evaluator is not None
 
 
 def test_from_laurent_refuses_degrees_that_are_not_integers():
@@ -69,22 +69,23 @@ def test_from_laurent_refuses_degrees_that_are_not_integers():
 
 
 def test_laurent_mp_path_matches_float_kernel(rng):
-    # from_laurent builds the mp evaluator from the terms; at dps 40 it
-    # agrees with the float evaluator at ring points
+    # from_laurent builds the block evaluator of the extended-precision
+    # path from the terms; at dps 40 it agrees with the float evaluator at
+    # ring points, one column per point
     terms = [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)]
     f = RingFunction.from_laurent(terms, 0.3)
     lam = (1 + 0.25 * rng.uniform(-1, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
     z = 0.9 * rng.uniform(0, 1, 4) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
-    with mp.workdps(40):
-        got = [f.mp_evaluator(mp.mpc(l), [mp.mpc(w)])[0]
-               for l, w in zip(lam, z)]
-        assert all(isinstance(v, mp.mpc) for v in got)
-    npt.assert_allclose(np.array(got, dtype=complex), f.evaluator(lam, z),
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(40))):
+        got = f.block_evaluator(_DecimalArray.from_complex(lam),
+                                _DecimalArray.from_complex(z[None]))
+    assert got.re.shape == got.im.shape == (1, 4)
+    npt.assert_allclose(got.astype(complex)[0], f.evaluator(lam, z),
                         rtol=1e-13, atol=0)
     assert f.laurent == tuple((n, l, complex(c)) for n, l, c in terms)
     # a ring built from its evaluator alone has no Laurent form
     g = RingFunction(f.evaluator, 0.3)
-    assert g.laurent is None and g.mp_evaluator is None
+    assert g.laurent is None and g.block_evaluator is None
 
 
 def test_ring_function_epsilon_range():
@@ -361,7 +362,8 @@ def test_interp_prefixes_matches_lu():
             x_mp, y_mp = to_mp(x), to_mp(y)
             refs = {(k, col): _lu_coeffs(x_mp[:k, col], y_mp[:k, col])
                     for k in sizes for col in range(2)}
-            x_dec, y_dec = _DecimalArray.from_mpc(x_mp), _DecimalArray.from_mpc(y_mp)
+            # doubles enter both types exactly
+            x_dec, y_dec = _DecimalArray.from_complex(x), _DecimalArray.from_complex(y)
             dd_dec = _divided_differences(x_dec, y_dec)
             dd_c = _divided_differences(x, y)
             for n_keep in sorted({1, 2, kcurves // 2, kcurves - 1}):
@@ -460,104 +462,97 @@ def test_decimal_digits_rule():
 
 
 def test_decimal_array_conversion():
-    # each mpc part rounds once to the context; float() rounds back correctly
+    # doubles enter exactly, a scalar as Decimal parts; float() rounds
+    # back correctly, each part once
     rng = np.random.default_rng(4005)
     z = rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40) \
         + 1j * rng.standard_normal(40)
+    z_dec = _DecimalArray.from_complex(z)
+    for idx, v in enumerate(z):
+        assert Fraction(z_dec.re[idx]) == Fraction(v.real)
+        assert Fraction(z_dec.im[idx]) == Fraction(v.imag)
+    one = _DecimalArray.from_complex(0.5 - 2j)
+    assert (type(one.re), one.re, one.im) == (decimal.Decimal, 0.5, -2)
     context = decimal.Context(prec=_decimal_digits(50))
-    with mp.workdps(50), decimal.localcontext(context):
-        z_mp = np.array([mp.mpc(v) / 3 for v in z] + [mp.mpc(0), mp.mpc(-0.0, 2)],
-                        dtype=object)
-        z_dec = _DecimalArray.from_mpc(z_mp)
-    half_ulp = Fraction(10) ** (1 - context.prec) / 2
-    for idx, v in enumerate(z_mp):
-        for got, part in ((z_dec.re[idx], v.real), (z_dec.im[idx], v.imag)):
-            sign, man, exp, _ = part._mpf_
-            exact = (-1) ** sign * man * Fraction(2) ** exp
-            assert abs(Fraction(got) - exact) <= half_ulp * abs(exact)
-    # the cached exact divisor 2**k rounds as the division by the int does
     with decimal.localcontext(context):
-        for exp in range(-400, 65):
-            for sign in (0, 1):
-                man = int(rng.integers(1, 2 ** 62)) << 120 | 1
-                got = _mpf_to_decimal((sign, man, exp, man.bit_length()))
-                man = -man if sign else man
-                assert got == (decimal.Decimal(man << max(exp, 0))
-                               / (1 << max(-exp, 0)))
-    as_c = z_dec.astype(complex)
-    assert as_c.tolist() == [complex(v) for v in z_mp]
-    # Decimal zeros carry a sign, mpmath zeros do not: doubles get +0.0
+        third = z_dec * (decimal.Decimal(1) / 3)
+    as_c = third.astype(complex)
+    for idx in range(len(z)):
+        assert as_c[idx].real == float(Fraction(third.re[idx]))
+        assert as_c[idx].imag == float(Fraction(third.im[idx]))
+    # Decimal zeros carry a sign: doubles get +0.0
     with decimal.localcontext(context):
-        neg = (z_dec * -1).astype(complex)[-2:]
+        neg = (_DecimalArray.from_complex(np.array([0j, 2j])) * -1).astype(complex)
     assert [math.copysign(1.0, c.real) for c in neg] == [1.0, 1.0]
 
 
-class _IntLike:
-    """An integer that is not an ``int``, as gmpy2's ``mpz`` is not."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-
-def test_mpf_to_decimal_accepts_int_like_mantissa():
-    # mpmath's gmpy backend keeps mantissas as mpz, not int
-    context = decimal.Context(prec=_decimal_digits(50))
-    with mp.workdps(50), decimal.localcontext(context):
-        for v in (mp.mpf(1) / 3, -mp.mpf(2) ** 80 / 7, mp.mpf(5)):
-            sign, man, exp, bc = v._mpf_
-            wrapped = (sign, _IntLike(man), exp, bc)
-            assert _mpf_to_decimal(wrapped) == _mpf_to_decimal(v._mpf_)
+def test_decimal_array_ring_arithmetic():
+    # what the rings' shared sums use: a complex double added by its exact
+    # parts, 0 * z, and integer powers, a negative one by one reciprocal
+    rng = np.random.default_rng(4006)
+    z = (1 + 0.2 * rng.uniform(-1, 1, 12)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 12))
+    c = complex(0.1, -1.0 / 3)
+    context = decimal.Context(prec=_decimal_digits(52))
+    half_ulp = Fraction(10) ** (1 - context.prec) / 2
+    with decimal.localcontext(context):
+        x = _DecimalArray.from_complex(z) * (decimal.Decimal(1) / 7)
+        total = x + c
+        for idx in range(len(z)):
+            for got, part, add in ((total.re, x.re, c.real),
+                                   (total.im, x.im, c.imag)):
+                exact = Fraction(part[idx]) + Fraction(add)
+                assert abs(Fraction(got[idx]) - exact) <= half_ulp * abs(exact)
+        zero = 0 * x
+        assert not any(zero.re) and not any(zero.im)
+        assert (x ** 0).astype(complex).tolist() == [1 + 0j] * len(z)
+        # x itself and x * x: no product, or the one repeated multiplication
+        # takes, and the same bits
+        for n, want in ((1, x), (2, x * x)):
+            got = x ** n
+            assert [str(v) for v in (*got.re, *got.im)] == [
+                str(v) for v in (*want.re, *want.im)]
+        for n in range(1, 41):
+            powers = ((x ** n, 1), (x ** -n, -1))
+            with mp.workdps(120):
+                for idx in range(len(z)):
+                    base = mp.mpc(mp.mpf(str(x.re[idx])),
+                                  mp.mpf(str(x.im[idx])))
+                    for got, sign in powers:
+                        exact = base ** (sign * n)
+                        value = mp.mpc(mp.mpf(str(got.re[idx])),
+                                       mp.mpf(str(got.im[idx])))
+                        # each squaring at most doubles the relative error
+                        assert abs(value - exact) <= (
+                            4 * n * float(half_ulp) * abs(exact))
 
 
 def test_mp_column_forms():
-    # every mp evaluator takes one lam and a column of nodes, one mpc per
-    # node (a ring without terms too), and the series and Laurent columns
-    # equal their pointwise values; remark 1 has a block evaluator instead
+    # every ring of the extended-precision path evaluates a block of grid
+    # columns in one call, one Decimal value per node (a ring without terms
+    # too), and each column has the bits of that column evaluated alone, so
+    # the values do not depend on the blocks
     laurent = RingFunction.from_laurent(
         [(0, -3, 0.5 - 1j), (1, -1, 2.0), (2, 2, 0.25j), (3, 0, -1.5)], 0.3)
-    assert remark1_ring(0.3).mp_evaluator is None
-    with mp.workdps(52):
-        lam = mp.mpc(0.6, 0.8)
-        zs = [mp.mpc(0.3, -0.2), mp.mpc(-0.1, 0.05), mp.mpc(0.45), mp.mpc(0)]
-        for ring, pointwise in (
-                (example1_ring(0.3), Example1().eval_mp),
-                (example2_ring(0.3), Example2().eval_mp),
-                (laurent, None),
-                (RingFunction.from_laurent([], 0.3), None)):
-            column = ring.mp_evaluator(lam, np.array(zs, dtype=object))
-            assert len(column) == len(zs)
-            assert all(type(v) is mp.mpc for v in column)
-            assert [v._mpc_ for v in column] == [
-                ring.mp_evaluator(lam, [z])[0]._mpc_ for z in zs]
-            if pointwise is not None:
-                assert [v._mpc_ for v in column] == [
-                    pointwise(lam, z)._mpc_ for z in zs]
-
-
-def test_wrapped_mp_evaluator_called_once_per_column():
-    # a ring without a block evaluator: a functools.wraps wrapper (as a
-    # tracer installs) sees one call per grid column and changes no bit of
-    # the ladder
-    curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
-    ring = example1_ring(0.3)
-    inner, calls = ring.mp_evaluator, []
-
-    @functools.wraps(inner)
-    def traced(lam, zs):
-        calls.append(len(zs))
-        return inner(lam, zs)
-
-    ring.mp_evaluator = traced
-    got = coefficient_ladder(ring, curves, 6, 10, m=64)
-    assert calls == [12] * 64
-    ref = coefficient_ladder(example1_ring(0.3), curves, 6, 10, m=64)
-    assert got.as_dict() == ref.as_dict()
+    zero = RingFunction.from_laurent([], 0.3)
+    lam = np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5)
+    nodes = np.array([[0.3 - 0.2j, -0.1 + 0.05j, 0.45, 0.6j, -0.2],
+                      [0.05, 0.2 + 0.1j, -0.3j, 0.1 - 0.1j, 0.7 + 0.1j],
+                      [1e-3j, 0.01, 0.02 - 0.01j, -0.04, 0.005 + 0.005j]])
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(52))):
+        lam_d, nodes_d = (_DecimalArray.from_complex(lam),
+                          _DecimalArray.from_complex(nodes))
+        for ring in (remark1_ring(0.3), example1_ring(0.3),
+                     example2_ring(0.3), laurent, zero):
+            block = ring.block_evaluator(lam_d, nodes_d)
+            assert block.re.shape == block.im.shape == nodes.shape
+            assert all(type(v) is decimal.Decimal
+                       for v in (*block.re.flat, *block.im.flat))
+            for j in range(len(lam)):
+                alone = ring.block_evaluator(lam_d[j:j + 1], nodes_d[:, j:j + 1])
+                assert [str(v) for v in (*alone.re.flat, *alone.im.flat)] == [
+                    str(v) for v in (*block.re[:, j], *block.im[:, j])]
+        assert not block.astype(complex).any()
 
 
 def test_wrapped_block_evaluator_called_once_per_block():
@@ -583,7 +578,7 @@ def test_wrapped_block_evaluator_called_once_per_block():
 def test_zero_laurent_ring_ladder_on_mp_path():
     # the zero function through the extended-precision path: every A_n is 0
     ring = RingFunction.from_laurent([], 0.3)
-    assert ring.mp_evaluator is not None
+    assert ring.block_evaluator is not None
     curves = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 9)]
     ladder = coefficient_ladder(ring, curves, 3, 10, m=64)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
@@ -591,14 +586,38 @@ def test_zero_laurent_ring_ladder_on_mp_path():
         assert not np.any(entry(grid))
 
 
+def _decimal_of(x):
+    """An ``mpf`` as a ``Decimal``, rounded once to the context."""
+    sign, man, exp, _ = x._mpf_
+    value = decimal.Decimal(-int(man) if sign else int(man))
+    return value * 2 ** exp if exp >= 0 else value / (1 << -exp)
+
+
+def _pointwise_exp_block(lam, nodes):
+    """``exp(z / lam)`` at each node of a block, node by node in mpmath at
+    ``dps`` 52 (the ladder's for 12 curves), each part rounded once to the
+    context."""
+    out = _DecimalArray(np.empty(nodes.re.shape, dtype=object),
+                        np.empty(nodes.re.shape, dtype=object))
+    with mp.workdps(52):
+        for (k, j), re_part in np.ndenumerate(nodes.re):
+            point = mp.mpc(mp.mpf(str(lam.re[j])), mp.mpf(str(lam.im[j])))
+            z = mp.mpc(mp.mpf(str(re_part)), mp.mpf(str(nodes.im[k, j])))
+            value = mp.exp(z / point)
+            out.re[k, j] = _decimal_of(value.real)
+            out.im[k, j] = _decimal_of(value.imag)
+    return out
+
+
 def test_remark1_ladder_matches_pointwise_exp():
     # on rotated lines every part of every value is O(1), and the ladder
-    # keeps each bit of a ring whose pointwise evaluator is exp(z / lam)
-    plain = RingFunction(remark1_eval, 0.3, mp_evaluator=lambda lam, zs: [
-        mp.exp(z / lam) for z in zs])
+    # keeps each bit of a ring whose block evaluator takes exp(z / lam) in
+    # mpmath node by node
+    plain = RingFunction(remark1_eval, 0.3,
+                         block_evaluator=_pointwise_exp_block)
     rotated = [DiscFunction([0, cmath.exp(0.7j) / k]) for k in range(1, 13)]
     # on real lines some results are exactly zero in exact arithmetic, and
-    # the two quotients' difference of about 1e-52 shows in them
+    # the two kernels' difference of about 1e-52 shows in them
     real = [DiscFunction([0, 1.0 / k]) for k in range(1, 13)]
     for curves, exact in ((rotated, True), (real, False)):
         got = coefficient_ladder(remark1_ring(0.3), curves, 6, 10, m=64)
@@ -613,11 +632,6 @@ def test_remark1_ladder_matches_pointwise_exp():
             assert got.as_dict() == ref.as_dict()
 
 
-def _exp_column(lam, zs):
-    """``exp(z / lam)`` at each node of one column, pointwise in mpmath."""
-    return [mp.exp(z / lam) for z in zs]
-
-
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -629,9 +643,11 @@ def _force_blocks(monkeypatch, blocks, floor=16):
     monkeypatch.setattr(extension, "_MIN_BLOCK_COLUMNS", floor)
 
 
-def _column(lam, m):
-    """Grid index of ``lam`` on the ``m``-point unit-circle grid."""
-    return round(cmath.phase(complex(lam)) / (2 * math.pi / m)) % m
+def _columns(lam, m):
+    """Grid indices of a block's points ``lam`` on the ``m``-point
+    unit-circle grid."""
+    return [round(cmath.phase(x) / (2 * math.pi / m)) % m
+            for x in lam.astype(complex)]
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -644,8 +660,10 @@ def test_forked_blocks_give_identical_reports(monkeypatch, blocks):
         [(0, -2, 0.5 - 1j), (1, -1, 2.0), (2, 1, 0.25j), (3, 0, -1.5),
          (1, 2, 0.75)], 0.3)
     lines = [DiscFunction([0, cmath.exp(0.3j) / (k + 1)]) for k in range(1, 9)]
-    # remark 1 by its block evaluator, the Laurent ring by its mp evaluator
-    cases = [(remark1_ring(0.3), rotated, 4, 256), (laurent, lines, 3, 128)]
+    # example 1 stops each node at its own term: no block may change that
+    halves = [DiscFunction([0, 0.5 / k]) for k in range(1, 9)]
+    cases = [(remark1_ring(0.3), rotated, 4, 256), (laurent, lines, 3, 128),
+             (example1_ring(0.3), halves, 3, 128)]
     _force_blocks(monkeypatch, 1)
     refs = [json.dumps(coefficient_ladder(ring, curves, depth, 10,
                                           m=m).as_dict())
@@ -674,15 +692,16 @@ def test_collision_in_a_later_block_is_found_there(monkeypatch):
     # after block 0's values, with the same text
     curves = [DiscFunction([0, 0.25]), DiscFunction([0, 0.375, 0.25, 0.125])]
     curves += [DiscFunction([0, 1.0 / k]) for k in range(5, 11)]
+    exp_block = remark1_ring(0.3).block_evaluator
     for blocks, evaluated in ((1, 0), (2, 64)):
         _force_blocks(monkeypatch, blocks, floor=64)
         calls = []
-        ring = RingFunction(remark1_eval, 0.3, lambda lam, zs:
-                            calls.append(lam) or _exp_column(lam, zs))
+        ring = RingFunction(remark1_eval, 0.3, block_evaluator=lambda lam, nodes:
+                            calls.append(len(lam)) or exp_block(lam, nodes))
         with pytest.raises(ConvergenceError,
                            match="^two curves coincide at a grid point$"):
             coefficient_ladder(ring, curves, 3, 10, m=128)
-        assert len(calls) == evaluated
+        assert sum(calls) == evaluated   # columns evaluated in this process
         _no_child_left()
 
 
@@ -701,15 +720,17 @@ def test_curves_crossing_at_minus_one_are_refused():
 
 
 def _failing_ring(fail_at, exc=DomainError, m=128):
-    """``exp(z / lam)`` by an mp evaluator that raises ``exc`` on the
-    columns ``fail_at``."""
-    def mp_evaluator(lam, zs):
-        j = _column(lam, m)
-        if j in fail_at:
-            raise exc(f"column {j} refused")
-        return _exp_column(lam, zs)
+    """``exp(z / lam)`` by a block evaluator that raises ``exc`` on the
+    first of its columns in ``fail_at``."""
+    exp_block = remark1_ring(0.3).block_evaluator
 
-    return RingFunction(remark1_eval, 0.3, mp_evaluator)
+    def block_evaluator(lam, nodes):
+        for j in _columns(lam, m):
+            if j in fail_at:
+                raise exc(f"column {j} refused")
+        return exp_block(lam, nodes)
+
+    return RingFunction(remark1_eval, 0.3, block_evaluator=block_evaluator)
 
 
 @pytest.mark.parametrize("fail_at, text", [
@@ -1364,7 +1385,7 @@ def test_ladder_float_fallback():
     # a plain float evaluator still supports shallow ladders, at reduced
     # accuracy (hence the looser convergence tolerance)
     f = RingFunction(lambda lam, z: np.exp(z / lam), 0.3)
-    assert f.mp_evaluator is None
+    assert f.block_evaluator is None
     curves = [DiscFunction([0, 1.0 / k]) for k in range(1, 9)]
     ladder = coefficient_ladder(f, curves, 2, 10, m=64, ladder_tol=1e-5)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(8) / 8)

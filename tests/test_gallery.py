@@ -1,5 +1,6 @@
 import cmath
 import decimal
+import functools
 import math
 import re
 import warnings
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from pinchext import (CircleFunction, ConvergenceError, DiscFunction,
-                      detect_rational, gallery, hardy_project_minus,
-                      unit_circle_grid)
+                      RingFunction, detect_rational, gallery,
+                      hardy_project_minus, unit_circle_grid)
 from pinchext.extension import _DecimalArray, _decimal_digits
 from pinchext.gallery import (Example1, Example2, example1_eval,
                               example1_growth_probe, example1_ring,
@@ -420,21 +421,47 @@ def test_growth_probe_parameter_checks():
     assert example1_growth_probe(1, 0.1, []) == ()
 
 
+def _example1_decimal_untruncated(lam, z, n_trunc=40):
+    """All ``n_trunc`` terms of example 1 at one point, in the operations
+    of ``Example1.eval_block``, in ``decimal``."""
+    lam = _DecimalArray.from_complex(np.array([lam]))
+    z = _DecimalArray.from_complex(np.array([z]))
+    step = lam * (decimal.Decimal(2) / 3)
+    w, prod, total = step * 0 + 1, z * 0 + 1, z * 0
+    for n in range(1, n_trunc + 1):
+        w = w * step
+        prod = prod * (z - w) * z
+        total = total + prod * (lam ** (-n * n)
+                                * decimal.Decimal(3) ** (-4 * n ** 3))
+    return total
+
+
 @pytest.mark.parametrize("dps", [30, 60])
-def test_example1_mp_matches_untruncated_sum(dps):
-    # the mp series stops at its own term bound, 2**-(prec + 64) of the
-    # partial sum: within 2**-(prec + 60) of all 40 terms, and exactly 0
-    # at z = 0
-    lam = [0.8 + 0.3j, -1.1 + 0.2j, 0.35 - 0.1j, 2.5j]
-    z = [0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 1.2 + 0.0j]
-    ex = Example1()
-    with mp.workdps(dps):
-        for l, w in zip(lam, z):
-            got = ex.eval_mp(l, w)
-            full = _example1_mp_untruncated(l, w)
-            assert abs(got - full) <= mp.ldexp(abs(full), -(mp.mp.prec + 60))
-        zero = ex.eval_mp(0.9 - 0.2j, 0)
-        assert zero == 0 and zero._mpc_ == _example1_mp_untruncated(0.9 - 0.2j, 0)._mpc_
+def test_example1_mp_matches_untruncated_sum(dps, monkeypatch):
+    # the block form stops each node at its own term bound, 2**-(prec + 64)
+    # of the node's partial sum: on these points, with term counts that
+    # differ by node, bit for bit the full 40-term decimal sum, exactly 0 at
+    # z = 0, and within a few units of the context against mpmath
+    lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 1e-3 - 2e-3j, 2.5j])
+    z = np.array([[0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 1.2 + 0.0j],
+                  [0.0, 1e-90j, 0.9e-3, 0.0]])
+    sizes, log_bound = [], gallery._term_log_bound
+    monkeypatch.setattr(gallery, "_term_log_bound", lambda n, log_inv_eps: (
+        sizes.append(log_inv_eps.size) or log_bound(n, log_inv_eps)))
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(dps))):
+        got = example1_ring(0.3).block_evaluator(
+            _DecimalArray.from_complex(lam), _DecimalArray.from_complex(z))
+        for (k, j), value in np.ndenumerate(got.re):
+            full = _example1_decimal_untruncated(lam[j], z[k, j])
+            assert (str(value), str(got.im[k, j])) == (
+                str(full.re[0]), str(full.im[0]))
+    # three nodes stop before term 4, three (at a tiny lam or z) before
+    # term 5, and the two zero nodes sum all 40 terms
+    assert sizes == [8] * 4 + [5] + [2] * 35
+    assert not got.astype(complex)[1, [0, 3]].any()
+    monkeypatch.undo()
+    assert _block_errors(example1_ring(0.3), _example1_mp_untruncated,
+                         dps, lam, z) <= _BLOCK_UNITS
 
 
 # ---------------------------------------------------------------- example 2
@@ -549,8 +576,8 @@ def test_example2_array_matches_scalar_loop(rng):
 
 
 def test_example2_horner_loop_is_the_former_sums_bit_for_bit(rng):
-    # __call__ and eval_mp share one Horner loop: on doubles it is numpy's
-    # polyval sum, on mpc the former hand-written loop, bit for bit
+    # __call__ runs the Horner loop of the block form: on doubles it is
+    # numpy's polyval sum, bit for bit
     ex = Example2()
     lam, z = _ring_points(rng, 2000)
     z = np.minimum(np.abs(z), 1.0) * np.exp(1j * np.angle(z))
@@ -561,9 +588,49 @@ def test_example2_horner_loop_is_the_former_sums_bit_for_bit(rng):
     for l, w in zip(lam[:20], z[:20]):
         want = _example2_polyval(ex, np.array([l]), np.array([w]))
         assert np.complex128(example2_eval(l, w)).tobytes() == want.tobytes()
-    with mp.workdps(52):
-        for l, w in zip(lam[:30], z[:30]):
-            assert ex.eval_mp(l, w)._mpc_ == _example2_mp_horner(ex, l, w)._mpc_
+
+
+def test_example2_block_within_a_few_units():
+    # the block form at depth 40 against the former mpc Horner loop at
+    # twice the digits, on ring points and zero nodes
+    ex = Example2()
+    lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.0])
+    z = np.array([[0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45],
+                  [ex.z(3), 0.0, 0.9j, -0.95]])
+
+    def scale(l, w):
+        return sum(np.polynomial.polynomial.polyval(
+            abs(w), np.abs(ex.p_coeffs(n - 1))) * abs(l) ** -n
+            for n in range(1, 41))
+
+    assert _block_errors(example2_ring(0.3), functools.partial(
+        _example2_mp_horner, ex), 52, lam, z, scale) <= _BLOCK_UNITS
+
+
+def test_laurent_block_within_a_few_units(rng):
+    # the block form of from_laurent, with negative l and n up to 5,
+    # against the same sum in mpmath at twice the digits; a ring without
+    # terms gives exact zeros
+    terms = [(n, l, complex(*rng.standard_normal(2)))
+             for n in range(6) for l in range(-3, 3)]
+    lam = (1 + 0.25 * rng.uniform(-1, 1, 6)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 6))
+    z = 0.95 * np.sqrt(rng.uniform(0, 1, (3, 6))) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, (3, 6)))
+    z[2, 1] = 0.0
+
+    def reference(l, w):
+        return sum((mp.mpc(c) * l ** e * w ** n for n, e, c in terms),
+                   mp.mpc(0))
+
+    def scale(l, w):
+        return sum(abs(c) * abs(l) ** e * abs(w) ** n for n, e, c in terms)
+
+    for dps in (40, 76):
+        assert _block_errors(RingFunction.from_laurent(terms, 0.3), reference,
+                             dps, lam, z, scale) <= _BLOCK_UNITS
+        assert _block_errors(RingFunction.from_laurent([], 0.3),
+                             lambda l, w: mp.mpc(0), dps, lam, z) == 0
 
 
 def test_ring_adapters_evaluate_whole_grids(rng):
@@ -614,28 +681,53 @@ def test_remark1_eval_is_the_ring_kernel(rng):
 
 @pytest.mark.parametrize("make", [remark1_ring, example1_ring, example2_ring])
 def test_ring_mp_evaluator_matches_float_kernel(make):
-    # a few points only: the example-2 mp series costs about 10 ms a point;
-    # remark 1 has a block evaluator instead, here one column per point
+    # every gallery ring's block evaluator, one column per point, agrees
+    # with its float evaluator
     ring = make(0.3)
     lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 0.1 - 1.05j, 1.2 + 0.0j])
     z = np.array([0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 0.45 + 0.0j])
-    if ring.block_evaluator is not None:
-        with decimal.localcontext(decimal.Context(prec=_decimal_digits(40))):
-            got = ring.block_evaluator(_DecimalArray.from_complex(lam),
-                                       _DecimalArray.from_complex(z[None]))
-        got = got.astype(complex)[0]
-    else:
-        with mp.workdps(40):
-            got = np.array([complex(ring.mp_evaluator(mp.mpc(l),
-                                                      [mp.mpc(w)])[0])
-                            for l, w in zip(lam, z)])
-    np.testing.assert_allclose(got, ring.evaluator(lam, z), rtol=1e-13, atol=0)
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(40))):
+        got = ring.block_evaluator(_DecimalArray.from_complex(lam),
+                                   _DecimalArray.from_complex(z[None]))
+    np.testing.assert_allclose(got.astype(complex)[0], ring.evaluator(lam, z),
+                               rtol=1e-13, atol=0)
 
 
 def _decimal_to_mpf(d):
     """A ``Decimal`` as an ``mpf``, exact at the working precision when
     that holds its digits."""
     return mp.mpf(str(d))
+
+
+# the block forms' bound, in units of 10**-p at p context digits, on each
+# part's error over the sum of the terms' moduli: an integer power rounds
+# once per squaring, so lam**l is good to about |l| units
+_BLOCK_UNITS = 32
+
+
+def _block_errors(ring, reference, dps, lam, z, scale=None):
+    """Largest error of a part of ``ring``'s block values at ``dps``,
+    on the points ``lam`` and the ``(K, c)`` nodes ``z``, against
+    ``reference(lam, z)`` in mpmath at ``2 dps``, over ``scale(lam, z)``
+    (by default the reference's modulus), in units of ``10**-p`` for the
+    context's ``p`` digits.  A zero reference must be met exactly."""
+    digits = _decimal_digits(dps)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        got = ring.block_evaluator(_DecimalArray.from_complex(lam),
+                                   _DecimalArray.from_complex(z))
+    worst = 0.0
+    with mp.workdps(2 * dps):
+        for (k, j), re_part in np.ndenumerate(got.re):
+            ref = reference(mp.mpc(lam[j]), mp.mpc(z[k, j]))
+            value = (_decimal_to_mpf(re_part), _decimal_to_mpf(got.im[k, j]))
+            if ref == 0:
+                assert value == (0, 0)
+                continue
+            size = abs(ref) if scale is None else scale(lam[j], z[k, j])
+            for part, exact in zip(value, (ref.real, ref.imag)):
+                worst = max(worst, float(abs(part - exact) / size)
+                            * 10.0 ** digits)
+    return worst
 
 
 def _remark1_block_errors(dps, w):
