@@ -35,12 +35,13 @@ Numerical notes
   terms as its float evaluator does, term for term, and example 2 runs
   its one Horner loop; example 1 sums each node until its term bound
   falls below the context's precision.  Remark 1's takes ``1/lam`` once
-  per column and sums argument-reduced Taylor series of ``e^x``,
-  ``cos y`` and ``sin y`` a few guard digits above the context, then
-  rounds each part once to it; its values are within about 5e-54
-  relative of ``exp(z / lam)`` at its nodes (at ``dps`` 52).  A result
-  that is zero in exact arithmetic need not read 0: the imaginary part of
-  remark 1's ``A_0`` on the real lines ``lam / k`` reads about 1e-52.  The
+  per column and takes ``e^x``, ``cos y`` and ``sin y`` from a table at
+  steps of 1/256 and short Taylor series at the remainders, a few guard
+  digits above the context, then rounds each part once to it; its values
+  are within about 5e-54 relative of ``exp(z / lam)`` at its nodes (at
+  ``dps`` 52).  A result that is zero in exact arithmetic need not read
+  0: the imaginary part of remark 1's ``A_0`` on the real lines ``lam /
+  k`` reads about -6e-54.  The
   divided-difference table, the monomial conversion, the convergence
   estimates and the level recursion below run on ``decimal``.  A complex
   product or quotient rounds every real product and sum, so a part can
@@ -182,8 +183,9 @@ class RingFunction:
       block's ``(c,)`` grid points and ``(K, c)`` curve nodes as
       ``_DecimalArray`` and returns the ``(K, c)`` values as one, in C
       ``decimal`` and rounded to the caller's context (remark 1's works
-      ``ceil(s log10 2)`` guard digits above it, 3 on the ladder, and
-      rounds each part once; see :func:`_decimal_digits`).
+      2 guard digits above it, and ``ceil(s log10 2)`` more for ``s``
+      squarings, none on the ladder, and rounds each part once; see
+      :func:`_decimal_digits`).
 
     The ladder works at extended precision when the second is set.
     :meth:`from_laurent` builds both from exact terms and keeps them as
@@ -719,11 +721,12 @@ class _DecimalArray:
     example 2's Horner loop) use of a complex ndarray.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "_complex")
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
         self.re = re
         self.im = im
+        self._complex = None  # the kept result of astype(complex)
 
     @classmethod
     def from_complex(cls, z) -> "_DecimalArray":
@@ -741,6 +744,7 @@ class _DecimalArray:
     def __setitem__(self, key, other: "_DecimalArray") -> None:
         self.re[key] = other.re
         self.im[key] = other.im
+        self._complex = None
 
     def copy(self) -> "_DecimalArray":
         return _DecimalArray(self.re.copy(), self.im.copy())
@@ -764,7 +768,15 @@ class _DecimalArray:
     def __truediv__(self, other: "_DecimalArray") -> "_DecimalArray":
         a, b, c, d = self.re, self.im, other.re, other.im
         den = c * c + d * d
-        return _DecimalArray((a * c + b * d) / den, (b * c - a * d) / den)
+        # sums and quotients in place, so that one temporary lives at a
+        # time: the divided differences set a ladder block's peak memory
+        re = a * c
+        re += b * d
+        re /= den
+        im = b * c
+        im -= a * d
+        im /= den
+        return _DecimalArray(re, im)
 
     def __pow__(self, n: int) -> "_DecimalArray":
         """Integer power by repeated squaring; a negative power is the
@@ -783,11 +795,20 @@ class _DecimalArray:
         return out
 
     def astype(self, dtype) -> np.ndarray:
-        # float(Decimal) rounds correctly; + 0.0 drops the sign of zeros
-        out = np.empty(self.re.shape, dtype=dtype)
-        out.real = self.re.astype(float) + 0.0
-        out.imag = self.im.astype(float) + 0.0
-        return out
+        """The array as complex doubles (``dtype`` is ``complex``).
+
+        ``float(Decimal)`` rounds each part correctly, and ``+ 0.0`` drops
+        the sign of zeros.  The result is read-only and kept, so the nodes
+        of a block convert once for every reader; ``__setitem__`` drops
+        it, and a view from ``__getitem__`` starts without one.
+        """
+        if self._complex is None:
+            out = np.empty(self.re.shape, dtype=dtype)
+            out.real = self.re.astype(float) + 0.0
+            out.imag = self.im.astype(float) + 0.0
+            out.setflags(write=False)
+            self._complex = out
+        return self._complex
 
 
 # float -> Decimal elementwise, exact: Decimal(float) does not round
@@ -803,9 +824,9 @@ def _decimal_digits(dps: int) -> int:
     context is never coarser than a binary one at that precision.
     Complex multiply and divide in :class:`_DecimalArray` round every real
     product and sum, not each part once.  A block evaluator may work above this
-    precision and round its values to it once, as remark 1's does with
-    ``ceil(s log10 2)`` guard digits (3 on the ladder) for its ``s``
-    squarings and double-angle steps.
+    precision and round its values to it once, as remark 1's does with 2
+    guard digits for its table, series and products, and ``ceil(s log10
+    2)`` more for its ``s`` squarings (none on the ladder's grid).
     """
     prec = max(1, round((dps + 1) * 3.3219280948873626))
     p = 1
@@ -835,7 +856,8 @@ def _mp_columns(f: RingFunction, curves: Sequence[DiscFunction],
     The points ``grid[cols]`` enter exactly, the Horner steps of
     :meth:`DiscFunction._horner` give the nodes (each coefficient enters
     exactly; each real product and sum rounds to the context),
-    :func:`_refuse_coinciding` checks them, and one call of
+    :func:`_refuse_coinciding` checks them (the nodes keep the doubles it
+    reads, for the block evaluator), and one call of
     ``f.block_evaluator`` gives the block's values.  Returns ``(nodes,
     values)`` as ``(K, c)`` :class:`_DecimalArray` (call inside the
     ``decimal`` context).  A node depends only on its grid point, so the

@@ -22,14 +22,20 @@ restriction grids), and scalars give a Python ``complex``.
 ``example2_eval`` and ``gallery_eval`` wrap the rings' evaluators.
 For the ladder's extended precision, each ring has a ``block_evaluator``
 that evaluates a block of ladder grid columns in C ``decimal``.  Remark
-1's takes ``1/lambda`` once per column and sums argument-reduced Taylor
-series of ``e^x``, ``cos y`` and ``sin y`` at ``w = x + iy = z /
-lambda``, with guard digits and one final rounding, within about 5e-54
-relative of ``exp(z / lambda)`` at 54 digits (the ladder's at ``dps``
-52).  Example 1's sums each node until its term bound falls below the
-context's precision (:meth:`Example1.eval_block`), and example 2's runs
-the Horner loop of its float evaluator to depth 40.  mpmath is imported
-only by :func:`example1_growth_probe`, so no ladder loads it.
+1's takes ``1/lambda`` once per column and, at ``w = x + iy = z /
+lambda``, looks up ``e^(j/256)``, ``cos(j/256)`` and ``sin(j/256)`` in a
+table built once per working precision, for ``j`` the nearest integer
+to ``256 x`` or ``256 y``, and sums short Taylor series of ``e^r``,
+``cos r`` and ``sin r`` at the remainders ``|r| <= 1.01 / 512`` (the
+table-driven reduction of P. T. P. Tang, ACM TOMS 15(2), 1989).  It
+makes no squaring while ``|Re w|`` and ``|Im w|`` stay below 1.01, as on
+every ladder block, and works with guard digits and one final rounding,
+within about 5e-54 relative of ``exp(z / lambda)`` at 54 digits (the
+ladder's at ``dps`` 52).  Example 1's sums each node until its term bound
+falls below the context's precision or its product is exactly 0
+(:meth:`Example1.eval_block`), and example 2's runs the Horner loop of
+its float evaluator to depth 40.  mpmath is imported only by
+:func:`example1_growth_probe`, so no ladder loads it.
 """
 
 from __future__ import annotations
@@ -161,12 +167,13 @@ class Example1:
         64)`` times the node's partial sum, ``prec`` the context's
         precision in bits, for at most ``n_trunc`` terms.  The comparison
         is made between logarithms, so no bound underflows, and a zero
-        partial sum never stops the sum: the value at ``z = 0`` is exactly
-        0.  Term
-        ``n`` is the product ``prod_{j<=n} z (z - w_j)``, with ``w_j =
-        ((2/3) lam)**j``, which grows by one factor per term, times
-        ``lam**(-n*n) / 3**(4n^3)`` of its column.  A value depends only on
-        its own node and column, so the bits do not depend on the blocks.
+        partial sum never stops the sum by its bound.  Term ``n`` is the
+        product ``prod_{j<=n} z (z - w_j)``, with ``w_j = ((2/3)
+        lam)**j``, which grows by one factor per term, times
+        ``lam**(-n*n) / 3**(4n^3)`` of its column.  A node stops once its
+        product is exactly 0 (at ``z = 0``, whose value is exactly 0), since
+        every later term is then 0.  A value depends only on its own node
+        and column, so the bits do not depend on the blocks.
         """
         log_inv_eps = _log_inv_eps(lam.astype(complex),
                                    nodes.astype(complex)).ravel()
@@ -181,6 +188,8 @@ class Example1:
             with np.errstate(divide="ignore"):  # log 0 = -inf never stops
                 log_sum = np.log(np.abs(total[live].astype(complex)))
             keep = _term_log_bound(n, log_inv_eps[live]) >= log_tol + log_sum
+            # a zero product (z = 0) makes every later term 0
+            keep &= (prod.re != 0) | (prod.im != 0)
             if not keep.all():
                 live, z, prod = live[keep], z[keep], prod[keep]
                 if not live.size:
@@ -361,19 +370,29 @@ def remark1_eval(lam, z):
     return complex(out) if out.ndim == 0 else out
 
 
-# past this |Re w| or |Im w|, exp(w) takes one more halving and squaring
+# remark 1's kernel splits each part of w = z / lambda as j / 256 + r
+_REMARK1_CELLS = 256
+# past this |Re w| or |Im w|, exp(w) halves w and squares back
 _REMARK1_ARG_SLACK = 1.01
+# the table's largest |j|: 256 |Re w| and 256 |Im w| stay below 258.56
+_REMARK1_REACH = math.ceil(_REMARK1_CELLS * _REMARK1_ARG_SLACK)
+# digits above the context that absorb the table's, the series' and the
+# products' roundings, before those of any squarings
+_REMARK1_GUARD = 2
 
 
 @functools.lru_cache(maxsize=None)
-def _remark1_series(prec: int) -> Tuple[Tuple[Decimal, ...], ...]:
+def _remark1_series(prec: int, bound: float
+                    ) -> Tuple[Tuple[Decimal, ...], ...]:
     """Taylor coefficients of ``exp(t)``, ``cos(t)`` and ``sin(t) / t``
     (the last two in ``t**2``), rounded to ``prec`` digits.
 
     Each series stops at its first term below ``10**-prec`` for ``|t| <=
-    1.01 / 2**8``, the bound of the argument :func:`_remark1_block` sums.
+    bound``: ``1.01 / 512`` in :func:`_remark1_block`, which gives 16, 8
+    and 8 terms at its 56 digits, and ``1 / 256`` in
+    :func:`_remark1_table`.
     """
-    log_t = math.log10(_REMARK1_ARG_SLACK / 256)
+    log_t = math.log10(bound)
     count = 1
     while count * log_t - math.lgamma(count + 1) / math.log(10) >= -prec:
         count += 1
@@ -393,44 +412,97 @@ def _horner(coeffs: Sequence[Decimal], t):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _remark1_table(prec: int) -> Tuple[np.ndarray, ...]:
+    """``j / 256``, ``e^(j/256)``, ``cos(j/256)`` and ``sin(j/256)`` for
+    ``|j| <= 259``, as ``object`` arrays indexed by ``j + 259``.
+
+    The work runs 4 digits above ``prec``: the series of
+    :func:`_remark1_series` at ``1/256`` and ``-1/256`` give the steps,
+    repeated products give ``e^(j/256)``, and the angle-addition steps
+    ``cos(a + t) = cos a cos t - sin a sin t``, ``sin(a + t) = sin a cos t
+    + cos a sin t`` give the rest (every angle is in ``[0, 1.02)``, so no
+    sum cancels).  Each step adds at most a few units of the work's last
+    digit, so the 259 steps stay well below one unit of ``prec`` digits,
+    and each entry is rounded once to ``prec`` digits: within one unit of
+    its last digit.  ``j / 256`` is exact.
+    """
+    reach = _REMARK1_REACH
+    with decimal.localcontext(decimal.Context(prec=prec + 4)):
+        exp_c, cos_c, sin_c = _remark1_series(prec + 4, 1 / _REMARK1_CELLS)
+        t = Decimal(1) / _REMARK1_CELLS
+        up, down = _horner(exp_c, t), _horner(exp_c, -t)
+        cos_t, sin_t = _horner(cos_c, t * t), _horner(sin_c, t * t) * t
+        ups, downs = [Decimal(1)], [Decimal(1)]
+        cos, sin = [Decimal(1)], [Decimal(0)]
+        for _ in range(reach):
+            ups.append(ups[-1] * up)
+            downs.append(downs[-1] * down)
+            cos.append(cos[-1] * cos_t - sin[-1] * sin_t)
+            sin.append(sin[-1] * cos_t + cos[-2] * sin_t)
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        columns = (
+            [Decimal(j) / _REMARK1_CELLS for j in range(-reach, reach + 1)],
+            [+v for v in downs[:0:-1] + ups],
+            [+v for v in cos[:0:-1] + cos],
+            [-v for v in sin[:0:-1]] + [+v for v in sin])
+    return tuple(np.array(column, dtype=object) for column in columns)
+
+
 def _remark1_block(lam: _DecimalArray, nodes: _DecimalArray) -> _DecimalArray:
     """``exp(z / lambda)`` on a ladder block, in C ``decimal``.
 
     ``lam`` holds the block's ``(c,)`` grid points and ``nodes`` its
     ``(K, c)`` curve nodes.  ``1/lambda`` is taken once per column and
-    ``w = z * (1/lambda)``; then ``exp(w) = e^x (cos y + i sin y)``, with
-    ``e^x`` from the Taylor series at ``x / 2**s`` and ``s`` squarings, and
-    ``cos y``, ``sin y`` from their series in ``(y / 2**s)**2`` and ``s``
-    double-angle steps.  ``s`` is 8 while ``|Re w|`` and ``|Im w|`` stay
-    below 1.01 (on the ladder's grid ``|w| <= 1 + 1e-9``), and one more per
-    doubling of the block's largest past that.  Each squaring or step at
-    most doubles the relative error, so the work runs ``ceil(s log10 2)``
-    digits (3 at ``s = 8``) above the context's precision; the two final
-    products round once to the context.  Every value depends only on its
-    own column while ``s`` is 8, so the bits do not depend on the blocks.
+    ``w = x + iy = z * (1/lambda)``.  Each part is split as ``j / 256 +
+    r``, with ``j`` the nearest integer to ``256 x`` (or ``256 y``) in
+    doubles (``nodes.astype(complex) / lam.astype(complex)``, the doubles
+    the nodes' collision check already made), so ``|r| <= 1.01 / 512``;
+    then ``e^x = e^(j/256) e^r``, and ``cos y``, ``sin y`` come from
+    ``cos(j/256)``, ``sin(j/256)`` (:func:`_remark1_table`) and the
+    Taylor series of ``cos r``, ``sin r`` by one angle-addition step.  No
+    squaring is made while ``|Re w|`` and ``|Im w|`` stay below 1.01, as
+    on the ladder's grid (``|w| <= 1 + 1e-9``).  Past that, ``w`` is
+    halved ``s`` times, ``s`` the exponent of the block's largest part
+    over 1.01 (``math.frexp``), and the value is squared ``s`` times as a
+    complex number; each squaring at most doubles the relative error.  The
+    work runs 2 guard digits above the context's precision, and
+    ``ceil(s log10 2)`` more; the two final products round once to the
+    context.  While ``s`` is 0 a value depends only on its own node and
+    column, so the bits do not depend on the blocks.
     """
+    approx = nodes.astype(complex) / lam.astype(complex)
+    largest = max(np.abs(approx.real).max(), np.abs(approx.imag).max())
+    s = max(0, math.frexp(largest / _REMARK1_ARG_SLACK)[1])
     with decimal.localcontext() as work:
-        rounded = work.prec
-        work.prec = rounded + 3   # the guard digits of s = 8
+        work.prec += _REMARK1_GUARD + math.ceil(s * math.log10(2.0))
+        offset, exp_j, cos_j, sin_j = _remark1_table(work.prec)
+        exp_c, cos_c, sin_c = _remark1_series(
+            work.prec, _REMARK1_ARG_SLACK / (2 * _REMARK1_CELLS))
         a, b = lam.re, lam.im
         den = a * a + b * b
         w = nodes * _DecimalArray(a / den, -b / den)
-        largest = max(np.max(w.re), -np.min(w.re), np.max(w.im), -np.min(w.im))
-        s = 8 + max(0, math.frexp(float(largest) / _REMARK1_ARG_SLACK)[1])
-        work.prec = rounded + math.ceil(s * math.log10(2.0))
-        exp_c, cos_c, sin_c = _remark1_series(work.prec)
-        scale = Decimal(1) / (1 << s)
-        tx, ty = w.re * scale, w.im * scale
-        ty2 = ty * ty
-        exp_x = _horner(exp_c, tx)
-        cos_y = _horner(cos_c, ty2)
-        sin_y = _horner(sin_c, ty2) * ty
-        for _ in range(s):
-            exp_x = exp_x * exp_x
-            # sin 2a = 2 sin a cos a; cos 2a = 1 - 2 sin^2 a, which does
-            # not cancel while 2a is small
-            twice = sin_y + sin_y
-            sin_y, cos_y = twice * cos_y, 1 - twice * sin_y
+        if s:
+            w, approx = w * (Decimal(1) / (1 << s)), approx * 0.5 ** s
+        jx, jy = (np.rint(part * _REMARK1_CELLS).astype(np.intp)
+                  + _REMARK1_REACH for part in (approx.real, approx.imag))
+        # each array goes once it is used: this kernel's live arrays would
+        # otherwise set the memory peak of a ladder block
+        exp_x = exp_j[jx] * _horner(exp_c, w.re - offset[jx])
+        ry = w.im - offset[jy]
+        del w
+        ry2 = ry * ry
+        cos_r, sin_r = _horner(cos_c, ry2), _horner(sin_c, ry2) * ry
+        del ry, ry2
+        cos_a, sin_a = cos_j[jy], sin_j[jy]
+        cos_y = cos_a * cos_r - sin_a * sin_r
+        sin_y = sin_a * cos_r + cos_a * sin_r
+        del cos_r, sin_r
+        if s:
+            value = _DecimalArray(exp_x * cos_y, exp_x * sin_y)
+            for _ in range(s):
+                value = value * value
+            exp_x, cos_y, sin_y = Decimal(1), value.re, value.im
     return _DecimalArray(exp_x * cos_y, exp_x * sin_y)
 
 

@@ -486,6 +486,21 @@ def test_decimal_array_conversion():
     assert [math.copysign(1.0, c.real) for c in neg] == [1.0, 1.0]
 
 
+def test_decimal_array_keeps_its_double_view():
+    # astype(complex) converts once and keeps a read-only result;
+    # __setitem__ drops it, and a view never inherits it
+    z = _DecimalArray.from_complex(np.array([[0.5 - 2j, 1j], [3.0, -0.25j]]))
+    first = z.astype(complex)
+    assert z.astype(complex) is first and not first.flags.writeable
+    row = z[0]
+    assert row._complex is None
+    assert row.astype(complex).tolist() == [0.5 - 2j, 1j]
+    z[1] = _DecimalArray.from_complex(np.array([7.0, 8j]))
+    assert z._complex is None
+    assert z.astype(complex).tolist() == [[0.5 - 2j, 1j], [7.0, 8j]]
+    assert first.tolist() == [[0.5 - 2j, 1j], [3.0, -0.25j]]
+
+
 def test_decimal_array_ring_arithmetic():
     # what the rings' shared sums use: a complex double added by its exact
     # parts, 0 * z, and integer powers, a negative one by one reciprocal

@@ -436,12 +436,21 @@ def _example1_decimal_untruncated(lam, z, n_trunc=40):
     return total
 
 
+def _decimal_bits(d):
+    """A ``Decimal``'s sign, digits and exponent; a zero's exponent, which
+    records the exponents of the terms it summed and not its value, is
+    left out."""
+    sign, digits, exponent = d.as_tuple()
+    return sign, digits, exponent if d else None
+
+
 @pytest.mark.parametrize("dps", [30, 60])
 def test_example1_mp_matches_untruncated_sum(dps, monkeypatch):
     # the block form stops each node at its own term bound, 2**-(prec + 64)
-    # of the node's partial sum: on these points, with term counts that
-    # differ by node, bit for bit the full 40-term decimal sum, exactly 0 at
-    # z = 0, and within a few units of the context against mpmath
+    # of the node's partial sum, or once its product is exactly 0: on these
+    # points, with term counts that differ by node, bit for bit the full
+    # 40-term decimal sum, exactly 0 at z = 0, and within a few units of
+    # the context against mpmath
     lam = np.array([0.8 + 0.3j, -1.1 + 0.2j, 1e-3 - 2e-3j, 2.5j])
     z = np.array([[0.3 - 0.2j, 0.05 + 0.6j, -0.7 + 0.1j, 1.2 + 0.0j],
                   [0.0, 1e-90j, 0.9e-3, 0.0]])
@@ -453,11 +462,11 @@ def test_example1_mp_matches_untruncated_sum(dps, monkeypatch):
             _DecimalArray.from_complex(lam), _DecimalArray.from_complex(z))
         for (k, j), value in np.ndenumerate(got.re):
             full = _example1_decimal_untruncated(lam[j], z[k, j])
-            assert (str(value), str(got.im[k, j])) == (
-                str(full.re[0]), str(full.im[0]))
-    # three nodes stop before term 4, three (at a tiny lam or z) before
-    # term 5, and the two zero nodes sum all 40 terms
-    assert sizes == [8] * 4 + [5] + [2] * 35
+            assert [_decimal_bits(v) for v in (value, got.im[k, j])] == [
+                _decimal_bits(v) for v in (full.re[0], full.im[0])]
+    # the two zero nodes stop before term 2, three nodes before term 4 and
+    # three (at a tiny lam or z) before term 5
+    assert sizes == [8] * 2 + [6] * 2 + [3]
     assert not got.astype(complex)[1, [0, 3]].any()
     monkeypatch.undo()
     assert _block_errors(example1_ring(0.3), _example1_mp_untruncated,
@@ -774,12 +783,39 @@ def test_remark1_block_kernel_within_mpmath_error(dps):
         2j * np.pi * rng.uniform(0, 1, 120))
     w = np.concatenate([[0, 1, -1, 1j, -1j], unit, (1 + 1e-9) * unit[:10],
                         inner])
+    # the table's cell edges (j +- 1/2) / 256 per part, and just past
+    # 1.01, where one halving and squaring begins
+    edges = (np.arange(-258, 258, 37) + 0.5) / 256
+    past = 1.01 * (1 + 1e-9) * np.array([1, -1, 1j, -1j])
+    w = np.concatenate([w, edges, edges[::-1] * 1j, edges + 1j * edges[::-1],
+                        past, past + 0.3j, past * 1j + 0.7])
     ours, theirs = _remark1_block_errors(dps, w)
     assert ours["part"] <= theirs["part"]
     large = 50 * np.sqrt(rng.uniform(0, 1, 60)) * np.exp(
         2j * np.pi * rng.uniform(0, 1, 60))
     ours, theirs = _remark1_block_errors(dps, np.concatenate([large, [50, 50j]]))
     assert ours["normwise"] <= theirs["normwise"]
+
+
+@pytest.mark.parametrize("dps", [40, 52, 76])
+def test_remark1_table_within_one_unit(dps):
+    # every entry of the kernel's table, at its working digits, within one
+    # unit of its last digit of mpmath at twice the digits; the offsets
+    # j / 256 are exact
+    prec = _decimal_digits(dps) + gallery._REMARK1_GUARD
+    offset, exp_j, cos_j, sin_j = gallery._remark1_table(prec)
+    assert len(offset) == 2 * 259 + 1
+    with mp.workdps(2 * prec):
+        for j, x in enumerate(offset):
+            assert x == decimal.Decimal(j - 259) / 256
+            t = mp.mpf(j - 259) / 256
+            for got, exact in ((exp_j[j], mp.exp(t)), (cos_j[j], mp.cos(t)),
+                               (sin_j[j], mp.sin(t))):
+                if not exact:
+                    assert got == 0
+                    continue
+                unit = mp.mpf(10) ** (got.adjusted() + 1 - prec)
+                assert abs(_decimal_to_mpf(got) - exact) <= unit
 
 
 def test_remark1_constant_along_scaled_lines():
