@@ -17,9 +17,11 @@ Numerical notes
   interpolation through the curve values, which is the finite-data
   version of iterating "subtract the known levels, divide by phi, take
   the limit".  One Newton divided-difference kernel serves every grid
-  column at once and, from the same table, the interpolants through the
-  first K-2 and K-1 curves used by the convergence check; only the
-  ``depth + 1`` lowest monomial coefficients are formed.  The node
+  column at once; only the ``depth + 1`` lowest monomial coefficients
+  are formed.  The convergence check reads the steps between the
+  interpolants through the first K-2, K-1 and K curves, which in Newton
+  form are single terms ``dd[i] * prod_{j < i} (z - x_j)``, from one
+  recurrence over the same table (:func:`_newton_steps`).  The node
   systems are exponentially ill-conditioned, so for ring functions with
   a ``block_evaluator`` (:meth:`RingFunction.from_laurent` builds one
   from the exact terms, and every gallery ring has one) the ladder works
@@ -35,19 +37,21 @@ Numerical notes
   terms as its float evaluator does, term for term, and example 2 runs
   its one Horner loop; example 1 sums each node until its term bound
   falls below the context's precision.  Remark 1's takes ``1/lam`` once
-  per column and takes ``e^x``, ``cos y`` and ``sin y`` from a table at
-  steps of 1/256 and short Taylor series at the remainders, a few guard
-  digits above the context, then rounds each part once to it; its values
-  are within about 5e-54 relative of ``exp(z / lam)`` at its nodes (at
-  ``dps`` 52).  A result that is zero in exact arithmetic need not read
-  0: the imaginary part of remark 1's ``A_0`` on the real lines ``lam /
-  k`` reads about -6e-54.  The
-  divided-difference table, the monomial conversion, the convergence
-  estimates and the level recursion below run on ``decimal``.  A complex
-  product or quotient rounds every real product and sum, so a part can
-  lose a few ulps under cancellation; normwise the error stays a few
-  ulps.  Results return to complex doubles through ``float(Decimal)``,
-  which rounds correctly, each value once.  No ladder loads mpmath.
+  per column and takes ``e^x``, ``cos y`` and ``sin y`` from two tables,
+  at steps of 1/256 and of 1/65536, and short Taylor series at the
+  remainders (10, 5 and 5 terms), a few guard digits above the context,
+  then rounds each part once to it; its values are within about 5e-54
+  relative of ``exp(z / lam)`` at its nodes (at ``dps`` 52).  A result
+  that is zero in exact arithmetic need not read 0: the imaginary part
+  of remark 1's ``A_0`` on the real lines ``lam / k`` reads about
+  1.9e-53.  The divided-difference table, the monomial conversion, the
+  convergence steps and the level recursion below run on ``decimal``.
+  A complex product or quotient rounds every real product and sum, so a
+  part can lose a few ulps under cancellation; normwise the error stays
+  a few ulps.  Results return to complex doubles through
+  ``float(Decimal)``, which rounds correctly, and values leave
+  ``decimal`` only where they are read: level row 0, and the
+  near-largest ones for the data scale.  No ladder loads mpmath.
 * Everything from the nodes to the level recursion reads one grid
   column at a time, so :func:`_ladder_block` computes it for a contiguous
   block of columns and returns complex doubles.  On the extended-precision
@@ -183,8 +187,9 @@ class RingFunction:
       block's ``(c,)`` grid points and ``(K, c)`` curve nodes as
       ``_DecimalArray`` and returns the ``(K, c)`` values as one, in C
       ``decimal`` and rounded to the caller's context (remark 1's works
-      2 guard digits above it, and ``ceil(s log10 2)`` more for ``s``
-      squarings, none on the ladder, and rounds each part once; see
+      2 guard digits above it for its two tables, its series and its
+      products, and ``ceil(s log10 2)`` more for ``s`` squarings, none on
+      the ladder, then rounds each part once; see
       :func:`_decimal_digits`).
 
     The ladder works at extended precision when the second is set.
@@ -344,12 +349,15 @@ def _zeros_in_disc(roots: Optional[np.ndarray], radius: float
     """The zeros ``roots`` (of one curve, as ``roots()`` gives them) inside
     ``|lambda| <= radius``: clusters within 1e-4 merge into one zero at
     their mean whose multiplicity is their size, sorted by location.  The
-    zero curve's ``None`` raises ``ValueError``."""
+    mean of one zero ``x`` is ``complex(x) + 0j``, the bits of
+    ``np.mean``, which sums from +0 and so drops the sign of a zero part.
+    The zero curve's ``None`` raises ``ValueError``."""
     if roots is None:
         raise ValueError("zero curve has no isolated zeros")
     out: List[Tuple[complex, int]] = []
     for cluster in _single_linkage(roots, _CLUSTER_RADIUS):
-        center = complex(np.mean(cluster))
+        center = (complex(cluster[0]) + 0j if cluster.size == 1
+                  else complex(np.mean(cluster)))
         if abs(center) <= radius + _DISC_SLACK:
             out.append((center, cluster.size))
     out.sort(key=lambda t: (round(t[0].real, 6), round(t[0].imag, 6)))
@@ -721,12 +729,13 @@ class _DecimalArray:
     example 2's Horner loop) use of a complex ndarray.
     """
 
-    __slots__ = ("re", "im", "_complex")
+    __slots__ = ("re", "im", "_complex", "_abs2")
 
     def __init__(self, re: np.ndarray, im: np.ndarray):
         self.re = re
         self.im = im
         self._complex = None  # the kept result of astype(complex)
+        self._abs2 = None  # the kept re**2 + im**2 of a divisor
 
     @classmethod
     def from_complex(cls, z) -> "_DecimalArray":
@@ -744,7 +753,7 @@ class _DecimalArray:
     def __setitem__(self, key, other: "_DecimalArray") -> None:
         self.re[key] = other.re
         self.im[key] = other.im
-        self._complex = None
+        self._complex = self._abs2 = None
 
     def copy(self) -> "_DecimalArray":
         return _DecimalArray(self.re.copy(), self.im.copy())
@@ -766,8 +775,14 @@ class _DecimalArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "_DecimalArray") -> "_DecimalArray":
+        """The quotient, by the divisor's ``c**2 + d**2``, which the
+        divisor keeps for its next division (formed under the context of
+        the first); ``__setitem__`` drops it, and a view from
+        ``__getitem__`` starts without one."""
         a, b, c, d = self.re, self.im, other.re, other.im
-        den = c * c + d * d
+        den = other._abs2
+        if den is None:
+            den = other._abs2 = c * c + d * d
         # sums and quotients in place, so that one temporary lives at a
         # time: the divided differences set a ladder block's peak memory
         re = a * c
@@ -823,10 +838,11 @@ def _decimal_digits(dps: int) -> int:
     ``mpmath.libmp.dps_to_prec``), so a single rounding in the ``decimal``
     context is never coarser than a binary one at that precision.
     Complex multiply and divide in :class:`_DecimalArray` round every real
-    product and sum, not each part once.  A block evaluator may work above this
-    precision and round its values to it once, as remark 1's does with 2
-    guard digits for its table, series and products, and ``ceil(s log10
-    2)`` more for its ``s`` squarings (none on the ladder's grid).
+    product and sum, not each part once.  A block evaluator may work above
+    this precision and round its values to it once, as remark 1's does
+    with 2 guard digits for its two tables, its series and its products,
+    and ``ceil(s log10 2)`` more for its ``s`` squarings (none on the
+    ladder's grid).
     """
     prec = max(1, round((dps + 1) * 3.3219280948873626))
     p = 1
@@ -912,6 +928,68 @@ def _interp_prefixes(nodes, dd, n_keep: int,
     return out
 
 
+def _newton_steps(nodes, dd, n_keep: int) -> Tuple:
+    """The last two steps of the column interpolants' low coefficients.
+
+    In Newton form, adding point ``i`` to the interpolant through the
+    first ``i`` points adds ``dd[i] * omega_i`` with ``omega_i = prod_{j <
+    i} (z - nodes[j])``.  Returns the ``(n_keep, m)`` coefficients of
+    ``dd[K-2] * omega_{K-2}`` and ``dd[K-1] * omega_{K-1}`` for ``K =
+    len(nodes)``: the differences of the estimates from the first K-2,
+    K-1 and K points (:func:`_interp_prefixes`), which are equal in exact
+    arithmetic.  ``n_keep`` may not exceed ``K - 2``.  One recurrence
+    ``omega_{i+1} = (z - nodes[i]) omega_i``, truncated to ``n_keep``
+    rows, gives both; each of its K-1 steps updates only the nonzero rows
+    of the monic ``omega``, all at once from the old ones.  Works on
+    complex arrays and on :class:`_DecimalArray`.
+    """
+    kcurves = len(nodes)
+    neg = nodes * -1
+    omega = dd[:n_keep] * 0
+    omega[0] = dd[0] * 0 + 1
+    steps = []
+    for i in range(kcurves - 1):
+        if i == kcurves - 2:
+            steps.append(omega * dd[i])
+        # rows 0 .. live - 1 of omega_i are nonzero; row i is its 1
+        live = min(i + 1, n_keep)
+        if live < n_keep:
+            omega[live] = omega[live - 1]
+        omega[1:live] = omega[:live - 1] + neg[i] * omega[1:live]
+        omega[0] = neg[i] * omega[0]
+    steps.append(omega * dd[kcurves - 1])
+    return tuple(steps)
+
+
+# a value whose |v|^2 is within this factor of the largest may hold the
+# largest double modulus
+_NEAR_LARGEST = 1 - Decimal("1e-12")
+
+
+def _block_scale(values, last: np.ndarray) -> float:
+    """``np.abs(values.astype(complex)).max()``, with ``last`` the doubles
+    of the last rows of ``values``.
+
+    A complex array is read as it is.  On a :class:`_DecimalArray` only
+    ``last`` and the near-largest other values become doubles: the other
+    rows' ``re**2 + im**2`` is formed in ``decimal``, and the values within
+    ``1 - 1e-12`` of the largest are converted.  A double's modulus is
+    within a few ulps of the exact one, so no value left out can hold the
+    largest double modulus, and the result keeps its bits.
+    """
+    if isinstance(values, np.ndarray):
+        return np.abs(values).max()
+    scale = np.abs(last).max()
+    rest = values[:len(values) - len(last)]
+    if len(rest):
+        abs2 = rest.re * rest.re + rest.im * rest.im
+        top = abs2.max()
+        if top:
+            near = rest[abs2 >= top * _NEAR_LARGEST]
+            scale = max(scale, np.abs(near.astype(complex)).max())
+    return scale
+
+
 def _ladder_block(columns_of: Callable, cols: slice, *, n_keep: int,
                   stride: int) -> Tuple[np.ndarray, ...]:
     """The ladder's column-wise work on the grid columns ``cols``.
@@ -920,36 +998,33 @@ def _ladder_block(columns_of: Callable, cols: slice, *, n_keep: int,
     columns.  From them come the divided-difference table, the ``n_keep``
     lowest coefficients of the interpolant through all ``K`` curves and,
     on the columns of the global stride ``stride`` (grid columns ``0,
-    stride, 2 stride, ...``), those through the first K-2 and K-1 curves,
-    and the level recursion on the last three curves.  Every step reads
-    one grid column at a time, so a block's results are the same columns
-    of the whole grid's, bit for bit.  Returns complex doubles only: the
-    block's max ``|value|``, its ``(n_keep, c)`` coefficient samples, its
-    two ``(min(n_keep, K - 2), s)`` estimate arrays and its
-    ``(n_keep, 3, c)`` level rows.
+    stride, 2 stride, ...``), the last two steps of the prefix
+    interpolants (:func:`_newton_steps`), and the level recursion on the
+    last three curves.  Every step reads one grid column at a time, so a
+    block's results are the same columns of the whole grid's, bit for bit.
+    Returns complex doubles only: the block's max ``|value|``
+    (:func:`_block_scale`), its ``(n_keep, c)`` coefficient samples, the
+    ``(min(n_keep, K - 2), s)`` coefficients of its steps from K-2 to K-1
+    and from K-1 to K curves, and its ``(n_keep, 3, c)`` level rows.  Of
+    the values only the last three rows, level row 0, and the near-largest
+    ones become doubles.
     """
     nodes, values = columns_of(cols)
     kcurves = len(nodes)
     dd = _divided_differences(nodes, values)
     coeffs, = _interp_prefixes(nodes, dd, n_keep, [kcurves])
     sub = slice(-cols.start % stride, None, stride)
-    estimates = _interp_prefixes(nodes[:, sub], dd[:, sub],
-                                 min(n_keep, kcurves - 2),
-                                 [kcurves - 2, kcurves - 1])
+    steps = _newton_steps(nodes[:, sub], dd[:, sub], min(n_keep, kcurves - 2))
     coeff_samples = coeffs.astype(complex)
     levels = np.empty((n_keep, 3, coeff_samples.shape[1]), dtype=complex)
-    level_values = values[-3:]
+    # one view, so that its |x|^2 is formed once for every level division
+    last_nodes, level_values = nodes[-3:], values[-3:]
+    levels[0] = level_values.astype(complex)
     for n in range(1, n_keep):
-        level_values = (level_values - coeffs[n - 1]) / nodes[-3:]
+        level_values = (level_values - coeffs[n - 1]) / last_nodes
         levels[n] = level_values.astype(complex)
-    # each value becomes a double once: level row 0 and the scale read it.
-    # Both last: taken first, the scale's temporaries made the allocator
-    # fault in fresh pages for the float path's arrays on every ladder
-    # (about 1,600 minor faults per ladder-float benchmark round against 2)
-    float_values = values.astype(complex)
-    levels[0] = float_values[-3:]
-    return (np.abs(float_values).max(), coeff_samples,
-            *(e.astype(complex) for e in estimates), levels)
+    return (_block_scale(values, levels[0]), coeff_samples,
+            *(step.astype(complex) for step in steps), levels)
 
 
 # a forked block holds at least this many grid columns, so that the fork
@@ -1125,14 +1200,16 @@ def _stabilized_pole_lines(verdicts, zeros):
     return raw, pole_lines
 
 
-def _check_convergence(est_prev, est_last, est_all, value_scale: float,
+def _check_convergence(step_prev, step_last, value_scale: float,
                        ladder_tol: float) -> None:
     """Raise :class:`ConvergenceError` unless the estimates from the first
     K-2, K-1 and K curves contract and the projected remaining error
     (geometric extrapolation of the last two differences) stays below
-    ``ladder_tol`` times the data scale."""
-    d_prev = float(np.abs(est_last - est_prev).max())
-    d_last = float(np.abs(est_all - est_last).max())
+    ``ladder_tol`` times the data scale.  The differences are read as the
+    steps ``step_prev`` (K-2 to K-1) and ``step_last`` (K-1 to K) of
+    :func:`_newton_steps`."""
+    d_prev = float(np.abs(step_prev).max())
+    d_last = float(np.abs(step_last).max())
     scale = max(value_scale, 1e-300)
     if d_last <= ladder_tol * scale:
         return
@@ -1273,15 +1350,16 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
             _refuse_coinciding(float_nodes)
             columns_of = functools.partial(_float_columns, float_nodes,
                                            float_values)
-        # extraction, the estimates from the first K-2, K-1 curves and the
-        # level rows, by blocks of grid columns (forked on the mp path)
+        # extraction, the steps between the estimates from the first K-2,
+        # K-1 and K curves and the level rows, by blocks of grid columns
+        # (forked on the mp path)
         blocks = _run_blocks(
             functools.partial(_ladder_block, columns_of, n_keep=n_keep,
                               stride=stride),
             _block_bounds(m, extended))
     scales, *parts = zip(*blocks)
     # one block (the float path) is used as it is, without a copy
-    coeff_samples, est_prev, est_last, levels = (
+    coeff_samples, step_prev, step_last, levels = (
         part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
         for part in parts)
 
@@ -1289,8 +1367,7 @@ def coefficient_ladder(f: RingFunction, curves: Sequence[DiscFunction],
     abs_floor = _CLEAN_ABS_FLOOR * max(value_scale, 1e-300)
     # below this sup norm a Hardy-minus part is taken as zero
     noise_floor = max(10 * abs_floor, 1e-13 * max(value_scale, 1.0))
-    est_all = coeff_samples[:len(est_prev), ::stride]
-    _check_convergence(est_prev, est_last, est_all, value_scale, ladder_tol)
+    _check_convergence(step_prev, step_last, value_scale, ladder_tol)
 
     # cleaned coefficients, split into rational part + tail
     a_coeffs, a_minus = _clean_and_project(coeff_samples, abs_floor)

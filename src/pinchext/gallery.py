@@ -23,11 +23,12 @@ restriction grids), and scalars give a Python ``complex``.
 For the ladder's extended precision, each ring has a ``block_evaluator``
 that evaluates a block of ladder grid columns in C ``decimal``.  Remark
 1's takes ``1/lambda`` once per column and, at ``w = x + iy = z /
-lambda``, looks up ``e^(j/256)``, ``cos(j/256)`` and ``sin(j/256)`` in a
-table built once per working precision, for ``j`` the nearest integer
-to ``256 x`` or ``256 y``, and sums short Taylor series of ``e^r``,
-``cos r`` and ``sin r`` at the remainders ``|r| <= 1.01 / 512`` (the
-table-driven reduction of P. T. P. Tang, ACM TOMS 15(2), 1989).  It
+lambda``, splits each part as ``j / 256 + k / 65536 + r``, looks up
+``e``, ``cos`` and ``sin`` at ``j / 256`` and at ``k / 65536`` in two
+tables built once per working precision, and sums short Taylor series
+of ``e^r``, ``cos r`` and ``sin r`` at the remainders ``|r| <= 1.01 /
+131072`` (the table-driven reduction of P. T. P. Tang, ACM TOMS 15(2),
+1989).  It
 makes no squaring while ``|Re w|`` and ``|Im w|`` stay below 1.01, as on
 every ladder block, and works with guard digits and one final rounding,
 within about 5e-54 relative of ``exp(z / lambda)`` at 54 digits (the
@@ -370,13 +371,18 @@ def remark1_eval(lam, z):
     return complex(out) if out.ndim == 0 else out
 
 
-# remark 1's kernel splits each part of w = z / lambda as j / 256 + r
+# remark 1's kernel splits each part of w = z / lambda as j / 256 +
+# k / 65536 + r
 _REMARK1_CELLS = 256
+_REMARK1_FINE_CELLS = _REMARK1_CELLS * _REMARK1_CELLS
 # past this |Re w| or |Im w|, exp(w) halves w and squares back
 _REMARK1_ARG_SLACK = 1.01
 # the table's largest |j|: 256 |Re w| and 256 |Im w| stay below 258.56
 _REMARK1_REACH = math.ceil(_REMARK1_CELLS * _REMARK1_ARG_SLACK)
-# digits above the context that absorb the table's, the series' and the
+# the fine table's largest |k|: 65536 times a remainder of at most 1.01 / 512
+_REMARK1_FINE_REACH = math.ceil(_REMARK1_FINE_CELLS * _REMARK1_ARG_SLACK
+                                / (2 * _REMARK1_CELLS))
+# digits above the context that absorb the tables', the series' and the
 # products' roundings, before those of any squarings
 _REMARK1_GUARD = 2
 
@@ -388,9 +394,9 @@ def _remark1_series(prec: int, bound: float
     (the last two in ``t**2``), rounded to ``prec`` digits.
 
     Each series stops at its first term below ``10**-prec`` for ``|t| <=
-    bound``: ``1.01 / 512`` in :func:`_remark1_block`, which gives 16, 8
-    and 8 terms at its 56 digits, and ``1 / 256`` in
-    :func:`_remark1_table`.
+    bound``: ``1.01 / 131072`` in :func:`_remark1_block`, which gives 10,
+    5 and 5 terms at its 56 digits, and one table step (``1 / 256`` or
+    ``1 / 65536``) in :func:`_step_table`.
     """
     log_t = math.log10(bound)
     count = 1
@@ -412,25 +418,24 @@ def _horner(coeffs: Sequence[Decimal], t):
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _remark1_table(prec: int) -> Tuple[np.ndarray, ...]:
-    """``j / 256``, ``e^(j/256)``, ``cos(j/256)`` and ``sin(j/256)`` for
-    ``|j| <= 259``, as ``object`` arrays indexed by ``j + 259``.
+def _step_table(prec: int, cells: int, reach: int) -> Tuple[np.ndarray, ...]:
+    """``j / cells``, ``e^(j/cells)``, ``cos(j/cells)`` and
+    ``sin(j/cells)`` for ``|j| <= reach``, as ``object`` arrays indexed by
+    ``j + reach``.
 
     The work runs 4 digits above ``prec``: the series of
-    :func:`_remark1_series` at ``1/256`` and ``-1/256`` give the steps,
-    repeated products give ``e^(j/256)``, and the angle-addition steps
-    ``cos(a + t) = cos a cos t - sin a sin t``, ``sin(a + t) = sin a cos t
-    + cos a sin t`` give the rest (every angle is in ``[0, 1.02)``, so no
-    sum cancels).  Each step adds at most a few units of the work's last
-    digit, so the 259 steps stay well below one unit of ``prec`` digits,
-    and each entry is rounded once to ``prec`` digits: within one unit of
-    its last digit.  ``j / 256`` is exact.
+    :func:`_remark1_series` at ``1/cells`` and ``-1/cells`` give the
+    steps, repeated products give ``e^(j/cells)``, and the angle-addition
+    steps ``cos(a + t) = cos a cos t - sin a sin t``, ``sin(a + t) = sin a
+    cos t + cos a sin t`` give the rest (every angle is in ``[0, 1.02)``,
+    so no sum cancels).  Each step adds at most a few units of the work's
+    last digit, so the ``reach`` steps (at most 259) stay well below one
+    unit of ``prec`` digits, and each entry is rounded once to ``prec``
+    digits: within one unit of its last digit.  ``j / cells`` is exact.
     """
-    reach = _REMARK1_REACH
     with decimal.localcontext(decimal.Context(prec=prec + 4)):
-        exp_c, cos_c, sin_c = _remark1_series(prec + 4, 1 / _REMARK1_CELLS)
-        t = Decimal(1) / _REMARK1_CELLS
+        exp_c, cos_c, sin_c = _remark1_series(prec + 4, 1 / cells)
+        t = Decimal(1) / cells
         up, down = _horner(exp_c, t), _horner(exp_c, -t)
         cos_t, sin_t = _horner(cos_c, t * t), _horner(sin_c, t * t) * t
         ups, downs = [Decimal(1)], [Decimal(1)]
@@ -442,11 +447,37 @@ def _remark1_table(prec: int) -> Tuple[np.ndarray, ...]:
             sin.append(sin[-1] * cos_t + cos[-2] * sin_t)
     with decimal.localcontext(decimal.Context(prec=prec)):
         columns = (
-            [Decimal(j) / _REMARK1_CELLS for j in range(-reach, reach + 1)],
+            [Decimal(j) / cells for j in range(-reach, reach + 1)],
             [+v for v in downs[:0:-1] + ups],
             [+v for v in cos[:0:-1] + cos],
             [-v for v in sin[:0:-1]] + [+v for v in sin])
     return tuple(np.array(column, dtype=object) for column in columns)
+
+
+@functools.lru_cache(maxsize=None)
+def _remark1_table(prec: int) -> Tuple[np.ndarray, ...]:
+    """The table at steps of 1/256 for ``|j| <= 259``
+    (:func:`_step_table`), indexed by ``j + 259``."""
+    return _step_table(prec, _REMARK1_CELLS, _REMARK1_REACH)
+
+
+@functools.lru_cache(maxsize=None)
+def _remark1_fine_table(prec: int) -> Tuple[np.ndarray, ...]:
+    """The table at steps of 1/65536 for ``|k| <= 130``
+    (:func:`_step_table`), indexed by ``k + 130``."""
+    return _step_table(prec, _REMARK1_FINE_CELLS, _REMARK1_FINE_REACH)
+
+
+def _cells_of(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Table indices ``j + 259`` and ``k + 130`` of the doubles ``part``:
+    ``j`` the nearest integer to ``256 part`` and ``k`` the nearest one to
+    ``65536 (part - j / 256)``, so ``|part - j/256 - k/65536| <= 1 /
+    131072``.  Both products are exact, and so is the difference (``part``
+    lies within 1/512 of ``j / 256``)."""
+    j = np.rint(part * _REMARK1_CELLS)
+    k = np.rint((part - j / _REMARK1_CELLS) * _REMARK1_FINE_CELLS)
+    return (j.astype(np.intp) + _REMARK1_REACH,
+            k.astype(np.intp) + _REMARK1_FINE_REACH)
 
 
 def _remark1_block(lam: _DecimalArray, nodes: _DecimalArray) -> _DecimalArray:
@@ -455,21 +486,22 @@ def _remark1_block(lam: _DecimalArray, nodes: _DecimalArray) -> _DecimalArray:
     ``lam`` holds the block's ``(c,)`` grid points and ``nodes`` its
     ``(K, c)`` curve nodes.  ``1/lambda`` is taken once per column and
     ``w = x + iy = z * (1/lambda)``.  Each part is split as ``j / 256 +
-    r``, with ``j`` the nearest integer to ``256 x`` (or ``256 y``) in
-    doubles (``nodes.astype(complex) / lam.astype(complex)``, the doubles
-    the nodes' collision check already made), so ``|r| <= 1.01 / 512``;
-    then ``e^x = e^(j/256) e^r``, and ``cos y``, ``sin y`` come from
-    ``cos(j/256)``, ``sin(j/256)`` (:func:`_remark1_table`) and the
-    Taylor series of ``cos r``, ``sin r`` by one angle-addition step.  No
-    squaring is made while ``|Re w|`` and ``|Im w|`` stay below 1.01, as
-    on the ladder's grid (``|w| <= 1 + 1e-9``).  Past that, ``w`` is
-    halved ``s`` times, ``s`` the exponent of the block's largest part
-    over 1.01 (``math.frexp``), and the value is squared ``s`` times as a
-    complex number; each squaring at most doubles the relative error.  The
-    work runs 2 guard digits above the context's precision, and
-    ``ceil(s log10 2)`` more; the two final products round once to the
-    context.  While ``s`` is 0 a value depends only on its own node and
-    column, so the bits do not depend on the blocks.
+    k / 65536 + r`` (:func:`_cells_of`), from the doubles
+    ``nodes.astype(complex) / lam.astype(complex)`` (the doubles the
+    nodes' collision check already made), so ``|r| <= 1.01 / 131072``;
+    then ``e^x = e^(j/256) e^(k/65536) e^r``, and ``cos y``, ``sin y``
+    come from the tables at ``j / 256`` (:func:`_remark1_table`) and ``k /
+    65536`` (:func:`_remark1_fine_table`) and the Taylor series of ``cos
+    r``, ``sin r`` by two angle-addition steps.  No squaring is made while
+    ``|Re w|`` and ``|Im w|`` stay below 1.01, as on the ladder's grid
+    (``|w| <= 1 + 1e-9``).  Past that, ``w`` is halved ``s`` times, ``s``
+    the exponent of the block's largest part over 1.01 (``math.frexp``),
+    and the value is squared ``s`` times as a complex number; each
+    squaring at most doubles the relative error.  The work runs 2 guard
+    digits above the context's precision, and ``ceil(s log10 2)`` more;
+    the two final products round once to the context.  While ``s`` is 0 a
+    value depends only on its own node and column, so the bits do not
+    depend on the blocks.
     """
     approx = nodes.astype(complex) / lam.astype(complex)
     largest = max(np.abs(approx.real).max(), np.abs(approx.imag).max())
@@ -477,24 +509,29 @@ def _remark1_block(lam: _DecimalArray, nodes: _DecimalArray) -> _DecimalArray:
     with decimal.localcontext() as work:
         work.prec += _REMARK1_GUARD + math.ceil(s * math.log10(2.0))
         offset, exp_j, cos_j, sin_j = _remark1_table(work.prec)
+        fine, exp_k, cos_k, sin_k = _remark1_fine_table(work.prec)
         exp_c, cos_c, sin_c = _remark1_series(
-            work.prec, _REMARK1_ARG_SLACK / (2 * _REMARK1_CELLS))
+            work.prec, _REMARK1_ARG_SLACK / (2 * _REMARK1_FINE_CELLS))
         a, b = lam.re, lam.im
         den = a * a + b * b
         w = nodes * _DecimalArray(a / den, -b / den)
         if s:
             w, approx = w * (Decimal(1) / (1 << s)), approx * 0.5 ** s
-        jx, jy = (np.rint(part * _REMARK1_CELLS).astype(np.intp)
-                  + _REMARK1_REACH for part in (approx.real, approx.imag))
+        (jx, kx), (jy, ky) = _cells_of(approx.real), _cells_of(approx.imag)
         # each array goes once it is used: this kernel's live arrays would
         # otherwise set the memory peak of a ladder block
-        exp_x = exp_j[jx] * _horner(exp_c, w.re - offset[jx])
-        ry = w.im - offset[jy]
+        exp_x = exp_j[jx] * exp_k[kx] * _horner(
+            exp_c, w.re - offset[jx] - fine[kx])
+        ry = w.im - offset[jy] - fine[ky]
         del w
         ry2 = ry * ry
         cos_r, sin_r = _horner(cos_c, ry2), _horner(sin_c, ry2) * ry
         del ry, ry2
-        cos_a, sin_a = cos_j[jy], sin_j[jy]
+        # the angle j/256 + k/65536 first, then r
+        cos_a, sin_a, cos_b, sin_b = cos_j[jy], sin_j[jy], cos_k[ky], sin_k[ky]
+        cos_a, sin_a = (cos_a * cos_b - sin_a * sin_b,
+                        sin_a * cos_b + cos_a * sin_b)
+        del cos_b, sin_b
         cos_y = cos_a * cos_r - sin_a * sin_r
         sin_y = sin_a * cos_r + cos_a * sin_r
         del cos_r, sin_r

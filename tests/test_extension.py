@@ -26,9 +26,9 @@ from pinchext import (BandwidthError, CircleFunction, CircleVanishingError,
                       pinch_estimate, unit_circle_grid,
                       verify_coefficient_bounds)
 from pinchext.cli import _profile_csv
-from pinchext.extension import (_DecimalArray, _decimal_digits,
+from pinchext.extension import (_block_scale, _DecimalArray, _decimal_digits,
                                 _divided_differences, _interp_prefixes,
-                                _roots_of_rows)
+                                _newton_steps, _roots_of_rows, _zeros_in_disc)
 from pinchext.gallery import (example1_ring, example2_ring, remark1_eval,
                               remark1_ring)
 
@@ -180,6 +180,28 @@ def test_disc_function_all_roots():
     assert DiscFunction([0j]).roots() is None
     with pytest.raises(ValueError, match="zero curve"):
         DiscFunction([0j]).roots_in_disc(0.9)
+
+
+def _signed_parts(c: complex):
+    return [(x, math.copysign(1.0, x)) for x in (c.real, c.imag)]
+
+
+def test_zero_of_one_point_cluster_has_mean_bits():
+    # a cluster of one zero sits at np.mean of it, bit for bit: the sign of
+    # a zero part drops (2-0j gives 2+0j), on complex and on float roots;
+    # a larger cluster still takes np.mean
+    parts = (0.0, -0.0, 0.375, -0.375)
+    points = [np.array([complex(x, y)]) for x in parts for y in parts]
+    points += [np.array([x]) for x in parts]
+    for roots in points:
+        (center, mult), = _zeros_in_disc(roots, 0.9)
+        assert mult == 1 and type(center) is complex
+        assert _signed_parts(center) == _signed_parts(complex(np.mean(roots)))
+    assert _signed_parts(complex(np.mean(np.array([2 - 0j])))) == [
+        (2.0, 1.0), (0.0, 1.0)]
+    pair = np.array([0.25 - 0.0j, 0.25 + 1e-5j])
+    (center, mult), = _zeros_in_disc(pair, 0.9)
+    assert mult == 2 and center == complex(np.mean(pair))
 
 
 def test_sup_bound_set_at_construction(monkeypatch):
@@ -425,6 +447,100 @@ def test_newton_kernel_matches_row_by_row_recurrences():
                         assert bits(c) == bits(_prefix_by_rows(nodes, dd, n_keep, k))
 
 
+def test_newton_steps_are_prefix_differences():
+    # dd[K-2] omega_{K-2} and dd[K-1] omega_{K-1} are the differences of
+    # the estimates from the first K-2, K-1 and K points: to 1e-40 of the
+    # data scale in decimal, and to a few ulps of the estimates in doubles
+    rng = np.random.default_rng(6062)
+    eps = np.finfo(float).eps
+    context = decimal.Context(prec=_decimal_digits(52))
+    for kcurves in (3, 4, 7, 12):
+        x = np.column_stack([_separated_nodes(rng, kcurves) for _ in range(4)])
+        y = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        scale = np.abs(y).max()
+        with decimal.localcontext(context):
+            x_dec, y_dec = _DecimalArray.from_complex(x), _DecimalArray.from_complex(y)
+            for n_keep in sorted({1, max(1, kcurves // 2), kcurves - 2}):
+                for nodes, values in ((x, y), (x_dec, y_dec)):
+                    dd = _divided_differences(nodes, values)
+                    est = _interp_prefixes(nodes, dd, n_keep,
+                                           [kcurves - 2, kcurves - 1, kcurves])
+                    steps = _newton_steps(nodes, dd, n_keep)
+                    assert len(steps) == 2
+                    for step, lo, hi in zip(steps, est, est[1:]):
+                        if isinstance(step, _DecimalArray):
+                            assert step.re.shape == (n_keep, 4)
+                            err = np.abs((hi - lo - step).astype(complex)).max()
+                            assert err <= 1e-40 * scale
+                        else:
+                            assert step.shape == (n_keep, 4)
+                            size = max(np.abs(lo).max(), np.abs(hi).max())
+                            assert np.abs(hi - lo - step).max() <= 8 * eps * size
+
+
+def _decimal_block(z, nudge):
+    """``z`` as a ``_DecimalArray`` with ``nudge`` added to each part in
+    ``decimal``, so that the parts are no longer doubles."""
+    out = _DecimalArray.from_complex(z)
+    return out + _DecimalArray(np.vectorize(decimal.Decimal, otypes=[object])(
+        nudge.real.astype(str)), np.vectorize(decimal.Decimal, otypes=[object])(
+        nudge.imag.astype(str)))
+
+
+def test_block_scale_keeps_the_bits_of_every_double(monkeypatch):
+    # the block's max |value| as np.abs of all its doubles gives it, bit for
+    # bit: with the largest value in an early row, on near-ties within a few
+    # ulps across rows, and on an all-zero block; away from ties only the
+    # largest of the other rows becomes a double
+    rng = np.random.default_rng(4008)
+    converted = []
+    astype = _DecimalArray.astype
+    monkeypatch.setattr(_DecimalArray, "astype", lambda self, dtype:
+                        converted.append(self.re.size) or astype(self, dtype))
+
+    def check(values):
+        want = np.abs(astype(values, complex)).max()
+        converted.clear()
+        last = values[-3:].astype(complex)
+        got = _block_scale(values, last)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return converted[1:]
+
+    context = decimal.Context(prec=_decimal_digits(52))
+    with decimal.localcontext(context):
+        z = 0.5 * (rng.standard_normal((12, 16)) + 1j * rng.standard_normal((12, 16)))
+        z[1, 7] = 9.0 - 4.0j
+        nudge = 1e-30 * (rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape))
+        assert check(_decimal_block(z, nudge)) == [1]
+        inversions = 0
+        for _ in range(40):
+            # moduli within a few ulps of 0.8, at random angles, in the
+            # rows before the last three
+            angle = np.exp(2j * np.pi * rng.uniform(0, 1, z.shape))
+            ties = 0.8 * (1 + 4e-16 * rng.uniform(-1, 1, z.shape)) * angle
+            picked = rng.uniform(0, 1, z.shape) < 0.3
+            picked[-3:] = False
+            near = np.where(picked, ties, 0.1 * z)
+            near[2] = near[1, ::-1]   # an exact tie between rows
+            nudge = 1e-17 * (rng.standard_normal(z.shape)
+                             + 1j * rng.standard_normal(z.shape))
+            values = _decimal_block(near, nudge)
+            assert len(check(values)) == 1
+            # the largest exact modulus need not hold the largest double one
+            abs2 = values.re * values.re + values.im * values.im
+            mods = np.abs(astype(values, complex))
+            inversions += mods.flat[np.argmax(abs2)] < mods.max()
+        assert inversions
+        zero = _DecimalArray.from_complex(np.zeros((12, 16), dtype=complex))
+        assert check(zero * -1) == [] and _block_scale(zero, zero[-3:].astype(
+            complex)) == 0.0
+        # three curves: the last rows are all of them
+        three = _decimal_block(z[:3], nudge[:3])
+        assert check(three) == []
+    # complex doubles are read as they are
+    assert _block_scale(z, z[-3:]) == np.abs(z).max()
+
+
 def test_convergence_check_reads_prefix_estimates(exp_ring):
     # the estimates from the first K-2 and K-1 curves come from the table
     # built for the extraction; the differences the check reports must match
@@ -499,6 +615,37 @@ def test_decimal_array_keeps_its_double_view():
     assert z._complex is None
     assert z.astype(complex).tolist() == [[0.5 - 2j, 1j], [7.0, 8j]]
     assert first.tolist() == [[0.5 - 2j, 1j], [3.0, -0.25j]]
+
+
+def test_decimal_array_keeps_its_divisor_norm():
+    # a divisor forms c**2 + d**2 once and keeps it for its next division,
+    # with the bits of a fresh one; __setitem__ drops it, and a view never
+    # inherits it
+    def bits(a):
+        return [str(x) for x in (*a.re.flat, *a.im.flat)]
+
+    rng = np.random.default_rng(4007)
+    z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    with decimal.localcontext(decimal.Context(prec=_decimal_digits(52))):
+        num = _DecimalArray.from_complex(z) * (decimal.Decimal(1) / 3)
+        den = _DecimalArray.from_complex(z[::-1]) * (decimal.Decimal(1) / 7)
+        assert den._abs2 is None
+        first = num / den
+        kept = den._abs2
+        assert bits(_DecimalArray(kept, kept)) == bits(_DecimalArray(
+            den.re * den.re + den.im * den.im, den.re * den.re + den.im * den.im))
+        again = (num * 2) / den
+        assert den._abs2 is kept
+        fresh = _DecimalArray(den.re.copy(), den.im.copy())
+        assert bits(first) == bits(num / fresh)
+        assert bits(again) == bits((num * 2) / _DecimalArray(den.re.copy(),
+                                                            den.im.copy()))
+        row = den[1:]
+        assert row._abs2 is None
+        assert bits(num[1:] / row) == bits(first[1:])
+        den[0] = _DecimalArray.from_complex(np.ones(4) + 1j)
+        assert den._abs2 is None
+        assert bits((num / den)[1:]) == bits(first[1:])
 
 
 def test_decimal_array_ring_arithmetic():

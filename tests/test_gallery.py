@@ -818,6 +818,39 @@ def test_remark1_table_within_one_unit(dps):
                 assert abs(_decimal_to_mpf(got) - exact) <= unit
 
 
+@pytest.mark.parametrize("dps", [40, 52, 76])
+def test_remark1_fine_table_within_one_unit(dps):
+    # the second table level, at steps of 1/65536 for |k| <= 130: every
+    # entry within one unit of its last digit of mpmath at twice the
+    # digits; the offsets k / 65536 are exact
+    prec = _decimal_digits(dps) + gallery._REMARK1_GUARD
+    offset, exp_k, cos_k, sin_k = gallery._remark1_fine_table(prec)
+    assert len(offset) == 2 * 130 + 1
+    with mp.workdps(2 * prec):
+        for k, x in enumerate(offset):
+            assert x == decimal.Decimal(k - 130) / 65536
+            t = mp.mpf(k - 130) / 65536
+            for got, exact in ((exp_k[k], mp.exp(t)), (cos_k[k], mp.cos(t)),
+                               (sin_k[k], mp.sin(t))):
+                if not exact:
+                    assert got == 0
+                    continue
+                unit = mp.mpf(10) ** (got.adjusted() + 1 - prec)
+                assert abs(_decimal_to_mpf(got) - exact) <= unit
+
+
+def test_remark1_block_kernel_at_fine_cell_edges():
+    # both levels of the split at their edges: parts at (k +- 1/2) / 65536
+    # past a coarse cell's center, and at the coarse cell edges, keep each
+    # part within mpmath's own error at dps 52
+    k = np.arange(-128, 129, 16) + 0.5
+    fine = np.concatenate([(j + k / 256) / 256 for j in (-258, -3, 0, 1, 200)])
+    fine = fine[np.abs(fine) < 1.01]
+    w = np.concatenate([fine, fine[::-1] * 1j, fine + 1j * fine[::-1]])
+    ours, theirs = _remark1_block_errors(52, w)
+    assert ours["part"] <= theirs["part"]
+
+
 def test_remark1_constant_along_scaled_lines():
     ring = remark1_ring(0.3)
     grid = unit_circle_grid(64)
